@@ -19,6 +19,8 @@ from .channel import (
     KrausSet,
     ValidationReport,
     validate,
+    require_unital_minimal,
+    check_state,
     apply_heisenberg,
     apply_schrodinger,
     kraus_word,
@@ -35,6 +37,7 @@ from .subproduct import (
     shift_right,
     inductive_map,
     multiplicativity_residual,
+    presentation_residual,
     truncated_fock,
 )
 from .dilation import (

@@ -21,6 +21,8 @@ __all__ = [
     "KrausSet",
     "ValidationReport",
     "validate",
+    "require_unital_minimal",
+    "check_state",
     "apply_heisenberg",
     "apply_schrodinger",
     "kraus_word",
@@ -85,6 +87,36 @@ def validate(kraus: KrausSet) -> ValidationReport:
     return ValidationReport(float(residual), rank, bool(residual <= kraus.tol.residual_tol))
 
 
+def require_unital_minimal(kraus: KrausSet) -> None:
+    """Raise ``ValueError`` unless the set is unital and linearly independent."""
+    report = validate(kraus)
+    if not report.valid:
+        raise ValueError(
+            f"Kraus set is not unital (residual {report.unitality_residual:.3e})"
+        )
+    if report.independence_rank != kraus.size:
+        raise ValueError(
+            "Kraus operators are linearly dependent; reduce with minimal_kraus first"
+        )
+
+
+def check_state(kraus: KrausSet, rho) -> np.ndarray:
+    """Coerce ``rho`` and require a Hermitian, PSD, trace-one ``d``-square matrix."""
+    rho = as_matrix(rho)
+    if rho.shape != (kraus.dim, kraus.dim):
+        raise ValueError(f"state must be {kraus.dim}x{kraus.dim}, got {rho.shape}")
+    tol = kraus.tol
+    gap = operator_norm(rho - rho.conj().T)
+    if gap > tol.residual_tol:
+        raise ValueError(f"state is not Hermitian (asymmetry {gap:.3e})")
+    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+    if eigs[0] < -tol.residual_tol:
+        raise ValueError(f"state is not positive (eigenvalue {eigs[0]:.3e})")
+    if abs(np.trace(rho) - 1.0) > tol.residual_tol:
+        raise ValueError(f"state trace {np.trace(rho):.6f} differs from 1")
+    return rho
+
+
 def apply_heisenberg(kraus: KrausSet, a) -> np.ndarray:
     """Evaluate ``sum_k K_k† a K_k``."""
     a = as_matrix(a)
@@ -112,11 +144,6 @@ def kraus_word(kraus: KrausSet, word: Sequence[int]) -> np.ndarray:
     for j in letters:
         if not 0 <= j < n:
             raise ValueError(f"letter {j} out of range for {n} Kraus operators")
-    if n ** len(letters) > kraus.tol.word_count_cap:
-        raise ValueError(
-            f"word of length {len(letters)} exceeds the word budget "
-            f"({n}**{len(letters)} > {kraus.tol.word_count_cap})"
-        )
     cache = kraus._words
     if letters in cache:
         return cache[letters]

@@ -7,15 +7,17 @@ catalog spec::
       "dim": 2,
       "kraus": [{"re": [[...]], "im": [[...]]}, ...],
       "state": {"re": [[...]], "im": [[...]]},          # optional
-      "tol": {"rank_rel_tol": ..., "residual_tol": ..., "word_count_cap": ...},
+      "tol": {"rank_rel_tol": ..., "residual_tol": ...}, # optional
       "catalog": {"family": "...", "n": ..., "d": ..., "seed": ..., "params": {...}}
     }
 
-Exactly one of ``kraus`` / ``catalog`` must be present.  Complex matrices
-are stored as paired real arrays; floats are written with Python's shortest
-round-tripping repr, so serialize -> parse reproduces every entry bit for
-bit.  Exit codes: 0 success, 1 validation or acceptance failure, 2 input
-error.
+Exactly one of ``kraus`` / ``catalog`` must be present; unknown ``tol``
+fields are input errors.  Complex matrices are stored as paired real
+arrays; floats are written with Python's shortest round-tripping repr, so
+serialize -> parse reproduces every entry bit for bit.  Every command that
+takes ``--max-m`` builds all levels up to it in full (the level bases hold
+``sum_m n^m d_m`` entries) and reports on each of them.  Exit codes: 0
+success, 1 validation or acceptance failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import hashlib
 import io
 import json
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -71,7 +74,7 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
 def tolerances_from_json(obj) -> Tolerances:
     if obj is None:
         return Tolerances()
-    known = {"rank_rel_tol", "residual_tol", "word_count_cap"}
+    known = {"rank_rel_tol", "residual_tol"}
     extra = set(obj) - known
     if extra:
         raise InputError(f"unknown tolerance fields {sorted(extra)}")
@@ -105,17 +108,11 @@ def channel_from_document(doc: dict, args=None) -> tuple[KrausSet, np.ndarray | 
         raise InputError("document must contain exactly one of 'kraus' or 'catalog'")
     tol = tolerances_from_json(doc.get("tol"))
     if args is not None:
-        overrides = {}
-        if getattr(args, "tol_rank", None) is not None:
-            overrides["rank_rel_tol"] = args.tol_rank
-        if getattr(args, "tol_residual", None) is not None:
-            overrides["residual_tol"] = args.tol_residual
-        if overrides:
-            tol = Tolerances(
-                rank_rel_tol=overrides.get("rank_rel_tol", tol.rank_rel_tol),
-                residual_tol=overrides.get("residual_tol", tol.residual_tol),
-                word_count_cap=tol.word_count_cap,
-            )
+        overrides = {
+            "rank_rel_tol": getattr(args, "tol_rank", None),
+            "residual_tol": getattr(args, "tol_residual", None),
+        }
+        tol = replace(tol, **{k: v for k, v in overrides.items() if v is not None})
     if has_kraus:
         dim = doc.get("dim")
         if not isinstance(dim, int) or dim < 1:
@@ -155,11 +152,7 @@ def channel_to_document(kraus: KrausSet, state=None) -> dict:
     doc = {
         "dim": kraus.dim,
         "kraus": [matrix_to_json(k) for k in kraus.ops],
-        "tol": {
-            "rank_rel_tol": kraus.tol.rank_rel_tol,
-            "residual_tol": kraus.tol.residual_tol,
-            "word_count_cap": kraus.tol.word_count_cap,
-        },
+        "tol": asdict(kraus.tol),
     }
     if state is not None:
         doc["state"] = matrix_to_json(state)
@@ -228,12 +221,7 @@ def cmd_dims(args) -> int:
     system = build_subproduct(minimal_kraus(kraus), args.max_m)
     rows = []
     for m in range(1, args.max_m + 1):
-        if m <= system.built_level:
-            residual = max(
-                subproduct_residual(system, a, m - a) for a in range(m + 1)
-            )
-        else:
-            residual = float("nan")
+        residual = max(subproduct_residual(system, a, m - a) for a in range(m + 1))
         rows.append((m, system.dims[m], residual))
     _emit_csv(["m", "d_m", "subproduct_residual_max"], rows, doc, args, args.csv)
     return 0
@@ -243,11 +231,10 @@ def cmd_subproduct_check(args) -> int:
     doc = load_document(args.channel)
     kraus, _ = channel_from_document(doc, args)
     system = build_subproduct(minimal_kraus(kraus), args.max_m)
-    top = min(args.max_m, system.built_level)
     rows = []
     worst = 0.0
-    for m in range(1, top + 1):
-        for l in range(1, top - m + 1):
+    for m in range(1, args.max_m + 1):
+        for l in range(1, args.max_m - m + 1):
             residual = subproduct_residual(system, m, l)
             worst = max(worst, residual)
             rows.append((m, l, residual))
@@ -278,14 +265,15 @@ def cmd_dilate(args) -> int:
     probe = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     probe = probe + probe.conj().T
     levels = []
-    for m in range(1, min(args.max_m, system.built_level) + 1):
+    for m in range(1, args.max_m + 1):
         v = stinespring_isometry(kraus, system, m)
-        dm = system.dims[m]
         iso = operator_norm(v.conj().T @ v - np.eye(d))
         power = probe
         for _ in range(m):
             power = apply_heisenberg(kraus, power)
-        comp = operator_norm(v.conj().T @ np.kron(probe, np.eye(dm)) @ v - power)
+        # (probe ⊗ 1) v without the (d d_m)-square Kronecker product
+        lifted = (probe @ v.reshape(d, -1)).reshape(v.shape)
+        comp = operator_norm(v.conj().T @ lifted - power)
         levels.append({"m": m, "isometry_residual": iso, "compression_residual": comp})
     payload = {
         "unitary": {"unitarity_residual": unitarity, "compression_residual": probe_gap},
@@ -333,8 +321,6 @@ def cmd_dequantize(args) -> int:
         raise InputError(f"observable has shape {a.shape}, expected ({kraus.dim}, {kraus.dim})")
     m = args.level
     system = build_subproduct(kraus, m)
-    if m > system.built_level:
-        raise InputError(f"level {m} not materialized within the word budget")
     spec = state_spec(kraus, _default_state(kraus, state))
     corr = correlations(kraus, system, spec, m)
     psi = dequantize(kraus, system, corr, a, m)
@@ -369,10 +355,9 @@ def cmd_converge(args) -> int:
             raise InputError(f"{path}: observable has shape {mat.shape}")
         mats.append(mat)
     system = build_subproduct(kraus, args.max_m)
-    top = min(args.max_m, system.built_level)
     spec = state_spec(kraus, _default_state(kraus, state))
-    corr = correlations(kraus, system, spec, top)
-    report = convergence_report(kraus, system, corr, mats[0], mats[1], top)
+    corr = correlations(kraus, system, spec, args.max_m)
+    report = convergence_report(kraus, system, corr, mats[0], mats[1], args.max_m)
     _emit_csv(
         ["m", "norm_gap", "vn_residual", "scaled_commutator", "limit_state_gap"],
         report.rows(),

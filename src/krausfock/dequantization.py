@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausSet, kraus_word
+from .channel import KrausSet, check_state, kraus_word
 from .linalg import (
     as_matrix,
     kron_power_apply,
@@ -56,20 +56,9 @@ def state_spec(kraus: KrausSet, rho0) -> StateSpec:
     Requires a Hermitian, PSD, trace-one matrix giving every outcome a
     strictly positive weight ``Tr(rho0 K_k† K_k)``.
     """
-    rho0 = as_matrix(rho0)
-    if rho0.shape != (kraus.dim, kraus.dim):
-        raise ValueError(f"state must be {kraus.dim}x{kraus.dim}, got {rho0.shape}")
-    tol = kraus.tol
-    gap = operator_norm(rho0 - rho0.conj().T)
-    if gap > tol.residual_tol:
-        raise ValueError(f"state is not Hermitian (asymmetry {gap:.3e})")
-    eigs = np.linalg.eigvalsh((rho0 + rho0.conj().T) / 2.0)
-    if eigs[0] < -tol.residual_tol:
-        raise ValueError(f"state is not positive (eigenvalue {eigs[0]:.3e})")
-    if abs(np.trace(rho0) - 1.0) > tol.residual_tol:
-        raise ValueError(f"state trace {np.trace(rho0):.6f} differs from 1")
+    rho0 = check_state(kraus, rho0)
     weights = np.array([np.trace(rho0 @ k.conj().T @ k).real for k in kraus.ops])
-    if np.any(weights <= tol.residual_tol):
+    if np.any(weights <= kraus.tol.residual_tol):
         bad = int(np.argmin(weights))
         raise ValueError(
             f"outcome {bad} has weight {weights[bad]:.3e}; every Kraus operator "
@@ -101,20 +90,14 @@ class CorrelationData:
     symmetry_residuals: dict[int, tuple[float, float]] = field(default_factory=dict)
 
 
-def _raw_level_matrix(
-    kraus: KrausSet, system: SubproductSystem, rho0: np.ndarray, m: int
-) -> np.ndarray:
-    """Compression of the word-pairing matrix onto the level basis."""
-    words = system.words(m)
-    basis = system.basis(m)
-    d = kraus.dim
-    count = words.shape[0]
-    vec_words = words.reshape(count, d * d)
-    vec_weighted = (words @ rho0).reshape(count, d * d)
-    left = vec_weighted.T @ basis.conj()
-    right = vec_words.conj().T @ basis
-    raw = left.T @ right
-    return (raw + raw.conj().T) / 2.0
+def _pairing(gens: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix of ``Tr(G_u x G_v†)`` over one level's generators.
+
+    Equals the compression ``B† [Tr(K_wj x K_wk†)] B`` of the word pairing
+    onto the level basis.
+    """
+    dm = gens.shape[0]
+    return (gens @ x).reshape(dm, -1) @ gens.reshape(dm, -1).conj().T
 
 
 def correlation_matrix(
@@ -127,7 +110,8 @@ def correlation_matrix(
     """
     if m < 1:
         raise ValueError("correlation levels start at 1")
-    raw = _raw_level_matrix(kraus, system, state.rho0, m)
+    raw = _pairing(system.generators(m), state.rho0)
+    raw = (raw + raw.conj().T) / 2.0
     inv = psd_inverse(raw, kraus.tol, label=f"level-{m} correlation matrix")
     tr = float(np.trace(raw).real)
     tr_inv = float(np.trace(inv).real)
@@ -198,16 +182,7 @@ def dequantize(
         raise ValueError(f"observable must be {kraus.dim}x{kraus.dim}, got {a.shape}")
     if m not in corr.levels:
         raise ValueError(f"correlation level {m} not built")
-    words = system.words(m)
-    basis = system.basis(m)
-    d = kraus.dim
-    count = words.shape[0]
-
-    vec_words = words.reshape(count, d * d)
-    vec_target = (words @ (a @ corr.state.rho0)).reshape(count, d * d)
-    z0 = vec_target.T @ basis.conj()
-    z1 = vec_words.conj().T @ basis
-    pairing = z0.T @ z1
+    pairing = _pairing(system.generators(m), a @ corr.state.rho0)
     level = corr.levels[m]
     return pairing @ (level.inverse * level.scale)
 
@@ -265,7 +240,8 @@ def normal_ordering_residual(
     """Distance of ``K_left K_right†`` from the normally ordered span.
 
     Projects the anti-normally ordered product onto the span of all
-    ``K_wj† K_wk`` with ``|wj| = |wk| <= degree_bound`` and returns the
+    ``K_wj† K_wk`` with ``|wj| = |wk| <= degree_bound``, which is the span of
+    the level generator products ``G_u† G_v``, and returns the
     relative least-squares residual (Frobenius).  Zero residual certifies
     that this word pair can be rewritten in normal order at the given
     degree bound; products that vanish count as residual zero.
@@ -276,10 +252,6 @@ def normal_ordering_residual(
         raise ValueError("the two words must have equal length")
     if len(left) > degree_bound:
         raise ValueError("word length exceeds the degree bound")
-    if degree_bound > system.built_level:
-        raise ValueError(
-            f"degree bound {degree_bound} exceeds built level {system.built_level}"
-        )
     x = kraus_word(kraus, left) @ kraus_word(kraus, right).conj().T
     target = x.reshape(-1)
     scale = np.linalg.norm(target)
@@ -287,9 +259,8 @@ def normal_ordering_residual(
         return 0.0
     columns = []
     for mu in range(degree_bound + 1):
-        words = system.words(mu)
-        adj = words.conj().transpose(0, 2, 1)
-        prods = np.einsum("jab,kbc->jkac", adj, words)
+        gens = system.generators(mu)
+        prods = gens.conj().transpose(0, 2, 1)[:, None] @ gens
         columns.append(prods.reshape(-1, kraus.dim * kraus.dim).T)
     span = orthonormal_range(np.concatenate(columns, axis=1), kraus.tol)
     residual = target - span @ (span.conj().T @ target)

@@ -1,10 +1,9 @@
 """Stinespring isometries, unitary dilations and complementary channels.
 
-The level-``m`` isometry sends ``x`` to ``sum_words (K_word x) ⊗ c_word``
-where ``c_word`` is the coefficient vector of the word's level-basis
-component, so compressing ``A ⊗ 1`` through it reproduces the ``m``-fold
-channel power.  At level one the isometry extends to a unitary on
-``system ⊗ bath`` acting on the distinguished bath vector slice.
+The level-``m`` isometry sends ``x`` to ``sum_u (G_u x) ⊗ e_u`` over the
+level generators ``G_u``, so compressing ``A ⊗ 1`` through it reproduces
+the ``m``-fold channel power.  At level one the isometry extends to a
+unitary on ``system ⊗ bath`` acting on the distinguished bath vector slice.
 """
 
 from __future__ import annotations
@@ -13,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import KrausSet, validate
-from .linalg import as_matrix, operator_norm, partial_trace_left
+from .channel import KrausSet, check_state, require_unital_minimal
+from .linalg import as_matrix, partial_trace_left
 from .subproduct import SubproductSystem
 
 __all__ = [
@@ -48,11 +47,9 @@ def stinespring_isometry(kraus: KrausSet, system: SubproductSystem, m: int) -> n
 
     Satisfies ``V_m† V_m = 1`` and ``V_m† (A ⊗ 1) V_m = Phi^m(A)``.
     """
-    words = system.words(m)
-    basis = system.basis(m)
+    gens = system.generators(m)
     d = kraus.dim
-    dm = basis.shape[1]
-    return np.einsum("wij,wa->iaj", words, basis.conj()).reshape(d * dm, d)
+    return gens.transpose(1, 0, 2).reshape(d * gens.shape[0], d)
 
 
 def unitary_dilation(kraus: KrausSet) -> DilationBundle:
@@ -62,15 +59,7 @@ def unitary_dilation(kraus: KrausSet) -> DilationBundle:
     orthonormal completion elsewhere, so
     ``<e_0| W† (A ⊗ 1) W |e_0> = Phi(A)`` on all of ``B(C^d)``.
     """
-    report = validate(kraus)
-    if not report.valid:
-        raise ValueError(
-            f"Kraus set is not unital (residual {report.unitality_residual:.3e})"
-        )
-    if report.independence_rank != kraus.size:
-        raise ValueError(
-            "Kraus operators are linearly dependent; reduce with minimal_kraus first"
-        )
+    require_unital_minimal(kraus)
     n, d = kraus.size, kraus.dim
     v1 = kraus.ops.transpose(1, 0, 2).reshape(d * n, d)
     w = np.empty((d * n, d * n), dtype=complex)
@@ -91,27 +80,13 @@ def compressed_action(w, a, dim: int, bath_dim: int, bath_index: int = 0) -> np.
     return cols.conj().T @ np.kron(a, np.eye(bath_dim)) @ cols
 
 
-def _check_density(rho: np.ndarray, tol) -> None:
-    gap = operator_norm(rho - rho.conj().T)
-    if gap > tol.residual_tol:
-        raise ValueError(f"state is not Hermitian (asymmetry {gap:.3e})")
-    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if eigs[0] < -tol.residual_tol:
-        raise ValueError(f"state is not positive (eigenvalue {eigs[0]:.3e})")
-    if abs(np.trace(rho) - 1.0) > tol.residual_tol:
-        raise ValueError(f"state trace {np.trace(rho):.6f} differs from 1")
-
-
 def complementary_state(kraus: KrausSet, rho) -> np.ndarray:
     """Bath-side state with entries ``Tr(rho K_k† K_j)`` at position (j, k).
 
     Describes the information about ``rho`` carried into the bath by one
     step of the evolution; a density matrix whenever ``rho`` is one.
     """
-    rho = as_matrix(rho)
-    if rho.shape != (kraus.dim, kraus.dim):
-        raise ValueError(f"state must be {kraus.dim}x{kraus.dim}, got {rho.shape}")
-    _check_density(rho, kraus.tol)
+    rho = check_state(kraus, rho)
     n = kraus.size
     out = np.empty((n, n), dtype=complex)
     for j in range(n):
@@ -124,8 +99,7 @@ def complementary_state_via_dilation(
     kraus: KrausSet, rho, bundle: DilationBundle | None = None
 ) -> np.ndarray:
     """Same state computed by tracing the system out of the dilated evolution."""
-    rho = as_matrix(rho)
-    _check_density(rho, kraus.tol)
+    rho = check_state(kraus, rho)
     if bundle is None:
         bundle = unitary_dilation(kraus)
     n, d = kraus.size, kraus.dim
@@ -145,10 +119,9 @@ def covariant_symbol(kraus: KrausSet, system: SubproductSystem, m: int, x) -> np
     positive and unital.
     """
     x = as_matrix(x)
-    basis = system.basis(m)
-    dm = basis.shape[1]
+    gens = system.generators(m)
+    dm, d = gens.shape[0], kraus.dim
     if x.shape != (dm, dm):
         raise ValueError(f"operator must be {dm}-square at level {m}, got {x.shape}")
-    words = system.words(m)
-    gens = np.einsum("wu,wij->uij", basis.conj(), words)
-    return np.einsum("uv,uai,vaj->ij", x, gens.conj(), gens)
+    stacked = gens.reshape(dm * d, d)
+    return stacked.conj().T @ (x @ gens.reshape(dm, d * d)).reshape(dm * d, d)

@@ -35,19 +35,14 @@ class Tolerances:
     residual_tol
         Acceptable norm for residuals of identities that hold exactly in
         exact arithmetic.
-    word_count_cap
-        Largest number of operator words enumerated at a single level.
     """
 
     rank_rel_tol: float = 1e-9
     residual_tol: float = 1e-8
-    word_count_cap: int = 4096
 
     def __post_init__(self):
         if self.rank_rel_tol <= 0.0 or self.residual_tol <= 0.0:
             raise ValueError("tolerances must be strictly positive")
-        if self.word_count_cap < 1:
-            raise ValueError("word_count_cap must be at least 1")
 
 
 class SingularMatrixError(ValueError):

@@ -10,16 +10,23 @@ multiplies the underlying operators, both one-sided extensions of a kernel
 vector stay in the kernel.  The orthocomplements therefore satisfy the
 nesting law ``level(m+l) ⊆ level(m) ⊗ level(l)`` exactly.
 
-Each level is stored as an isometry ``B_m`` of shape ``(n^m, d_m)`` whose
-columns are an orthonormal basis of the level subspace; the level
-projection is ``p_m = B_m @ B_m†``.  When a level has full dimension
-``n^m`` the basis is the exact identity matrix, so free families produce
-exactly zero residuals.
+Each level is stored in two forms that share one basis: an isometry
+``B_m`` of shape ``(n^m, d_m)`` whose columns are an orthonormal basis of
+the level subspace, so the level projection is ``p_m = B_m @ B_m†``, and
+the generator stack ``G_m`` of shape ``(d_m, d, d)`` with
+``G_u = sum_w conj(B_m[w, u]) K_w``.  The generators span the same operator
+space as the length-``m`` words, so every consumer works on ``d_m``
+matrices instead of ``n^m`` words.
 
-Levels are enumerated while ``n^m`` stays within ``tol.word_count_cap``.
-Once the operator span of the words stops growing (projective-type
-families) the dimension ladder continues without further enumeration;
-bases beyond the last materialized level are not available.
+Levels nest, ``level(m) ⊆ level(m-1) ⊗ C^n``, so each level is built from
+the previous one: the candidates ``H_(u,k) = G_u K_k`` carry the level-``m``
+word span, an orthonormal basis ``C`` of the range of their stacked
+transposes (one SVD of a ``(d_{m-1} n) x d^2`` matrix) fixes the level, and
+``G_m = C† H``, ``B_m = (B_{m-1} ⊗ 1_n) C``.  In exact arithmetic the
+singular values are those of the full ``n^m x d^2`` word stack, so the rank
+rule at ``tol.rank_rel_tol`` decides the same dimensions.  When a level
+has full dimension, ``C`` is the exact identity, so free families keep
+identity bases and produce exactly zero residuals.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausSet, validate
+from .channel import KrausSet, require_unital_minimal
 from .linalg import (
     Tolerances,
     as_matrix,
@@ -54,122 +61,73 @@ __all__ = [
 
 @dataclass(eq=False)
 class SubproductSystem:
-    """Per-level dimensions and orthonormal level bases of a Kraus family.
+    """Orthonormal level bases and generator stacks of a Kraus family.
 
-    ``dims[m]`` is valid for every ``m <= max_level``; ``bases[m]`` and the
-    cached word stacks exist only for ``m <= built_level``.  ``stable_from``
-    records the first level at which the operator span of the words stopped
-    growing, if that was detected.
+    ``bases[m]`` is ``B_m`` and ``gen_stacks[m]`` is ``G_m``, both present
+    for every ``m <= max_level``.
     """
 
     n: int
     dim: int
-    dims: list[int]
     bases: list[np.ndarray]
-    word_stacks: list[np.ndarray] = field(repr=False)
-    stable_from: int | None
+    gen_stacks: list[np.ndarray] = field(repr=False)
     tol: Tolerances
 
     @property
     def max_level(self) -> int:
-        return len(self.dims) - 1
-
-    @property
-    def built_level(self) -> int:
         return len(self.bases) - 1
 
-    def dimension(self, m: int) -> int:
+    @property
+    def dims(self) -> list[int]:
+        """Level dimensions ``d_0..d_max_level``."""
+        return [b.shape[1] for b in self.bases]
+
+    def _check_level(self, m: int) -> None:
         if not 0 <= m <= self.max_level:
             raise ValueError(f"level {m} out of range (max level {self.max_level})")
-        return self.dims[m]
+
+    def dimension(self, m: int) -> int:
+        self._check_level(m)
+        return self.bases[m].shape[1]
 
     def basis(self, m: int) -> np.ndarray:
         """Isometry ``B_m`` with the level subspace as its column range."""
-        if not 0 <= m <= self.max_level:
-            raise ValueError(f"level {m} out of range (max level {self.max_level})")
-        if m > self.built_level:
-            raise ValueError(
-                f"level {m} was not materialized (word budget reached at level "
-                f"{self.built_level}); only dimensions are available beyond that"
-            )
+        self._check_level(m)
         return self.bases[m]
 
-    def words(self, m: int) -> np.ndarray:
-        """Stack of all length-``m`` word products, shape ``(n^m, dim, dim)``."""
-        if not 0 <= m <= self.built_level:
-            raise ValueError(f"words at level {m} not available (built to {self.built_level})")
-        return self.word_stacks[m]
+    def generators(self, m: int) -> np.ndarray:
+        """Stack ``G_m`` of shape ``(d_m, dim, dim)``."""
+        self._check_level(m)
+        return self.gen_stacks[m]
 
 
 def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
-    """Construct level bases for ``m = 0..max_level`` from a minimal family.
+    """Construct level bases and generators for ``m = 0..max_level``.
 
-    Requires a valid (unital) and minimal Kraus set.  Levels are built
-    incrementally, each word stack extending the previous one by one letter.
-    If ``n^m`` would exceed the word budget before ``max_level`` and the word
-    span has stabilized, remaining dimensions are filled in at the stabilized
-    value; otherwise the budget violation is an error.
+    Requires a valid (unital) and minimal Kraus set.  Every level is built
+    in full from the previous one; the bases hold ``sum_m n^m d_m`` entries.
     """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
-    report = validate(kraus)
-    if not report.valid:
-        raise ValueError(
-            f"Kraus set is not unital (residual {report.unitality_residual:.3e})"
-        )
-    if report.independence_rank != kraus.size:
-        raise ValueError(
-            "Kraus operators are linearly dependent; reduce with minimal_kraus first"
-        )
+    require_unital_minimal(kraus)
     n, d = kraus.size, kraus.dim
     tol = kraus.tol
 
-    dims = [1]
     bases = [np.ones((1, 1), dtype=complex)]
-    stacks = [np.eye(d, dtype=complex).reshape(1, d, d)]
-    span_basis = orthonormal_range(np.eye(d, dtype=complex).reshape(d * d, 1), tol)
-    stable_from = None
+    gens = [np.eye(d, dtype=complex).reshape(1, d, d)]
+    for m in range(1, max_level + 1):
+        prev = bases[-1]
+        cand = (gens[-1][:, None] @ kraus.ops).reshape(-1, d, d)
+        # rows are vec(H^T): their range is the level subspace in the
+        # coordinates of level(m-1) ⊗ C^n
+        c = orthonormal_range(cand.transpose(0, 2, 1).reshape(-1, d * d), tol)
+        if c.shape[1] == c.shape[0]:
+            c = np.eye(c.shape[0], dtype=complex)
+        dm = c.shape[1]
+        gens.append((c.conj().T @ cand.reshape(-1, d * d)).reshape(dm, d, d))
+        bases.append((prev @ c.reshape(prev.shape[1], n * dm)).reshape(n**m, dm))
 
-    level = 0
-    while level < max_level and n ** (level + 1) <= tol.word_count_cap:
-        level += 1
-        count = n**level
-        words = np.einsum("wab,kbc->wkac", stacks[-1], kraus.ops).reshape(count, d, d)
-        stacks.append(words)
-        # rows of adj_vecs are vec((K_word)†); the level space is the span of
-        # the conjugated columns, i.e. the orthocomplement of the kernel of
-        # the adjoint-word correspondence.
-        adj_vecs = words.conj().transpose(0, 2, 1).reshape(count, d * d)
-        basis = orthonormal_range(adj_vecs.conj(), tol)
-        if basis.shape[1] == count:
-            basis = np.eye(count, dtype=complex)
-        bases.append(basis)
-        dims.append(basis.shape[1])
-        # operator span of the plain words, used for stabilization detection
-        new_span = orthonormal_range(words.reshape(count, d * d).T, tol)
-        if stable_from is None and new_span.shape[1] == span_basis.shape[1]:
-            outside = new_span - span_basis @ (span_basis.conj().T @ new_span)
-            if operator_norm(outside) <= tol.residual_tol:
-                stable_from = level
-        span_basis = new_span
-
-    if level < max_level:
-        if stable_from is None:
-            raise ValueError(
-                f"word budget exceeded: level {level + 1} needs {n ** (level + 1)} words "
-                f"(cap {tol.word_count_cap}) and the word span has not stabilized"
-            )
-        dims.extend([dims[-1]] * (max_level - level))
-
-    return SubproductSystem(
-        n=n,
-        dim=d,
-        dims=dims,
-        bases=bases,
-        word_stacks=stacks,
-        stable_from=stable_from,
-        tol=tol,
-    )
+    return SubproductSystem(n=n, dim=d, bases=bases, gen_stacks=gens, tol=tol)
 
 
 def level_projection(system: SubproductSystem, m: int) -> np.ndarray:
@@ -307,9 +265,8 @@ class TruncatedFock:
 
 def truncated_fock(system: SubproductSystem, top: int | None = None) -> TruncatedFock:
     """Assemble the truncated direct sum of levels ``0..top`` with shifts."""
-    top = system.built_level if top is None else top
-    if top > system.built_level:
-        raise ValueError(f"level {top} not materialized (built to {system.built_level})")
+    top = system.max_level if top is None else top
+    dims = tuple(system.dimension(m) for m in range(top + 1))
     left = [[shift_left(system, k, m) for k in range(system.n)] for m in range(top)]
     right = [[shift_right(system, k, m) for k in range(system.n)] for m in range(top)]
-    return TruncatedFock(dims=tuple(system.dims[: top + 1]), left_blocks=left, right_blocks=right)
+    return TruncatedFock(dims=dims, left_blocks=left, right_blocks=right)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from krausfock import (
-    Tolerances,
     commuting_generic,
     kraus_word,
+    orthonormal_range,
     random_unital,
     sequential_projective,
     shift_left,
@@ -36,6 +36,27 @@ def words_of_length(n, m):
     if m == 0:
         return [()]
     return [w + (j,) for w in words_of_length(n, m - 1) for j in range(n)]
+
+
+def word_stack(kraus, m):
+    """All length-``m`` word products, shape ``(n^m, d, d)``, last letter fastest."""
+    return np.stack([kraus_word(kraus, w) for w in words_of_length(kraus.size, m)])
+
+
+def dense_level_basis(kraus, m):
+    """Level basis straight from the ``n^m x d^2`` word stack.
+
+    The level space is the span of the conjugated rows ``vec(W†)`` over all
+    length-``m`` words ``W``; a full-dimensional level gets the exact
+    identity.  Exponential in ``m``, so small levels only.
+    """
+    words = word_stack(kraus, m)
+    count, d = words.shape[0], kraus.dim
+    adj_vecs = words.conj().transpose(0, 2, 1).reshape(count, d * d)
+    basis = orthonormal_range(adj_vecs.conj(), kraus.tol)
+    if basis.shape[1] == count:
+        basis = np.eye(count, dtype=complex)
+    return basis
 
 
 def fock_rank_one_oracle(kraus, system, corr, a, m):

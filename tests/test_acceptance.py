@@ -13,7 +13,6 @@ import pytest
 
 from krausfock import (
     KrausSet,
-    Tolerances,
     apply_heisenberg,
     build_subproduct,
     commuting_generic,
@@ -28,6 +27,7 @@ from krausfock import (
     multiplicativity_residual,
     normal_ordering_residual,
     operator_norm,
+    presentation_residual,
     projective_measurement,
     random_unital,
     sequential_projective,
@@ -37,7 +37,6 @@ from krausfock import (
     uniform_projective,
     unitary_dilation,
 )
-from krausfock.subproduct import presentation_residual
 from conftest import (
     fock_rank_one_oracle,
     haar_unitary,
@@ -55,18 +54,14 @@ def check(num, name, ok, detail=""):
     assert ok, line
 
 
-BIG_CAP = Tolerances(word_count_cap=16384)
-
-
 @pytest.fixture(scope="module")
 def families():
-    # the four catalog instances the criteria name, with enough word budget
-    # for every level the suite touches
+    # the four catalog instances the criteria name
     return {
         "projective": uniform_projective(3),
         "commuting": commuting_generic(2, 12, seed=3),
         "random": random_unital(2, 16, seed=0),
-        "sequential": sequential_projective(4, np.pi / 4, seed=0, tol=BIG_CAP),
+        "sequential": sequential_projective(4, np.pi / 4, seed=0),
     }
 
 

@@ -5,10 +5,12 @@ from krausfock import (
     KrausSet,
     apply_heisenberg,
     apply_schrodinger,
+    check_state,
     choi_matrix,
     kraus_word,
     minimal_kraus,
     random_unital,
+    require_unital_minimal,
     uniform_projective,
     validate,
 )
@@ -105,6 +107,27 @@ class TestApplySchrodinger:
             assert abs(lhs - rhs) < 1e-10
 
 
+class TestGuards:
+    def test_require_unital_minimal(self):
+        require_unital_minimal(uniform_projective(3))
+        with pytest.raises(ValueError, match="not unital"):
+            require_unital_minimal(KrausSet(2.0 * np.eye(2)[None]))
+        with pytest.raises(ValueError, match="minimal_kraus"):
+            require_unital_minimal(KrausSet(np.stack([np.eye(2), np.eye(2)]) / np.sqrt(2.0)))
+
+    def test_check_state(self):
+        k = uniform_projective(2)
+        assert np.array_equal(check_state(k, np.eye(2) / 2), np.eye(2) / 2)
+        for bad, message in [
+            (np.eye(3) / 3, "must be 2x2"),
+            (np.array([[1.0, 1.0], [0.0, 0.0]]), "Hermitian"),
+            (np.diag([1.5, -0.5]), "positive"),
+            (np.eye(2), "trace"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                check_state(k, bad)
+
+
 class TestKrausWord:
     def test_empty_word(self):
         k = uniform_projective(3)
@@ -133,10 +156,11 @@ class TestKrausWord:
         with pytest.raises(ValueError, match="letter"):
             kraus_word(k, (2,))
 
-    def test_word_budget(self):
-        k = uniform_projective(2)
-        with pytest.raises(ValueError, match="budget"):
-            kraus_word(k, (0,) * 13)  # 2**13 > 4096
+    def test_length_13_word_is_product_of_letters(self, rng):
+        # 2**13 words have this length; a single word is never refused
+        k = random_unital(2, 4, seed=6)
+        word = tuple(rng.integers(0, 2, size=13))
+        assert np.array_equal(kraus_word(k, word), fold_word_oracle(k.ops, word))
 
 
 class TestMinimalKraus:

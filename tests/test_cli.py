@@ -86,6 +86,15 @@ class TestValidate:
         code, _, _ = run(capsys, "validate", str(path), "--tol-residual", "1.0")
         assert code == 0
 
+    def test_retired_word_count_cap_is_input_error(self, tmp_path, capsys):
+        # not a tolerance field: ignoring it would misread the document
+        path = tmp_path / "capped.json"
+        doc = {"catalog": {"family": "projective", "d": 3}, "tol": {"word_count_cap": 4096}}
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "dims", str(path), "--max-m", "2")
+        assert code == 2
+        assert "word_count_cap" in err
+
     def test_minimalize_writes_reduced_document(self, tmp_path, capsys):
         s = 0.5  # two copies of I/sqrt(2) -> one operator
         doc = {
@@ -157,8 +166,8 @@ class TestDims:
         rows = [line.split(",") for line in out.splitlines() if line and not line.startswith("#")]
         dims = [int(r[1]) for r in rows[1:]]
         assert dims == [3] * 8
-        # level 8 exceeds the word budget: dimension known, residual not
-        assert rows[8][2] == "nan"
+        # level 8 is built in full, so its nesting residual is a number
+        assert float(rows[8][2]) <= 1e-8
 
 
 class TestSubproductCheck:
@@ -180,6 +189,8 @@ class TestDilate:
         assert payload["unitary"]["unitarity_residual"] < 1e-10
         assert payload["unitary"]["compression_residual"] < 1e-10
         assert all(lvl["isometry_residual"] < 1e-9 for lvl in payload["levels"])
+        assert all(lvl["compression_residual"] < 1e-9 for lvl in payload["levels"])
+        assert [lvl["m"] for lvl in payload["levels"]] == [1, 2, 3]
 
 
 class TestComplementary:
@@ -212,6 +223,16 @@ class TestDequantize:
         first = out.read_bytes()
         run(capsys, *args)
         assert out.read_bytes() == first
+
+    def test_level_past_the_former_word_budget(self, tmp_path, capsys):
+        # 3**8 = 6561 words: built in full, so dequantization reaches it
+        chan = make_catalog_doc(tmp_path, family="projective", d=3)
+        obs = make_observable(tmp_path, np.eye(3))
+        code, out, _ = run(capsys, "dequantize", chan, "--observable", obs, "--level", "8")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["unitality_residual"] < 1e-8
+        assert sorted(payload["symmetry_residuals"], key=int) == [str(m) for m in range(1, 9)]
 
     def test_missing_observable_file(self, tmp_path, capsys):
         chan = make_catalog_doc(tmp_path, family="projective", d=3)

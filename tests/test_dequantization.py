@@ -18,7 +18,7 @@ from krausfock import (
     trend_verdict,
     uniform_projective,
 )
-from conftest import fock_rank_one_oracle, random_complex, random_hermitian
+from conftest import fock_rank_one_oracle, random_complex, random_hermitian, word_stack
 
 
 def maximally_mixed(dim):
@@ -182,7 +182,7 @@ class TestDequantize:
         corr = correlations(k, s, spec, 4)
         a = random_hermitian(rng, 3)
         for m in (2, 3, 4):
-            words = s.words(m)
+            words = word_stack(k, m)
             basis = s.basis(m)
             count = words.shape[0]
             w_vec = np.ones(1)

@@ -153,6 +153,14 @@ class TestComplementaryState:
         with pytest.raises(ValueError, match="positive"):
             complementary_state(k, np.diag([1.5, -0.5]))
 
+    def test_both_routes_share_the_state_validator(self):
+        k = uniform_projective(2)
+        for route in (complementary_state, complementary_state_via_dilation):
+            with pytest.raises(ValueError, match="state must be 2x2"):
+                route(k, np.eye(3) / 3)
+            with pytest.raises(ValueError, match="trace"):
+                route(k, np.eye(2))
+
 
 class TestCovariantSymbol:
     def test_identity_input_gives_identity(self, catalog_quartet):

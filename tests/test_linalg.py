@@ -42,12 +42,8 @@ class TestTolerances:
         tol = Tolerances()
         assert tol.rank_rel_tol == 1e-9
         assert tol.residual_tol == 1e-8
-        assert tol.word_count_cap == 4096
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"rank_rel_tol": 0.0}, {"residual_tol": -1.0}, {"word_count_cap": 0}],
-    )
+    @pytest.mark.parametrize("kwargs", [{"rank_rel_tol": 0.0}, {"residual_tol": -1.0}])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             Tolerances(**kwargs)

@@ -3,7 +3,6 @@ import pytest
 
 from krausfock import (
     KrausSet,
-    Tolerances,
     build_subproduct,
     commuting_generic,
     inductive_map,
@@ -11,15 +10,22 @@ from krausfock import (
     level_projection,
     multiplicativity_residual,
     operator_norm,
+    presentation_residual,
     random_unital,
+    sequential_projective,
     shift_left,
     shift_right,
     subproduct_residual,
     truncated_fock,
     uniform_projective,
 )
-from krausfock.subproduct import presentation_residual
-from conftest import haar_unitary, random_complex, random_hermitian
+from conftest import (
+    dense_level_basis,
+    haar_unitary,
+    random_complex,
+    random_hermitian,
+    word_stack,
+)
 
 
 def residual_oracle(system, m, l):
@@ -44,11 +50,8 @@ class TestBuild:
     def test_projective_ladder_stabilizes(self, projective3):
         s = build_subproduct(projective3, 8)
         assert s.dims == [1, 3, 3, 3, 3, 3, 3, 3, 3]
-        assert s.stable_from == 2
-        # level 8 needs 6561 > 4096 words, so only its dimension exists
-        assert s.built_level == 7
-        with pytest.raises(ValueError, match="not materialized"):
-            s.basis(8)
+        # every level is built, including level 8 with its 6561 words
+        assert s.basis(8).shape == (6561, 3)
 
     def test_commuting_ladder(self, commuting212):
         s = build_subproduct(commuting212, 7)
@@ -76,10 +79,34 @@ class TestBuild:
         with pytest.raises(ValueError, match="unital"):
             build_subproduct(KrausSet(ops), 2)
 
-    def test_cap_exceeded_without_stabilization(self):
-        k = commuting_generic(2, 12, seed=1, tol=Tolerances(word_count_cap=16))
-        with pytest.raises(ValueError, match="word budget"):
-            build_subproduct(k, 6)
+    def test_commuting_builds_to_level_13(self):
+        # the ladder saturates at the 12 points and every level stays built
+        k = commuting_generic(2, 12, seed=1)
+        s = build_subproduct(k, 13)
+        assert s.dims == list(range(1, 13)) + [12, 12]
+        assert s.basis(13).shape == (2**13, 12)
+        assert s.generators(13).shape == (12, 12, 12)
+
+
+class TestDenseOracle:
+    """The chain build against the word-stack formula it replaces."""
+
+    @pytest.fixture(scope="class")
+    def instances(self, catalog_quartet):
+        return {**catalog_quartet, "small-angle": sequential_projective(4, 0.05, seed=0)}
+
+    def test_dims_projections_and_generators(self, instances):
+        for name, k in instances.items():
+            s = build_subproduct(k, 6)
+            for m in range(7):
+                dense = dense_level_basis(k, m)
+                chain = s.basis(m)
+                assert chain.shape == dense.shape, (name, m)
+                # |P - Q| for equal ranks, without forming n^m-square matrices
+                gap = operator_norm(chain - dense @ (dense.conj().T @ chain))
+                assert gap <= 1e-12, (name, m, gap)
+                gens = np.einsum("wu,wij->uij", chain.conj(), word_stack(k, m))
+                assert np.max(np.abs(s.generators(m) - gens)) <= 1e-12, (name, m)
 
 
 class TestLevelProjection:
