@@ -109,6 +109,8 @@ def random_unital(n: int, d: int, seed: int = 0, tol: Tolerances | None = None) 
     normalizer were singular the next seed is tried; the result is still a
     deterministic function of the requested seed.
     """
+    if n < 1 or d < 1:
+        raise ValueError(f"random_unital needs positive n and d, got n={n}, d={d}")
     attempt = seed
     while True:
         rng = np.random.default_rng(attempt)
@@ -185,4 +187,7 @@ def _require(spec: CatalogSpec, name: str) -> int:
     value = getattr(spec, name)
     if value is None:
         raise ValueError(f"family {spec.family!r} needs parameter {name!r}")
-    return int(value)
+    value = int(value)
+    if value < 1:
+        raise ValueError(f"family {spec.family!r} needs a positive {name!r}, got {value}")
+    return value

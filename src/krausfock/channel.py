@@ -122,7 +122,8 @@ def apply_heisenberg(kraus: KrausSet, a) -> np.ndarray:
     a = as_matrix(a)
     if a.shape != (kraus.dim, kraus.dim):
         raise ValueError(f"observable must be {kraus.dim}x{kraus.dim}, got {a.shape}")
-    return sum(k.conj().T @ a @ k for k in kraus.ops)
+    ops = kraus.ops
+    return (ops.conj().transpose(0, 2, 1) @ a @ ops).sum(axis=0)
 
 
 def apply_schrodinger(kraus: KrausSet, rho) -> np.ndarray:
@@ -130,7 +131,8 @@ def apply_schrodinger(kraus: KrausSet, rho) -> np.ndarray:
     rho = as_matrix(rho)
     if rho.shape != (kraus.dim, kraus.dim):
         raise ValueError(f"state must be {kraus.dim}x{kraus.dim}, got {rho.shape}")
-    return sum(k @ rho @ k.conj().T for k in kraus.ops)
+    ops = kraus.ops
+    return (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def kraus_word(kraus: KrausSet, word: Sequence[int]) -> np.ndarray:

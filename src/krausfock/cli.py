@@ -12,7 +12,9 @@ catalog spec::
     }
 
 Exactly one of ``kraus`` / ``catalog`` must be present; unknown ``tol``
-fields are input errors.  Complex matrices are stored as paired real
+fields are input errors.  Fields are checked for type and never coerced: a
+ragged matrix, a string where a number belongs or a fractional seed is an
+input error that names the field.  Complex matrices are stored as paired real
 arrays; floats are written with Python's shortest round-tripping repr, so
 serialize -> parse reproduces every entry bit for bit.  Every command that
 takes ``--max-m`` builds all levels up to it in full (the level bases hold
@@ -27,8 +29,9 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -61,12 +64,39 @@ def matrix_to_json(a) -> dict:
     return {"re": a.real.tolist(), "im": a.imag.tolist()}
 
 
+def _number(value, what: str) -> float:
+    """A finite JSON number; booleans and numeric strings are rejected."""
+    # the comparison is also false for nan and for integers beyond float range
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) < math.inf:
+        raise InputError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _real_rows(rows, what: str) -> np.ndarray:
+    """A rectangular, non-empty list of rows of finite numbers as a float array."""
+    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
+        raise InputError(f"{what} must be a non-empty list of rows")
+    width = len(rows[0])
+    if width == 0 or any(len(r) != width for r in rows):
+        raise InputError(f"{what} is ragged: every row needs the same nonzero length")
+    for row in rows:
+        for x in row:
+            _number(x, f"{what} entry")
+    return np.array(rows, dtype=float)
+
+
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj:
         raise InputError(f"{what} must be an object with 're' (and optional 'im') arrays")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-    if re.shape != im.shape or re.ndim != 2:
+    re = _real_rows(obj["re"], f"{what}.re")
+    im = _real_rows(obj["im"], f"{what}.im") if "im" in obj else np.zeros_like(re)
+    if re.shape != im.shape:
         raise InputError(f"{what} parts must be equal-shaped 2-d arrays")
     return re + 1j * im
 
@@ -74,11 +104,44 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
 def tolerances_from_json(obj) -> Tolerances:
     if obj is None:
         return Tolerances()
-    known = {"rank_rel_tol", "residual_tol"}
+    if not isinstance(obj, dict):
+        raise InputError("'tol' must be an object")
+    known = {f.name for f in fields(Tolerances)}
     extra = set(obj) - known
     if extra:
         raise InputError(f"unknown tolerance fields {sorted(extra)}")
-    return Tolerances(**obj)
+    values = {name: _number(value, f"tol.{name}") for name, value in obj.items()}
+    try:
+        return Tolerances(**values)
+    except ValueError as exc:
+        raise InputError(f"tol: {exc}") from exc
+
+
+def catalog_spec_from_json(obj) -> CatalogSpec:
+    """Catalog spec from a document's ``catalog`` object.
+
+    Fields are checked for type, not coerced; an absent field takes its
+    default, and a present one must hold a value of its type.
+    """
+    if not isinstance(obj, dict) or "family" not in obj:
+        raise InputError("'catalog' must be an object with a 'family' field")
+    sizes = {key: _integer(obj[key], f"catalog.{key}") for key in ("n", "d") if key in obj}
+    seed = _integer(obj.get("seed", 0), "catalog.seed")
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise InputError("catalog.params must be an object")
+    params = dict(params)
+    if "ranks" in params:
+        ranks = params["ranks"]
+        if not isinstance(ranks, list):
+            raise InputError(f"catalog.params.ranks must be a list of integers, got {ranks!r}")
+        params["ranks"] = [_integer(r, "catalog.params.ranks entry") for r in ranks]
+    if "angle" in params:
+        params["angle"] = _number(params["angle"], "catalog.params.angle")
+    try:
+        return CatalogSpec(family=obj["family"], seed=seed, params=params, **sizes)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def load_document(path: str) -> dict:
@@ -115,8 +178,10 @@ def channel_from_document(doc: dict, args=None) -> tuple[KrausSet, np.ndarray | 
         tol = replace(tol, **{k: v for k, v in overrides.items() if v is not None})
     if has_kraus:
         dim = doc.get("dim")
-        if not isinstance(dim, int) or dim < 1:
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise InputError("'dim' must be a positive integer")
+        if not isinstance(doc["kraus"], list) or not doc["kraus"]:
+            raise InputError("'kraus' must be a non-empty list of matrices")
         mats = [matrix_from_json(m, f"kraus[{i}]") for i, m in enumerate(doc["kraus"])]
         for i, m in enumerate(mats):
             if m.shape != (dim, dim):
@@ -126,17 +191,8 @@ def channel_from_document(doc: dict, args=None) -> tuple[KrausSet, np.ndarray | 
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     else:
-        cat = doc["catalog"]
-        if not isinstance(cat, dict) or "family" not in cat:
-            raise InputError("'catalog' must be an object with a 'family' field")
+        spec = catalog_spec_from_json(doc["catalog"])
         try:
-            spec = CatalogSpec(
-                family=cat["family"],
-                n=cat.get("n"),
-                d=cat.get("d"),
-                seed=int(cat.get("seed", 0)),
-                params=cat.get("params", {}),
-            )
             kraus = build_catalog(spec, tol=tol)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
@@ -194,6 +250,24 @@ def _emit_csv(header: list[str], rows, doc: dict, args, out: str | None) -> None
             fh.write(text)
 
 
+def _load_channel(args) -> tuple[dict, KrausSet, np.ndarray | None]:
+    """Document, minimal Kraus set and optional state of ``args.channel``."""
+    doc = load_document(args.channel)
+    kraus, state = channel_from_document(doc, args)
+    return doc, minimal_kraus(kraus), state
+
+
+def _load_observable(path: str, dim: int) -> np.ndarray:
+    """The ``dim``-square ``matrix`` field of an observable document."""
+    doc = load_document(path)
+    if "matrix" not in doc:
+        raise InputError(f"{path}: observable document needs a 'matrix' field")
+    a = matrix_from_json(doc["matrix"], "observable")
+    if a.shape != (dim, dim):
+        raise InputError(f"{path}: observable has shape {a.shape}, expected ({dim}, {dim})")
+    return a
+
+
 def _default_state(kraus: KrausSet, state: np.ndarray | None) -> np.ndarray:
     if state is not None:
         return state
@@ -216,9 +290,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    doc = load_document(args.channel)
-    kraus, _ = channel_from_document(doc, args)
-    system = build_subproduct(minimal_kraus(kraus), args.max_m)
+    doc, kraus, _ = _load_channel(args)
+    system = build_subproduct(kraus, args.max_m)
     rows = []
     for m in range(1, args.max_m + 1):
         residual = max(subproduct_residual(system, a, m - a) for a in range(m + 1))
@@ -228,9 +301,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_subproduct_check(args) -> int:
-    doc = load_document(args.channel)
-    kraus, _ = channel_from_document(doc, args)
-    system = build_subproduct(minimal_kraus(kraus), args.max_m)
+    doc, kraus, _ = _load_channel(args)
+    system = build_subproduct(kraus, args.max_m)
     rows = []
     worst = 0.0
     for m in range(1, args.max_m + 1):
@@ -243,9 +315,7 @@ def cmd_subproduct_check(args) -> int:
 
 
 def cmd_dilate(args) -> int:
-    doc = load_document(args.channel)
-    kraus, _ = channel_from_document(doc, args)
-    kraus = minimal_kraus(kraus)
+    doc, kraus, _ = _load_channel(args)
     d = kraus.dim
     bundle = unitary_dilation(kraus)
     w = bundle.unitary
@@ -288,9 +358,7 @@ def cmd_dilate(args) -> int:
 
 
 def cmd_complementary(args) -> int:
-    doc = load_document(args.channel)
-    kraus, state = channel_from_document(doc, args)
-    kraus = minimal_kraus(kraus)
+    doc, kraus, state = _load_channel(args)
     rho = _default_state(kraus, state)
     try:
         by_sum = complementary_state(kraus, rho)
@@ -310,15 +378,8 @@ def cmd_complementary(args) -> int:
 
 
 def cmd_dequantize(args) -> int:
-    doc = load_document(args.channel)
-    kraus, state = channel_from_document(doc, args)
-    kraus = minimal_kraus(kraus)
-    obs_doc = load_document(args.observable)
-    if "matrix" not in obs_doc:
-        raise InputError(f"{args.observable}: observable document needs a 'matrix' field")
-    a = matrix_from_json(obs_doc["matrix"], "observable")
-    if a.shape != (kraus.dim, kraus.dim):
-        raise InputError(f"observable has shape {a.shape}, expected ({kraus.dim}, {kraus.dim})")
+    doc, kraus, state = _load_channel(args)
+    a = _load_observable(args.observable, kraus.dim)
     m = args.level
     system = build_subproduct(kraus, m)
     spec = state_spec(kraus, _default_state(kraus, state))
@@ -340,20 +401,8 @@ def cmd_dequantize(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    doc = load_document(args.channel)
-    kraus, state = channel_from_document(doc, args)
-    kraus = minimal_kraus(kraus)
-    if len(args.observables) != 2:
-        raise InputError("--observables takes exactly two files")
-    mats = []
-    for path in args.observables:
-        obs_doc = load_document(path)
-        if "matrix" not in obs_doc:
-            raise InputError(f"{path}: observable document needs a 'matrix' field")
-        mat = matrix_from_json(obs_doc["matrix"], "observable")
-        if mat.shape != (kraus.dim, kraus.dim):
-            raise InputError(f"{path}: observable has shape {mat.shape}")
-        mats.append(mat)
+    doc, kraus, state = _load_channel(args)
+    mats = [_load_observable(path, kraus.dim) for path in args.observables]
     system = build_subproduct(kraus, args.max_m)
     spec = state_spec(kraus, _default_state(kraus, state))
     corr = correlations(kraus, system, spec, args.max_m)
@@ -370,11 +419,11 @@ def cmd_converge(args) -> int:
 
 def cmd_catalog(args) -> int:
     params = {}
-    if args.ranks:
-        params["ranks"] = [int(r) for r in args.ranks.split(",")]
     if args.angle is not None:
         params["angle"] = args.angle
     try:
+        if args.ranks:
+            params["ranks"] = [int(r) for r in args.ranks.split(",")]
         spec = CatalogSpec(family=args.family, n=args.n, d=args.d, seed=args.seed, params=params)
         kraus = build_catalog(spec)
     except ValueError as exc:
@@ -391,6 +440,13 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="krausfock",
@@ -403,8 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
         if channel:
             p.add_argument("channel", help="channel document (JSON)")
         p.add_argument("--max-m", type=int, default=6, help="largest level to build")
-        p.add_argument("--tol-rank", type=float, default=None, help="override rank_rel_tol")
-        p.add_argument("--tol-residual", type=float, default=None, help="override residual_tol")
+        p.add_argument("--tol-rank", type=_tolerance, default=None, help="override rank_rel_tol")
+        p.add_argument(
+            "--tol-residual", type=_tolerance, default=None, help="override residual_tol"
+        )
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.add_argument("--csv", default=None, help="write CSV output here instead of stdout")
 

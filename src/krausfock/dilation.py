@@ -87,12 +87,9 @@ def complementary_state(kraus: KrausSet, rho) -> np.ndarray:
     step of the evolution; a density matrix whenever ``rho`` is one.
     """
     rho = check_state(kraus, rho)
-    n = kraus.size
-    out = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            out[j, k] = np.trace(kraus.ops[j] @ rho @ kraus.ops[k].conj().T)
-    return out
+    n, d = kraus.size, kraus.dim
+    # Tr(K_j rho K_k†) is the inner product of vec(K_j rho) with vec(K_k)
+    return (kraus.ops @ rho).reshape(n, d * d) @ kraus.ops.reshape(n, d * d).conj().T
 
 
 def complementary_state_via_dilation(

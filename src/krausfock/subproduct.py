@@ -139,18 +139,25 @@ def level_projection(system: SubproductSystem, m: int) -> np.ndarray:
 def subproduct_residual(system: SubproductSystem, m: int, l: int) -> float:
     """Operator norm of ``p_{m+l} (1 - p_m ⊗ p_l)``.
 
-    Evaluated as ``|B_{m+l} - (p_m ⊗ p_l) B_{m+l}|`` without forming any
-    ``n^{m+l}``-square matrix.
+    Evaluated residual-first as ``|B_{m+l} - (p_m ⊗ p_l) B_{m+l}|`` without
+    forming any ``n^{m+l}``-square matrix.  With the top basis viewed as an
+    ``n^m x n^l x d_{m+l}`` array, the projection is four matrix products,
+    each one BLAS call on a reshaped operand: ``B_m†`` on the first tensor
+    slot, ``B_l†`` on the second, then ``B_l`` and ``B_m`` back.  The cost is
+    ``O(n^{m+l} · d_{m+l} · (d_m + d_l))`` flops.  Identity bases of free
+    levels make every product exact, so those residuals are exactly zero.
     """
     b_top = system.basis(m + l)
     bm = system.basis(m)
     bl = system.basis(l)
     nm, nl = system.n**m, system.n**l
-    cols = b_top.shape[1]
-    top = b_top.reshape(nm, nl, cols)
-    inner = np.einsum("au,avk->uvk", bm.conj(), top)
-    inner = np.einsum("uvk,vw->uwk", inner, bl.conj())
-    recon = np.einsum("au,uwk,bw->abk", bm, inner, bl).reshape(nm * nl, cols)
+    dm, cols = bm.shape[1], b_top.shape[1]
+    # coefficients in level(m) ⊗ C^{n^l}, laid out (d_m, n^l, cols)
+    x = (bm.conj().T @ b_top.reshape(nm, nl * cols)).reshape(dm, nl, cols)
+    # coefficients in level(m) ⊗ level(l), laid out (d_l, d_m * cols)
+    x = bl.conj().T @ x.transpose(1, 0, 2).reshape(nl, dm * cols)
+    y = (bl @ x).reshape(nl, dm, cols).transpose(1, 0, 2).reshape(dm, nl * cols)
+    recon = (bm @ y).reshape(nm * nl, cols)
     return operator_norm(b_top - recon)
 
 

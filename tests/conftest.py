@@ -4,6 +4,9 @@ import pytest
 from krausfock import (
     commuting_generic,
     kraus_word,
+    kron,
+    level_projection,
+    operator_norm,
     orthonormal_range,
     random_unital,
     sequential_projective,
@@ -57,6 +60,17 @@ def dense_level_basis(kraus, m):
     if basis.shape[1] == count:
         basis = np.eye(count, dtype=complex)
     return basis
+
+
+def residual_oracle(system, m, l):
+    """``|p_{m+l} (1 - p_m ⊗ p_l)|`` from the explicit Kronecker projection.
+
+    Evaluated as ``|B_{m+l}† (1 - p_m ⊗ p_l)|``, equal because ``B_{m+l}``
+    is an isometry; ``n^{m+l}``-square, so small levels only.
+    """
+    top = system.basis(m + l)
+    split = kron(level_projection(system, m), level_projection(system, l))
+    return operator_norm(top.conj().T @ (np.eye(split.shape[0]) - split))
 
 
 def fock_rank_one_oracle(kraus, system, corr, a, m):

@@ -85,6 +85,12 @@ class TestRandomUnital:
         b = random_unital(2, 4, seed=1)
         assert not np.allclose(a.ops, b.ops)
 
+    @pytest.mark.parametrize("n, d", [(0, 3), (2, 0)])
+    def test_rejects_empty_sizes(self, n, d):
+        # an empty normalizer would otherwise be retried with new seeds forever
+        with pytest.raises(ValueError, match="positive n and d"):
+            random_unital(n, d)
+
 
 class TestSequentialProjective:
     def test_trajectories_exceed_projective_ladder(self):

@@ -257,3 +257,59 @@ class TestConverge:
         a = make_observable(tmp_path, np.eye(3))
         code, _, _ = run(capsys, "converge", chan, "--observables", a, "missing.json")
         assert code == 2
+
+
+MALFORMED = {
+    "ragged-kraus-matrix": ({"dim": 2, "kraus": [{"re": [[1.0, 0.0], [0.0]]}]}, "kraus[0].re"),
+    "string-tolerance": (
+        {"catalog": {"family": "projective", "d": 3}, "tol": {"rank_rel_tol": "x"}},
+        "tol.rank_rel_tol",
+    ),
+    "null-seed": (
+        {"catalog": {"family": "random_unital", "n": 2, "d": 3, "seed": None}},
+        "catalog.seed",
+    ),
+    "string-ranks": (
+        {"catalog": {"family": "projective", "d": 3, "params": {"ranks": "12"}}},
+        "catalog.params.ranks",
+    ),
+    "string-n": ({"catalog": {"family": "random_unital", "n": "2", "d": 3}}, "catalog.n"),
+    "fractional-seed": (
+        {"catalog": {"family": "random_unital", "n": 2, "d": 3, "seed": 1.7}},
+        "catalog.seed",
+    ),
+    "zero-n": ({"catalog": {"family": "random_unital", "n": 0, "d": 3}}, "'n'"),
+    "negative-tolerance": (
+        {"catalog": {"family": "projective", "d": 3}, "tol": {"residual_tol": -1.0}},
+        "tol",
+    ),
+    "kraus-not-a-list": ({"dim": 2, "kraus": 5}, "'kraus'"),
+    "string-matrix-entry": ({"dim": 1, "kraus": [{"re": [["1.0"]]}]}, "kraus[0].re"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, case):
+        doc, field = MALFORMED[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "dims", str(path), "--max-m", "2")
+        assert code == 2
+        assert out == ""
+        assert field in err
+        assert "Traceback" not in err
+
+    def test_bad_tolerance_override_is_usage_error(self, tmp_path, capsys):
+        path = make_catalog_doc(tmp_path, family="projective", d=3)
+        with pytest.raises(SystemExit) as exc:
+            main(["dims", path, "--tol-rank", "nan"])
+        assert exc.value.code == 2
+        assert "--tol-rank" in capsys.readouterr().err
+
+    def test_observable_shape_names_the_file(self, tmp_path, capsys):
+        chan = make_catalog_doc(tmp_path, family="projective", d=3)
+        obs = make_observable(tmp_path, np.eye(2))
+        code, _, err = run(capsys, "dequantize", chan, "--observable", obs, "--level", "1")
+        assert code == 2
+        assert obs in err and "expected (3, 3)" in err

@@ -1,10 +1,12 @@
 """Property tests over small random catalog instances.
 
 Each example draws a family, its size parameters and a seed, builds the
-minimal presentation and checks one structural law of the level spaces.
-Levels stay at ``m <= 4`` and ``n <= 3`` so the dense word-stack oracle
-(``n^m`` words) stays cheap.
+minimal presentation and checks one structural law of the channel or its
+level spaces.  Levels stay at ``m <= 4`` and ``n <= 3`` so the dense
+word-stack oracle (``n^m`` words) stays cheap.
 """
+
+import json
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,16 +14,22 @@ from hypothesis import strategies as st
 
 from krausfock import (
     KrausSet,
+    Tolerances,
+    apply_heisenberg,
     build_subproduct,
     commuting_generic,
+    correlations,
+    dequantize,
     minimal_kraus,
     operator_norm,
     projective_measurement,
     random_unital,
     sequential_projective,
+    state_spec,
     subproduct_residual,
 )
-from conftest import dense_level_basis, haar_unitary
+from krausfock.cli import channel_from_document, channel_to_document
+from conftest import dense_level_basis, haar_unitary, random_density, residual_oracle
 
 TOP = 4
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -80,3 +88,44 @@ def test_dims_do_not_depend_on_the_presentation(kraus, seed):
     u = haar_unitary(np.random.default_rng(seed), kraus.size)
     mixed = KrausSet(np.einsum("ij,iab->jab", u, kraus.ops), tol=kraus.tol)
     assert build_subproduct(mixed, TOP).dims == build_subproduct(kraus, TOP).dims
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_residual_matches_explicit_oracle(kraus):
+    top = top_level(kraus)
+    system = build_subproduct(kraus, top)
+    for m in range(top + 1):
+        for l in range(top + 1 - m):
+            assert abs(subproduct_residual(system, m, l) - residual_oracle(system, m, l)) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_channel_is_unital(kraus):
+    assert operator_norm(apply_heisenberg(kraus, np.eye(kraus.dim)) - np.eye(kraus.dim)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_dequantization_is_unital(kraus):
+    top = 3
+    system = build_subproduct(kraus, top)
+    corr = correlations(kraus, system, state_spec(kraus, np.eye(kraus.dim) / kraus.dim), top)
+    for m in range(1, top + 1):
+        psi = dequantize(kraus, system, corr, np.eye(kraus.dim), m)
+        # M @ M^-1 loses accuracy with the condition number of M
+        cond = np.linalg.cond(corr.levels[m].matrix)
+        assert operator_norm(psi - np.eye(system.dims[m])) <= 1e-13 * max(cond, 100.0), m
+
+
+@PROPERTY_SETTINGS
+@given(instances(), st.integers(0, 10_000), st.floats(1e-15, 1e-2), st.floats(1e-15, 1e-2))
+def test_document_round_trip_is_bit_exact(kraus, seed, rank_rel_tol, residual_tol):
+    kraus = KrausSet(kraus.ops, tol=Tolerances(rank_rel_tol, residual_tol))
+    rho = random_density(np.random.default_rng(seed), kraus.dim)
+    text = json.dumps(channel_to_document(kraus, rho), sort_keys=True, indent=2)
+    parsed, state = channel_from_document(json.loads(text))
+    assert np.array_equal(parsed.ops, kraus.ops)
+    assert np.array_equal(state, rho)
+    assert parsed.tol == kraus.tol

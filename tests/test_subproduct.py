@@ -6,7 +6,6 @@ from krausfock import (
     build_subproduct,
     commuting_generic,
     inductive_map,
-    kron,
     level_projection,
     multiplicativity_residual,
     operator_norm,
@@ -24,15 +23,9 @@ from conftest import (
     haar_unitary,
     random_complex,
     random_hermitian,
+    residual_oracle,
     word_stack,
 )
-
-
-def residual_oracle(system, m, l):
-    # form |p_{m+l} (1 - p_m ⊗ p_l)| explicitly; small levels only
-    top = level_projection(system, m + l)
-    split = kron(level_projection(system, m), level_projection(system, l))
-    return operator_norm(top @ (np.eye(top.shape[0]) - split))
 
 
 class TestBuild:
@@ -143,8 +136,10 @@ class TestLevelProjection:
 
 class TestSubproductResidual:
     def test_free_case_exact_zero(self, random216):
-        s = build_subproduct(random216, 4)
-        assert subproduct_residual(s, 2, 2) == 0.0
+        s = build_subproduct(random216, 6)
+        for m in range(7):
+            for l in range(7 - m):
+                assert subproduct_residual(s, m, l) == 0.0, (m, l)
 
     def test_small_on_all_families(self, catalog_quartet):
         for k in catalog_quartet.values():
@@ -153,13 +148,15 @@ class TestSubproductResidual:
                 for l in range(1, 6 - m):
                     assert subproduct_residual(s, m, l) < 1e-8
 
-    def test_matches_explicit_oracle(self, commuting212, sequential4):
-        for k in (commuting212, sequential4):
-            s = build_subproduct(k, 4)
-            for m, l in [(1, 1), (1, 2), (2, 2), (3, 1)]:
-                fast = subproduct_residual(s, m, l)
-                slow = residual_oracle(s, m, l)
-                assert abs(fast - slow) < 1e-10
+    def test_matches_explicit_oracle(self, catalog_quartet):
+        families = {**catalog_quartet, "small-angle": sequential_projective(4, 0.05, seed=0)}
+        for name, k in families.items():
+            s = build_subproduct(k, 5)
+            for m in range(6):
+                for l in range(6 - m):
+                    fast = subproduct_residual(s, m, l)
+                    slow = residual_oracle(s, m, l)
+                    assert abs(fast - slow) <= 1e-12, (name, m, l)
 
     def test_adversarial_basis_is_detected(self, commuting212):
         s = build_subproduct(commuting212, 3)
@@ -170,6 +167,16 @@ class TestSubproductResidual:
         bad[int("100", 2)] = -1 / np.sqrt(2)
         s.bases[3] = bad
         assert subproduct_residual(s, 2, 1) > 0.9
+
+    def test_adversarial_right_factor_is_detected(self, commuting212):
+        s = build_subproduct(commuting212, 3)
+        # antisymmetric in the last two tensor factors: level(2) is the
+        # symmetric subspace, so the split (1, 2) loses the whole vector
+        bad = np.zeros((8, 1), dtype=complex)
+        bad[int("001", 2)] = 1 / np.sqrt(2)
+        bad[int("010", 2)] = -1 / np.sqrt(2)
+        s.bases[3] = bad
+        assert subproduct_residual(s, 1, 2) > 0.9
 
 
 class TestShifts:
