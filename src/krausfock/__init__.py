@@ -8,7 +8,6 @@ from .linalg import (
     SingularMatrixError,
     kron,
     orthonormal_range,
-    numerical_rank,
     partial_trace_right,
     partial_trace_left,
     psd_inverse,

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import Tolerances, as_matrix, numerical_rank, operator_norm
+from .linalg import Tolerances, as_matrix, operator_norm, orthonormal_range
 
 __all__ = [
     "KrausSet",
@@ -35,8 +35,7 @@ __all__ = [
 class KrausSet:
     """An ordered family of ``n`` square matrices presenting one channel.
 
-    ``ops`` is stored as an ``(n, d, d)`` stack and frozen against writes;
-    word products are memoized by prefix on the instance.
+    ``ops`` is stored as an ``(n, d, d)`` stack and frozen against writes.
     """
 
     ops: np.ndarray
@@ -52,9 +51,6 @@ class KrausSet:
             raise ValueError("Kraus operators must have finite entries")
         ops.flags.writeable = False
         self.ops = ops
-        eye = np.eye(self.dim, dtype=complex)
-        eye.flags.writeable = False
-        self._words = {(): eye}
 
     @property
     def size(self) -> int:
@@ -75,15 +71,15 @@ class ValidationReport:
 
 
 def validate(kraus: KrausSet) -> ValidationReport:
-    """Unitality residual ``|sum K†K - 1|`` and rank of the Gram matrix.
+    """Unitality residual ``|sum K†K - 1|`` and rank of the ``n x d^2`` stack.
 
-    The set is flagged valid iff the residual is within ``residual_tol``.
+    The rank is decided as in :func:`minimal_kraus`.  The set is flagged
+    valid iff the residual is within ``residual_tol``.
     """
     d = kraus.dim
     total = np.einsum("kba,kbc->ac", kraus.ops.conj(), kraus.ops)
     residual = operator_norm(total - np.eye(d))
-    gram = np.einsum("jba,kba->jk", kraus.ops.conj(), kraus.ops)
-    rank = numerical_rank(gram, kraus.tol)
+    rank = orthonormal_range(kraus.ops.reshape(kraus.size, d * d), kraus.tol).shape[1]
     return ValidationReport(float(residual), rank, bool(residual <= kraus.tol.residual_tol))
 
 
@@ -138,46 +134,37 @@ def apply_schrodinger(kraus: KrausSet, rho) -> np.ndarray:
 def kraus_word(kraus: KrausSet, word: Sequence[int]) -> np.ndarray:
     """Left-to-right product ``K[j1] @ ... @ K[jm]`` for a letter tuple.
 
-    The empty word gives the identity.  Results are cached by prefix and
-    returned read-only; copy before mutating.
+    The empty word gives the identity.
     """
     letters = tuple(int(j) for j in word)
     n = kraus.size
     for j in letters:
         if not 0 <= j < n:
             raise ValueError(f"letter {j} out of range for {n} Kraus operators")
-    cache = kraus._words
-    if letters in cache:
-        return cache[letters]
-    prefix = letters
-    while prefix not in cache:
-        prefix = prefix[:-1]
-    mat = cache[prefix]
-    for pos in range(len(prefix), len(letters)):
-        mat = mat @ kraus.ops[letters[pos]]
-        mat.flags.writeable = False
-        cache[letters[: pos + 1]] = mat
+    mat = np.eye(kraus.dim, dtype=complex)
+    for j in letters:
+        mat = mat @ kraus.ops[j]
     return mat
 
 
 def minimal_kraus(kraus: KrausSet) -> KrausSet:
     """Reduce to a linearly independent family presenting the same channel.
 
-    The reduced operators are the singular-value-scaled leading right
-    singular vectors of the ``n x d^2`` stacking matrix, so the channel
-    action is preserved exactly and the result is deterministic up to the
-    usual singular-subspace freedom.  Already independent sets are returned
-    unchanged.
+    With ``q`` the orthonormal range of the ``n x d^2`` stacking matrix at
+    ``rank_rel_tol``, the reduced operators are the rows of ``q† stack``
+    (the singular-value-scaled leading right singular vectors), so the
+    channel action is preserved exactly and the result is deterministic up
+    to the usual singular-subspace freedom.  Already independent sets are
+    returned unchanged.
     """
     n, d = kraus.size, kraus.dim
     stack = kraus.ops.reshape(n, d * d)
-    u, s, vh = np.linalg.svd(stack, full_matrices=False)
-    if s[0] == 0.0:
+    q = orthonormal_range(stack, kraus.tol)
+    if q.shape[1] == 0:
         raise ValueError("all Kraus operators vanish")
-    rank = int(np.count_nonzero(s > kraus.tol.rank_rel_tol * s[0]))
-    if rank == n:
+    if q.shape[1] == n:
         return kraus
-    reduced = (s[:rank, None] * vh[:rank]).reshape(rank, d, d)
+    reduced = (q.conj().T @ stack).reshape(-1, d, d)
     return KrausSet(reduced, tol=kraus.tol)
 
 

@@ -16,10 +16,16 @@ fields are input errors.  Fields are checked for type and never coerced: a
 ragged matrix, a string where a number belongs or a fractional seed is an
 input error that names the field.  Complex matrices are stored as paired real
 arrays; floats are written with Python's shortest round-tripping repr, so
-serialize -> parse reproduces every entry bit for bit.  Every command that
-takes ``--max-m`` builds all levels up to it in full (the level bases hold
-``sum_m n^m d_m`` entries) and reports on each of them.  Exit codes: 0
-success, 1 validation or acceptance failure, 2 input error.
+serialize -> parse reproduces every entry bit for bit.
+
+A subcommand accepts only the flags it reads.  Every channel command takes
+``--tol-rank``, ``--tol-residual`` and ``--out``, which sends its JSON or CSV
+report to a file instead of stdout (``validate --minimalize`` writes the
+reduced channel there, by default over the input).  ``dims``,
+``subproduct-check``, ``dilate`` and ``converge`` build every level up to
+``--max-m`` in full (the level bases hold ``sum_m n^m d_m`` entries),
+``dequantize`` up to ``--level``.  Exit codes: 0 success, 1 validation or
+acceptance failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -171,10 +177,7 @@ def channel_from_document(doc: dict, args=None) -> tuple[KrausSet, np.ndarray | 
         raise InputError("document must contain exactly one of 'kraus' or 'catalog'")
     tol = tolerances_from_json(doc.get("tol"))
     if args is not None:
-        overrides = {
-            "rank_rel_tol": getattr(args, "tol_rank", None),
-            "residual_tol": getattr(args, "tol_residual", None),
-        }
+        overrides = {"rank_rel_tol": args.tol_rank, "residual_tol": args.tol_residual}
         tol = replace(tol, **{k: v for k, v in overrides.items() if v is not None})
     if has_kraus:
         dim = doc.get("dim")
@@ -224,16 +227,23 @@ def _report(doc: dict, args, payload: dict) -> dict:
     }
 
 
-def _emit_json(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when it is ``None``."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from exc
 
 
-def _emit_csv(header: list[str], rows, doc: dict, args, out: str | None) -> None:
+def _emit_json(obj: dict, out: str | None) -> None:
+    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
+
+
+def _emit_csv(header: list[str], rows, doc: dict, args) -> None:
     buf = io.StringIO()
     buf.write(f"# command: {' '.join(args._argv)}\n")
     buf.write(f"# version: {__version__}\n")
@@ -242,12 +252,7 @@ def _emit_csv(header: list[str], rows, doc: dict, args, out: str | None) -> None
     writer.writerow(header)
     for row in rows:
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    text = buf.getvalue()
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    _write(buf.getvalue(), args.out)
 
 
 def _load_channel(args) -> tuple[dict, KrausSet, np.ndarray | None]:
@@ -276,7 +281,7 @@ def _default_state(kraus: KrausSet, state: np.ndarray | None) -> np.ndarray:
 
 def cmd_validate(args) -> int:
     doc = load_document(args.channel)
-    kraus, _ = channel_from_document(doc, args)
+    kraus, state = channel_from_document(doc, args)
     report = validate(kraus)
     print(f"unitality_residual = {report.unitality_residual!r}")
     print(f"independence_rank  = {report.independence_rank} (of {kraus.size})")
@@ -284,7 +289,7 @@ def cmd_validate(args) -> int:
     if args.minimalize:
         reduced = minimal_kraus(kraus)
         out = args.out or args.channel
-        _emit_json(channel_to_document(reduced), out)
+        _emit_json(channel_to_document(reduced, state), out)
         print(f"minimalized channel with {reduced.size} operators written to {out}")
     return 0 if report.valid else 1
 
@@ -296,7 +301,7 @@ def cmd_dims(args) -> int:
     for m in range(1, args.max_m + 1):
         residual = max(subproduct_residual(system, a, m - a) for a in range(m + 1))
         rows.append((m, system.dims[m], residual))
-    _emit_csv(["m", "d_m", "subproduct_residual_max"], rows, doc, args, args.csv)
+    _emit_csv(["m", "d_m", "subproduct_residual_max"], rows, doc, args)
     return 0
 
 
@@ -310,7 +315,7 @@ def cmd_subproduct_check(args) -> int:
             residual = subproduct_residual(system, m, l)
             worst = max(worst, residual)
             rows.append((m, l, residual))
-    _emit_csv(["m", "l", "residual"], rows, doc, args, args.csv)
+    _emit_csv(["m", "l", "residual"], rows, doc, args)
     return 0 if worst <= kraus.tol.residual_tol else 1
 
 
@@ -407,13 +412,8 @@ def cmd_converge(args) -> int:
     spec = state_spec(kraus, _default_state(kraus, state))
     corr = correlations(kraus, system, spec, args.max_m)
     report = convergence_report(kraus, system, corr, mats[0], mats[1], args.max_m)
-    _emit_csv(
-        ["m", "norm_gap", "vn_residual", "scaled_commutator", "limit_state_gap"],
-        report.rows(),
-        doc,
-        args,
-        args.csv,
-    )
+    header = ["m", "norm_gap", "vn_residual", "scaled_commutator", "limit_state_gap"]
+    _emit_csv(header, report.rows(), doc, args)
     return 0
 
 
@@ -447,6 +447,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _level(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="krausfock",
@@ -455,51 +462,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, channel=True):
-        if channel:
-            p.add_argument("channel", help="channel document (JSON)")
-        p.add_argument("--max-m", type=int, default=6, help="largest level to build")
+    def channel_command(name, func, help, max_m=False):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("channel", help="channel document (JSON)")
+        if max_m:
+            p.add_argument("--max-m", type=_level, default=6, help="largest level to build")
         p.add_argument("--tol-rank", type=_tolerance, default=None, help="override rank_rel_tol")
         p.add_argument(
             "--tol-residual", type=_tolerance, default=None, help="override residual_tol"
         )
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--csv", default=None, help="write CSV output here instead of stdout")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="check unitality and minimality")
-    common(p)
+    p = channel_command("validate", cmd_validate, "check unitality and minimality")
     p.add_argument("--minimalize", action="store_true", help="write back a reduced channel")
-    p.set_defaults(func=cmd_validate)
+    channel_command(
+        "dims", cmd_dims, "dimension ladder with subproduct residuals (CSV)", max_m=True
+    )
+    channel_command(
+        "subproduct-check",
+        cmd_subproduct_check,
+        "nesting residual for every level split (CSV)",
+        max_m=True,
+    )
+    channel_command(
+        "dilate", cmd_dilate, "unitary dilation and per-level isometry residuals", max_m=True
+    )
+    channel_command(
+        "complementary", cmd_complementary, "bath-side state of the reference density matrix"
+    )
 
-    p = sub.add_parser("dims", help="dimension ladder with subproduct residuals (CSV)")
-    common(p)
-    p.set_defaults(func=cmd_dims)
-
-    p = sub.add_parser("subproduct-check", help="nesting residual for every level split (CSV)")
-    common(p)
-    p.set_defaults(func=cmd_subproduct_check)
-
-    p = sub.add_parser("dilate", help="unitary dilation and per-level isometry residuals")
-    common(p)
-    p.set_defaults(func=cmd_dilate)
-
-    p = sub.add_parser("complementary", help="bath-side state of the reference density matrix")
-    common(p)
-    p.set_defaults(func=cmd_complementary)
-
-    p = sub.add_parser("dequantize", help="time-m dequantization of one observable")
-    common(p)
+    p = channel_command("dequantize", cmd_dequantize, "time-m dequantization of one observable")
     p.add_argument("--observable", required=True, help="observable document (JSON)")
-    p.add_argument("--level", type=int, required=True, help="level m")
-    p.set_defaults(func=cmd_dequantize)
+    p.add_argument("--level", type=_level, required=True, help="level m")
 
-    p = sub.add_parser("converge", help="diagnostic sequences for two observables (CSV)")
-    common(p)
+    p = channel_command(
+        "converge", cmd_converge, "diagnostic sequences for two observables (CSV)", max_m=True
+    )
     p.add_argument("--observables", nargs=2, required=True, metavar=("A", "B"))
-    p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("catalog", help="emit a channel document for a catalog family")
-    common(p, channel=False)
+    p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, default=None)

@@ -16,7 +16,6 @@ __all__ = [
     "as_matrix",
     "kron",
     "orthonormal_range",
-    "numerical_rank",
     "partial_trace_right",
     "partial_trace_left",
     "psd_inverse",
@@ -59,17 +58,9 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
-def kron(a, b, max_entries: int | None = None) -> np.ndarray:
-    """Kronecker product with an optional size guard on the result."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max_entries is not None and rows * cols > max_entries:
-        raise ValueError(
-            f"kron result {rows}x{cols} exceeds the budget of {max_entries} entries"
-        )
-    return np.kron(a, b)
+def kron(a, b) -> np.ndarray:
+    """Kronecker product of two matrices."""
+    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def orthonormal_range(columns, tol: Tolerances | None = None) -> np.ndarray:
@@ -87,15 +78,6 @@ def orthonormal_range(columns, tol: Tolerances | None = None) -> np.ndarray:
         return np.zeros((a.shape[0], 0), dtype=complex)
     rank = int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
     return u[:, :rank]
-
-
-def numerical_rank(a, tol: Tolerances | None = None) -> int:
-    """Number of singular values above ``rank_rel_tol`` times the largest."""
-    tol = tol or Tolerances()
-    s = np.linalg.svd(as_matrix(a), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
 
 
 def _check_product_shape(a: np.ndarray, dim_left: int, dim_right: int) -> None:

@@ -5,6 +5,7 @@ from krausfock import (
     KrausSet,
     apply_heisenberg,
     apply_schrodinger,
+    build_subproduct,
     check_state,
     choi_matrix,
     kraus_word,
@@ -193,6 +194,20 @@ class TestMinimalKraus:
         iso = np.linalg.qr(random_complex(rng, 3, 2))[0]
         reduced = minimal_kraus(KrausSet(np.einsum("jk,kab->jab", iso, base.ops)))
         assert minimal_kraus(reduced).size == reduced.size
+
+    def test_validate_and_minimal_kraus_share_the_rank_rule(self):
+        # the third unitary is exp(i t X) with t = 4e-5, so the n x d^2 stack
+        # has sigma_min / sigma_max = 1.6e-5; the squared ratio of its Gram
+        # matrix (2.4e-10) would fall below rank_rel_tol = 1e-9
+        x = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        w, v = np.linalg.eigh(x)
+        rotation = (v * np.exp(4e-5j * w)) @ v.T
+        k = KrausSet(np.stack([np.eye(3), np.diag([1.0, 1j, -1.0]), rotation]) / np.sqrt(3.0))
+        s = np.linalg.svd(k.ops.reshape(3, 9), compute_uv=False)
+        assert 1e-5 < s[-1] / s[0] < 2e-5
+        assert validate(k).independence_rank == 3
+        assert minimal_kraus(k) is k
+        assert build_subproduct(k, 3).dims == [1, 3, 5, 5]
 
 
 def test_choi_matrix_is_psd_for_valid_sets():

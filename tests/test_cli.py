@@ -1,9 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from krausfock.cli import main
+from krausfock.cli import build_parser, channel_from_document, load_document, main
 
 
 def run(capsys, *argv):
@@ -111,6 +114,21 @@ class TestValidate:
         assert code == 0
         reduced = json.loads(out_path.read_text())
         assert len(reduced["kraus"]) == 1
+
+    def test_minimalize_in_place_keeps_the_state(self, tmp_path, capsys):
+        rho = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]])
+        doc = {
+            "dim": 2,
+            "kraus": [{"re": [[2**-0.5, 0.0], [0.0, 2**-0.5]]}] * 2,
+            "state": {"re": rho.real.tolist(), "im": rho.imag.tolist()},
+        }
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(doc))
+        code, _, _ = run(capsys, "validate", str(path), "--minimalize")
+        assert code == 0
+        kraus, state = channel_from_document(load_document(str(path)))
+        assert kraus.size == 1
+        assert np.array_equal(state, rho)
 
 
 class TestCatalogCommand:
@@ -286,6 +304,82 @@ MALFORMED = {
     "kraus-not-a-list": ({"dim": 2, "kraus": 5}, "'kraus'"),
     "string-matrix-entry": ({"dim": 1, "kraus": [{"re": [["1.0"]]}]}, "kraus[0].re"),
 }
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", ["dims", "subproduct-check", "converge"])
+    def test_csv_report_goes_to_out(self, tmp_path, capsys, command):
+        chan = make_catalog_doc(tmp_path, family="projective", d=3)
+        argv = [command, chan, "--max-m", "3"]
+        if command == "converge":
+            a = make_observable(tmp_path, np.diag([1.0, 2.0, 3.0]), name="a.json")
+            b = make_observable(tmp_path, np.diag([1.0, -1.0, 0.0]), name="b.json")
+            argv += ["--observables", a, b]
+        code, printed, _ = run(capsys, *argv)
+        assert code == 0
+        report = tmp_path / "report.csv"
+        code, out, _ = run(capsys, *argv, "--out", str(report))
+        assert code == 0
+        assert out == ""
+        # identical but for the "# command:" line, which records --out
+        written = report.read_text().splitlines()
+        assert written[0] == printed.splitlines()[0] + f" --out {report}"
+        assert written[1:] == printed.splitlines()[1:]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "chan.json", "--max-m", "2"],
+            ["dims", "chan.json", "--csv", "x.csv"],
+            ["complementary", "chan.json", "--csv", "x.csv"],
+            ["complementary", "chan.json", "--max-m", "2"],
+            ["dequantize", "chan.json", "--observable", "a.json", "--level", "1", "--max-m", "2"],
+            ["converge", "chan.json", "--observables", "a.json", "b.json", "--csv", "x.csv"],
+            ["catalog", "--family", "projective", "--d", "3", "--tol-rank", "1e-3"],
+            ["catalog", "--family", "projective", "--d", "3", "--max-m", "2"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["dims", "chan.json", "--max-m", "-1"], "--max-m"),
+            (["subproduct-check", "chan.json", "--max-m", "-1"], "--max-m"),
+            (["dilate", "chan.json", "--max-m", "-1"], "--max-m"),
+            (["converge", "chan.json", "--max-m", "0", "--observables", "a", "b"], "--max-m"),
+            (["dims", "chan.json", "--max-m", "2.5"], "--max-m"),
+            (["dequantize", "chan.json", "--observable", "a.json", "--level", "0"], "--level"),
+            (["dequantize", "chan.json", "--observable", "a.json", "--level", "-1"], "--level"),
+        ],
+    )
+    def test_level_below_one_is_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        chan = make_catalog_doc(tmp_path, family="projective", d=3)
+        missing = tmp_path / "no-such-dir" / "report.csv"
+        code, out, err = run(capsys, "dims", chan, "--max-m", "2", "--out", str(missing))
+        assert code == 2
+        assert out == ""
+        assert str(missing) in err
+
+    def test_readme_examples_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        commands = set()
+        for line in readme.read_text().splitlines():
+            line = re.sub(r"\[[^]]*\]", "", line.split("#")[0]).strip()
+            if line.startswith("krausfock "):
+                args = build_parser().parse_args(shlex.split(line)[1:])
+                commands.add(args.command)
+        assert len(commands) == 8
 
 
 class TestMalformedInput:
