@@ -12,7 +12,6 @@ from .linalg import (
     partial_trace_left,
     psd_inverse,
     operator_norm,
-    kron_power_apply,
 )
 from .channel import (
     KrausSet,
@@ -31,7 +30,9 @@ from .subproduct import (
     TruncatedFock,
     build_subproduct,
     level_projection,
+    nesting_residuals,
     subproduct_residual,
+    power_sweep,
     shift_left,
     shift_right,
     inductive_map,

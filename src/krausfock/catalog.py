@@ -2,7 +2,8 @@
 
 Every constructor is a pure function of its parameters (including the
 seed), produces exactly unital Kraus families, and is used by both the
-test suite and the command line front end.
+test suite and the command line front end.  ``PARAMETERS`` lists what each
+family reads; a spec that sets anything else is rejected.
 """
 
 from __future__ import annotations
@@ -28,29 +29,38 @@ __all__ = [
     "build_catalog",
 ]
 
-FAMILIES = (
-    "identity",
-    "unitary",
-    "projective",
-    "commuting_generic",
-    "random_unital",
-    "sequential_projective",
-)
+PARAMETERS = {
+    "identity": ("d",),
+    "unitary": ("d", "seed"),
+    "projective": ("n", "d", "ranks"),
+    "commuting_generic": ("n", "d", "seed"),
+    "random_unital": ("n", "d", "seed"),
+    "sequential_projective": ("d", "seed", "angle"),
+}
+FAMILIES = tuple(PARAMETERS)
+MAX_ENTRIES = 2**24  # 256 MiB of complex128 Kraus entries
 
 
 @dataclass(frozen=True)
 class CatalogSpec:
-    """Family name plus the parameters that pin one instance down."""
+    """Family name and the parameters given for one instance (``None``: not given)."""
 
     family: str
     n: int | None = None
     d: int | None = None
-    seed: int = 0
+    seed: int | None = None
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
+        reads = PARAMETERS[self.family]
+        given = [name for name in ("n", "d", "seed") if getattr(self, name) is not None]
+        for name in given + list(self.params):
+            if name not in reads:
+                raise ValueError(f"family {self.family!r} does not use parameter {name!r}")
+        if self.seed is None and "seed" in reads:
+            object.__setattr__(self, "seed", 0)
 
 
 def identity_channel(d: int, tol: Tolerances | None = None) -> KrausSet:
@@ -159,28 +169,31 @@ def sequential_projective(
 
 
 def build_catalog(spec: CatalogSpec, tol: Tolerances | None = None) -> KrausSet:
-    """Instantiate a catalog family from its spec."""
+    """Instantiate a catalog family from its spec, of at most ``MAX_ENTRIES``."""
     family = spec.family
+    d = _require(spec, "d")
+    ranks = spec.params.get("ranks")
+    n = _require(spec, "n") if family in ("commuting_generic", "random_unital") else 1
+    # a projective family has at most d operators, a sequential one four
+    count = {"projective": d, "sequential_projective": 4}.get(family, n)
+    if count * d * d > MAX_ENTRIES:
+        raise ValueError(f"family {family!r} with d={d} needs over {MAX_ENTRIES} Kraus entries")
     if family == "identity":
-        return identity_channel(_require(spec, "d"), tol=tol)
+        return identity_channel(d, tol=tol)
     if family == "unitary":
-        return unitary_channel(_require(spec, "d"), seed=spec.seed, tol=tol)
+        return unitary_channel(d, seed=spec.seed, tol=tol)
     if family == "projective":
-        d = _require(spec, "d")
-        ranks = spec.params.get("ranks")
         if ranks is None:
             if spec.n not in (None, d):
                 raise ValueError("projective family without ranks needs n == d")
             ranks = [1] * d
         return projective_measurement(d, ranks, tol=tol)
     if family == "commuting_generic":
-        return commuting_generic(_require(spec, "n"), _require(spec, "d"), seed=spec.seed, tol=tol)
+        return commuting_generic(n, d, seed=spec.seed, tol=tol)
     if family == "random_unital":
-        return random_unital(_require(spec, "n"), _require(spec, "d"), seed=spec.seed, tol=tol)
-    if family == "sequential_projective":
-        angle = float(spec.params.get("angle", np.pi / 4))
-        return sequential_projective(_require(spec, "d"), angle, seed=spec.seed, tol=tol)
-    raise ValueError(f"unknown family {family!r}")
+        return random_unital(n, d, seed=spec.seed, tol=tol)
+    angle = float(spec.params.get("angle", np.pi / 4))
+    return sequential_projective(d, angle, seed=spec.seed, tol=tol)
 
 
 def _require(spec: CatalogSpec, name: str) -> int:

@@ -23,9 +23,9 @@ A subcommand accepts only the flags it reads.  Every channel command takes
 report to a file instead of stdout (``validate --minimalize`` writes the
 reduced channel there, by default over the input).  ``dims``,
 ``subproduct-check``, ``dilate`` and ``converge`` build every level up to
-``--max-m`` in full (the level bases hold ``sum_m n^m d_m`` entries),
-``dequantize`` up to ``--level``.  Exit codes: 0 success, 1 validation or
-acceptance failure, 2 input error.
+``--max-m``, ``dequantize`` up to ``--level``; a level holds at most
+``(n + 1) d^4`` entries, so cost is polynomial in the level.  Exit codes: 0
+success, 1 validation or acceptance failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .dequantization import (
     convergence_report,
     correlations,
     dequantize,
+    phi_symmetry_residual,
     state_spec,
 )
 from .dilation import (
@@ -58,7 +59,7 @@ from .dilation import (
     unitary_dilation,
 )
 from .linalg import Tolerances, operator_norm
-from .subproduct import build_subproduct, subproduct_residual
+from .subproduct import build_subproduct, nesting_residuals
 
 
 class InputError(Exception):
@@ -131,8 +132,7 @@ def catalog_spec_from_json(obj) -> CatalogSpec:
     """
     if not isinstance(obj, dict) or "family" not in obj:
         raise InputError("'catalog' must be an object with a 'family' field")
-    sizes = {key: _integer(obj[key], f"catalog.{key}") for key in ("n", "d") if key in obj}
-    seed = _integer(obj.get("seed", 0), "catalog.seed")
+    sizes = {k: _integer(obj[k], f"catalog.{k}") for k in ("n", "d", "seed") if k in obj}
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise InputError("catalog.params must be an object")
@@ -145,7 +145,7 @@ def catalog_spec_from_json(obj) -> CatalogSpec:
     if "angle" in params:
         params["angle"] = _number(params["angle"], "catalog.params.angle")
     try:
-        return CatalogSpec(family=obj["family"], seed=seed, params=params, **sizes)
+        return CatalogSpec(family=obj["family"], params=params, **sizes)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -297,9 +297,10 @@ def cmd_validate(args) -> int:
 def cmd_dims(args) -> int:
     doc, kraus, _ = _load_channel(args)
     system = build_subproduct(kraus, args.max_m)
+    splits = [nesting_residuals(system, a, args.max_m - a) for a in range(args.max_m + 1)]
     rows = []
     for m in range(1, args.max_m + 1):
-        residual = max(subproduct_residual(system, a, m - a) for a in range(m + 1))
+        residual = max(splits[a][m - a] for a in range(m + 1))
         rows.append((m, system.dims[m], residual))
     _emit_csv(["m", "d_m", "subproduct_residual_max"], rows, doc, args)
     return 0
@@ -309,12 +310,10 @@ def cmd_subproduct_check(args) -> int:
     doc, kraus, _ = _load_channel(args)
     system = build_subproduct(kraus, args.max_m)
     rows = []
-    worst = 0.0
     for m in range(1, args.max_m + 1):
-        for l in range(1, args.max_m - m + 1):
-            residual = subproduct_residual(system, m, l)
-            worst = max(worst, residual)
-            rows.append((m, l, residual))
+        split = nesting_residuals(system, m, args.max_m - m)
+        rows += [(m, l, split[l]) for l in range(1, len(split))]
+    worst = max((residual for _, _, residual in rows), default=0.0)
     _emit_csv(["m", "l", "residual"], rows, doc, args)
     return 0 if worst <= kraus.tol.residual_tol else 1
 
@@ -339,13 +338,11 @@ def cmd_dilate(args) -> int:
     rng = np.random.default_rng(0)
     probe = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     probe = probe + probe.conj().T
-    levels = []
+    levels, power = [], probe
     for m in range(1, args.max_m + 1):
         v = stinespring_isometry(kraus, system, m)
         iso = operator_norm(v.conj().T @ v - np.eye(d))
-        power = probe
-        for _ in range(m):
-            power = apply_heisenberg(kraus, power)
+        power = apply_heisenberg(kraus, power)
         # (probe ⊗ 1) v without the (d d_m)-square Kronecker product
         lifted = (probe @ v.reshape(d, -1)).reshape(v.shape)
         comp = operator_norm(v.conj().T @ lifted - power)
@@ -392,14 +389,13 @@ def cmd_dequantize(args) -> int:
     psi = dequantize(kraus, system, corr, a, m)
     unital = dequantize(kraus, system, corr, np.eye(kraus.dim), m)
     dm = system.dims[m]
+    symmetry = phi_symmetry_residual(corr, system, m)
     payload = {
         "level": m,
         "matrix": matrix_to_json(psi),
         "unitality_residual": operator_norm(unital - np.eye(dm)),
         "hermiticity_residual": operator_norm(psi - psi.conj().T),
-        "symmetry_residuals": {
-            str(lv): list(corr.symmetry_residuals[lv]) for lv in sorted(corr.symmetry_residuals)
-        },
+        "symmetry_residuals": {str(lv): list(symmetry[lv]) for lv in sorted(symmetry)},
     }
     _emit_json(_report(doc, args, payload), args.out)
     return 0
@@ -429,13 +425,7 @@ def cmd_catalog(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     doc = channel_to_document(kraus)
-    doc["catalog_echo"] = {
-        "family": args.family,
-        "n": args.n,
-        "d": args.d,
-        "seed": args.seed,
-        "params": params,
-    }
+    doc["catalog_echo"] = asdict(spec)
     _emit_json(doc, args.out)
     return 0
 
@@ -507,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ranks", default=None, help="comma-separated projection ranks")
     p.add_argument("--angle", type=float, default=None, help="rotation angle (sequential family)")
     p.set_defaults(func=cmd_catalog)

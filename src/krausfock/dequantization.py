@@ -16,14 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import KrausSet, check_state, kraus_word
-from .linalg import (
-    as_matrix,
-    kron_power_apply,
-    operator_norm,
-    orthonormal_range,
-    psd_inverse,
-)
-from .subproduct import SubproductSystem
+from .linalg import as_matrix, operator_norm, orthonormal_range, psd_inverse
+from .subproduct import SubproductSystem, power_sweep
 
 __all__ = [
     "StateSpec",
@@ -81,13 +75,12 @@ class LevelCorrelation:
 
 @dataclass(eq=False)
 class CorrelationData:
-    """Level-one matrix, per-level compressions and symmetry residuals."""
+    """Level-one matrix and per-level correlation matrices."""
 
     state: StateSpec
     base: np.ndarray
     base_inv_diag: np.ndarray
     levels: dict[int, LevelCorrelation] = field(default_factory=dict)
-    symmetry_residuals: dict[int, tuple[float, float]] = field(default_factory=dict)
 
 
 def _pairing(gens: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -129,38 +122,34 @@ def correlation_matrix(
 def correlations(
     kraus: KrausSet, system: SubproductSystem, state: StateSpec, max_level: int
 ) -> CorrelationData:
-    """Build correlation levels ``1..max_level`` plus symmetry residuals."""
+    """Build correlation levels ``1..max_level``."""
     if max_level < 1:
         raise ValueError("need at least one correlation level")
     levels = {m: correlation_matrix(kraus, system, state, m) for m in range(1, max_level + 1)}
-    data = CorrelationData(
+    return CorrelationData(
         state=state,
         base=levels[1].matrix,
         base_inv_diag=np.diag(levels[1].inverse).real.copy(),
         levels=levels,
     )
-    for m in range(1, max_level + 1):
-        data.symmetry_residuals[m] = phi_symmetry_residual(data, system, m)
-    return data
 
 
 def phi_symmetry_residual(
     corr: CorrelationData, system: SubproductSystem, m: int
-) -> tuple[float, float]:
-    """How far the level matrix is from a compressed tensor power of the base.
+) -> dict[int, tuple[float, float]]:
+    """How far each level matrix is from a compressed tensor power of the base.
 
-    Returns ``(r1, r2)`` with ``r1 = |Q_m - B† Q^{⊗m} B|`` in level
-    coordinates and ``r2 = |(1 - p_m) Q^{⊗m} p_m|``.  Both vanish exactly
-    when the reference state has channel-symmetric correlations.
+    Maps each level ``j = 1..m`` to ``r1 = |Q_j - B_j† Q^{⊗j} B_j|`` and
+    ``r2 = |(1 - p_j) Q^{⊗j} p_j|``, from one :func:`power_sweep`.  Both
+    vanish exactly when the reference state has channel-symmetric correlations.
     """
     if m not in corr.levels:
         raise ValueError(f"correlation level {m} not built")
-    basis = system.basis(m)
-    qb = kron_power_apply(corr.base, m, basis)
-    compressed = basis.conj().T @ qb
-    r1 = operator_norm(corr.levels[m].matrix - compressed)
-    r2 = operator_norm(qb - basis @ compressed)
-    return float(r1), float(r2)
+    sweep = power_sweep(system, system, corr.base, m)
+    return {
+        j: (operator_norm(corr.levels[j].matrix - compressed), r2)
+        for j, (compressed, r2) in enumerate(sweep[1:], start=1)
+    }
 
 
 def dequantize(

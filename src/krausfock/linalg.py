@@ -20,7 +20,6 @@ __all__ = [
     "partial_trace_left",
     "psd_inverse",
     "operator_norm",
-    "kron_power_apply",
 ]
 
 
@@ -124,7 +123,8 @@ def psd_inverse(m, tol: Tolerances | None = None, label: str = "matrix") -> np.n
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{label} must be square, got shape {a.shape}")
     gap = operator_norm(a - a.conj().T)
-    if gap > tol.residual_tol * max(1.0, operator_norm(a)):
+    # the norm of ``a`` can only matter once the gap exceeds residual_tol
+    if gap > tol.residual_tol and gap > tol.residual_tol * operator_norm(a):
         raise ValueError(f"{label} is not Hermitian (asymmetry {gap:.3e})")
     h = (a + a.conj().T) / 2.0
     w, v = np.linalg.eigh(h)
@@ -134,25 +134,3 @@ def psd_inverse(m, tol: Tolerances | None = None, label: str = "matrix") -> np.n
             f"below {tol.rank_rel_tol:.1e} of the largest {w[-1]:.3e}"
         )
     return (v / w) @ v.conj().T
-
-
-def kron_power_apply(op, power: int, mat) -> np.ndarray:
-    """Apply the ``power``-fold Kronecker power of ``op`` to columns of ``mat``.
-
-    Equivalent to ``kron(op, ..., op) @ mat`` without forming the big matrix.
-    """
-    op = as_matrix(op)
-    mat = as_matrix(mat)
-    n = op.shape[0]
-    if op.shape[1] != n:
-        raise ValueError("operator must be square")
-    if mat.shape[0] != n**power:
-        raise ValueError(
-            f"matrix has {mat.shape[0]} rows, expected {n}**{power} = {n**power}"
-        )
-    cols = mat.shape[1]
-    t = mat.reshape((n,) * power + (cols,))
-    for axis in range(power):
-        t = np.tensordot(op, t, axes=([1], [axis]))
-        t = np.moveaxis(t, 0, axis)
-    return t.reshape(n**power, cols)

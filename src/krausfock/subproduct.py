@@ -10,46 +10,40 @@ multiplies the underlying operators, both one-sided extensions of a kernel
 vector stay in the kernel.  The orthocomplements therefore satisfy the
 nesting law ``level(m+l) ⊆ level(m) ⊗ level(l)`` exactly.
 
-Each level is stored in two forms that share one basis: an isometry
-``B_m`` of shape ``(n^m, d_m)`` whose columns are an orthonormal basis of
-the level subspace, so the level projection is ``p_m = B_m @ B_m†``, and
-the generator stack ``G_m`` of shape ``(d_m, d, d)`` with
-``G_u = sum_w conj(B_m[w, u]) K_w``.  The generators span the same operator
-space as the length-``m`` words, so every consumer works on ``d_m``
-matrices instead of ``n^m`` words.
+Storage: level ``m`` is the chain factor ``C_m``, an orthonormal basis of
+the range of the candidates ``H_(u,k) = G_u K_k`` built on level ``m-1``
+(one SVD of ``(d_{m-1} n) x d^2``; the identity at full rank), and the
+generators ``G_m = C_m† H = sum_w conj(B_m[w, :]) K_w``.  The basis
+``B_m = (B_{m-1} ⊗ 1_n) C_m``, a left-canonical matrix product state of
+bond dimension ``<= d^2``, is formed only on request, and the left half of
+the nesting law holds by construction.
 
-Levels nest, ``level(m) ⊆ level(m-1) ⊗ C^n``, so each level is built from
-the previous one: the candidates ``H_(u,k) = G_u K_k`` carry the level-``m``
-word span, an orthonormal basis ``C`` of the range of their stacked
-transposes (one SVD of a ``(d_{m-1} n) x d^2`` matrix) fixes the level, and
-``G_m = C† H``, ``B_m = (B_{m-1} ⊗ 1_n) C``.  In exact arithmetic the
-singular values are those of the full ``n^m x d^2`` word stack, so the rank
-rule at ``tol.rank_rel_tol`` decides the same dimensions.  When a level
-has full dimension, ``C`` is the exact identity, so free families keep
-identity bases and produce exactly zero residuals.
+Sweeps: ``1 - p_l`` is the orthogonal sum of the pieces
+``(B_{j-1} (1 - C_j C_j†) B_{j-1}†) ⊗ 1``, ``j <= l``.  Nesting, shift,
+symmetry and presentation residuals are sweeps over sites carrying the
+overlap of a ket chain with ``B_j`` and the Gram matrix of its weight on
+those pieces, ``O(a d_{j-1} D_{j-1} n D_j)`` flops a site for a left bond
+``a``: polynomial in ``m``, and ``O(d^8)`` a nesting site at full levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .channel import KrausSet, require_unital_minimal
-from .linalg import (
-    Tolerances,
-    as_matrix,
-    kron_power_apply,
-    operator_norm,
-    orthonormal_range,
-)
+from .linalg import as_matrix, operator_norm, orthonormal_range
 
 __all__ = [
     "SubproductSystem",
     "TruncatedFock",
     "build_subproduct",
     "level_projection",
+    "nesting_residuals",
     "subproduct_residual",
+    "power_sweep",
     "shift_left",
     "shift_right",
     "inductive_map",
@@ -61,73 +55,66 @@ __all__ = [
 
 @dataclass(eq=False)
 class SubproductSystem:
-    """Orthonormal level bases and generator stacks of a Kraus family.
+    """Chain factors and generator stacks of the levels of a Kraus family.
 
-    ``bases[m]`` is ``B_m`` and ``gen_stacks[m]`` is ``G_m``, both present
-    for every ``m <= max_level``.
+    ``factors[m]`` is ``C_m`` (``factors[0]`` is the ``1 x 1`` level-zero basis)
+    and ``gen_stacks[m]`` is ``G_m``; a square chain factor is the identity.
     """
 
     n: int
-    dim: int
-    bases: list[np.ndarray]
+    factors: list[np.ndarray]
     gen_stacks: list[np.ndarray] = field(repr=False)
-    tol: Tolerances
 
     @property
     def max_level(self) -> int:
-        return len(self.bases) - 1
+        return len(self.factors) - 1
 
     @property
     def dims(self) -> list[int]:
         """Level dimensions ``d_0..d_max_level``."""
-        return [b.shape[1] for b in self.bases]
+        return [c.shape[1] for c in self.factors]
 
-    def _check_level(self, m: int) -> None:
-        if not 0 <= m <= self.max_level:
-            raise ValueError(f"level {m} out of range (max level {self.max_level})")
+    def _check_level(self, *levels: int) -> None:
+        for m in levels:
+            if not 0 <= m <= self.max_level:
+                raise ValueError(f"level {m} out of range (max level {self.max_level})")
 
     def dimension(self, m: int) -> int:
         self._check_level(m)
-        return self.bases[m].shape[1]
+        return self.factors[m].shape[1]
 
     def basis(self, m: int) -> np.ndarray:
-        """Isometry ``B_m`` with the level subspace as its column range."""
+        """Isometry ``B_m`` with ``n^m`` rows, the chain product: small ``m`` only."""
         self._check_level(m)
-        return self.bases[m]
+        b = self.factors[0]
+        for c in self.factors[1 : m + 1]:
+            b = (b @ c.reshape(b.shape[1], -1)).reshape(-1, c.shape[1])
+        return b
 
     def generators(self, m: int) -> np.ndarray:
-        """Stack ``G_m`` of shape ``(d_m, dim, dim)``."""
+        """Stack ``G_m`` of shape ``(d_m, d, d)``."""
         self._check_level(m)
         return self.gen_stacks[m]
 
 
 def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
-    """Construct level bases and generators for ``m = 0..max_level``.
-
-    Requires a valid (unital) and minimal Kraus set.  Every level is built
-    in full from the previous one; the bases hold ``sum_m n^m d_m`` entries.
-    """
+    """Chain factors and generators for ``m <= max_level`` of a unital, minimal set."""
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
     require_unital_minimal(kraus)
-    n, d = kraus.size, kraus.dim
-    tol = kraus.tol
-
-    bases = [np.ones((1, 1), dtype=complex)]
+    d = kraus.dim
+    factors = [np.ones((1, 1), dtype=complex)]
     gens = [np.eye(d, dtype=complex).reshape(1, d, d)]
-    for m in range(1, max_level + 1):
-        prev = bases[-1]
+    for _ in range(max_level):
         cand = (gens[-1][:, None] @ kraus.ops).reshape(-1, d, d)
         # rows are vec(H^T): their range is the level subspace in the
         # coordinates of level(m-1) ⊗ C^n
-        c = orthonormal_range(cand.transpose(0, 2, 1).reshape(-1, d * d), tol)
+        c = orthonormal_range(cand.transpose(0, 2, 1).reshape(-1, d * d), kraus.tol)
         if c.shape[1] == c.shape[0]:
             c = np.eye(c.shape[0], dtype=complex)
-        dm = c.shape[1]
-        gens.append((c.conj().T @ cand.reshape(-1, d * d)).reshape(dm, d, d))
-        bases.append((prev @ c.reshape(prev.shape[1], n * dm)).reshape(n**m, dm))
-
-    return SubproductSystem(n=n, dim=d, bases=bases, gen_stacks=gens, tol=tol)
+        factors.append(c)
+        gens.append((c.conj().T @ cand.reshape(-1, d * d)).reshape(c.shape[1], d, d))
+    return SubproductSystem(n=kraus.size, factors=factors, gen_stacks=gens)
 
 
 def level_projection(system: SubproductSystem, m: int) -> np.ndarray:
@@ -136,58 +123,108 @@ def level_projection(system: SubproductSystem, m: int) -> np.ndarray:
     return b @ b.conj().T
 
 
-def subproduct_residual(system: SubproductSystem, m: int, l: int) -> float:
-    """Operator norm of ``p_{m+l} (1 - p_m ⊗ p_l)``.
+def _transfer(bra: np.ndarray, x: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """``sum_k bra[:, k, :]† x ket[:, k, :]`` over sites of shape ``(D n, D')``."""
+    return bra.conj().T @ (x @ ket.reshape(x.shape[1], -1)).reshape(-1, ket.shape[1])
 
-    Evaluated residual-first as ``|B_{m+l} - (p_m ⊗ p_l) B_{m+l}|`` without
-    forming any ``n^{m+l}``-square matrix.  With the top basis viewed as an
-    ``n^m x n^l x d_{m+l}`` array, the projection is four matrix products,
-    each one BLAS call on a reshaped operand: ``B_m†`` on the first tensor
-    slot, ``B_l†`` on the second, then ``B_l`` and ``B_m`` back.  The cost is
-    ``O(n^{m+l} · d_{m+l} · (d_m + d_l))`` flops.  Identity bases of free
-    levels make every product exact, so those residuals are exactly zero.
+
+def _complement_sweep(bra: list[np.ndarray], kets: list[np.ndarray], left: int):
+    """Yield ``E_j = (1 ⊗ B_j)† V_j`` and ``S_j = V_j† (1 ⊗ (1 - p_j)) V_j``.
+
+    ``V_j`` chains the sites ``kets[:j]`` behind a ``left``-dimensional bond
+    and ``B_j`` the factors ``bra``; ``S_j`` is ``None`` while exactly zero.
+    Pieces are formed residual-first as ``Z - C (C† Z)``, none at full levels.
     """
-    b_top = system.basis(m + l)
-    bm = system.basis(m)
-    bl = system.basis(l)
-    nm, nl = system.n**m, system.n**l
-    dm, cols = bm.shape[1], b_top.shape[1]
-    # coefficients in level(m) ⊗ C^{n^l}, laid out (d_m, n^l, cols)
-    x = (bm.conj().T @ b_top.reshape(nm, nl * cols)).reshape(dm, nl, cols)
-    # coefficients in level(m) ⊗ level(l), laid out (d_l, d_m * cols)
-    x = bl.conj().T @ x.transpose(1, 0, 2).reshape(nl, dm * cols)
-    y = (bl @ x).reshape(nl, dm, cols).transpose(1, 0, 2).reshape(dm, nl * cols)
-    recon = (bm @ y).reshape(nm * nl, cols)
-    return operator_norm(b_top - recon)
+    e, s = np.eye(left, dtype=complex), None
+    for c, k in zip(bra, kets):
+        z = (e @ k.reshape(e.shape[1], -1)).reshape(left, c.shape[0], k.shape[1])
+        full = c.shape[0] == c.shape[1]
+        e = z if full else c.conj().T @ z
+        if s is not None:
+            s = _transfer(k, s, k)
+        if not full:
+            y = (z - c @ e).reshape(-1, k.shape[1])
+            s = y.conj().T @ y if s is None else s + y.conj().T @ y
+        e = e.reshape(-1, k.shape[1])
+        yield e, s
+
+
+def _gram_norm(s: np.ndarray | None) -> float:
+    """``sqrt(λ_max(S))``, the operator norm of any ``Y`` with ``Y† Y = S``."""
+    return 0.0 if s is None else float(np.sqrt(max(np.linalg.eigvalsh(s)[-1], 0.0)))
+
+
+def nesting_residuals(system: SubproductSystem, m: int, l: int) -> list[float]:
+    """Residuals ``|p_{m+j} (1 - p_m ⊗ p_j)|`` of the splits ``(m, j)``, ``j = 0..l``.
+
+    With ``B_{m+j} = (B_m ⊗ 1) T`` each is ``|(1 ⊗ (1 - p_j)) T|``: one sweep
+    of ``C_{m+1..m+l}`` on a ``d_m``-dimensional bond.  Free families give 0.0.
+    """
+    system._check_level(m, l, m + l)
+    kets = system.factors[m + 1 : m + l + 1]
+    sweep = _complement_sweep(system.factors[1:], kets, system.dims[m])
+    return [0.0] + [_gram_norm(s) for _, s in sweep]
+
+
+def subproduct_residual(system: SubproductSystem, m: int, l: int) -> float:
+    """Operator norm of ``p_{m+l} (1 - p_m ⊗ p_l)``; see :func:`nesting_residuals`."""
+    return nesting_residuals(system, m, l)[l]
+
+
+def power_sweep(
+    bra: SubproductSystem, ket: SubproductSystem, q, m: int
+) -> list[tuple[np.ndarray, float]]:
+    """Pairs ``(B_j† q^{⊗j} B'_j, |(1 - p_j) q^{⊗j} B'_j|)`` for ``j = 0..m``.
+
+    ``B`` and ``p`` belong to ``bra``, ``B'`` to ``ket`` and ``q`` acts on
+    the letters; one sweep with the sites ``(1 ⊗ q) C'_j`` gives every level.
+    """
+    q = as_matrix(q)
+    if q.shape != (ket.n, ket.n) or bra.n != ket.n:
+        raise ValueError(f"need an {ket.n}-square letter matrix for systems of equal n")
+    bra._check_level(m)
+    ket._check_level(m)
+    factors = ket.factors[1 : m + 1]
+    sites = [(q @ c.reshape(-1, ket.n, c.shape[1])).reshape(c.shape) for c in factors]
+    sweep = _complement_sweep(bra.factors[1:], sites, 1)
+    return [(np.ones((1, 1), dtype=complex), 0.0)] + [(e, _gram_norm(s)) for e, s in sweep]
+
+
+def _check_shift(system: SubproductSystem, k: int, m: int) -> None:
+    if not 0 <= k < system.n:
+        raise ValueError(f"letter {k} out of range")
+    system._check_level(m, m + 1)
+
+
+def _left_shifts(system: SubproductSystem, k: int, top: int) -> list[np.ndarray]:
+    """Left-shift blocks ``B_{i+1}† (e_k ⊗ B_i)``, ``i < top``: the overlaps of
+    one sweep of the ket sites ``e_k, C_1, C_2, ...``; no solve is needed."""
+    _check_shift(system, k, top - 1)
+    letter = np.eye(system.n, 1, -k, dtype=complex)
+    sweep = _complement_sweep(system.factors[1:], [letter] + system.factors[1:top], 1)
+    return [e for e, _ in sweep]
 
 
 def shift_left(system: SubproductSystem, k: int, m: int) -> np.ndarray:
-    """Block of the left shift: prepend letter ``k``, level ``m -> m+1``.
+    """Block ``(d_{m+1}, d_m)`` of the left shift ``psi -> p_{m+1}(e_k ⊗ psi)``.
 
-    Returns the ``(d_{m+1}, d_m)`` matrix of ``psi -> p_{m+1}(e_k ⊗ psi)``
-    in the level bases; always a contraction.
+    Prepends letter ``k``; always a contraction.
     """
-    if not 0 <= k < system.n:
-        raise ValueError(f"letter {k} out of range")
-    b_next = system.basis(m + 1)
-    block = b_next[k * system.n**m : (k + 1) * system.n**m, :]
-    return block.conj().T @ system.basis(m)
+    return _left_shifts(system, k, m + 1)[m]
 
 
 def shift_right(system: SubproductSystem, k: int, m: int) -> np.ndarray:
-    """Block of the right shift: append letter ``k``, level ``m -> m+1``."""
-    if not 0 <= k < system.n:
-        raise ValueError(f"letter {k} out of range")
-    b_next = system.basis(m + 1)
-    block = b_next[k :: system.n, :]
-    return block.conj().T @ system.basis(m)
+    """Block of the right shift, append letter ``k``: ``C_{m+1}[:, k, :]†``."""
+    _check_shift(system, k, m)
+    return system.factors[m + 1][k :: system.n].conj().T
 
 
 def inductive_map(system: SubproductSystem, a, m: int, l: int) -> np.ndarray:
     """Sum of right-shift conjugations carrying level ``m`` to level ``l``.
 
-    Unital and positive; iterating the one-step sums makes the composition
-    rule ``iota(r,l) ∘ iota(m,r) = iota(m,l)`` hold by construction.
+    Each step is the transfer map ``x -> sum_k C[:, k, :]† x C[:, k, :]`` of
+    the chain; unital and positive, and the composition rule
+    ``iota(r,l) ∘ iota(m,r) = iota(m,l)`` holds by construction.
     """
     x = as_matrix(a)
     if x.shape != (system.dimension(m),) * 2:
@@ -196,9 +233,8 @@ def inductive_map(system: SubproductSystem, a, m: int, l: int) -> np.ndarray:
         )
     if not m <= l <= system.max_level:
         raise ValueError(f"need m <= l <= max_level, got m={m}, l={l}")
-    for level in range(m, l):
-        shifts = [shift_right(system, k, level) for k in range(system.n)]
-        x = sum(r @ x @ r.conj().T for r in shifts)
+    for c in system.factors[m + 1 : l + 1]:
+        x = _transfer(c, x, c)
     return x
 
 
@@ -214,22 +250,16 @@ def multiplicativity_residual(system: SubproductSystem, a, b, m: int, l: int) ->
 def presentation_residual(
     original: SubproductSystem, mixed: SubproductSystem, u, m: int
 ) -> float:
-    """Distance between level projections of two presentations of one channel.
+    """Distance ``|p'_m - U p_m U†|``, ``U = (u^T)^{⊗m}``, of two presentations.
 
-    ``mixed`` must be built from the operators ``K'_j = sum_i u[i, j] K_i``
-    for a unitary ``u``.  The mixing rotates the embedded level subspace by
-    the ``m``-fold power of ``u^T``, so the aligned projections agree; the
-    returned operator norm ``|p'_m - (u^T)^{⊗m} p_m (u^T†)^{⊗m}|`` is zero
-    up to rounding whenever both systems present the same channel.
+    ``mixed`` must be built from ``K'_j = sum_i u[i, j] K_i`` for a unitary
+    ``u``, which rotates the level subspace by ``U``; the distance, the larger
+    one-sided sine of the largest principal angle, is zero up to rounding.
     """
     u = as_matrix(u)
-    b_mixed = mixed.basis(m)
-    b_aligned = kron_power_apply(u.T, m, original.basis(m))
-    # |P - Q| = max of the two one-sided sines of the largest principal
-    # angle; evaluated residual-first to avoid cancellation near zero.
-    left = b_aligned - b_mixed @ (b_mixed.conj().T @ b_aligned)
-    right = b_mixed - b_aligned @ (b_aligned.conj().T @ b_mixed)
-    return max(operator_norm(left), operator_norm(right))
+    left = power_sweep(mixed, original, u.T, m)[m][1]
+    right = power_sweep(original, mixed, u.conj(), m)[m][1]
+    return max(left, right)
 
 
 @dataclass(eq=False)
@@ -247,10 +277,7 @@ class TruncatedFock:
 
     @property
     def offsets(self) -> tuple[int, ...]:
-        out = [0]
-        for d in self.dims:
-            out.append(out[-1] + d)
-        return tuple(out)
+        return tuple(accumulate(self.dims, initial=0))
 
     @property
     def total_dim(self) -> int:
@@ -274,6 +301,7 @@ def truncated_fock(system: SubproductSystem, top: int | None = None) -> Truncate
     """Assemble the truncated direct sum of levels ``0..top`` with shifts."""
     top = system.max_level if top is None else top
     dims = tuple(system.dimension(m) for m in range(top + 1))
-    left = [[shift_left(system, k, m) for k in range(system.n)] for m in range(top)]
+    sweeps = [_left_shifts(system, k, top) for k in range(system.n)] if top else []
+    left = [[blocks[m] for blocks in sweeps] for m in range(top)]
     right = [[shift_right(system, k, m) for k in range(system.n)] for m in range(top)]
     return TruncatedFock(dims=dims, left_blocks=left, right_blocks=right)

@@ -62,6 +62,41 @@ def dense_level_basis(kraus, m):
     return basis
 
 
+def kron_power_apply(op, power, mat):
+    """Apply the ``power``-fold Kronecker power of ``op`` to columns of ``mat``.
+
+    Equivalent to ``kron(op, ..., op) @ mat`` without forming the big matrix;
+    ``mat`` has ``n^power`` rows, so small levels only.
+    """
+    n = op.shape[0]
+    if mat.shape[0] != n**power:
+        raise ValueError(f"matrix has {mat.shape[0]} rows, expected {n}**{power}")
+    cols = mat.shape[1]
+    t = mat.reshape((n,) * power + (cols,))
+    for axis in range(power):
+        t = np.tensordot(op, t, axes=([1], [axis]))
+        t = np.moveaxis(t, 0, axis)
+    return t.reshape(n**power, cols)
+
+
+def shift_oracle(system, k, m, side):
+    """Shift block ``B_{m+1}† (e_k ⊗ B_m)`` (left) or ``B_{m+1}† (B_m ⊗ e_k)``
+    (right) read off the ``n^m``-row bases."""
+    n = system.n
+    b_next = system.basis(m + 1)
+    block = b_next[k * n**m : (k + 1) * n**m] if side == "left" else b_next[k::n]
+    return block.conj().T @ system.basis(m)
+
+
+def symmetry_oracle(corr, system, m):
+    """``(|Q_m - B† Q^{⊗m} B|, |(1 - p_m) Q^{⊗m} p_m|)`` on the ``n^m``-row basis."""
+    basis = system.basis(m)
+    qb = kron_power_apply(corr.base, m, basis)
+    compressed = basis.conj().T @ qb
+    r1 = operator_norm(corr.levels[m].matrix - compressed)
+    return r1, operator_norm(qb - basis @ compressed)
+
+
 def residual_oracle(system, m, l):
     """``|p_{m+l} (1 - p_m ⊗ p_l)|`` from the explicit Kronecker projection.
 

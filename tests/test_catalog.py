@@ -131,3 +131,34 @@ class TestDispatcher:
         )
         u = build_catalog(CatalogSpec("unitary", d=3, seed=7)).ops[0]
         assert np.allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec, unused",
+        [
+            (dict(family="random_unital", n=2, d=3, params={"ranks": [1, 2]}), "ranks"),
+            (dict(family="identity", d=3, params={"angle": 0.3}), "angle"),
+            (dict(family="identity", n=1, d=3), "n"),
+            (dict(family="projective", d=3, seed=2), "seed"),
+            (dict(family="sequential_projective", d=4, params={"bogus": 1}), "bogus"),
+        ],
+    )
+    def test_unused_parameter_is_named(self, spec, unused):
+        with pytest.raises(ValueError, match=f"does not use parameter '{unused}'"):
+            CatalogSpec(**spec)
+
+    def test_seed_defaults_to_zero_where_read(self):
+        assert CatalogSpec("random_unital", n=2, d=3).seed == 0
+        assert CatalogSpec("identity", d=3).seed is None
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CatalogSpec("identity", d=100_000_000),
+            CatalogSpec("commuting_generic", n=100_000_000, d=1),
+            CatalogSpec("sequential_projective", d=4096),
+        ],
+    )
+    def test_size_bound(self, spec):
+        with pytest.raises(ValueError, match="Kraus entries"):
+            build_catalog(spec)
+

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,27 @@ class TestCatalogCommand:
         assert np.array_equal(kraus.ops, kraus2.ops)
 
 
+    @pytest.mark.parametrize(
+        "flags, unused",
+        [
+            (["--family", "random_unital", "--n", "2", "--d", "3", "--ranks", "1,2"], "'ranks'"),
+            (["--family", "identity", "--d", "3", "--angle", "0.3"], "'angle'"),
+            (["--family", "identity", "--n", "1", "--d", "3"], "'n'"),
+        ],
+    )
+    def test_unused_parameter_is_input_error(self, capsys, flags, unused):
+        code, out, err = run(capsys, "catalog", *flags)
+        assert code == 2
+        assert out == ""
+        assert unused in err
+
+    def test_oversized_family_is_input_error(self, capsys):
+        code, out, err = run(capsys, "catalog", "--family", "identity", "--d", "100000000")
+        assert code == 2
+        assert out == ""
+        assert "Kraus entries" in err
+
+
 class TestDims:
     def test_commuting_ladder_csv(self, tmp_path, capsys):
         path = make_catalog_doc(tmp_path, family="commuting_generic", n=2, d=12, seed=3)
@@ -303,7 +325,50 @@ MALFORMED = {
     ),
     "kraus-not-a-list": ({"dim": 2, "kraus": 5}, "'kraus'"),
     "string-matrix-entry": ({"dim": 1, "kraus": [{"re": [["1.0"]]}]}, "kraus[0].re"),
+    "unused-ranks": (
+        {"catalog": {"family": "random_unital", "n": 2, "d": 3, "params": {"ranks": [1, 2]}}},
+        "'ranks'",
+    ),
+    "unknown-param": (
+        {"catalog": {"family": "projective", "d": 3, "params": {"size": 3}}},
+        "'size'",
+    ),
+    "seed-on-identity": ({"catalog": {"family": "identity", "d": 3, "seed": 1}}, "'seed'"),
+    "oversized-identity": ({"catalog": {"family": "identity", "d": 100_000_000}}, "d=100000000"),
 }
+
+
+class TestHighLevels:
+    """Levels are chain factors, so commands reach m = 60 in megabytes."""
+
+    def test_commuting_reaches_level_60(self, tmp_path, capsys):
+        chan = make_catalog_doc(tmp_path, family="commuting_generic", n=2, d=12, seed=3)
+        rng = np.random.default_rng(0)
+        a, b = (rng.normal(size=(12, 12)) for _ in range(2))
+        obs_a = make_observable(tmp_path, a + a.T, name="a.json")
+        obs_b = make_observable(tmp_path, b + b.T, name="b.json")
+        commands = {
+            "dims": ["dims", chan, "--max-m", "60"],
+            "converge": ["converge", chan, "--max-m", "60", "--observables", obs_a, obs_b],
+            "dequantize": ["dequantize", chan, "--observable", obs_a, "--level", "60"],
+        }
+        outputs = {}
+        for name, argv in commands.items():
+            tracemalloc.start()
+            try:
+                code, outputs[name], _ = run(capsys, *argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0, name
+            assert peak < 100e6, (name, peak)
+        rows = [line.split(",") for line in outputs["dims"].splitlines() if line[:1].isdigit()]
+        assert [int(r[1]) for r in rows] == list(range(2, 13)) + [12] * 49
+        assert max(float(r[2]) for r in rows) <= 1e-12
+        converge = [line for line in outputs["converge"].splitlines() if line[:1].isdigit()]
+        assert len(converge) == 60
+        payload = json.loads(outputs["dequantize"])["payload"]
+        assert sorted(payload["symmetry_residuals"], key=int) == [str(m) for m in range(1, 61)]
 
 
 class TestFlags:

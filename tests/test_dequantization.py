@@ -98,15 +98,16 @@ class TestPhiSymmetry:
             s = build_subproduct(k, 2)
             spec = state_spec(k, maximally_mixed(k.dim))
             corr = correlations(k, s, spec, 2)
-            r1, _ = phi_symmetry_residual(corr, s, 1)
+            r1, _ = phi_symmetry_residual(corr, s, 1)[1]
             assert r1 < 1e-12
 
     def test_uniform_projective_is_symmetric(self, projective3):
         s = build_subproduct(projective3, 6)
         spec = state_spec(projective3, maximally_mixed(3))
         corr = correlations(projective3, s, spec, 6)
+        residuals = phi_symmetry_residual(corr, s, 6)
         for m in range(1, 7):
-            r1, r2 = corr.symmetry_residuals[m]
+            r1, r2 = residuals[m]
             assert r1 < 1e-10
             assert r2 < 1e-10
 
@@ -117,7 +118,7 @@ class TestPhiSymmetry:
         s = build_subproduct(commuting212, 3)
         spec = state_spec(commuting212, maximally_mixed(12))
         corr = correlations(commuting212, s, spec, 3)
-        r1, r2 = corr.symmetry_residuals[3]
+        r1, r2 = phi_symmetry_residual(corr, s, 3)[3]
         assert r1 > 1e-6
         assert r2 < 1e-10
 

@@ -5,14 +5,13 @@ from krausfock import (
     SingularMatrixError,
     Tolerances,
     kron,
-    kron_power_apply,
     operator_norm,
     orthonormal_range,
     partial_trace_left,
     partial_trace_right,
     psd_inverse,
 )
-from conftest import random_complex
+from conftest import kron_power_apply, random_complex
 
 
 def kron_oracle(a, b):

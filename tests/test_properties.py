@@ -2,8 +2,9 @@
 
 Each example draws a family, its size parameters and a seed, builds the
 minimal presentation and checks one structural law of the channel or its
-level spaces.  Levels stay at ``m <= 4`` and ``n <= 3`` so the dense
-word-stack oracle (``n^m`` words) stays cheap.
+level spaces, or one sweep against its dense ``n^m``-row oracle.  Oracle
+levels stay at ``m <= 5`` for ``n <= 3`` and ``m <= 4`` for ``n = 4``, so
+the oracles stay cheap.
 """
 
 import json
@@ -25,11 +26,21 @@ from krausfock import (
     projective_measurement,
     random_unital,
     sequential_projective,
+    phi_symmetry_residual,
+    shift_left,
+    shift_right,
     state_spec,
     subproduct_residual,
 )
 from krausfock.cli import channel_from_document, channel_to_document
-from conftest import dense_level_basis, haar_unitary, random_density, residual_oracle
+from conftest import (
+    dense_level_basis,
+    haar_unitary,
+    random_density,
+    residual_oracle,
+    shift_oracle,
+    symmetry_oracle,
+)
 
 TOP = 4
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -54,8 +65,8 @@ def instances(draw):
 
 
 def top_level(kraus):
-    # keep the dense oracle at no more than 3^4 = 81 words
-    return TOP if kraus.size <= 3 else 3
+    # keep the dense oracles at no more than 3^5 = 243 or 4^4 = 256 words
+    return 5 if kraus.size <= 3 else 4
 
 
 @PROPERTY_SETTINGS
@@ -98,6 +109,34 @@ def test_residual_matches_explicit_oracle(kraus):
     for m in range(top + 1):
         for l in range(top + 1 - m):
             assert abs(subproduct_residual(system, m, l) - residual_oracle(system, m, l)) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_shift_sweeps_match_dense_oracle(kraus):
+    top = top_level(kraus)
+    system = build_subproduct(kraus, top)
+    for m in range(top):
+        for k in range(kraus.size):
+            left = shift_left(system, k, m) - shift_oracle(system, k, m, "left")
+            right = shift_right(system, k, m) - shift_oracle(system, k, m, "right")
+            assert np.max(np.abs(left), initial=0.0) <= 1e-10, (m, k)
+            assert np.max(np.abs(right), initial=0.0) <= 1e-10, (m, k)
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_symmetry_sweep_matches_dense_oracle(kraus):
+    top = top_level(kraus)
+    system = build_subproduct(kraus, top)
+    corr = correlations(kraus, system, state_spec(kraus, np.eye(kraus.dim) / kraus.dim), top)
+    swept = phi_symmetry_residual(corr, system, top)
+    assert sorted(swept) == list(range(1, top + 1))
+    for m in range(1, top + 1):
+        # both routes round relative to the size of Q^{⊗m}
+        scale = max(1.0, operator_norm(corr.base)) ** m
+        for fast, slow in zip(swept[m], symmetry_oracle(corr, system, m)):
+            assert abs(fast - slow) <= 1e-12 * scale, m
 
 
 @PROPERTY_SETTINGS

@@ -43,7 +43,7 @@ class TestBuild:
     def test_projective_ladder_stabilizes(self, projective3):
         s = build_subproduct(projective3, 8)
         assert s.dims == [1, 3, 3, 3, 3, 3, 3, 3, 3]
-        # every level is built, including level 8 with its 6561 words
+        # every level is built; the basis of level 8 has one row per word
         assert s.basis(8).shape == (6561, 3)
 
     def test_commuting_ladder(self, commuting212):
@@ -79,6 +79,8 @@ class TestBuild:
         assert s.dims == list(range(1, 13)) + [12, 12]
         assert s.basis(13).shape == (2**13, 12)
         assert s.generators(13).shape == (12, 12, 12)
+        # the system stores chain factors only: no array has n^m rows
+        assert max(c.shape[0] for c in s.factors) <= 12 * 2
 
 
 class TestDenseOracle:
@@ -159,24 +161,29 @@ class TestSubproductResidual:
                     assert abs(fast - slow) <= 1e-12, (name, m, l)
 
     def test_adversarial_basis_is_detected(self, commuting212):
+        # a basis is a chain product, so a level always lies in the previous
+        # level ⊗ C^n and the left factor of the nesting law is structural.
+        # Corrupt a lower chain factor instead: level 2 becomes the
+        # antisymmetric pair and level 3 the whole of level(2) ⊗ C^2, which
+        # no longer fits in C^2 ⊗ level(2)
         s = build_subproduct(commuting212, 3)
-        # replace the level-3 basis with a vector that is antisymmetric in the
-        # first two tensor factors, violating the nesting law by a full unit
-        bad = np.zeros((8, 1), dtype=complex)
-        bad[int("010", 2)] = 1 / np.sqrt(2)
-        bad[int("100", 2)] = -1 / np.sqrt(2)
-        s.bases[3] = bad
-        assert subproduct_residual(s, 2, 1) > 0.9
+        s.factors[2] = np.array([[0.0], [1.0], [-1.0], [0.0]], dtype=complex) / np.sqrt(2)
+        s.factors[3] = np.eye(2, dtype=complex)
+        assert subproduct_residual(s, 2, 1) == 0.0
+        residual = subproduct_residual(s, 1, 2)
+        assert abs(residual - residual_oracle(s, 1, 2)) <= 1e-12
+        assert abs(residual - np.sqrt(3) / 2) <= 1e-12
 
     def test_adversarial_right_factor_is_detected(self, commuting212):
+        # corrupt the top chain factor so that level 3 is e_0 ⊗ e_0 ⊗ e_1:
+        # level(2) is the symmetric subspace, so the split (1, 2) loses the
+        # antisymmetric half of e_0 ⊗ e_1, of norm 1/sqrt(2)
         s = build_subproduct(commuting212, 3)
-        # antisymmetric in the last two tensor factors: level(2) is the
-        # symmetric subspace, so the split (1, 2) loses the whole vector
-        bad = np.zeros((8, 1), dtype=complex)
-        bad[int("001", 2)] = 1 / np.sqrt(2)
-        bad[int("010", 2)] = -1 / np.sqrt(2)
-        s.bases[3] = bad
-        assert subproduct_residual(s, 1, 2) > 0.9
+        e00 = np.array([1.0, 0.0, 0.0, 0.0])
+        s.factors[3] = np.kron(s.basis(2).conj().T @ e00, [0.0, 1.0])[:, None]
+        residual = subproduct_residual(s, 1, 2)
+        assert abs(residual - residual_oracle(s, 1, 2)) <= 1e-12
+        assert abs(residual - 2**-0.5) <= 1e-12
 
 
 class TestShifts:
