@@ -8,6 +8,7 @@ from .linalg import (
     SingularMatrixError,
     kron,
     orthonormal_range,
+    spans_all,
     partial_trace_right,
     partial_trace_left,
     psd_inverse,

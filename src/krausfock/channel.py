@@ -114,12 +114,12 @@ def check_state(kraus: KrausSet, rho) -> np.ndarray:
 
 
 def apply_heisenberg(kraus: KrausSet, a) -> np.ndarray:
-    """Evaluate ``sum_k K_k† a K_k``."""
-    a = as_matrix(a)
-    if a.shape != (kraus.dim, kraus.dim):
+    """Evaluate ``sum_k K_k† a K_k`` for one ``d``-square ``a`` or a stack ``(..., d, d)``."""
+    a = as_matrix(a, stacked=True)
+    if a.shape[-2:] != (kraus.dim, kraus.dim):
         raise ValueError(f"observable must be {kraus.dim}x{kraus.dim}, got {a.shape}")
     ops = kraus.ops
-    return (ops.conj().transpose(0, 2, 1) @ a @ ops).sum(axis=0)
+    return (ops.conj().transpose(0, 2, 1) @ a[..., None, :, :] @ ops).sum(axis=-3)
 
 
 def apply_schrodinger(kraus: KrausSet, rho) -> np.ndarray:

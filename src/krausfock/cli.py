@@ -16,7 +16,9 @@ fields are input errors.  Fields are checked for type and never coerced: a
 ragged matrix, a string where a number belongs or a fractional seed is an
 input error that names the field.  Complex matrices are stored as paired real
 arrays; floats are written with Python's shortest round-tripping repr, so
-serialize -> parse reproduces every entry bit for bit.
+serialize -> parse reproduces every entry bit for bit.  JSON reports are
+written by a dedicated writer whose bytes equal
+``json.dumps(report, sort_keys=True, indent=2)``.
 
 A subcommand accepts only the flags it reads.  Every channel command takes
 ``--tol-rank``, ``--tol-residual`` and ``--out``, which sends its JSON or CSV
@@ -239,8 +241,32 @@ def _write(text: str, out: str | None) -> None:
         raise InputError(f"cannot write {out}: {exc}") from exc
 
 
+def _json_chunks(obj, indent: str = "\n"):
+    """Pieces of ``json.dumps(obj, sort_keys=True, indent=2)`` for string keys,
+    without the pure-Python encoder ``indent`` selects: a list of finite floats
+    is joined in one call, and ``json.dumps`` writes every other scalar."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            yield ("," if i else "{") + inner + json.dumps(key) + ": "
+            yield from _json_chunks(value, inner)
+        yield indent + "}"
+    elif not isinstance(obj, (list, tuple)) or not obj:
+        yield json.dumps(obj)
+    else:
+        if all(type(x) is float for x in obj):
+            text = ("," + inner).join(map(float.__repr__, obj))
+            if "n" not in text:  # no nan or inf, which JSON spells NaN and Infinity
+                yield "[" + inner + text + indent + "]"
+                return
+        for i, value in enumerate(obj):
+            yield ("," if i else "[") + inner
+            yield from _json_chunks(value, inner)
+        yield indent + "]"
+
+
 def _emit_json(obj: dict, out: str | None) -> None:
-    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
+    _write("".join([*_json_chunks(obj), "\n"]), out)
 
 
 def _emit_csv(header: list[str], rows, doc: dict, args) -> None:
@@ -327,13 +353,14 @@ def cmd_dilate(args) -> int:
     unitarity = max(
         operator_norm(w @ w.conj().T - eye), operator_norm(w.conj().T @ w - eye)
     )
-    probe_gap = 0.0
+    # the d^2 unit probes E_ab, one stack of d for each row a
+    probe_gap, row = 0.0, np.zeros((d, d, d))
     for a in range(d):
-        for b in range(d):
-            unit = np.zeros((d, d))
-            unit[a, b] = 1.0
-            got = compressed_action(w, unit, d, kraus.size, bundle.bath_index)
-            probe_gap = max(probe_gap, operator_norm(got - apply_heisenberg(kraus, unit)))
+        row[:, a, :] = np.eye(d)
+        got = compressed_action(w, row, d, kraus.size, bundle.bath_index)
+        gaps = np.linalg.norm(got - apply_heisenberg(kraus, row), 2, axis=(-2, -1))
+        probe_gap = max(probe_gap, float(gaps.max()))
+        row[:, a, :] = 0.0
     system = build_subproduct(kraus, args.max_m)
     rng = np.random.default_rng(0)
     probe = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

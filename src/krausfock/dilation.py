@@ -73,11 +73,18 @@ def unitary_dilation(kraus: KrausSet) -> DilationBundle:
 
 
 def compressed_action(w, a, dim: int, bath_dim: int, bath_index: int = 0) -> np.ndarray:
-    """The ``dim``-square block ``<e_b| W† (a ⊗ 1) W |e_b>`` of a dilation."""
+    """The ``dim``-square block ``<e_b| W† (a ⊗ 1) W |e_b>`` of a dilation.
+
+    ``a`` is one ``dim``-square matrix or a stack ``(..., dim, dim)``; ``a ⊗ 1``
+    acts on the bath-``b`` columns by a reshape, without a Kronecker product.
+    """
     w = as_matrix(w)
-    a = as_matrix(a)
+    a = as_matrix(a, stacked=True)
+    if a.shape[-2:] != (dim, dim) or w.shape[0] != dim * bath_dim:
+        raise ValueError(f"shapes {a.shape} and {w.shape} do not fit dim {dim}, bath {bath_dim}")
     cols = w[:, bath_index::bath_dim]
-    return cols.conj().T @ np.kron(a, np.eye(bath_dim)) @ cols
+    lifted = (a @ cols.reshape(dim, -1)).reshape(*a.shape[:-2], dim * bath_dim, dim)
+    return cols.conj().T @ lifted
 
 
 def complementary_state(kraus: KrausSet, rho) -> np.ndarray:

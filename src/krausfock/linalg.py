@@ -16,6 +16,7 @@ __all__ = [
     "as_matrix",
     "kron",
     "orthonormal_range",
+    "spans_all",
     "partial_trace_right",
     "partial_trace_left",
     "psd_inverse",
@@ -47,10 +48,10 @@ class SingularMatrixError(ValueError):
     """A matrix required to be positive definite is numerically singular."""
 
 
-def as_matrix(x) -> np.ndarray:
-    """Coerce ``x`` to a 2-d complex array and reject non-finite entries."""
+def as_matrix(x, stacked: bool = False) -> np.ndarray:
+    """Coerce ``x`` to a 2-d complex array (a stack if ``stacked``), reject non-finite entries."""
     a = np.asarray(x, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim < 2 or (a.ndim > 2 and not stacked):
         raise ValueError(f"expected a matrix, got an array of ndim {a.ndim}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
@@ -62,21 +63,36 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
+def _rank(s: np.ndarray, tol: Tolerances) -> int:
+    """The rank rule: descending singular values above ``rank_rel_tol * s[0]``."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+
+
 def orthonormal_range(columns, tol: Tolerances | None = None) -> np.ndarray:
     """Isometry whose columns form an orthonormal basis of ``range(columns)``.
 
-    The column count equals the numerical rank at ``tol.rank_rel_tol``.  An
-    all-zero input yields a matrix with zero columns.
+    Takes the leading left singular vectors of ``columns``; their count is
+    the numerical rank at ``tol.rank_rel_tol`` (see :func:`spans_all`).  An
+    empty or all-zero input yields a matrix with zero columns.
     """
     tol = tol or Tolerances()
     a = as_matrix(columns)
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    rank = int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
-    return u[:, :rank]
+    return u[:, : _rank(s, tol)]
+
+
+def spans_all(columns, tol: Tolerances | None = None) -> bool:
+    """Whether the columns of a ``rows x cols`` matrix span all of ``C^rows``:
+    ``orthonormal_range(columns, tol).shape[1] == rows``, decided by the same
+    rank rule from singular values alone; false at once when ``rows > cols``."""
+    tol = tol or Tolerances()
+    a = as_matrix(columns)
+    rows, cols = a.shape
+    return rows <= cols and _rank(np.linalg.svd(a, compute_uv=False), tol) == rows
 
 
 def _check_product_shape(a: np.ndarray, dim_left: int, dim_right: int) -> None:
@@ -122,8 +138,10 @@ def psd_inverse(m, tol: Tolerances | None = None, label: str = "matrix") -> np.n
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{label} must be square, got shape {a.shape}")
-    gap = operator_norm(a - a.conj().T)
-    # the norm of ``a`` can only matter once the gap exceeds residual_tol
+    asymmetry = a - a.conj().T
+    # the spectral gap is at most the Frobenius norm, which settles small gaps
+    # without an SVD; the norm of ``a`` matters only for gaps above residual_tol
+    gap = operator_norm(asymmetry) if np.linalg.norm(asymmetry) > tol.residual_tol else 0.0
     if gap > tol.residual_tol and gap > tol.residual_tol * operator_norm(a):
         raise ValueError(f"{label} is not Hermitian (asymmetry {gap:.3e})")
     h = (a + a.conj().T) / 2.0

@@ -12,7 +12,8 @@ nesting law ``level(m+l) ⊆ level(m) ⊗ level(l)`` exactly.
 
 Storage: level ``m`` is the chain factor ``C_m``, an orthonormal basis of
 the range of the candidates ``H_(u,k) = G_u K_k`` built on level ``m-1``
-(one SVD of ``(d_{m-1} n) x d^2``; the identity at full rank), and the
+(from singular values only while every level so far is full, where
+``C_m`` is the identity; otherwise one SVD of ``(d_{m-1} n) x d^2``), and the
 generators ``G_m = C_m† H = sum_w conj(B_m[w, :]) K_w``.  The basis
 ``B_m = (B_{m-1} ⊗ 1_n) C_m``, a left-canonical matrix product state of
 bond dimension ``<= d^2``, is formed only on request, and the left half of
@@ -34,7 +35,7 @@ from itertools import accumulate
 import numpy as np
 
 from .channel import KrausSet, require_unital_minimal
-from .linalg import as_matrix, operator_norm, orthonormal_range
+from .linalg import as_matrix, operator_norm, orthonormal_range, spans_all
 
 __all__ = [
     "SubproductSystem",
@@ -105,15 +106,21 @@ def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
     d = kraus.dim
     factors = [np.ones((1, 1), dtype=complex)]
     gens = [np.eye(d, dtype=complex).reshape(1, d, d)]
+    full = True
     for _ in range(max_level):
         cand = (gens[-1][:, None] @ kraus.ops).reshape(-1, d, d)
         # rows are vec(H^T): their range is the level subspace in the
         # coordinates of level(m-1) ⊗ C^n
-        c = orthonormal_range(cand.transpose(0, 2, 1).reshape(-1, d * d), kraus.tol)
-        if c.shape[1] == c.shape[0]:
-            c = np.eye(c.shape[0], dtype=complex)
+        rows = cand.transpose(0, 2, 1).reshape(-1, d * d)
+        # For a unital family a level that is not full leaves no later level
+        # full: a relation sum_k W_k K_k = 0 with W_k in level m-1 gives
+        # sum_k (K_j W_k) K_k = 0 at level m+1, and the K_j W_k cannot all
+        # vanish, since then W_k = sum_j K_j† K_j W_k = 0.  So the probe for a
+        # full level runs only while every earlier level was full.
+        full = full and spans_all(rows, kraus.tol)
+        c = np.eye(rows.shape[0], dtype=complex) if full else orthonormal_range(rows, kraus.tol)
         factors.append(c)
-        gens.append((c.conj().T @ cand.reshape(-1, d * d)).reshape(c.shape[1], d, d))
+        gens.append(cand if full else (c.conj().T @ cand.reshape(-1, d * d)).reshape(-1, d, d))
     return SubproductSystem(n=kraus.size, factors=factors, gen_stacks=gens)
 
 
@@ -128,11 +135,14 @@ def _transfer(bra: np.ndarray, x: np.ndarray, ket: np.ndarray) -> np.ndarray:
     return bra.conj().T @ (x @ ket.reshape(x.shape[1], -1)).reshape(-1, ket.shape[1])
 
 
-def _complement_sweep(bra: list[np.ndarray], kets: list[np.ndarray], left: int):
+def _complement_sweep(
+    bra: list[np.ndarray], kets: list[np.ndarray], left: int, gram: bool = True
+):
     """Yield ``E_j = (1 ⊗ B_j)† V_j`` and ``S_j = V_j† (1 ⊗ (1 - p_j)) V_j``.
 
     ``V_j`` chains the sites ``kets[:j]`` behind a ``left``-dimensional bond
-    and ``B_j`` the factors ``bra``; ``S_j`` is ``None`` while exactly zero.
+    and ``B_j`` the factors ``bra``; ``S_j`` is ``None`` while exactly zero,
+    and always for callers that read overlaps only (``gram=False``).
     Pieces are formed residual-first as ``Z - C (C† Z)``, none at full levels.
     """
     e, s = np.eye(left, dtype=complex), None
@@ -142,7 +152,7 @@ def _complement_sweep(bra: list[np.ndarray], kets: list[np.ndarray], left: int):
         e = z if full else c.conj().T @ z
         if s is not None:
             s = _transfer(k, s, k)
-        if not full:
+        if gram and not full:
             y = (z - c @ e).reshape(-1, k.shape[1])
             s = y.conj().T @ y if s is None else s + y.conj().T @ y
         e = e.reshape(-1, k.shape[1])
@@ -201,8 +211,8 @@ def _left_shifts(system: SubproductSystem, k: int, top: int) -> list[np.ndarray]
     one sweep of the ket sites ``e_k, C_1, C_2, ...``; no solve is needed."""
     _check_shift(system, k, top - 1)
     letter = np.eye(system.n, 1, -k, dtype=complex)
-    sweep = _complement_sweep(system.factors[1:], [letter] + system.factors[1:top], 1)
-    return [e for e, _ in sweep]
+    kets = [letter] + system.factors[1:top]
+    return [e for e, _ in _complement_sweep(system.factors[1:], kets, 1, gram=False)]
 
 
 def shift_left(system: SubproductSystem, k: int, m: int) -> np.ndarray:

@@ -62,6 +62,26 @@ def dense_level_basis(kraus, m):
     return basis
 
 
+def full_levels(dims, n):
+    """Whether each level ``m >= 1`` is full: ``d_m = n d_{m-1}``."""
+    return [dims[m] == n * dims[m - 1] for m in range(1, len(dims))]
+
+
+def range_ladder(kraus, top):
+    """Dimension ladder with every level decided by ``orthonormal_range``.
+
+    The chain build without its singular-value probe for full levels.
+    """
+    d = kraus.dim
+    gens, dims = np.eye(d, dtype=complex).reshape(1, d, d), [1]
+    for _ in range(top):
+        cand = (gens[:, None] @ kraus.ops).reshape(-1, d, d)
+        c = orthonormal_range(cand.transpose(0, 2, 1).reshape(-1, d * d), kraus.tol)
+        gens = (c.conj().T @ cand.reshape(-1, d * d)).reshape(-1, d, d)
+        dims.append(c.shape[1])
+    return dims
+
+
 def kron_power_apply(op, power, mat):
     """Apply the ``power``-fold Kronecker power of ``op`` to columns of ``mat``.
 

@@ -472,3 +472,34 @@ class TestMalformedInput:
         code, _, err = run(capsys, "dequantize", chan, "--observable", obs, "--level", "1")
         assert code == 2
         assert obs in err and "expected (3, 3)" in err
+
+
+class TestReportWriter:
+    def test_json_reports_equal_json_dumps(self, tmp_path, capsys):
+        rho = np.array([[0.6, 0.1j, 0.0], [-0.1j, 0.3, 0.0], [0.0, 0.0, 0.1]])
+        chan = tmp_path / "chan.json"
+        chan.write_text(
+            json.dumps(
+                {
+                    "catalog": {"family": "random_unital", "n": 2, "d": 3, "seed": 4},
+                    "state": {"re": rho.real.tolist(), "im": rho.imag.tolist()},
+                }
+            )
+        )
+        chan = str(chan)
+        obs = make_observable(tmp_path, np.diag([1.0, -1.0, 0.5]))
+        commands = {
+            "dequantize": ["dequantize", chan, "--observable", obs, "--level", "2"],
+            "complementary": ["complementary", chan],
+            "dilate": ["dilate", chan, "--max-m", "2"],
+            "catalog": ["catalog", "--family", "projective", "--d", "3", "--ranks", "1,2"],
+            "validate": ["validate", chan, "--minimalize"],
+        }
+        for name, argv in commands.items():
+            out_path = tmp_path / f"{name}.json"
+            code, _, _ = run(capsys, *argv, "--out", str(out_path))
+            assert code == 0, name
+            text = out_path.read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", name
+        dilated = json.loads((tmp_path / "dilate.json").read_text())
+        assert np.array(dilated["payload"]["unitary"]["matrix"]["re"]).shape == (6, 6)

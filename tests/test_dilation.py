@@ -113,6 +113,40 @@ class TestUnitaryDilation:
             unitary_dilation(KrausSet(ops))
 
 
+class TestStackedProbes:
+    """A stack of probes in one call against one call per matrix."""
+
+    def test_unit_probe_stack_matches_single_calls(self, catalog_quartet):
+        for name, k in catalog_quartet.items():
+            d, w = k.dim, unitary_dilation(k).unitary
+            units = np.eye(d * d).reshape(d, d, d, d)  # units[a, b] = E_ab
+            compressed = compressed_action(w, units, d, k.size)
+            heisenberg = apply_heisenberg(k, units)
+            assert compressed.shape == heisenberg.shape == (d, d, d, d)
+            for a in range(d):
+                for b in range(d):
+                    single = compressed_action(w, units[a, b], d, k.size)
+                    assert np.array_equal(compressed[a, b], single), (name, a, b)
+                    single = apply_heisenberg(k, units[a, b])
+                    assert np.array_equal(heisenberg[a, b], single), (name, a, b)
+
+    def test_two_dimensional_calls_keep_shapes_and_errors(self):
+        k = random_unital(3, 2, seed=1)
+        w = unitary_dilation(k).unitary
+        a = np.arange(4.0).reshape(2, 2)
+        assert compressed_action(w, a, 2, 3).shape == (2, 2)
+        assert apply_heisenberg(k, a).shape == (2, 2)
+        bad = [np.ones(2), np.ones((3, 3)), np.ones((2, 3)), np.full((2, 2), np.nan)]
+        bad.append(np.ones((4, 2, 3)))  # a stack of non-square matrices
+        for x in bad:
+            with pytest.raises(ValueError):
+                compressed_action(w, x, 2, 3)
+            with pytest.raises(ValueError):
+                apply_heisenberg(k, x)
+        with pytest.raises(ValueError):
+            compressed_action(w, a, 2, 2)
+
+
 class TestComplementaryState:
     def test_unitary_channel(self, rng):
         k = unitary_channel(4, seed=2)

@@ -10,8 +10,9 @@ from krausfock import (
     partial_trace_left,
     partial_trace_right,
     psd_inverse,
+    spans_all,
 )
-from conftest import kron_power_apply, random_complex
+from conftest import haar_unitary, kron_power_apply, random_complex
 
 
 def kron_oracle(a, b):
@@ -99,6 +100,39 @@ class TestOrthonormalRange:
         mat = random_complex(rng, 6, 2) @ random_complex(rng, 2, 6)
         assert orthonormal_range(mat).shape[1] == 2
         assert orthonormal_range(np.zeros((3, 3))).shape[1] == 0
+
+
+class TestSpansAll:
+    """The singular-value probe against the column count of orthonormal_range."""
+
+    @staticmethod
+    def agrees(a):
+        return spans_all(a) == (orthonormal_range(a).shape[1] == a.shape[0])
+
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 9)])
+    @pytest.mark.parametrize(
+        "ratio, spans",
+        [(1e-8, True), (1e-9 * (1 + 1e-6), True), (1e-9 * (1 - 1e-6), False), (1e-10, False)],
+    )
+    def test_planted_spectra(self, rng, shape, ratio, spans):
+        rows, cols = shape
+        # singular values from 1 down to sigma_min / sigma_max = ratio
+        s = np.geomspace(1.0, ratio, rows)
+        a = (haar_unitary(rng, rows) * s) @ haar_unitary(rng, cols)[:rows]
+        assert spans_all(a) is spans
+        assert self.agrees(a)
+
+    def test_tall_wide_and_zero(self, rng):
+        cases = {
+            "tall": (random_complex(rng, 7, 3), False),
+            "wide": (random_complex(rng, 3, 7), True),
+            "wide, rank 2": (random_complex(rng, 3, 2) @ random_complex(rng, 2, 7), False),
+            "zero": (np.zeros((3, 5)), False),
+            "no rows": (np.zeros((0, 4)), True),
+        }
+        for name, (a, spans) in cases.items():
+            assert spans_all(a) is spans, name
+            assert self.agrees(a), name
 
 
 class TestPartialTrace:

@@ -8,6 +8,7 @@ the oracles stay cheap.
 """
 
 import json
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -32,11 +33,13 @@ from krausfock import (
     state_spec,
     subproduct_residual,
 )
-from krausfock.cli import channel_from_document, channel_to_document
+from krausfock.cli import _json_chunks, channel_from_document, channel_to_document
 from conftest import (
     dense_level_basis,
+    full_levels,
     haar_unitary,
     random_density,
+    range_ladder,
     residual_oracle,
     shift_oracle,
     symmetry_oracle,
@@ -81,6 +84,15 @@ def test_chain_build_matches_dense_oracle(kraus):
         # looser than the fixed-instance check: random draws do not control
         # how far the smallest kept singular value sits above the threshold
         assert operator_norm(chain - dense @ (dense.conj().T @ chain)) <= 1e-10, m
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_full_levels_end_at_the_first_deficient_level(kraus):
+    dims = build_subproduct(kraus, TOP + 2).dims
+    full = full_levels(dims, kraus.size)
+    assert full == sorted(full, reverse=True)
+    assert dims == range_ladder(kraus, TOP + 2)
 
 
 @PROPERTY_SETTINGS
@@ -168,3 +180,33 @@ def test_document_round_trip_is_bit_exact(kraus, seed, rank_rel_tol, residual_to
     assert np.array_equal(parsed.ops, kraus.ops)
     assert np.array_equal(state, rho)
     assert parsed.tol == kraus.tol
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+# nested dicts and lists of the scalars a report writer can meet
+JSON_DOCUMENTS = st.recursive(
+    st.one_of(
+        FLOATS,
+        FLOATS.map(np.float64),
+        st.integers(-(2**70), 2**70),
+        st.sampled_from([2**63, 2**64 + 1, -(2**63) - 1]),
+        st.booleans(),
+        st.none(),
+        st.text(),
+        st.sampled_from(["é日本", 'quote " backslash \\ tab \t nul \x00 \u2028']),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+        st.lists(FLOATS, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@PROPERTY_SETTINGS
+@given(JSON_DOCUMENTS)
+def test_report_writer_matches_json_dumps(doc):
+    assert "".join(_json_chunks(doc)) == json.dumps(doc, sort_keys=True, indent=2)

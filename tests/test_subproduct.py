@@ -20,9 +20,11 @@ from krausfock import (
 )
 from conftest import (
     dense_level_basis,
+    full_levels,
     haar_unitary,
     random_complex,
     random_hermitian,
+    range_ladder,
     residual_oracle,
     word_stack,
 )
@@ -61,6 +63,16 @@ class TestBuild:
             s = build_subproduct(k, 5)
             for m, dim in enumerate(s.dims):
                 assert dim <= min(k.size**m, k.dim**2)
+
+    def test_probed_ladder_equals_the_range_ladder(self, catalog_quartet):
+        families = {**catalog_quartet, "small-angle": sequential_projective(4, 0.05, seed=0)}
+        for name, k in families.items():
+            dims = build_subproduct(k, 8).dims
+            assert dims == range_ladder(k, 8), name
+            # once a level is not full, no later level is
+            full = full_levels(dims, k.size)
+            assert full == sorted(full, reverse=True), name
+        assert build_subproduct(families["small-angle"], 8).dims == [1, 4] + [6] * 7
 
     def test_rejects_non_minimal(self):
         ops = np.stack([np.eye(2), np.eye(2)]) / np.sqrt(2.0)
