@@ -47,7 +47,10 @@ from . import __version__
 from .catalog import CatalogSpec, build_catalog
 from .channel import KrausSet, apply_heisenberg, minimal_kraus, validate
 from .dequantization import (
+    ConvergenceReport,
+    CorrelationData,
     convergence_report,
+    correlation_matrix,
     correlations,
     dequantize,
     phi_symmetry_residual,
@@ -60,8 +63,8 @@ from .dilation import (
     stinespring_isometry,
     unitary_dilation,
 )
-from .linalg import Tolerances, operator_norm
-from .subproduct import build_subproduct, nesting_residuals
+from .linalg import SingularMatrixError, Tolerances, operator_norm
+from .subproduct import SubproductSystem, build_subproduct, nesting_residuals
 
 
 class InputError(Exception):
@@ -320,14 +323,25 @@ def cmd_validate(args) -> int:
     return 0 if report.valid else 1
 
 
+def _split_rows(system: SubproductSystem, top: int) -> list[tuple[int, int, float]]:
+    """``(m, l, |p_{m+l} (1 - p_m ⊗ p_l)|)`` for ``m, l >= 1`` and ``m + l <= top``.
+
+    A split with an empty side is exactly zero (``p_0 = 1``), so it is left out.
+    """
+    rows = []
+    for m in range(1, top):
+        split = nesting_residuals(system, m, top - m)
+        rows += [(m, l, split[l]) for l in range(1, len(split))]
+    return rows
+
+
 def cmd_dims(args) -> int:
     doc, kraus, _ = _load_channel(args)
     system = build_subproduct(kraus, args.max_m)
-    splits = [nesting_residuals(system, a, args.max_m - a) for a in range(args.max_m + 1)]
-    rows = []
-    for m in range(1, args.max_m + 1):
-        residual = max(splits[a][m - a] for a in range(m + 1))
-        rows.append((m, system.dims[m], residual))
+    worst = [0.0] * (args.max_m + 1)
+    for m, l, residual in _split_rows(system, args.max_m):
+        worst[m + l] = max(worst[m + l], residual)
+    rows = [(m, system.dims[m], worst[m]) for m in range(1, args.max_m + 1)]
     _emit_csv(["m", "d_m", "subproduct_residual_max"], rows, doc, args)
     return 0
 
@@ -335,10 +349,7 @@ def cmd_dims(args) -> int:
 def cmd_subproduct_check(args) -> int:
     doc, kraus, _ = _load_channel(args)
     system = build_subproduct(kraus, args.max_m)
-    rows = []
-    for m in range(1, args.max_m + 1):
-        split = nesting_residuals(system, m, args.max_m - m)
-        rows += [(m, l, split[l]) for l in range(1, len(split))]
+    rows = _split_rows(system, args.max_m)
     worst = max((residual for _, _, residual in rows), default=0.0)
     _emit_csv(["m", "l", "residual"], rows, doc, args)
     return 0 if worst <= kraus.tol.residual_tol else 1
@@ -347,8 +358,7 @@ def cmd_subproduct_check(args) -> int:
 def cmd_dilate(args) -> int:
     doc, kraus, _ = _load_channel(args)
     d = kraus.dim
-    bundle = unitary_dilation(kraus)
-    w = bundle.unitary
+    w = unitary_dilation(kraus).unitary
     eye = np.eye(d * kraus.size)
     unitarity = max(
         operator_norm(w @ w.conj().T - eye), operator_norm(w.conj().T @ w - eye)
@@ -357,7 +367,7 @@ def cmd_dilate(args) -> int:
     probe_gap, row = 0.0, np.zeros((d, d, d))
     for a in range(d):
         row[:, a, :] = np.eye(d)
-        got = compressed_action(w, row, d, kraus.size, bundle.bath_index)
+        got = compressed_action(w, row, d, kraus.size)
         gaps = np.linalg.norm(got - apply_heisenberg(kraus, row), 2, axis=(-2, -1))
         probe_gap = max(probe_gap, float(gaps.max()))
         row[:, a, :] = 0.0
@@ -433,10 +443,20 @@ def cmd_converge(args) -> int:
     mats = [_load_observable(path, kraus.dim) for path in args.observables]
     system = build_subproduct(kraus, args.max_m)
     spec = state_spec(kraus, _default_state(kraus, state))
-    corr = correlations(kraus, system, spec, args.max_m)
-    report = convergence_report(kraus, system, corr, mats[0], mats[1], args.max_m)
-    header = ["m", "norm_gap", "vn_residual", "scaled_commutator", "limit_state_gap"]
-    _emit_csv(header, report.rows(), doc, args)
+    # rows for the levels below the first singular one, then that level's error
+    levels, singular = {}, None
+    for m in range(1, args.max_m + 1):
+        try:
+            levels[m] = correlation_matrix(kraus, system, spec, m)
+        except SingularMatrixError as exc:
+            singular = exc
+            break
+    if levels:
+        corr = CorrelationData(state=spec, base=levels[1].matrix, levels=levels)
+        report = convergence_report(kraus, system, corr, mats[0], mats[1], len(levels))
+        _emit_csv(["m", *ConvergenceReport._COLUMNS], report.rows(), doc, args)
+    if singular is not None:
+        raise singular
     return 0
 
 

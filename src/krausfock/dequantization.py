@@ -65,7 +65,6 @@ def state_spec(kraus: KrausSet, rho0) -> StateSpec:
 class LevelCorrelation:
     """Normalized level correlation matrix, its inverse and traces."""
 
-    level: int
     matrix: np.ndarray
     inverse: np.ndarray
     trace: float
@@ -79,7 +78,6 @@ class CorrelationData:
 
     state: StateSpec
     base: np.ndarray
-    base_inv_diag: np.ndarray
     levels: dict[int, LevelCorrelation] = field(default_factory=dict)
 
 
@@ -110,7 +108,6 @@ def correlation_matrix(
     tr_inv = float(np.trace(inv).real)
     scale = float(np.sqrt(tr_inv / tr))
     return LevelCorrelation(
-        level=m,
         matrix=scale * raw,
         inverse=inv / scale,
         trace=scale * tr,
@@ -126,12 +123,7 @@ def correlations(
     if max_level < 1:
         raise ValueError("need at least one correlation level")
     levels = {m: correlation_matrix(kraus, system, state, m) for m in range(1, max_level + 1)}
-    return CorrelationData(
-        state=state,
-        base=levels[1].matrix,
-        base_inv_diag=np.diag(levels[1].inverse).real.copy(),
-        levels=levels,
-    )
+    return CorrelationData(state=state, base=levels[1].matrix, levels=levels)
 
 
 def phi_symmetry_residual(
@@ -164,7 +156,8 @@ def dequantize(
     has channel-symmetric correlations and the base correlation matrix is
     diagonal, this coincides with the weighted sum
     ``Tr(Q_m) sum_words w(wk) Tr(rho0 K_wk† K_wj A) |B† e_wj><B† e_wk|``
-    with per-word weights ``w(wk) = prod_i invdiag[k_i]``.
+    whose per-word weight ``w(wk)`` is the product, over the letters ``k_i``
+    of ``wk``, of the entries of the diagonal of the level-one inverse.
     """
     a = as_matrix(a)
     if a.shape != (kraus.dim, kraus.dim):
@@ -268,7 +261,6 @@ class ConvergenceReport:
     - ``limit_state_gap[m]``: ``|Tr(Q_m Psi_m(A)) / Tr(Q_m) - Tr(rho0 A)|``
     """
 
-    labels: tuple[str, str]
     levels: list[int]
     norm_gap: list[float]
     vn_residual: list[float]
@@ -279,16 +271,8 @@ class ConvergenceReport:
     _COLUMNS = ("norm_gap", "vn_residual", "scaled_commutator", "limit_state_gap")
 
     def rows(self):
-        """Rows (m, norm_gap, vn_residual, scaled_commutator, limit_state_gap)."""
-        return list(
-            zip(
-                self.levels,
-                self.norm_gap,
-                self.vn_residual,
-                self.scaled_commutator,
-                self.limit_state_gap,
-            )
-        )
+        """Rows ``(m, *values)`` with one value for each name in ``_COLUMNS``."""
+        return list(zip(self.levels, *(getattr(self, name) for name in self._COLUMNS)))
 
 
 def trend_verdict(seq, tol: float) -> str:
@@ -316,7 +300,6 @@ def convergence_report(
     a,
     b,
     m_max: int,
-    labels: tuple[str, str] = ("A", "B"),
 ) -> ConvergenceReport:
     """Evaluate all four diagnostic sequences for levels ``1..m_max``."""
     a = as_matrix(a)
@@ -339,7 +322,6 @@ def convergence_report(
 
     tol = kraus.tol.residual_tol
     report = ConvergenceReport(
-        labels=labels,
         levels=levels,
         norm_gap=norm_gap,
         vn_residual=vn_res,

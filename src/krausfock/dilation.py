@@ -3,7 +3,7 @@
 The level-``m`` isometry sends ``x`` to ``sum_u (G_u x) ⊗ e_u`` over the
 level generators ``G_u``, so compressing ``A ⊗ 1`` through it reproduces
 the ``m``-fold channel power.  At level one the isometry extends to a
-unitary on ``system ⊗ bath`` acting on the distinguished bath vector slice.
+unitary on ``system ⊗ bath`` that acts as it on the bath vector ``e_0``.
 """
 
 from __future__ import annotations
@@ -29,17 +29,15 @@ __all__ = [
 
 @dataclass(eq=False)
 class DilationBundle:
-    """Level, isometry ``V_m`` and, at level one, the completed unitary ``W``.
+    """Level-one isometry ``V_1`` and its completion to a unitary ``W``.
 
-    ``bath_index`` is the bath basis vector on which ``W`` acts as ``V_1``;
-    all compression results are independent of how the completion fills the
+    ``W`` acts as ``V_1`` on the slice of the bath vector ``e_0``; all
+    compression results are independent of how the completion fills the
     remaining columns.
     """
 
-    level: int
     isometry: np.ndarray
-    unitary: np.ndarray | None = None
-    bath_index: int = 0
+    unitary: np.ndarray
 
 
 def stinespring_isometry(kraus: KrausSet, system: SubproductSystem, m: int) -> np.ndarray:
@@ -69,20 +67,21 @@ def unitary_dilation(kraus: KrausSet) -> DilationBundle:
         rest = np.ones(d * n, dtype=bool)
         rest[0::n] = False
         w[:, rest] = u[:, d:]
-    return DilationBundle(level=1, isometry=v1, unitary=w, bath_index=0)
+    return DilationBundle(isometry=v1, unitary=w)
 
 
-def compressed_action(w, a, dim: int, bath_dim: int, bath_index: int = 0) -> np.ndarray:
-    """The ``dim``-square block ``<e_b| W† (a ⊗ 1) W |e_b>`` of a dilation.
+def compressed_action(w, a, dim: int, bath_dim: int) -> np.ndarray:
+    """The ``dim``-square block ``<e_0| W† (a ⊗ 1) W |e_0>`` of a dilation.
 
-    ``a`` is one ``dim``-square matrix or a stack ``(..., dim, dim)``; ``a ⊗ 1``
-    acts on the bath-``b`` columns by a reshape, without a Kronecker product.
+    ``e_0`` is the bath vector of :func:`unitary_dilation`.  ``a`` is one
+    ``dim``-square matrix or a stack ``(..., dim, dim)``; ``a ⊗ 1`` acts on the
+    ``e_0`` columns by a reshape, without a Kronecker product.
     """
     w = as_matrix(w)
     a = as_matrix(a, stacked=True)
     if a.shape[-2:] != (dim, dim) or w.shape[0] != dim * bath_dim:
         raise ValueError(f"shapes {a.shape} and {w.shape} do not fit dim {dim}, bath {bath_dim}")
-    cols = w[:, bath_index::bath_dim]
+    cols = w[:, ::bath_dim]
     lifted = (a @ cols.reshape(dim, -1)).reshape(*a.shape[:-2], dim * bath_dim, dim)
     return cols.conj().T @ lifted
 
@@ -108,7 +107,7 @@ def complementary_state_via_dilation(
         bundle = unitary_dilation(kraus)
     n, d = kraus.size, kraus.dim
     e_ref = np.zeros((n, n), dtype=complex)
-    e_ref[bundle.bath_index, bundle.bath_index] = 1.0
+    e_ref[0, 0] = 1.0
     big = bundle.unitary @ np.kron(rho, e_ref) @ bundle.unitary.conj().T
     return partial_trace_left(big, d, n)
 

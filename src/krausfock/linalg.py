@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "Tolerances",
     "SingularMatrixError",
-    "as_matrix",
     "kron",
     "orthonormal_range",
     "spans_all",
@@ -40,8 +39,8 @@ class Tolerances:
     residual_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.rank_rel_tol <= 0.0 or self.residual_tol <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
+        if not (0.0 < self.rank_rel_tol < np.inf and 0.0 < self.residual_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 class SingularMatrixError(ValueError):

@@ -80,10 +80,6 @@ class SubproductSystem:
             if not 0 <= m <= self.max_level:
                 raise ValueError(f"level {m} out of range (max level {self.max_level})")
 
-    def dimension(self, m: int) -> int:
-        self._check_level(m)
-        return self.factors[m].shape[1]
-
     def basis(self, m: int) -> np.ndarray:
         """Isometry ``B_m`` with ``n^m`` rows, the chain product: small ``m`` only."""
         self._check_level(m)
@@ -237,10 +233,9 @@ def inductive_map(system: SubproductSystem, a, m: int, l: int) -> np.ndarray:
     ``iota(r,l) ∘ iota(m,r) = iota(m,l)`` holds by construction.
     """
     x = as_matrix(a)
-    if x.shape != (system.dimension(m),) * 2:
-        raise ValueError(
-            f"operator must be {system.dimension(m)}-square at level {m}, got {x.shape}"
-        )
+    system._check_level(m)
+    if x.shape != (system.dims[m],) * 2:
+        raise ValueError(f"operator must be {system.dims[m]}-square at level {m}, got {x.shape}")
     if not m <= l <= system.max_level:
         raise ValueError(f"need m <= l <= max_level, got m={m}, l={l}")
     for c in system.factors[m + 1 : l + 1]:
@@ -310,7 +305,8 @@ class TruncatedFock:
 def truncated_fock(system: SubproductSystem, top: int | None = None) -> TruncatedFock:
     """Assemble the truncated direct sum of levels ``0..top`` with shifts."""
     top = system.max_level if top is None else top
-    dims = tuple(system.dimension(m) for m in range(top + 1))
+    system._check_level(top)
+    dims = tuple(system.dims[: top + 1])
     sweeps = [_left_shifts(system, k, top) for k in range(system.n)] if top else []
     left = [[blocks[m] for blocks in sweeps] for m in range(top)]
     right = [[shift_right(system, k, m) for k in range(system.n)] for m in range(top)]

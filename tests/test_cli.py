@@ -7,7 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from krausfock.cli import build_parser, channel_from_document, load_document, main
+from krausfock.catalog import CatalogSpec, build_catalog
+from krausfock.cli import (
+    build_parser,
+    channel_from_document,
+    channel_to_document,
+    load_document,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -220,6 +227,31 @@ class TestSubproductCheck:
         assert len(rows) > 1
 
 
+class TestSplitTable:
+    """``dims`` reads the split table ``subproduct-check`` prints."""
+
+    @pytest.mark.parametrize(
+        "catalog, top",
+        [
+            ({"family": "commuting_generic", "n": 2, "d": 12, "seed": 3}, 8),
+            ({"family": "sequential_projective", "d": 4, "params": {"angle": 0.05}}, 6),
+        ],
+    )
+    def test_dims_column_is_the_largest_split_residual(self, tmp_path, capsys, catalog, top):
+        path = make_catalog_doc(tmp_path, **catalog)
+        tables = {}
+        for command in ("dims", "subproduct-check"):
+            _, out, _ = run(capsys, command, path, "--max-m", str(top))
+            rows = [line.split(",") for line in out.splitlines() if line[:1].isdigit()]
+            tables[command] = [(int(a), int(b), float(c)) for a, b, c in rows]
+        worst = {}
+        for m, l, residual in tables["subproduct-check"]:
+            worst[m + l] = max(worst.get(m + l, 0.0), residual)
+        column = {m: residual for m, _, residual in tables["dims"]}
+        assert column == {m: worst.get(m, 0.0) for m in range(1, top + 1)}
+        assert column[1] == 0.0
+
+
 class TestDilate:
     def test_reports_residuals(self, tmp_path, capsys):
         path = make_catalog_doc(tmp_path, family="sequential_projective", d=4, seed=1)
@@ -297,6 +329,27 @@ class TestConverge:
         a = make_observable(tmp_path, np.eye(3))
         code, _, _ = run(capsys, "converge", chan, "--observables", a, "missing.json")
         assert code == 2
+
+    def test_reports_the_levels_below_a_singular_one(self, tmp_path, capsys):
+        kraus = build_catalog(CatalogSpec("commuting_generic", n=2, d=12, seed=0))
+        chan = tmp_path / "chan.json"
+        chan.write_text(json.dumps(channel_to_document(kraus)))
+        rng = np.random.default_rng(0)
+        obs = [
+            make_observable(tmp_path, x + x.T, name=f"{name}.json")
+            for name, x in zip("ab", rng.normal(size=(2, 12, 12)))
+        ]
+        argv = ["converge", str(chan), "--observables", *obs, "--max-m"]
+        code, out, err = run(capsys, *argv, "12")
+        assert code == 1
+        assert err.startswith("error: singular correlation: level-11 correlation matrix")
+        assert "Traceback" not in err
+        rows = [line for line in out.splitlines() if line[:1].isdigit()]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(1, 11))
+        # the same rows as a run that stops below the singular level
+        code, below, _ = run(capsys, *argv, "10")
+        assert code == 0
+        assert rows == [line for line in below.splitlines() if line[:1].isdigit()]
 
 
 MALFORMED = {

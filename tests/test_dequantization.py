@@ -188,7 +188,7 @@ class TestDequantize:
             count = words.shape[0]
             w_vec = np.ones(1)
             for _ in range(m):
-                w_vec = np.kron(w_vec, corr.base_inv_diag)
+                w_vec = np.kron(w_vec, np.diag(corr.levels[1].inverse).real)
             pairing = np.empty((count, count), dtype=complex)
             for ji in range(count):
                 for ki in range(count):

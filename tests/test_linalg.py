@@ -42,7 +42,11 @@ class TestTolerances:
         assert tol.rank_rel_tol == 1e-9
         assert tol.residual_tol == 1e-8
 
-    @pytest.mark.parametrize("kwargs", [{"rank_rel_tol": 0.0}, {"residual_tol": -1.0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"rank_rel_tol": 0.0}, {"residual_tol": -1.0}]
+        + [{name: x} for name in ("rank_rel_tol", "residual_tol") for x in (np.nan, np.inf)],
+    )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             Tolerances(**kwargs)

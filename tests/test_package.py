@@ -1,0 +1,34 @@
+"""The package surface: one list of public names, and the README example."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import krausfock
+from krausfock import catalog, channel, dequantization, dilation, linalg, subproduct
+
+MODULES = (linalg, channel, subproduct, dilation, dequantization, catalog)
+
+
+def test_public_names_are_the_modules_lists():
+    submodules = {module.__name__.rsplit(".", 1)[1] for module in MODULES}
+    assert set(krausfock.__all__) - submodules == set().union(*(m.__all__ for m in MODULES))
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(krausfock, name) is getattr(module, name)
+    assert all(hasattr(krausfock, name) for name in krausfock.__all__)
+    assert "as_matrix" not in krausfock.__all__
+
+
+def test_readme_example_prints_its_comments():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    comments = [line.split("#", 1)[1].strip() for line in block.splitlines() if "print(" in line]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        exec(block, {})
+    printed = buf.getvalue().splitlines()
+    assert len(printed) == len(comments) == 3
+    for value, comment in zip(printed, comments):
+        assert comment == value or comment.startswith(value + ":"), (value, comment)
