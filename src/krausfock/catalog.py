@@ -183,10 +183,11 @@ def build_catalog(spec: CatalogSpec, tol: Tolerances | None = None) -> KrausSet:
     if family == "unitary":
         return unitary_channel(d, seed=spec.seed, tol=tol)
     if family == "projective":
-        if ranks is None:
-            if spec.n not in (None, d):
-                raise ValueError("projective family without ranks needs n == d")
-            ranks = [1] * d
+        ranks = [1] * d if ranks is None else ranks
+        if spec.n not in (None, len(ranks)):
+            raise ValueError(
+                f"projective family has one operator per entry of ranks, not 'n'={spec.n}"
+            )
         return projective_measurement(d, ranks, tol=tol)
     if family == "commuting_generic":
         return commuting_generic(n, d, seed=spec.seed, tol=tol)

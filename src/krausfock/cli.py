@@ -11,8 +11,13 @@ catalog spec::
       "catalog": {"family": "...", "n": ..., "d": ..., "seed": ..., "params": {...}}
     }
 
-Exactly one of ``kraus`` / ``catalog`` must be present; unknown ``tol``
-fields are input errors.  Fields are checked for type and never coerced: a
+Exactly one of ``kraus`` / ``catalog`` must be present; an explicit-Kraus
+document may also hold the ``catalog_echo`` that ``catalog`` writes, which is
+not read.  Every object -- the document, ``tol``, ``catalog``,
+``catalog.params``, each ``{re, im}`` matrix and the observable document
+``{"matrix": ...}`` -- rejects a field it does not define.  Every command,
+``validate`` included, checks ``state`` with ``channel.check_state`` when it
+loads the document.  Fields are checked for type and never coerced: a
 ragged matrix, a string where a number belongs or a fractional seed is an
 input error that names the field.  Complex matrices are stored as paired real
 arrays; floats are written with Python's shortest round-tripping repr, so
@@ -27,15 +32,17 @@ reduced channel there, by default over the input).  ``dims``,
 ``subproduct-check``, ``dilate`` and ``converge`` build every level up to
 ``--max-m``, ``dequantize`` up to ``--level``; a level holds at most
 ``(n + 1) d^4`` entries, so cost is polynomial in the level.  Exit codes: 0
-success, 1 validation or acceptance failure, 2 input error.
+success, 1 validation or acceptance failure, 2 input error.  Exit 2 means
+the failure arose while input was read: ``load_document`` and
+``channel_from_document`` raise :class:`InputError`, the latter also for
+every ``ValueError`` the library raises on what it is given, and ``main``
+maps it to 2.  After loading, a ``ValueError`` exits 1 in every command.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import sys
@@ -45,7 +52,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import CatalogSpec, build_catalog
-from .channel import KrausSet, apply_heisenberg, minimal_kraus, validate
+from .channel import KrausSet, apply_heisenberg, check_state, minimal_kraus, validate
 from .dequantization import (
     ConvergenceReport,
     CorrelationData,
@@ -76,12 +83,28 @@ def matrix_to_json(a) -> dict:
     return {"re": a.real.tolist(), "im": a.imag.tolist()}
 
 
+def _object(value, what: str, allowed, required=()) -> dict:
+    """``value`` as a JSON object with every ``required`` key and no key outside ``allowed``."""
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be an object, got {value!r}")
+    unknown = sorted(set(value) - set(allowed))
+    if unknown:
+        raise InputError(f"{what} has unknown fields {unknown}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise InputError(f"{what} needs the fields {missing}")
+    return value
+
+
 def _number(value, what: str) -> float:
-    """A finite JSON number; booleans and numeric strings are rejected."""
-    # the comparison is also false for nan and for integers beyond float range
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) < math.inf:
-        raise InputError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    """A finite JSON number; booleans, numeric strings and integers beyond
+    float range are rejected."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # math.isfinite of an integer beyond float range
+        pass
+    raise InputError(f"{what} must be a finite number, got {value!r}")
 
 
 def _integer(value, what: str) -> int:
@@ -104,8 +127,7 @@ def _real_rows(rows, what: str) -> np.ndarray:
 
 
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
-    if not isinstance(obj, dict) or "re" not in obj:
-        raise InputError(f"{what} must be an object with 're' (and optional 'im') arrays")
+    obj = _object(obj, what, ("re", "im"), ("re",))
     re = _real_rows(obj["re"], f"{what}.re")
     im = _real_rows(obj["im"], f"{what}.im") if "im" in obj else np.zeros_like(re)
     if re.shape != im.shape:
@@ -114,19 +136,8 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
 
 
 def tolerances_from_json(obj) -> Tolerances:
-    if obj is None:
-        return Tolerances()
-    if not isinstance(obj, dict):
-        raise InputError("'tol' must be an object")
-    known = {f.name for f in fields(Tolerances)}
-    extra = set(obj) - known
-    if extra:
-        raise InputError(f"unknown tolerance fields {sorted(extra)}")
-    values = {name: _number(value, f"tol.{name}") for name, value in obj.items()}
-    try:
-        return Tolerances(**values)
-    except ValueError as exc:
-        raise InputError(f"tol: {exc}") from exc
+    values = _object(obj, "tol", [f.name for f in fields(Tolerances)])
+    return Tolerances(**{name: _number(value, f"tol.{name}") for name, value in values.items()})
 
 
 def catalog_spec_from_json(obj) -> CatalogSpec:
@@ -135,13 +146,9 @@ def catalog_spec_from_json(obj) -> CatalogSpec:
     Fields are checked for type, not coerced; an absent field takes its
     default, and a present one must hold a value of its type.
     """
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise InputError("'catalog' must be an object with a 'family' field")
+    obj = _object(obj, "catalog", ("family", "n", "d", "seed", "params"), ("family",))
     sizes = {k: _integer(obj[k], f"catalog.{k}") for k in ("n", "d", "seed") if k in obj}
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise InputError("catalog.params must be an object")
-    params = dict(params)
+    params = dict(_object(obj.get("params", {}), "catalog.params", ("ranks", "angle")))
     if "ranks" in params:
         ranks = params["ranks"]
         if not isinstance(ranks, list):
@@ -149,66 +156,59 @@ def catalog_spec_from_json(obj) -> CatalogSpec:
         params["ranks"] = [_integer(r, "catalog.params.ranks entry") for r in ranks]
     if "angle" in params:
         params["angle"] = _number(params["angle"], "catalog.params.angle")
-    try:
-        return CatalogSpec(family=obj["family"], params=params, **sizes)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return CatalogSpec(family=obj["family"], params=params, **sizes)
 
 
-def load_document(path: str) -> dict:
+def load_document(path: str) -> tuple[object, str]:
+    """The parsed JSON of the file ``path`` and the SHA-256 digest of its bytes."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(raw)
+        return json.loads(raw), hashlib.sha256(raw).hexdigest()
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: top level must be a JSON object")
-    doc["_digest"] = hashlib.sha256(raw).hexdigest()
-    doc["_path"] = path
-    return doc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits or too deep
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def channel_from_document(doc: dict, args=None) -> tuple[KrausSet, np.ndarray | None]:
-    """Build the Kraus set and optional reference state from a parsed document."""
-    has_kraus = "kraus" in doc
-    has_catalog = "catalog" in doc
-    if has_kraus == has_catalog:
-        raise InputError("document must contain exactly one of 'kraus' or 'catalog'")
-    tol = tolerances_from_json(doc.get("tol"))
-    if args is not None:
-        overrides = {"rank_rel_tol": args.tol_rank, "residual_tol": args.tol_residual}
-        tol = replace(tol, **{k: v for k, v in overrides.items() if v is not None})
-    if has_kraus:
-        dim = doc.get("dim")
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            raise InputError("'dim' must be a positive integer")
-        if not isinstance(doc["kraus"], list) or not doc["kraus"]:
-            raise InputError("'kraus' must be a non-empty list of matrices")
-        mats = [matrix_from_json(m, f"kraus[{i}]") for i, m in enumerate(doc["kraus"])]
-        for i, m in enumerate(mats):
-            if m.shape != (dim, dim):
-                raise InputError(f"kraus[{i}] has shape {m.shape}, expected ({dim}, {dim})")
-        try:
-            kraus = KrausSet(np.stack(mats), tol=tol)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+def channel_from_document(doc, args=None) -> tuple[KrausSet, np.ndarray | None]:
+    """Build the Kraus set and optional reference state from a parsed document.
+
+    This is where input is read: a ``ValueError`` raised here, by a reader or
+    by the library checking what it was given, is an :class:`InputError`.
+    """
+    if not isinstance(doc, dict) or ("kraus" in doc) == ("catalog" in doc):
+        raise InputError("document must be an object with exactly one of 'kraus' or 'catalog'")
+    if "kraus" in doc:
+        _object(doc, "document", ("dim", "kraus", "catalog_echo", "state", "tol"), ("dim",))
     else:
-        spec = catalog_spec_from_json(doc["catalog"])
-        try:
-            kraus = build_catalog(spec, tol=tol)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    state = None
-    if "state" in doc:
-        state = matrix_from_json(doc["state"], "state")
-        if state.shape != (kraus.dim, kraus.dim):
-            raise InputError(f"state has shape {state.shape}, expected ({kraus.dim}, {kraus.dim})")
+        _object(doc, "document", ("catalog", "state", "tol"))
+    try:
+        tol = tolerances_from_json(doc.get("tol", {}))
+        if args is not None:
+            overrides = {"rank_rel_tol": args.tol_rank, "residual_tol": args.tol_residual}
+            tol = replace(tol, **{k: v for k, v in overrides.items() if v is not None})
+        if "kraus" in doc:
+            dim = _integer(doc["dim"], "dim")
+            if not isinstance(doc["kraus"], list) or not doc["kraus"]:
+                raise InputError("'kraus' must be a non-empty list of matrices")
+            mats = [matrix_from_json(m, f"kraus[{i}]") for i, m in enumerate(doc["kraus"])]
+            for i, m in enumerate(mats):
+                if m.shape != (dim, dim):
+                    raise InputError(f"kraus[{i}] has shape {m.shape}, but 'dim' is {dim}")
+            kraus = KrausSet(np.stack(mats), tol=tol)
+        else:
+            kraus = build_catalog(catalog_spec_from_json(doc["catalog"]), tol=tol)
+        state = None
+        if "state" in doc:
+            state = check_state(kraus, matrix_from_json(doc["state"], "state"))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     return kraus, state
 
 
@@ -223,13 +223,9 @@ def channel_to_document(kraus: KrausSet, state=None) -> dict:
     return doc
 
 
-def _report(doc: dict, args, payload: dict) -> dict:
-    return {
-        "command": " ".join(args._argv),
-        "version": __version__,
-        "input_digest": doc.get("_digest", ""),
-        "payload": payload,
-    }
+def _header(digest: str, args) -> dict:
+    """The fields every JSON and CSV report starts with."""
+    return {"command": " ".join(args._argv), "version": __version__, "input_digest": digest}
 
 
 def _write(text: str, out: str | None) -> None:
@@ -272,44 +268,36 @@ def _emit_json(obj: dict, out: str | None) -> None:
     _write("".join([*_json_chunks(obj), "\n"]), out)
 
 
-def _emit_csv(header: list[str], rows, doc: dict, args) -> None:
-    buf = io.StringIO()
-    buf.write(f"# command: {' '.join(args._argv)}\n")
-    buf.write(f"# version: {__version__}\n")
-    buf.write(f"# input_digest: {doc.get('_digest', '')}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    _write(buf.getvalue(), args.out)
+def _emit_csv(columns: list[str], rows, digest: str, args) -> None:
+    """A CSV report of int and float rows; floats are written by their repr."""
+    lines = [f"# {key}: {value}" for key, value in _header(digest, args).items()]
+    lines += [",".join(columns)] + [",".join(map(repr, row)) for row in rows]
+    _write("".join(line + "\n" for line in lines), args.out)
 
 
-def _load_channel(args) -> tuple[dict, KrausSet, np.ndarray | None]:
-    """Document, minimal Kraus set and optional state of ``args.channel``."""
-    doc = load_document(args.channel)
+def _load_channel(args) -> tuple[str, KrausSet, np.ndarray]:
+    """Input digest, minimal Kraus set and reference state of ``args.channel``.
+
+    The state is maximally mixed when the document has none.
+    """
+    doc, digest = load_document(args.channel)
     kraus, state = channel_from_document(doc, args)
-    return doc, minimal_kraus(kraus), state
+    if state is None:
+        state = np.eye(kraus.dim) / kraus.dim
+    return digest, minimal_kraus(kraus), state
 
 
 def _load_observable(path: str, dim: int) -> np.ndarray:
     """The ``dim``-square ``matrix`` field of an observable document."""
-    doc = load_document(path)
-    if "matrix" not in doc:
-        raise InputError(f"{path}: observable document needs a 'matrix' field")
-    a = matrix_from_json(doc["matrix"], "observable")
+    doc, _ = load_document(path)
+    a = matrix_from_json(_object(doc, path, ("matrix",), ("matrix",))["matrix"], f"{path} matrix")
     if a.shape != (dim, dim):
         raise InputError(f"{path}: observable has shape {a.shape}, expected ({dim}, {dim})")
     return a
 
 
-def _default_state(kraus: KrausSet, state: np.ndarray | None) -> np.ndarray:
-    if state is not None:
-        return state
-    return np.eye(kraus.dim) / kraus.dim
-
-
 def cmd_validate(args) -> int:
-    doc = load_document(args.channel)
+    doc, _ = load_document(args.channel)
     kraus, state = channel_from_document(doc, args)
     report = validate(kraus)
     print(f"unitality_residual = {report.unitality_residual!r}")
@@ -336,27 +324,27 @@ def _split_rows(system: SubproductSystem, top: int) -> list[tuple[int, int, floa
 
 
 def cmd_dims(args) -> int:
-    doc, kraus, _ = _load_channel(args)
+    digest, kraus, _ = _load_channel(args)
     system = build_subproduct(kraus, args.max_m)
     worst = [0.0] * (args.max_m + 1)
     for m, l, residual in _split_rows(system, args.max_m):
         worst[m + l] = max(worst[m + l], residual)
     rows = [(m, system.dims[m], worst[m]) for m in range(1, args.max_m + 1)]
-    _emit_csv(["m", "d_m", "subproduct_residual_max"], rows, doc, args)
+    _emit_csv(["m", "d_m", "subproduct_residual_max"], rows, digest, args)
     return 0
 
 
 def cmd_subproduct_check(args) -> int:
-    doc, kraus, _ = _load_channel(args)
+    digest, kraus, _ = _load_channel(args)
     system = build_subproduct(kraus, args.max_m)
     rows = _split_rows(system, args.max_m)
     worst = max((residual for _, _, residual in rows), default=0.0)
-    _emit_csv(["m", "l", "residual"], rows, doc, args)
+    _emit_csv(["m", "l", "residual"], rows, digest, args)
     return 0 if worst <= kraus.tol.residual_tol else 1
 
 
 def cmd_dilate(args) -> int:
-    doc, kraus, _ = _load_channel(args)
+    digest, kraus, _ = _load_channel(args)
     d = kraus.dim
     w = unitary_dilation(kraus).unitary
     eye = np.eye(d * kraus.size)
@@ -388,7 +376,7 @@ def cmd_dilate(args) -> int:
         "unitary": {"unitarity_residual": unitarity, "compression_residual": probe_gap},
         "levels": levels,
     }
-    report = _report(doc, args, payload)
+    report = {**_header(digest, args), "payload": payload}
     if args.out:
         report["payload"]["unitary"]["matrix"] = matrix_to_json(w)
     _emit_json(report, args.out)
@@ -397,13 +385,9 @@ def cmd_dilate(args) -> int:
 
 
 def cmd_complementary(args) -> int:
-    doc, kraus, state = _load_channel(args)
-    rho = _default_state(kraus, state)
-    try:
-        by_sum = complementary_state(kraus, rho)
-        by_dilation = complementary_state_via_dilation(kraus, rho)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    digest, kraus, state = _load_channel(args)
+    by_sum = complementary_state(kraus, state)
+    by_dilation = complementary_state_via_dilation(kraus, state)
     agreement = operator_norm(by_sum - by_dilation)
     eigs = np.linalg.eigvalsh((by_sum + by_sum.conj().T) / 2.0)
     payload = {
@@ -412,16 +396,16 @@ def cmd_complementary(args) -> int:
         "trace": float(np.trace(by_sum).real),
         "min_eigenvalue": float(eigs[0]),
     }
-    _emit_json(_report(doc, args, payload), args.out)
+    _emit_json({**_header(digest, args), "payload": payload}, args.out)
     return 0 if agreement <= kraus.tol.residual_tol else 1
 
 
 def cmd_dequantize(args) -> int:
-    doc, kraus, state = _load_channel(args)
+    digest, kraus, state = _load_channel(args)
     a = _load_observable(args.observable, kraus.dim)
     m = args.level
     system = build_subproduct(kraus, m)
-    spec = state_spec(kraus, _default_state(kraus, state))
+    spec = state_spec(kraus, state)
     corr = correlations(kraus, system, spec, m)
     psi = dequantize(kraus, system, corr, a, m)
     unital = dequantize(kraus, system, corr, np.eye(kraus.dim), m)
@@ -434,15 +418,15 @@ def cmd_dequantize(args) -> int:
         "hermiticity_residual": operator_norm(psi - psi.conj().T),
         "symmetry_residuals": {str(lv): list(symmetry[lv]) for lv in sorted(symmetry)},
     }
-    _emit_json(_report(doc, args, payload), args.out)
+    _emit_json({**_header(digest, args), "payload": payload}, args.out)
     return 0
 
 
 def cmd_converge(args) -> int:
-    doc, kraus, state = _load_channel(args)
+    digest, kraus, state = _load_channel(args)
     mats = [_load_observable(path, kraus.dim) for path in args.observables]
     system = build_subproduct(kraus, args.max_m)
-    spec = state_spec(kraus, _default_state(kraus, state))
+    spec = state_spec(kraus, state)
     # rows for the levels below the first singular one, then that level's error
     levels, singular = {}, None
     for m in range(1, args.max_m + 1):
@@ -454,25 +438,20 @@ def cmd_converge(args) -> int:
     if levels:
         corr = CorrelationData(state=spec, base=levels[1].matrix, levels=levels)
         report = convergence_report(kraus, system, corr, mats[0], mats[1], len(levels))
-        _emit_csv(["m", *ConvergenceReport._COLUMNS], report.rows(), doc, args)
+        _emit_csv(["m", *ConvergenceReport._COLUMNS], report.rows(), digest, args)
     if singular is not None:
         raise singular
     return 0
 
 
 def cmd_catalog(args) -> int:
-    params = {}
-    if args.angle is not None:
-        params["angle"] = args.angle
-    try:
-        if args.ranks:
-            params["ranks"] = [int(r) for r in args.ranks.split(",")]
-        spec = CatalogSpec(family=args.family, n=args.n, d=args.d, seed=args.seed, params=params)
-        kraus = build_catalog(spec)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    flags = vars(args)
+    catalog = {key: flags[key] for key in ("family", "n", "d", "seed") if flags[key] is not None}
+    catalog["params"] = {key: flags[key] for key in ("ranks", "angle") if flags[key] is not None}
+    # read as a document is, so a bad flag is an input error
+    kraus, _ = channel_from_document({"catalog": catalog})
     doc = channel_to_document(kraus)
-    doc["catalog_echo"] = asdict(spec)
+    doc["catalog_echo"] = asdict(catalog_spec_from_json(catalog))
     _emit_json(doc, args.out)
     return 0
 
@@ -482,6 +461,10 @@ def _tolerance(text: str) -> float:
     if not (np.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
     return value
+
+
+def _ranks(text: str) -> list[int]:
+    return [int(r) for r in text.split(",")]
 
 
 def _level(text: str) -> int:
@@ -545,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ranks", default=None, help="comma-separated projection ranks")
+    p.add_argument("--ranks", type=_ranks, default=None, help="comma-separated projection ranks")
     p.add_argument("--angle", type=float, default=None, help="rotation angle (sequential family)")
     p.set_defaults(func=cmd_catalog)
 

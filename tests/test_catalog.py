@@ -125,6 +125,12 @@ class TestDispatcher:
         with pytest.raises(ValueError, match="ranks"):
             build_catalog(CatalogSpec("projective", n=2, d=3))
 
+    def test_projective_n_must_count_the_ranks(self):
+        ranks = {"ranks": [1, 2]}
+        assert build_catalog(CatalogSpec("projective", n=2, d=3, params=ranks)).size == 2
+        with pytest.raises(ValueError, match="'n'=5"):
+            build_catalog(CatalogSpec("projective", n=5, d=3, params=ranks))
+
     def test_identity_and_unitary(self):
         assert np.array_equal(
             build_catalog(CatalogSpec("identity", d=3)).ops[0], np.eye(3)

@@ -134,7 +134,7 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         code, _, _ = run(capsys, "validate", str(path), "--minimalize")
         assert code == 0
-        kraus, state = channel_from_document(load_document(str(path)))
+        kraus, state = channel_from_document(load_document(str(path))[0])
         assert kraus.size == 1
         assert np.array_equal(state, rho)
 
@@ -166,11 +166,11 @@ class TestCatalogCommand:
             "--seed", "3", "--out", str(out_path))
         from krausfock.cli import channel_from_document, channel_to_document, load_document
 
-        doc = load_document(str(out_path))
+        doc, _ = load_document(str(out_path))
         kraus, _ = channel_from_document(doc)
         text_again = json.dumps(channel_to_document(kraus), sort_keys=True, indent=2) + "\n"
         doc2 = json.loads(text_again)
-        kraus2, _ = channel_from_document({**doc2, "_digest": "", "_path": ""})
+        kraus2, _ = channel_from_document(doc2)
         assert np.array_equal(kraus.ops, kraus2.ops)
 
 
@@ -352,6 +352,15 @@ class TestConverge:
         assert rows == [line for line in below.splitlines() if line[:1].isdigit()]
 
 
+NON_UNITAL = {
+    "dim": 2,
+    "kraus": [{"re": [[2**-0.5, 0.0], [0.0, 0.0]]}, {"re": [[0.5**1.5, 0.5**1.5]] * 2}],
+}
+NON_PSD_STATE = {
+    "catalog": {"family": "projective", "d": 2},
+    "state": {"re": [[1.5, 0.0], [0.0, -0.5]]},
+}
+
 MALFORMED = {
     "ragged-kraus-matrix": ({"dim": 2, "kraus": [{"re": [[1.0, 0.0], [0.0]]}]}, "kraus[0].re"),
     "string-tolerance": (
@@ -388,6 +397,30 @@ MALFORMED = {
     ),
     "seed-on-identity": ({"catalog": {"family": "identity", "d": 3, "seed": 1}}, "'seed'"),
     "oversized-identity": ({"catalog": {"family": "identity", "d": 100_000_000}}, "d=100000000"),
+    "tolerance-beyond-float-range": (
+        {"catalog": {"family": "projective", "d": 3}, "tol": {"rank_rel_tol": 10**400}},
+        "tol.rank_rel_tol",
+    ),
+    "kraus-entry-beyond-float-range": ({"dim": 1, "kraus": [{"re": [[10**400]]}]}, "kraus[0].re"),
+    "angle-beyond-float-range": (
+        {"catalog": {"family": "sequential_projective", "d": 4, "params": {"angle": 10**400}}},
+        "catalog.params.angle",
+    ),
+    "projective-n-other-than-ranks": (
+        {"catalog": {"family": "projective", "n": 5, "d": 3, "params": {"ranks": [1, 2]}}},
+        "'n'",
+    ),
+    "imag-in-kraus-matrix": ({"dim": 1, "kraus": [{"re": [[1.0]], "imag": [[0.0]]}]}, "'imag'"),
+    "stat-at-top-level": (
+        {"catalog": {"family": "projective", "d": 3}, "stat": {"re": np.eye(3).tolist()}},
+        "'stat'",
+    ),
+    "sead-in-catalog": (
+        {"catalog": {"family": "random_unital", "n": 2, "d": 3, "sead": 4}},
+        "'sead'",
+    ),
+    "dim-on-catalog-document": ({"dim": 3, "catalog": {"family": "projective", "d": 3}}, "'dim'"),
+    "non-psd-state": (NON_PSD_STATE, "state is not positive"),
 }
 
 
@@ -525,6 +558,65 @@ class TestMalformedInput:
         code, _, err = run(capsys, "dequantize", chan, "--observable", obs, "--level", "1")
         assert code == 2
         assert obs in err and "expected (3, 3)" in err
+
+    def test_observable_extra_field_names_the_file(self, tmp_path, capsys):
+        chan = make_catalog_doc(tmp_path, family="projective", d=3)
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps({"matrix": {"re": np.eye(3).tolist()}, "label": "x"}))
+        code, _, err = run(capsys, "dequantize", chan, "--observable", str(obs), "--level", "1")
+        assert code == 2
+        assert str(obs) in err and "'label'" in err
+
+    @pytest.mark.parametrize("which", ["channel", "observable"])
+    @pytest.mark.parametrize("raw", [b'{"matrix": "\xff"}', b"[" * 100_000], ids=["utf8", "deep"])
+    def test_unreadable_json_names_the_file(self, tmp_path, capsys, which, raw):
+        # bytes that are not UTF-8, and nesting past the parser's recursion limit
+        paths = {
+            "channel": make_catalog_doc(tmp_path, family="projective", d=3),
+            "observable": make_observable(tmp_path, np.eye(3)),
+        }
+        Path(paths[which]).write_bytes(raw)
+        argv = ["dequantize", paths["channel"], "--observable", paths["observable"], "--level", "1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert paths[which] in err
+        assert "Traceback" not in err
+
+
+class TestExitCodes:
+    """Exit 2 is decided while input is read; a failure after that exits 1."""
+
+    COMMANDS = {
+        "dims": ["dims", "{chan}", "--max-m", "2"],
+        "dilate": ["dilate", "{chan}", "--max-m", "2"],
+        "complementary": ["complementary", "{chan}"],
+        "dequantize": ["dequantize", "{chan}", "--observable", "{a}", "--level", "1"],
+        "converge": ["converge", "{chan}", "--observables", "{a}", "{b}", "--max-m", "2"],
+    }
+
+    def argv(self, tmp_path, command, doc):
+        chan = tmp_path / "chan.json"
+        chan.write_text(json.dumps(doc))
+        files = {
+            "chan": str(chan),
+            "a": make_observable(tmp_path, np.diag([1.0, -1.0]), name="a.json"),
+            "b": make_observable(tmp_path, np.array([[0.0, 1.0], [1.0, 0.0]]), name="b.json"),
+        }
+        return [arg.format(**files) for arg in self.COMMANDS[command]]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_non_unital_channel_exits_1(self, tmp_path, capsys, command):
+        code, _, err = run(capsys, *self.argv(tmp_path, command, NON_UNITAL))
+        assert code == 1
+        assert "not unital" in err
+
+    @pytest.mark.parametrize("command", ["complementary", "dequantize", "converge"])
+    def test_non_psd_state_exits_2(self, tmp_path, capsys, command):
+        code, out, err = run(capsys, *self.argv(tmp_path, command, NON_PSD_STATE))
+        assert code == 2
+        assert out == ""
+        assert "state is not positive" in err
 
 
 class TestReportWriter:

@@ -7,11 +7,16 @@ levels stay at ``m <= 5`` for ``n <= 3`` and ``m <= 4`` for ``n = 4``, so
 the oracles stay cheap.
 """
 
+import contextlib
+import copy
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krausfock import (
@@ -33,7 +38,7 @@ from krausfock import (
     state_spec,
     subproduct_residual,
 )
-from krausfock.cli import _json_chunks, channel_from_document, channel_to_document
+from krausfock.cli import _json_chunks, channel_from_document, channel_to_document, main
 from conftest import (
     dense_level_basis,
     full_levels,
@@ -210,3 +215,60 @@ JSON_DOCUMENTS = st.recursive(
 @given(JSON_DOCUMENTS)
 def test_report_writer_matches_json_dumps(doc):
     assert "".join(_json_chunks(doc)) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+VALID_DOCUMENTS = [
+    {
+        **channel_to_document(projective_measurement(3, [1, 2]), np.diag([0.25, 0.25, 0.5])),
+        "catalog_echo": {"family": "projective", "d": 3},
+    },
+    {
+        "catalog": {"family": "sequential_projective", "d": 2, "seed": 1, "params": {"angle": 0.4}},
+        "tol": {"rank_rel_tol": 1e-9},
+        "state": {"re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.1], [-0.1, 0.0]]},
+    },
+    {"catalog": {"family": "projective", "n": 2, "d": 3, "params": {"ranks": [1, 2]}}},
+]
+
+
+def _paths(node, prefix=()):
+    """Every key and index path into a JSON value."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+SITES = [(i, path) for i, doc in enumerate(VALID_DOCUMENTS) for path in _paths(doc)]
+DROP, RENAME = "drop", "rename"
+MUTATIONS = [DROP, RENAME, "x", None, [], 10**400, math.nan]
+COMMANDS = [["validate"], ["dims", "--max-m", "2"], ["complementary"]]
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(SITES), st.sampled_from(MUTATIONS), st.sampled_from(COMMANDS))
+@example((1, ("tol", "rank_rel_tol")), 10**400, ["dims", "--max-m", "2"])
+def test_mutated_document_exits_0_1_or_2(site, mutation, command):
+    """Drop or rename a key, or replace a value: the CLI exits 0, 1 or 2, never raises."""
+    index, (*route, last) = site
+    doc = copy.deepcopy(VALID_DOCUMENTS[index])
+    parent = doc
+    for key in route:
+        parent = parent[key]
+    if mutation == DROP:
+        del parent[last]
+    elif mutation == RENAME and isinstance(parent, dict):
+        parent[last + "_"] = parent.pop(last)
+    else:  # a list index cannot be renamed, so that item becomes the string "rename"
+        parent[last] = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chan.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main([command[0], path, *command[1:]])
+    assert code in (0, 1, 2)
