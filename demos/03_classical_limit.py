@@ -34,11 +34,11 @@ spec = state_spec(kraus, np.eye(3) / 3)
 corr = correlations(kraus, system, spec, MAX_LEVEL)
 a = np.diag([1.0, -0.5, 2.0])
 b = np.diag([0.5, 1.5, -1.0])
-report = convergence_report(kraus, system, corr, a, b, MAX_LEVEL)
+report = convergence_report(corr, a, b, MAX_LEVEL)
 print("multiplicativity defect per level:",
       " ".join(f"{x:.1e}" for x in report.vn_residual))
 print("identity shadow defect:",
-      f"{operator_norm(dequantize(kraus, system, corr, np.eye(3), MAX_LEVEL) - np.eye(3)):.1e}")
+      f"{operator_norm(dequantize(corr, np.eye(3), MAX_LEVEL) - np.eye(3)):.1e}")
 print("state recovered from the level pairing:",
       " ".join(f"{x:.1e}" for x in report.limit_state_gap))
 
@@ -50,10 +50,10 @@ spec = state_spec(kraus, np.eye(12) / 12)
 corr = correlations(kraus, system, spec, MAX_LEVEL)
 a = kraus.ops[0].conj().T @ kraus.ops[0] - kraus.ops[1].conj().T @ kraus.ops[1]
 b = kraus.ops[0].conj().T @ kraus.ops[1] + kraus.ops[1].conj().T @ kraus.ops[0]
-report = convergence_report(kraus, system, corr, a, b, MAX_LEVEL)
+report = convergence_report(corr, a, b, MAX_LEVEL)
 print("level dimensions:", system.dims[1:])
 print("correlation symmetry defect (first residual) per level:")
-symmetry = phi_symmetry_residual(corr, system, MAX_LEVEL)
+symmetry = phi_symmetry_residual(corr, MAX_LEVEL)
 print("   ", " ".join(f"{symmetry[m][0]:.2e}" for m in range(1, MAX_LEVEL + 1)))
 print("norm gap |  |shadow| - |A|  | per level:")
 print("   ", " ".join(f"{x:.3f}" for x in report.norm_gap))

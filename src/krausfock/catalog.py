@@ -3,12 +3,15 @@
 Every constructor is a pure function of its parameters (including the
 seed), produces exactly unital Kraus families, and is used by both the
 test suite and the command line front end.  ``PARAMETERS`` lists what each
-family reads; a spec that sets anything else is rejected.
+family reads; a spec that sets anything else is rejected, and so is a
+parameter of the wrong type or range: nothing is rounded, parsed or cast
+from ``bool``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Any
 
 import numpy as np
@@ -41,6 +44,11 @@ FAMILIES = tuple(PARAMETERS)
 MAX_ENTRIES = 2**24  # 256 MiB of complex128 Kraus entries
 
 
+def _is_integer(value) -> bool:
+    """Python or numpy integer, not a ``bool``."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CatalogSpec:
     """Family name and the parameters given for one instance (``None``: not given)."""
@@ -59,6 +67,21 @@ class CatalogSpec:
         for name in given + list(self.params):
             if name not in reads:
                 raise ValueError(f"family {self.family!r} does not use parameter {name!r}")
+        for name, least in (("n", 1), ("d", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if value is not None:
+                if not (_is_integer(value) and value >= least):
+                    raise ValueError(
+                        f"parameter {name!r} must be an integer of at least {least}, got {value!r}"
+                    )
+                # a Python int, so size products cannot wrap around as numpy integers do
+                object.__setattr__(self, name, int(value))
+        angle = self.params.get("angle", 0.0)
+        if isinstance(angle, bool) or not isinstance(angle, Real):
+            raise ValueError(f"parameter 'angle' must be a real number, got {angle!r}")
+        ranks = self.params.get("ranks", [])
+        if not (isinstance(ranks, list) and all(_is_integer(r) for r in ranks)):
+            raise ValueError(f"parameter 'ranks' must be a list of integers, got {ranks!r}")
         if self.seed is None and "seed" in reads:
             object.__setattr__(self, "seed", 0)
 
@@ -79,7 +102,6 @@ def unitary_channel(d: int, seed: int = 0, tol: Tolerances | None = None) -> Kra
 
 def projective_measurement(d: int, ranks, tol: Tolerances | None = None) -> KrausSet:
     """Measurement channel from orthogonal projections onto coordinate blocks."""
-    ranks = [int(r) for r in ranks]
     if any(r < 1 for r in ranks):
         raise ValueError("projection ranks must be positive")
     if sum(ranks) != d:
@@ -193,15 +215,11 @@ def build_catalog(spec: CatalogSpec, tol: Tolerances | None = None) -> KrausSet:
         return commuting_generic(n, d, seed=spec.seed, tol=tol)
     if family == "random_unital":
         return random_unital(n, d, seed=spec.seed, tol=tol)
-    angle = float(spec.params.get("angle", np.pi / 4))
-    return sequential_projective(d, angle, seed=spec.seed, tol=tol)
+    return sequential_projective(d, spec.params.get("angle", np.pi / 4), seed=spec.seed, tol=tol)
 
 
 def _require(spec: CatalogSpec, name: str) -> int:
     value = getattr(spec, name)
     if value is None:
         raise ValueError(f"family {spec.family!r} needs parameter {name!r}")
-    value = int(value)
-    if value < 1:
-        raise ValueError(f"family {spec.family!r} needs a positive {name!r}, got {value}")
     return value

@@ -407,10 +407,10 @@ def cmd_dequantize(args) -> int:
     system = build_subproduct(kraus, m)
     spec = state_spec(kraus, state)
     corr = correlations(kraus, system, spec, m)
-    psi = dequantize(kraus, system, corr, a, m)
-    unital = dequantize(kraus, system, corr, np.eye(kraus.dim), m)
+    psi = dequantize(corr, a, m)
+    unital = dequantize(corr, np.eye(kraus.dim), m)
     dm = system.dims[m]
-    symmetry = phi_symmetry_residual(corr, system, m)
+    symmetry = phi_symmetry_residual(corr, m)
     payload = {
         "level": m,
         "matrix": matrix_to_json(psi),
@@ -436,8 +436,8 @@ def cmd_converge(args) -> int:
             singular = exc
             break
     if levels:
-        corr = CorrelationData(state=spec, base=levels[1].matrix, levels=levels)
-        report = convergence_report(kraus, system, corr, mats[0], mats[1], len(levels))
+        corr = CorrelationData(kraus, system, spec, levels)
+        report = convergence_report(corr, mats[0], mats[1], len(levels))
         _emit_csv(["m", *ConvergenceReport._COLUMNS], report.rows(), digest, args)
     if singular is not None:
         raise singular

@@ -7,6 +7,11 @@ dequantization carries a system observable ``A`` to the level-``m``
 operator built from the weighted pairings ``Tr(rho0 K_wk† K_wj A)``; its
 unitality, multiplicativity defects and state gaps over increasing ``m``
 quantify how fast the levels turn into a classical picture of the channel.
+
+A :class:`CorrelationData` holds the Kraus family, level spaces and
+reference state it was built from, so :func:`dequantize`,
+:func:`phi_symmetry_residual` and :func:`convergence_report` take only the
+correlation data and read the rest from it.
 """
 
 from __future__ import annotations
@@ -63,22 +68,32 @@ def state_spec(kraus: KrausSet, rho0) -> StateSpec:
 
 @dataclass(eq=False)
 class LevelCorrelation:
-    """Normalized level correlation matrix, its inverse and traces."""
+    """Normalized level correlation matrix, its inverse, trace and scale."""
 
     matrix: np.ndarray
     inverse: np.ndarray
     trace: float
-    inv_trace: float
     scale: float
+
+    @property
+    def inv_trace(self) -> float:
+        """Trace of the stored inverse, equal to ``trace`` by the normalization."""
+        return float(np.trace(self.inverse).real)
 
 
 @dataclass(eq=False)
 class CorrelationData:
-    """Level-one matrix and per-level correlation matrices."""
+    """Correlation levels and the Kraus family, level spaces and state they come from."""
 
+    kraus: KrausSet
+    system: SubproductSystem
     state: StateSpec
-    base: np.ndarray
-    levels: dict[int, LevelCorrelation] = field(default_factory=dict)
+    levels: dict[int, LevelCorrelation]
+
+    @property
+    def base(self) -> np.ndarray:
+        """The level-one correlation matrix."""
+        return self.levels[1].matrix
 
 
 def _pairing(gens: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -105,13 +120,11 @@ def correlation_matrix(
     raw = (raw + raw.conj().T) / 2.0
     inv = psd_inverse(raw, kraus.tol, label=f"level-{m} correlation matrix")
     tr = float(np.trace(raw).real)
-    tr_inv = float(np.trace(inv).real)
-    scale = float(np.sqrt(tr_inv / tr))
+    scale = float(np.sqrt(np.trace(inv).real / tr))
     return LevelCorrelation(
         matrix=scale * raw,
         inverse=inv / scale,
         trace=scale * tr,
-        inv_trace=tr_inv / scale,
         scale=scale,
     )
 
@@ -119,16 +132,19 @@ def correlation_matrix(
 def correlations(
     kraus: KrausSet, system: SubproductSystem, state: StateSpec, max_level: int
 ) -> CorrelationData:
-    """Build correlation levels ``1..max_level``."""
+    """Build correlation levels ``1..max_level``.
+
+    The result keeps ``kraus``, ``system`` and ``state`` for the functions
+    that read it, so this is the one place where the three must be given
+    consistently: ``system`` built from ``kraus``, ``state`` checked against it.
+    """
     if max_level < 1:
         raise ValueError("need at least one correlation level")
     levels = {m: correlation_matrix(kraus, system, state, m) for m in range(1, max_level + 1)}
-    return CorrelationData(state=state, base=levels[1].matrix, levels=levels)
+    return CorrelationData(kraus, system, state, levels)
 
 
-def phi_symmetry_residual(
-    corr: CorrelationData, system: SubproductSystem, m: int
-) -> dict[int, tuple[float, float]]:
+def phi_symmetry_residual(corr: CorrelationData, m: int) -> dict[int, tuple[float, float]]:
     """How far each level matrix is from a compressed tensor power of the base.
 
     Maps each level ``j = 1..m`` to ``r1 = |Q_j - B_j† Q^{⊗j} B_j|`` and
@@ -137,34 +153,34 @@ def phi_symmetry_residual(
     """
     if m not in corr.levels:
         raise ValueError(f"correlation level {m} not built")
-    sweep = power_sweep(system, system, corr.base, m)
+    sweep = power_sweep(corr.system, corr.system, corr.base, m)
     return {
         j: (operator_norm(corr.levels[j].matrix - compressed), r2)
         for j, (compressed, r2) in enumerate(sweep[1:], start=1)
     }
 
 
-def dequantize(
-    kraus: KrausSet, system: SubproductSystem, corr: CorrelationData, a, m: int
-) -> np.ndarray:
+def dequantize(corr: CorrelationData, a, m: int) -> np.ndarray:
     """Time-``m`` dequantization of a system observable.
 
     In level coordinates this is ``M_A @ M^(-1)`` where
     ``M_A = B† [Tr(rho0 K_wk† K_wj A)] B`` is the compressed ``A``-weighted
-    pairing matrix and ``M`` the compressed pairing matrix of the identity.
-    Unitality ``Psi_m(1) = 1`` holds identically.  When the reference state
-    has channel-symmetric correlations and the base correlation matrix is
-    diagonal, this coincides with the weighted sum
+    pairing matrix and ``M`` the compressed pairing matrix of the identity,
+    both over the Kraus family, level spaces and state that ``corr`` was
+    built from.  Unitality ``Psi_m(1) = 1`` holds identically.  When the
+    reference state has channel-symmetric correlations and the base
+    correlation matrix is diagonal, this coincides with the weighted sum
     ``Tr(Q_m) sum_words w(wk) Tr(rho0 K_wk† K_wj A) |B† e_wj><B† e_wk|``
     whose per-word weight ``w(wk)`` is the product, over the letters ``k_i``
     of ``wk``, of the entries of the diagonal of the level-one inverse.
     """
     a = as_matrix(a)
-    if a.shape != (kraus.dim, kraus.dim):
-        raise ValueError(f"observable must be {kraus.dim}x{kraus.dim}, got {a.shape}")
+    dim = corr.kraus.dim
+    if a.shape != (dim, dim):
+        raise ValueError(f"observable must be {dim}x{dim}, got {a.shape}")
     if m not in corr.levels:
         raise ValueError(f"correlation level {m} not built")
-    pairing = _pairing(system.generators(m), a @ corr.state.rho0)
+    pairing = _pairing(corr.system.generators(m), a @ corr.state.rho0)
     level = corr.levels[m]
     return pairing @ (level.inverse * level.scale)
 
@@ -222,11 +238,13 @@ def normal_ordering_residual(
     """Distance of ``K_left K_right†`` from the normally ordered span.
 
     Projects the anti-normally ordered product onto the span of all
-    ``K_wj† K_wk`` with ``|wj| = |wk| <= degree_bound``, which is the span of
-    the level generator products ``G_u† G_v``, and returns the
-    relative least-squares residual (Frobenius).  Zero residual certifies
-    that this word pair can be rewritten in normal order at the given
-    degree bound; products that vanish count as residual zero.
+    ``K_wj† K_wk`` with ``|wj| = |wk| <= degree_bound`` and returns the
+    relative least-squares residual (Frobenius).  For a unital family that
+    is the span of the top-degree generator products ``G_u† G_v`` alone,
+    since ``K_v† K_v' = sum_k (K_k K_v)† (K_k K_v')`` puts every lower
+    degree inside the next one.  Zero residual certifies that this word
+    pair can be rewritten in normal order at the given degree bound;
+    products that vanish count as residual zero.
     """
     left = tuple(int(j) for j in left_word)
     right = tuple(int(j) for j in right_word)
@@ -239,12 +257,9 @@ def normal_ordering_residual(
     scale = np.linalg.norm(target)
     if scale <= 1e-14:
         return 0.0
-    columns = []
-    for mu in range(degree_bound + 1):
-        gens = system.generators(mu)
-        prods = gens.conj().transpose(0, 2, 1)[:, None] @ gens
-        columns.append(prods.reshape(-1, kraus.dim * kraus.dim).T)
-    span = orthonormal_range(np.concatenate(columns, axis=1), kraus.tol)
+    gens = system.generators(degree_bound)
+    prods = gens.conj().transpose(0, 2, 1)[:, None] @ gens
+    span = orthonormal_range(prods.reshape(-1, kraus.dim * kraus.dim).T, kraus.tol)
     residual = target - span @ (span.conj().T @ target)
     return float(np.linalg.norm(residual) / scale)
 
@@ -293,14 +308,7 @@ def trend_verdict(seq, tol: float) -> str:
     return "irregular"
 
 
-def convergence_report(
-    kraus: KrausSet,
-    system: SubproductSystem,
-    corr: CorrelationData,
-    a,
-    b,
-    m_max: int,
-) -> ConvergenceReport:
+def convergence_report(corr: CorrelationData, a, b, m_max: int) -> ConvergenceReport:
     """Evaluate all four diagnostic sequences for levels ``1..m_max``."""
     a = as_matrix(a)
     b = as_matrix(b)
@@ -311,16 +319,16 @@ def convergence_report(
     levels = list(range(1, m_max + 1))
     norm_gap, vn_res, scaled_comm, state_gap = [], [], [], []
     for m in levels:
-        pa = dequantize(kraus, system, corr, a, m)
-        pb = dequantize(kraus, system, corr, b, m)
-        pab = dequantize(kraus, system, corr, ab, m)
+        pa = dequantize(corr, a, m)
+        pb = dequantize(corr, b, m)
+        pab = dequantize(corr, ab, m)
         level = corr.levels[m]
         norm_gap.append(abs(operator_norm(pa) - norm_a))
         vn_res.append(operator_norm(pab - pa @ pb))
         scaled_comm.append(m * operator_norm(pa @ pb - pb @ pa))
         state_gap.append(float(abs(np.trace(level.matrix @ pa) / level.trace - ref)))
 
-    tol = kraus.tol.residual_tol
+    tol = corr.kraus.tol.residual_tol
     report = ConvergenceReport(
         levels=levels,
         norm_gap=norm_gap,

@@ -128,6 +128,23 @@ def residual_oracle(system, m, l):
     return operator_norm(top.conj().T @ (np.eye(split.shape[0]) - split))
 
 
+def normal_ordering_oracle(kraus, system, left, right, degree_bound):
+    """Relative residual of ``K_left K_right†`` against the span of ``G_u† G_v``
+    concatenated over every degree ``0..degree_bound``."""
+    x = kraus_word(kraus, left) @ kraus_word(kraus, right).conj().T
+    target = x.reshape(-1)
+    scale = np.linalg.norm(target)
+    if scale <= 1e-14:
+        return 0.0
+    columns = []
+    for mu in range(degree_bound + 1):
+        gens = system.generators(mu)
+        prods = gens.conj().transpose(0, 2, 1)[:, None] @ gens
+        columns.append(prods.reshape(-1, kraus.dim * kraus.dim).T)
+    span = orthonormal_range(np.concatenate(columns, axis=1), kraus.tol)
+    return float(np.linalg.norm(target - span @ (span.conj().T @ target)) / scale)
+
+
 def fock_rank_one_oracle(kraus, system, corr, a, m):
     """Dequantization reassembled from explicit shift-word rank-1 operators.
 

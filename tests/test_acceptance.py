@@ -251,7 +251,7 @@ def test_c08_correlation_normalization(systems, families):
     worst_q = max(
         operator_norm(corr.levels[m].matrix - np.eye(system.dims[m])) for m in range(1, 7)
     )
-    worst_sym = max(max(pair) for pair in phi_symmetry_residual(corr, system, 6).values())
+    worst_sym = max(max(pair) for pair in phi_symmetry_residual(corr, 6).values())
     check(
         8,
         "correlation normalization",
@@ -266,7 +266,7 @@ def test_c09_dequantization_unitality_and_oracle(systems, families):
     system = systems["projective"]
     corr = correlations(kraus, system, state_spec(kraus, np.eye(3) / 3), 6)
     worst_unital = max(
-        operator_norm(dequantize(kraus, system, corr, np.eye(3), m) - np.eye(system.dims[m]))
+        operator_norm(dequantize(corr, np.eye(3), m) - np.eye(system.dims[m]))
         for m in range(1, 7)
     )
     rng = np.random.default_rng(9)
@@ -277,7 +277,7 @@ def test_c09_dequantization_unitality_and_oracle(systems, families):
         corr = correlations(kraus, system, spec, 4)
         a = random_hermitian(rng, kraus.dim)
         for m in range(1, 5):
-            fast = dequantize(kraus, system, corr, a, m)
+            fast = dequantize(corr, a, m)
             slow = fock_rank_one_oracle(kraus, system, corr, a, m)
             scale = max(1.0, operator_norm(fast))
             worst_oracle = max(worst_oracle, operator_norm(fast - slow) / scale)
@@ -298,7 +298,7 @@ def test_c10_limit_state(systems, families):
     a = random_hermitian(rng, 3)
     worst = 0.0
     for m in range(1, 7):
-        psi = dequantize(kraus, system, corr, a, m)
+        psi = dequantize(corr, a, m)
         level = corr.levels[m]
         value = np.trace(level.matrix @ psi) / level.trace
         worst = max(worst, abs(value - np.trace(spec.rho0 @ a)))
@@ -308,7 +308,7 @@ def test_c10_limit_state(systems, families):
     spec = state_spec(kraus, np.eye(12) / 12)
     corr = correlations(kraus, system, spec, 6)
     a = kraus.ops[0].conj().T @ kraus.ops[0] - kraus.ops[1].conj().T @ kraus.ops[1]
-    report = convergence_report(kraus, system, corr, a, a, 6)
+    report = convergence_report(corr, a, a, 6)
     gap_trend = report.verdicts["limit_state_gap"]
     # the pairing identity makes the gap vanish at every level, the strongest
     # possible form of a decreasing trend; "flat" records exactly that
@@ -329,7 +329,7 @@ def test_c11_strict_quantization_trends(systems, families):
     corr = correlations(kraus, system, spec, 7)
     a = kraus.ops[0].conj().T @ kraus.ops[0] - kraus.ops[1].conj().T @ kraus.ops[1]
     b = kraus.ops[0].conj().T @ kraus.ops[1] + kraus.ops[1].conj().T @ kraus.ops[0]
-    report = convergence_report(kraus, system, corr, a, b, 7)
+    report = convergence_report(corr, a, b, 7)
 
     vn = report.vn_residual[1:]  # m = 2..7
     ng = report.norm_gap[1:]

@@ -152,6 +152,26 @@ class TestDispatcher:
         with pytest.raises(ValueError, match=f"does not use parameter '{unused}'"):
             CatalogSpec(**spec)
 
+    @pytest.mark.parametrize(
+        "spec, name",
+        [
+            (dict(family="random_unital", n=2.7, d=3), "n"),
+            (dict(family="random_unital", n=True, d=3), "n"),
+            (dict(family="random_unital", n=2, d="3"), "d"),
+            (dict(family="random_unital", n=2, d=3, seed=-1), "seed"),
+            (dict(family="sequential_projective", d=4, params={"angle": "0.3"}), "angle"),
+            (dict(family="sequential_projective", d=4, params={"angle": True}), "angle"),
+            (dict(family="projective", d=3, params={"ranks": [1.5, 1.5]}), "ranks"),
+        ],
+    )
+    def test_wrong_type_or_range_is_named(self, spec, name):
+        with pytest.raises(ValueError, match=f"parameter '{name}' must be"):
+            CatalogSpec(**spec)
+
+    def test_numpy_integers_are_accepted(self):
+        spec = CatalogSpec("random_unital", n=np.int64(2), d=np.int32(3), seed=np.uint8(4))
+        assert np.array_equal(build_catalog(spec).ops, random_unital(2, 3, seed=4).ops)
+
     def test_seed_defaults_to_zero_where_read(self):
         assert CatalogSpec("random_unital", n=2, d=3).seed == 0
         assert CatalogSpec("identity", d=3).seed is None

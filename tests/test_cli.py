@@ -381,6 +381,7 @@ MALFORMED = {
         "catalog.seed",
     ),
     "zero-n": ({"catalog": {"family": "random_unital", "n": 0, "d": 3}}, "'n'"),
+    "negative-seed": ({"catalog": {"family": "random_unital", "n": 2, "d": 3, "seed": -1}}, "'seed'"),
     "negative-tolerance": (
         {"catalog": {"family": "projective", "d": 3}, "tol": {"residual_tol": -1.0}},
         "tol",

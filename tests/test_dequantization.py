@@ -14,11 +14,18 @@ from krausfock import (
     operator_norm,
     phi_symmetry_residual,
     random_unital,
+    sequential_projective,
     state_spec,
     trend_verdict,
     uniform_projective,
 )
-from conftest import fock_rank_one_oracle, random_complex, random_hermitian, word_stack
+from conftest import (
+    fock_rank_one_oracle,
+    normal_ordering_oracle,
+    random_complex,
+    random_hermitian,
+    word_stack,
+)
 
 
 def maximally_mixed(dim):
@@ -54,6 +61,13 @@ class TestCorrelations:
         for m in range(1, 7):
             level = corr.levels[m]
             assert operator_norm(level.matrix - np.eye(s.dims[m])) < 1e-10
+
+    def test_keeps_what_it_was_built_from(self, commuting212):
+        s = build_subproduct(commuting212, 2)
+        spec = state_spec(commuting212, maximally_mixed(12))
+        corr = correlations(commuting212, s, spec, 2)
+        assert corr.kraus is commuting212 and corr.system is s and corr.state is spec
+        assert corr.base is corr.levels[1].matrix
 
     def test_level_one_raw_trace_is_one(self, catalog_quartet):
         for k in catalog_quartet.values():
@@ -98,14 +112,14 @@ class TestPhiSymmetry:
             s = build_subproduct(k, 2)
             spec = state_spec(k, maximally_mixed(k.dim))
             corr = correlations(k, s, spec, 2)
-            r1, _ = phi_symmetry_residual(corr, s, 1)[1]
+            r1, _ = phi_symmetry_residual(corr, 1)[1]
             assert r1 < 1e-12
 
     def test_uniform_projective_is_symmetric(self, projective3):
         s = build_subproduct(projective3, 6)
         spec = state_spec(projective3, maximally_mixed(3))
         corr = correlations(projective3, s, spec, 6)
-        residuals = phi_symmetry_residual(corr, s, 6)
+        residuals = phi_symmetry_residual(corr, 6)
         for m in range(1, 7):
             r1, r2 = residuals[m]
             assert r1 < 1e-10
@@ -118,7 +132,7 @@ class TestPhiSymmetry:
         s = build_subproduct(commuting212, 3)
         spec = state_spec(commuting212, maximally_mixed(12))
         corr = correlations(commuting212, s, spec, 3)
-        r1, r2 = phi_symmetry_residual(corr, s, 3)[3]
+        r1, r2 = phi_symmetry_residual(corr, 3)[3]
         assert r1 > 1e-6
         assert r2 < 1e-10
 
@@ -130,7 +144,7 @@ class TestDequantize:
             spec = state_spec(k, maximally_mixed(k.dim))
             corr = correlations(k, s, spec, 5)
             for m in range(1, 6):
-                out = dequantize(k, s, corr, np.eye(k.dim), m)
+                out = dequantize(corr, np.eye(k.dim), m)
                 assert operator_norm(out - np.eye(s.dims[m])) < 1e-8
 
     def test_projective_level_one_closed_form(self, projective3, rng):
@@ -138,7 +152,7 @@ class TestDequantize:
         spec = state_spec(projective3, maximally_mixed(3))
         corr = correlations(projective3, s, spec, 1)
         a = random_hermitian(rng, 3)
-        got = dequantize(projective3, s, corr, a, 1)
+        got = dequantize(corr, a, 1)
         # post-measurement expectations Tr(rho0 P_k A) / Tr(rho0 P_k)
         expected = np.diag(
             [
@@ -157,7 +171,7 @@ class TestDequantize:
         a = random_hermitian(rng, 3)
         expected = sorted(np.trace(p @ a).real for p in projective3.ops)
         for m in range(1, 6):
-            got = dequantize(projective3, s, corr, a, m)
+            got = dequantize(corr, a, m)
             assert operator_norm(got - got.conj().T) < 1e-10
             spectrum = sorted(np.linalg.eigvalsh((got + got.conj().T) / 2))
             assert np.allclose(spectrum, expected, atol=1e-9)
@@ -169,7 +183,7 @@ class TestDequantize:
             corr = correlations(k, s, spec, 3)
             a = random_hermitian(rng, k.dim)
             for m in (1, 2, 3):
-                fast = dequantize(k, s, corr, a, m)
+                fast = dequantize(corr, a, m)
                 slow = fock_rank_one_oracle(k, s, corr, a, m)
                 scale = max(1.0, operator_norm(fast))
                 assert operator_norm(fast - slow) / scale < 1e-9
@@ -198,7 +212,7 @@ class TestDequantize:
             weighted = corr.levels[m].trace * (
                 basis.conj().T @ (pairing * w_vec[None, :]) @ basis
             )
-            fast = dequantize(k, s, corr, a, m)
+            fast = dequantize(corr, a, m)
             assert operator_norm(fast - weighted) < 1e-9
 
     def test_hermitian_on_symmetric_instance(self, projective3, rng):
@@ -206,7 +220,7 @@ class TestDequantize:
         spec = state_spec(projective3, maximally_mixed(3))
         corr = correlations(projective3, s, spec, 4)
         a = random_hermitian(rng, 3)
-        out = dequantize(projective3, s, corr, a, 4)
+        out = dequantize(corr, a, 4)
         assert operator_norm(out - out.conj().T) < 1e-10
 
     def test_requires_built_level(self, projective3):
@@ -214,7 +228,7 @@ class TestDequantize:
         spec = state_spec(projective3, maximally_mixed(3))
         corr = correlations(projective3, s, spec, 2)
         with pytest.raises(ValueError, match="not built"):
-            dequantize(projective3, s, corr, np.eye(3), 3)
+            dequantize(corr, np.eye(3), 3)
 
 
 class TestBalancedWordSum:
@@ -272,6 +286,16 @@ class TestNormalOrdering:
         residual = normal_ordering_residual(random216, s, (0,), (1,), 3)
         assert residual > 1e-3
 
+    def test_top_degree_span_matches_every_degree(self, catalog_quartet):
+        # for a unital family the top-degree products span every lower degree
+        pairs = [((0,), (1,)), ((1, 0), (0, 1)), ((0, 0, 1), (1, 0, 0)), ((0, 1, 1, 0), (1, 0, 0, 1))]
+        for k in [*catalog_quartet.values(), sequential_projective(4, 0.05)]:
+            s = build_subproduct(k, 4)
+            for left, right in pairs:
+                for bound in range(len(left), 5):
+                    got = normal_ordering_residual(k, s, left, right, bound)
+                    assert abs(got - normal_ordering_oracle(k, s, left, right, bound)) < 1e-10
+
     def test_vanishing_product_counts_as_ordered(self, projective3):
         s = build_subproduct(projective3, 2)
         # P_0 P_1† = 0 exactly
@@ -291,7 +315,7 @@ class TestConvergenceReport:
         spec = state_spec(commuting212, maximally_mixed(12))
         corr = correlations(commuting212, s, spec, 4)
         eye = np.eye(12)
-        report = convergence_report(commuting212, s, corr, eye, eye, 4)
+        report = convergence_report(corr, eye, eye, 4)
         for name in ("norm_gap", "vn_residual", "scaled_commutator", "limit_state_gap"):
             assert max(getattr(report, name)) <= 1e-8
             assert report.verdicts[name] == "flat"
@@ -302,7 +326,7 @@ class TestConvergenceReport:
         corr = correlations(projective3, s, spec, 5)
         a = np.diag(rng.normal(size=3))
         b = np.diag(rng.normal(size=3))
-        report = convergence_report(projective3, s, corr, a, b, 5)
+        report = convergence_report(corr, a, b, 5)
         assert max(report.vn_residual) < 1e-9
         assert max(report.limit_state_gap) < 1e-10
 
@@ -311,14 +335,14 @@ class TestConvergenceReport:
         spec = state_spec(commuting212, maximally_mixed(12))
         corr = correlations(commuting212, s, spec, 5)
         a = random_hermitian(rng, 12)
-        report = convergence_report(commuting212, s, corr, a, a, 5)
+        report = convergence_report(corr, a, a, 5)
         assert max(report.limit_state_gap) < 1e-10
 
     def test_rows_shape(self, projective3):
         s = build_subproduct(projective3, 3)
         spec = state_spec(projective3, maximally_mixed(3))
         corr = correlations(projective3, s, spec, 3)
-        report = convergence_report(projective3, s, corr, np.eye(3), np.eye(3), 3)
+        report = convergence_report(corr, np.eye(3), np.eye(3), 3)
         rows = report.rows()
         assert len(rows) == 3
         assert rows[0][0] == 1

@@ -1,6 +1,7 @@
 """The package surface: one list of public names, and the README example."""
 
 import contextlib
+import inspect
 import io
 import re
 from pathlib import Path
@@ -19,6 +20,19 @@ def test_public_names_are_the_modules_lists():
             assert getattr(krausfock, name) is getattr(module, name)
     assert all(hasattr(krausfock, name) for name in krausfock.__all__)
     assert "as_matrix" not in krausfock.__all__
+
+
+def test_correlation_consumers_read_the_channel_from_corr():
+    # correlation data carries the Kraus family and level spaces it was built from
+    readers = set()
+    for name in dequantization.__all__:
+        fn = getattr(dequantization, name)
+        if inspect.isfunction(fn):
+            params = set(inspect.signature(fn).parameters)
+            if "corr" in params:
+                readers.add(name)
+                assert not params & {"kraus", "system"}, name
+    assert {"dequantize", "phi_symmetry_residual", "convergence_report"} <= readers
 
 
 def test_readme_example_prints_its_comments():

@@ -147,7 +147,7 @@ def test_symmetry_sweep_matches_dense_oracle(kraus):
     top = top_level(kraus)
     system = build_subproduct(kraus, top)
     corr = correlations(kraus, system, state_spec(kraus, np.eye(kraus.dim) / kraus.dim), top)
-    swept = phi_symmetry_residual(corr, system, top)
+    swept = phi_symmetry_residual(corr, top)
     assert sorted(swept) == list(range(1, top + 1))
     for m in range(1, top + 1):
         # both routes round relative to the size of Q^{⊗m}
@@ -169,7 +169,7 @@ def test_dequantization_is_unital(kraus):
     system = build_subproduct(kraus, top)
     corr = correlations(kraus, system, state_spec(kraus, np.eye(kraus.dim) / kraus.dim), top)
     for m in range(1, top + 1):
-        psi = dequantize(kraus, system, corr, np.eye(kraus.dim), m)
+        psi = dequantize(corr, np.eye(kraus.dim), m)
         # M @ M^-1 loses accuracy with the condition number of M
         cond = np.linalg.cond(corr.levels[m].matrix)
         assert operator_norm(psi - np.eye(system.dims[m])) <= 1e-13 * max(cond, 100.0), m
