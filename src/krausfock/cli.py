@@ -23,7 +23,10 @@ input error that names the field.  Complex matrices are stored as paired real
 arrays; floats are written with Python's shortest round-tripping repr, so
 serialize -> parse reproduces every entry bit for bit.  JSON reports are
 written by a dedicated writer whose bytes equal
-``json.dumps(report, sort_keys=True, indent=2)``.
+``json.dumps(report, sort_keys=True, indent=2)`` with every array replaced
+by its ``tolist()``.  Reports are streamed: a report matrix stays a pair of
+float arrays and is written one row at a time, so no report text is held
+in memory whole.
 
 A subcommand accepts only the flags it reads.  Every channel command takes
 ``--tol-rank``, ``--tol-residual`` and ``--out``, which sends its JSON or CSV
@@ -45,8 +48,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -81,6 +86,12 @@ class InputError(Exception):
 def matrix_to_json(a) -> dict:
     a = np.asarray(a, dtype=complex)
     return {"re": a.real.tolist(), "im": a.imag.tolist()}
+
+
+def _matrix_arrays(a) -> dict:
+    """:func:`matrix_to_json` for a report: float64 arrays, serialized by rows."""
+    a = np.asarray(a, dtype=complex)
+    return {"re": a.real, "im": a.imag}
 
 
 def _object(value, what: str, allowed, required=()) -> dict:
@@ -228,14 +239,20 @@ def _header(digest: str, args) -> dict:
     return {"command": " ".join(args._argv), "version": __version__, "input_digest": digest}
 
 
-def _write(text: str, out: str | None) -> None:
-    """Write ``text`` to the file ``out``, or to stdout when it is ``None``."""
+def _write(pieces, out: str | None) -> None:
+    """Write the strings ``pieces`` as they are produced to the file ``out``,
+    or to stdout when it is ``None``."""
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(pieces)
+        except BrokenPipeError:
+            # the reader has gone (``| head``): drop the rest of the report
+            # and point stdout at devnull, so the flush at exit cannot raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     try:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise InputError(f"cannot write {out}: {exc}") from exc
 
@@ -243,17 +260,23 @@ def _write(text: str, out: str | None) -> None:
 def _json_chunks(obj, indent: str = "\n"):
     """Pieces of ``json.dumps(obj, sort_keys=True, indent=2)`` for string keys,
     without the pure-Python encoder ``indent`` selects: a list of finite floats
-    is joined in one call, and ``json.dumps`` writes every other scalar."""
+    is joined in one call, and ``json.dumps`` writes every other scalar.  A
+    float64 array is written as its ``tolist()`` would be, one row at a time."""
     inner = indent + "  "
+    # an array is a list of rows; a 1-d one, or one with no rows, is written
+    # from its tolist() of Python floats, so its items need no type scan
+    floats = isinstance(obj, np.ndarray) and (obj.ndim == 1 or not len(obj))
+    if floats:
+        obj = obj.tolist()
     if isinstance(obj, dict) and obj:
         for i, (key, value) in enumerate(sorted(obj.items())):
             yield ("," if i else "{") + inner + json.dumps(key) + ": "
             yield from _json_chunks(value, inner)
         yield indent + "}"
-    elif not isinstance(obj, (list, tuple)) or not obj:
+    elif not isinstance(obj, (list, tuple, np.ndarray)) or not len(obj):
         yield json.dumps(obj)
     else:
-        if all(type(x) is float for x in obj):
+        if floats or all(type(x) is float for x in obj):
             text = ("," + inner).join(map(float.__repr__, obj))
             if "n" not in text:  # no nan or inf, which JSON spells NaN and Infinity
                 yield "[" + inner + text + indent + "]"
@@ -265,14 +288,14 @@ def _json_chunks(obj, indent: str = "\n"):
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    _write("".join([*_json_chunks(obj), "\n"]), out)
+    _write(chain(_json_chunks(obj), ["\n"]), out)
 
 
 def _emit_csv(columns: list[str], rows, digest: str, args) -> None:
     """A CSV report of int and float rows; floats are written by their repr."""
-    lines = [f"# {key}: {value}" for key, value in _header(digest, args).items()]
-    lines += [",".join(columns)] + [",".join(map(repr, row)) for row in rows]
-    _write("".join(line + "\n" for line in lines), args.out)
+    header = [f"# {key}: {value}" for key, value in _header(digest, args).items()]
+    lines = chain(header, [",".join(columns)], (",".join(map(repr, row)) for row in rows))
+    _write((line + "\n" for line in lines), args.out)
 
 
 def _load_channel(args) -> tuple[str, KrausSet, np.ndarray]:
@@ -378,7 +401,7 @@ def cmd_dilate(args) -> int:
     }
     report = {**_header(digest, args), "payload": payload}
     if args.out:
-        report["payload"]["unitary"]["matrix"] = matrix_to_json(w)
+        report["payload"]["unitary"]["matrix"] = _matrix_arrays(w)
     _emit_json(report, args.out)
     ok = unitarity <= kraus.tol.residual_tol and probe_gap <= kraus.tol.residual_tol
     return 0 if ok else 1
@@ -391,7 +414,7 @@ def cmd_complementary(args) -> int:
     agreement = operator_norm(by_sum - by_dilation)
     eigs = np.linalg.eigvalsh((by_sum + by_sum.conj().T) / 2.0)
     payload = {
-        "state_on_bath": matrix_to_json(by_sum),
+        "state_on_bath": _matrix_arrays(by_sum),
         "formula_agreement": agreement,
         "trace": float(np.trace(by_sum).real),
         "min_eigenvalue": float(eigs[0]),
@@ -413,7 +436,7 @@ def cmd_dequantize(args) -> int:
     symmetry = phi_symmetry_residual(corr, m)
     payload = {
         "level": m,
-        "matrix": matrix_to_json(psi),
+        "matrix": _matrix_arrays(psi),
         "unitality_residual": operator_norm(unital - np.eye(dm)),
         "hermiticity_residual": operator_norm(psi - psi.conj().T),
         "symmetry_residuals": {str(lv): list(symmetry[lv]) for lv in sorted(symmetry)},

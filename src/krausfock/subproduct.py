@@ -24,7 +24,13 @@ Sweeps: ``1 - p_l`` is the orthogonal sum of the pieces
 symmetry and presentation residuals are sweeps over sites carrying the
 overlap of a ket chain with ``B_j`` and the Gram matrix of its weight on
 those pieces, ``O(a d_{j-1} D_{j-1} n D_j)`` flops a site for a left bond
-``a``: polynomial in ``m``, and ``O(d^8)`` a nesting site at full levels.
+``a``: polynomial in ``m``.  A square chain factor is the identity, so its
+piece is zero: a sweep skips the bra product there, a split whose right
+level is full (every ``C_1..C_l`` square, ``p_l = 1``) needs no sweep at
+all, and an inductive step through a full level is ``x ⊗ 1_n``.  Generic
+families are full up to ``m ≈ 2 log_n d``.  Each shortcut reads the chain
+factors, never the shape of a sweep site: a site ``(q ⊗ 1) C_j`` can be
+square without being the identity.
 """
 
 from __future__ import annotations
@@ -126,6 +132,11 @@ def level_projection(system: SubproductSystem, m: int) -> np.ndarray:
     return b @ b.conj().T
 
 
+def _full(c: np.ndarray) -> bool:
+    """Whether the chain factor ``c`` is square, which makes it the identity."""
+    return c.shape[0] == c.shape[1]
+
+
 def _transfer(bra: np.ndarray, x: np.ndarray, ket: np.ndarray) -> np.ndarray:
     """``sum_k bra[:, k, :]† x ket[:, k, :]`` over sites of shape ``(D n, D')``."""
     return bra.conj().T @ (x @ ket.reshape(x.shape[1], -1)).reshape(-1, ket.shape[1])
@@ -144,7 +155,7 @@ def _complement_sweep(
     e, s = np.eye(left, dtype=complex), None
     for c, k in zip(bra, kets):
         z = (e @ k.reshape(e.shape[1], -1)).reshape(left, c.shape[0], k.shape[1])
-        full = c.shape[0] == c.shape[1]
+        full = _full(c)
         e = z if full else c.conj().T @ z
         if s is not None:
             s = _transfer(k, s, k)
@@ -164,9 +175,13 @@ def nesting_residuals(system: SubproductSystem, m: int, l: int) -> list[float]:
     """Residuals ``|p_{m+j} (1 - p_m ⊗ p_j)|`` of the splits ``(m, j)``, ``j = 0..l``.
 
     With ``B_{m+j} = (B_m ⊗ 1) T`` each is ``|(1 ⊗ (1 - p_j)) T|``: one sweep
-    of ``C_{m+1..m+l}`` on a ``d_m``-dimensional bond.  Free families give 0.0.
+    of ``C_{m+1..m+l}`` on a ``d_m``-dimensional bond.  When ``C_1..C_l`` are
+    square (level ``l`` is full), ``p_j = 1`` for every ``j <= l`` and the
+    zeros need no sweep.
     """
     system._check_level(m, l, m + l)
+    if all(map(_full, system.factors[1 : l + 1])):
+        return [0.0] * (l + 1)
     kets = system.factors[m + 1 : m + l + 1]
     sweep = _complement_sweep(system.factors[1:], kets, system.dims[m])
     return [0.0] + [_gram_norm(s) for _, s in sweep]
@@ -229,8 +244,10 @@ def inductive_map(system: SubproductSystem, a, m: int, l: int) -> np.ndarray:
     """Sum of right-shift conjugations carrying level ``m`` to level ``l``.
 
     Each step is the transfer map ``x -> sum_k C[:, k, :]† x C[:, k, :]`` of
-    the chain; unital and positive, and the composition rule
-    ``iota(r,l) ∘ iota(m,r) = iota(m,l)`` holds by construction.
+    the chain, which is ``x ⊗ 1_n`` when ``C`` is square (the identity); the
+    Kronecker product gives the same entries without the matmul.  Unital and
+    positive, and the composition rule ``iota(r,l) ∘ iota(m,r) = iota(m,l)``
+    holds by construction.
     """
     x = as_matrix(a)
     system._check_level(m)
@@ -239,7 +256,7 @@ def inductive_map(system: SubproductSystem, a, m: int, l: int) -> np.ndarray:
     if not m <= l <= system.max_level:
         raise ValueError(f"need m <= l <= max_level, got m={m}, l={l}")
     for c in system.factors[m + 1 : l + 1]:
-        x = _transfer(c, x, c)
+        x = np.kron(x, np.eye(system.n)) if _full(c) else _transfer(c, x, c)
     return x
 
 

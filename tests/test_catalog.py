@@ -7,6 +7,7 @@ from krausfock import (
     build_subproduct,
     commuting_generic,
     identity_channel,
+    minimal_kraus,
     projective_measurement,
     random_unital,
     sequential_projective,
@@ -38,6 +39,14 @@ class TestConstructorValidity:
         first = build_catalog(spec)
         second = build_catalog(spec)
         assert np.array_equal(first.ops, second.ops)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    def test_square_chain_factors_are_identities(self, spec):
+        # nesting_residuals and inductive_map treat a square factor as 1
+        system = build_subproduct(minimal_kraus(build_catalog(spec)), 6)
+        for m, c in enumerate(system.factors):
+            if c.shape[0] == c.shape[1]:
+                assert np.array_equal(c, np.eye(len(c))), m
 
 
 class TestProjective:

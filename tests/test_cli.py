@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -9,11 +12,14 @@ import pytest
 
 from krausfock.catalog import CatalogSpec, build_catalog
 from krausfock.cli import (
+    _emit_json,
+    _matrix_arrays,
     build_parser,
     channel_from_document,
     channel_to_document,
     load_document,
     main,
+    matrix_to_json,
 )
 
 
@@ -649,3 +655,40 @@ class TestReportWriter:
             assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", name
         dilated = json.loads((tmp_path / "dilate.json").read_text())
         assert np.array(dilated["payload"]["unitary"]["matrix"]["re"]).shape == (6, 6)
+
+    def test_report_matrix_is_streamed(self, tmp_path):
+        # a 256x256 complex matrix prints to about 3 MB; no piece near that
+        # size, nor the matrix as nested lists, is held while writing
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+        path = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            _emit_json({"payload": {"level": 8, "matrix": _matrix_arrays(a)}}, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        expected = {"payload": {"level": 8, "matrix": matrix_to_json(a)}}
+        assert path.read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    def test_reader_that_stops_early_leaves_the_exit_code(self, tmp_path):
+        # `krausfock dequantize ... | head`: the 128x128 matrix prints to
+        # about 800 kB, more than a pipe holds, so the reader's exit is seen
+        chan = make_catalog_doc(tmp_path, family="random_unital", n=2, d=16, seed=0)
+        obs = make_observable(tmp_path, np.eye(16))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["dequantize", chan, "--observable", obs, "--level", "7"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "krausfock.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            assert proc.stdout.read(20).startswith(b"{")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert (code, err) == (0, b"")

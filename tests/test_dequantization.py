@@ -23,7 +23,9 @@ from conftest import (
     fock_rank_one_oracle,
     normal_ordering_oracle,
     random_complex,
+    random_density,
     random_hermitian,
+    symmetry_oracle,
     word_stack,
 )
 
@@ -124,6 +126,18 @@ class TestPhiSymmetry:
             r1, r2 = residuals[m]
             assert r1 < 1e-10
             assert r2 < 1e-10
+
+    @pytest.mark.parametrize("d", [16, 3])
+    def test_matches_dense_oracle_on_full_levels(self, d, rng):
+        # d = 16: levels 1..5 are full; d = 3: levels 4 and 5 are not
+        k = random_unital(2, d, seed=0)
+        s = build_subproduct(k, 5)
+        corr = correlations(k, s, state_spec(k, random_density(rng, d)), 5)
+        swept = phi_symmetry_residual(corr, 5)
+        for m in range(1, 6):
+            scale = max(1.0, operator_norm(corr.base)) ** m
+            for fast, slow in zip(swept[m], symmetry_oracle(corr, s, m)):
+                assert abs(fast - slow) <= 1e-12 * scale, m
 
     def test_commuting_reports_positive_residuals(self, commuting212):
         # the first equality genuinely fails for the uniform state, while the

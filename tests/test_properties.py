@@ -18,6 +18,7 @@ import tempfile
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from krausfock import (
     KrausSet,
@@ -189,6 +190,10 @@ def test_document_round_trip_is_bit_exact(kraus, seed, rank_rel_tol, residual_to
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
 FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+# report matrices are 2-d float64 arrays, written as their tolist()
+ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4), elements=FLOATS
+)
 # nested dicts and lists of the scalars a report writer can meet
 JSON_DOCUMENTS = st.recursive(
     st.one_of(
@@ -200,6 +205,7 @@ JSON_DOCUMENTS = st.recursive(
         st.none(),
         st.text(),
         st.sampled_from(["é日本", 'quote " backslash \\ tab \t nul \x00 \u2028']),
+        ARRAYS,
     ),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
@@ -211,10 +217,29 @@ JSON_DOCUMENTS = st.recursive(
 )
 
 
+def _tolists(node):
+    """``node`` with every array replaced by its ``tolist()``."""
+    if isinstance(node, np.ndarray):
+        return node.tolist()
+    if isinstance(node, dict):
+        return {key: _tolists(value) for key, value in node.items()}
+    return [_tolists(value) for value in node] if isinstance(node, list) else node
+
+
 @PROPERTY_SETTINGS
 @given(JSON_DOCUMENTS)
+@example(
+    {
+        "empty": np.empty((0, 0)),
+        "no columns": np.empty((1, 0)),
+        "one row": np.array([[1.5, -0.0, 5e-324, 2.2250738585072014e-308]]),
+        "non-finite": np.array([[math.nan, math.inf], [-math.inf, -0.0]]),
+        "in a list": [np.empty((0, 3)), np.eye(2)],
+    }
+)
 def test_report_writer_matches_json_dumps(doc):
-    assert "".join(_json_chunks(doc)) == json.dumps(doc, sort_keys=True, indent=2)
+    expected = json.dumps(_tolists(doc), sort_keys=True, indent=2)
+    assert "".join(_json_chunks(doc)) == expected
 
 
 VALID_DOCUMENTS = [

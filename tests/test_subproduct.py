@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import krausfock.subproduct
 from krausfock import (
     KrausSet,
     build_subproduct,
@@ -8,6 +9,7 @@ from krausfock import (
     inductive_map,
     level_projection,
     multiplicativity_residual,
+    nesting_residuals,
     operator_norm,
     presentation_residual,
     random_unital,
@@ -163,7 +165,12 @@ class TestSubproductResidual:
                     assert subproduct_residual(s, m, l) < 1e-8
 
     def test_matches_explicit_oracle(self, catalog_quartet):
-        families = {**catalog_quartet, "small-angle": sequential_projective(4, 0.05, seed=0)}
+        families = {
+            **catalog_quartet,
+            "small-angle": sequential_projective(4, 0.05, seed=0),
+            # levels 1..3 full, then 9 < 16: square factors below non-square ones
+            "mixed-ladder": random_unital(2, 3, seed=0),
+        }
         for name, k in families.items():
             s = build_subproduct(k, 5)
             for m in range(6):
@@ -171,6 +178,20 @@ class TestSubproductResidual:
                     fast = subproduct_residual(s, m, l)
                     slow = residual_oracle(s, m, l)
                     assert abs(fast - slow) <= 1e-12, (name, m, l)
+
+    def test_full_right_levels_need_no_sweep(self, random216, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept")
+
+        s = build_subproduct(random216, 10)
+        assert s.dims[8:] == [256, 256, 256]
+        monkeypatch.setattr(krausfock.subproduct, "_complement_sweep", no_sweep)
+        for m in range(11):
+            for l in range(min(8, 10 - m) + 1):
+                assert nesting_residuals(s, m, l) == [0.0] * (l + 1), (m, l)
+        # level 9 is not full, so a split onto it is swept
+        with pytest.raises(AssertionError, match="swept"):
+            nesting_residuals(s, 1, 9)
 
     def test_adversarial_basis_is_detected(self, commuting212):
         # a basis is a chain product, so a level always lies in the previous
@@ -262,6 +283,17 @@ class TestInductiveMap:
         a = random_hermitian(rng, s.dims[2])
         assert np.array_equal(inductive_map(s, a, 2, 2), a)
 
+    @pytest.mark.parametrize("d", [16, 3])
+    def test_full_steps_equal_the_transfer_form(self, d, rng):
+        # d = 16: every level up to 8 is full; d = 3: levels 4.. are not
+        s = build_subproduct(random_unital(2, d, seed=0), 8)
+        for m in range(8):
+            x = random_complex(rng, s.dims[m], s.dims[m])
+            expected = x.astype(complex)
+            for c in s.factors[m + 1 :]:
+                expected = krausfock.subproduct._transfer(c, expected, c)
+            assert np.array_equal(inductive_map(s, x, m, 8), expected), m
+
     def test_unitality(self, catalog_quartet):
         for k in catalog_quartet.values():
             s = build_subproduct(k, 5)
@@ -320,6 +352,20 @@ class TestPresentationIndependence:
             assert s0.dims == s1.dims
             for m in range(1, 5):
                 assert presentation_residual(s0, s1, u, m) < 1e-8
+
+    @pytest.mark.parametrize("d", [16, 3])
+    def test_matches_dense_oracle_on_full_levels(self, d, rng):
+        # |p'_m - U p_m U†| from the n^m-square projections
+        k = random_unital(2, d, seed=0)
+        u = haar_unitary(rng, k.size)
+        mixed = KrausSet(np.einsum("ij,iab->jab", u, k.ops), tol=k.tol)
+        s0, s1 = build_subproduct(k, 5), build_subproduct(mixed, 5)
+        big = np.ones((1, 1))
+        for m in range(1, 6):
+            big = np.kron(big, u.T)
+            rotated = big @ level_projection(s0, m) @ big.conj().T
+            oracle = operator_norm(level_projection(s1, m) - rotated)
+            assert abs(presentation_residual(s0, s1, u, m) - oracle) <= 1e-12, m
 
 
 class TestTruncatedFock:
