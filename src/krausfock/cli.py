@@ -259,9 +259,10 @@ def _write(pieces, out: str | None) -> None:
 
 def _json_chunks(obj, indent: str = "\n"):
     """Pieces of ``json.dumps(obj, sort_keys=True, indent=2)`` for string keys,
-    without the pure-Python encoder ``indent`` selects: a list of finite floats
-    is joined in one call, and ``json.dumps`` writes every other scalar.  A
-    float64 array is written as its ``tolist()`` would be, one row at a time."""
+    without the pure-Python encoder ``indent`` selects: a list of floats is
+    written by one call to the C encoder, with the indented separator between
+    items, and ``json.dumps`` writes every other scalar.  A float64 array is
+    written as its ``tolist()`` would be, one row at a time."""
     inner = indent + "  "
     # an array is a list of rows; a 1-d one, or one with no rows, is written
     # from its tolist() of Python floats, so its items need no type scan
@@ -277,10 +278,9 @@ def _json_chunks(obj, indent: str = "\n"):
         yield json.dumps(obj)
     else:
         if floats or all(type(x) is float for x in obj):
-            text = ("," + inner).join(map(float.__repr__, obj))
-            if "n" not in text:  # no nan or inf, which JSON spells NaN and Infinity
-                yield "[" + inner + text + indent + "]"
-                return
+            text = json.dumps(obj, separators=("," + inner, ": "))
+            yield "[" + inner + text[1:-1] + indent + "]"
+            return
         for i, value in enumerate(obj):
             yield ("," if i else "[") + inner
             yield from _json_chunks(value, inner)

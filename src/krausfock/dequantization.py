@@ -324,8 +324,14 @@ def convergence_report(corr: CorrelationData, a, b, m_max: int) -> ConvergenceRe
         pab = dequantize(corr, ab, m)
         level = corr.levels[m]
         norm_gap.append(abs(operator_norm(pa) - norm_a))
-        vn_res.append(operator_norm(pab - pa @ pb))
-        scaled_comm.append(m * operator_norm(pa @ pb - pb @ pa))
+        # one product for both residuals, subtracted in place and freed before
+        # the next level, so that no more matrices are alive at once than
+        # with two products
+        papb = pa @ pb
+        vn_res.append(operator_norm(np.subtract(pab, papb, out=pab)))
+        papb -= pb @ pa
+        scaled_comm.append(m * operator_norm(papb))
+        del papb
         state_gap.append(float(abs(np.trace(level.matrix @ pa) / level.trace - ref)))
 
     tol = corr.kraus.tol.residual_tol

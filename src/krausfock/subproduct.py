@@ -12,8 +12,10 @@ nesting law ``level(m+l) ⊆ level(m) ⊗ level(l)`` exactly.
 
 Storage: level ``m`` is the chain factor ``C_m``, an orthonormal basis of
 the range of the candidates ``H_(u,k) = G_u K_k`` built on level ``m-1``
-(from singular values only while every level so far is full, where
-``C_m`` is the identity; otherwise one SVD of ``(d_{m-1} n) x d^2``), and the
+(while every level so far is full, a Cholesky certificate of their shifted
+Gram matrix, with singular values only where it cannot decide, says whether
+level ``m`` is full, and then ``C_m`` is the identity; otherwise one SVD of
+``(d_{m-1} n) x d^2``), and the
 generators ``G_m = C_m† H = sum_w conj(B_m[w, :]) K_w``.  The basis
 ``B_m = (B_{m-1} ⊗ 1_n) C_m``, a left-canonical matrix product state of
 bond dimension ``<= d^2``, is formed only on request, and the left half of
@@ -118,7 +120,10 @@ def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
         # full: a relation sum_k W_k K_k = 0 with W_k in level m-1 gives
         # sum_k (K_j W_k) K_k = 0 at level m+1, and the K_j W_k cannot all
         # vanish, since then W_k = sum_j K_j† K_j W_k = 0.  So the probe for a
-        # full level runs only while every earlier level was full.
+        # full level runs only while every earlier level was full.  Its
+        # Cholesky certificate fails, and the singular values are taken, only
+        # at the first level that is not full or at a full level whose
+        # smallest singular value is below about 1e-6 of the Frobenius norm.
         full = full and spans_all(rows, kraus.tol)
         c = np.eye(rows.shape[0], dtype=complex) if full else orthonormal_range(rows, kraus.tol)
         factors.append(c)

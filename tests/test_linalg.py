@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krausfock import (
     SingularMatrixError,
@@ -12,6 +14,7 @@ from krausfock import (
     psd_inverse,
     spans_all,
 )
+from krausfock.linalg import _certified_full, _rank
 from conftest import haar_unitary, kron_power_apply, random_complex
 
 
@@ -137,6 +140,56 @@ class TestSpansAll:
         for name, (a, spans) in cases.items():
             assert spans_all(a) is spans, name
             assert self.agrees(a), name
+
+
+def cutoff(rows, cols, tol):
+    """The certificate's cut-off on ``sigma_min^2 / ||a||_F^2``."""
+    return 4 * tol.rank_rel_tol**2 + 8 * (rows + cols + 2) * np.finfo(float).eps
+
+
+@st.composite
+def planted_spectra(draw):
+    """A ``rows <= cols <= 40`` matrix with planted singular values: largest 1,
+    the rest in [1e-3, 1], and the smallest log-uniform in [1e-12, 1], or near
+    the rank threshold, or near the certificate's cut-off; then scaled by a
+    power of two or of ten far from 1.  Returns the matrix, the tolerances
+    and the planted ``sigma_min^2 / ||a||_F^2``."""
+    tol = Tolerances(rank_rel_tol=draw(st.sampled_from([1e-9, 1e-6, 1e-3])))
+    rows = draw(st.integers(1, 40))
+    cols = draw(st.integers(rows, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = np.concatenate([[1.0], 10.0 ** rng.uniform(-3.0, 0.0, max(rows - 2, 0))])
+    near = draw(st.sampled_from(["anywhere", "threshold", "cut-off"]))
+    # a relative offset from 1e-7 to about 20x, either way
+    factor = np.exp(draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-7.0, 0.5)))
+    if near == "anywhere":
+        smallest = 10.0 ** draw(st.floats(-12.0, 0.0))
+    elif near == "threshold":
+        smallest = tol.rank_rel_tol * factor
+    else:  # smallest^2 / (rest + smallest^2) = q
+        q = min(cutoff(rows, cols, tol) * factor, 0.5)
+        smallest = np.sqrt(q * np.sum(s**2) / (1.0 - q))
+    if rows > 1:
+        s = np.append(s, smallest)
+    a = (haar_unitary(rng, rows) * s) @ haar_unitary(rng, cols)[:rows]
+    scale = draw(st.sampled_from([1.0, 2.0**600, 2.0**-600, 1e150, 1e-150]))
+    return a * scale, tol, np.min(s) ** 2 / np.sum(s**2)
+
+
+class TestCertifiedFull:
+    """The Cholesky certificate of spans_all against the singular-value rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_spectra())
+    def test_never_disagrees_with_the_rank_rule(self, planted):
+        a, tol, q = planted
+        rows, cols = a.shape
+        assert spans_all(a, tol) == (_rank(np.linalg.svd(a, compute_uv=False), tol) == rows)
+        # clear of the cut-off the certificate decides, at any scale of a
+        if q >= 2 * cutoff(rows, cols, tol):
+            assert _certified_full(a, tol)
+        elif q <= cutoff(rows, cols, tol) / 2:
+            assert not _certified_full(a, tol)
 
 
 class TestPartialTrace:

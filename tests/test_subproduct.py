@@ -76,6 +76,24 @@ class TestBuild:
             assert full == sorted(full, reverse=True), name
         assert build_subproduct(families["small-angle"], 8).dims == [1, 4] + [6] * 7
 
+    def test_full_levels_take_no_singular_values(self, monkeypatch):
+        # spans_all takes singular values only where its Cholesky certificate
+        # cannot decide: not at the full levels of a generic family, but at
+        # the first level that is not full
+        probes = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            if not kwargs.get("compute_uv", True):
+                probes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert build_subproduct(random_unital(2, 16, seed=3), 8).dims == [2**m for m in range(9)]
+        assert probes == []
+        assert build_subproduct(commuting_generic(2, 12, seed=0), 12).dims[:3] == [1, 2, 3]
+        assert probes == [(4, 144)]
+
     def test_rejects_non_minimal(self):
         ops = np.stack([np.eye(2), np.eye(2)]) / np.sqrt(2.0)
         with pytest.raises(ValueError, match="minimal"):
