@@ -2,7 +2,10 @@
 
 Fixing a reference density matrix ``rho0``, the level-``m`` correlation
 matrix pairs length-``m`` words through ``Tr(rho0 K_wk† K_wj)`` and is
-rescaled so that its trace equals the trace of its inverse.  The time-``m``
+rescaled so that its trace equals the trace of its inverse.  A level is
+singular by the rank rule that decides full levels, applied to the square
+root ``G_m rho0^{1/2}`` of its correlation matrix, and is inverted through
+a triangular factor of that square root.  The time-``m``
 dequantization carries a system observable ``A`` to the level-``m``
 operator built from the weighted pairings ``Tr(rho0 K_wk† K_wj A)``; its
 unitality, multiplicativity defects and state gaps over increasing ``m``
@@ -17,11 +20,12 @@ correlation data and read the rest from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .channel import KrausSet, check_state, kraus_word
-from .linalg import as_matrix, operator_norm, orthonormal_range, psd_inverse
+from .linalg import SingularMatrixError, as_matrix, operator_norm, orthonormal_range, spans_all
 from .subproduct import SubproductSystem, power_sweep
 
 __all__ = [
@@ -43,10 +47,16 @@ __all__ = [
 
 @dataclass(eq=False)
 class StateSpec:
-    """Reference density matrix together with its per-outcome weights."""
+    """Reference density matrix, its per-outcome weights and its square root."""
 
     rho0: np.ndarray
     weights: np.ndarray
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """``rho0^{1/2}``, from ``eigh`` with negative eigenvalues clipped to 0."""
+        w, v = np.linalg.eigh(self.rho0)
+        return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
 def state_spec(kraus: KrausSet, rho0) -> StateSpec:
@@ -111,14 +121,29 @@ def correlation_matrix(
 ) -> LevelCorrelation:
     """Level-``m`` correlation matrix, scaled so trace equals inverse trace.
 
-    Raises :class:`~krausfock.linalg.SingularMatrixError` when the raw
-    pairing matrix is not positive definite on the level.
+    The raw matrix ``[Tr(G_u rho0 G_v†)]`` is ``W W†`` for the rows
+    ``W = [vec(G_u rho0^{1/2})]``.  The level is singular, and
+    :class:`~krausfock.linalg.SingularMatrixError` is raised, exactly when
+    :func:`~krausfock.linalg.spans_all` finds that ``W`` does not have full
+    row rank: the rank rule that decides full levels, applied to the singular
+    values of ``W``.  Otherwise the triangular factor of ``W† = Q R`` gives
+    ``raw = R† R`` and its inverse ``R^{-1} R^{-†}`` without forming ``W W†``
+    first, which would square the condition number.
     """
     if m < 1:
         raise ValueError("correlation levels start at 1")
-    raw = _pairing(system.generators(m), state.rho0)
-    raw = (raw + raw.conj().T) / 2.0
-    inv = psd_inverse(raw, kraus.tol, label=f"level-{m} correlation matrix")
+    gens = system.generators(m)
+    w = (gens @ state.root).reshape(gens.shape[0], -1)
+    if not spans_all(w, kraus.tol):
+        s = np.linalg.svd(w, compute_uv=False)
+        raise SingularMatrixError(
+            f"singular correlation: level-{m} correlation matrix has singular-value "
+            f"ratio {s[-1] / s[0]:.3e}, not above {kraus.tol.rank_rel_tol:.1e}"
+        )
+    r = np.linalg.qr(w.conj().T, mode="r")
+    r_inv = np.linalg.inv(r)
+    raw = r.conj().T @ r
+    inv = r_inv @ r_inv.conj().T
     tr = float(np.trace(raw).real)
     scale = float(np.sqrt(np.trace(inv).real / tr))
     return LevelCorrelation(
@@ -308,6 +333,23 @@ def trend_verdict(seq, tol: float) -> str:
     return "irregular"
 
 
+def _level_diagnostics(corr: CorrelationData, a, b, ab, m: int, norm_a: float, ref) -> tuple:
+    """The four diagnostics at level ``m``; its level operators die at return."""
+    pa = dequantize(corr, a, m)
+    level = corr.levels[m]
+    norm_gap = abs(operator_norm(pa) - norm_a)
+    # Tr(Q_m Psi_m(A)) without the d_m^3 product, before pb and pab exist
+    state_gap = float(abs(np.sum(level.matrix * pa.T) / level.trace - ref))
+    pb = dequantize(corr, b, m)
+    pab = dequantize(corr, ab, m)
+    # one product for both residuals, subtracted in place, so that no more
+    # matrices are alive at once than with two products
+    papb = pa @ pb
+    vn_res = operator_norm(np.subtract(pab, papb, out=pab))
+    papb -= pb @ pa
+    return norm_gap, vn_res, m * operator_norm(papb), state_gap
+
+
 def convergence_report(corr: CorrelationData, a, b, m_max: int) -> ConvergenceReport:
     """Evaluate all four diagnostic sequences for levels ``1..m_max``."""
     a = as_matrix(a)
@@ -317,31 +359,9 @@ def convergence_report(corr: CorrelationData, a, b, m_max: int) -> ConvergenceRe
     ref = np.trace(corr.state.rho0 @ a)
 
     levels = list(range(1, m_max + 1))
-    norm_gap, vn_res, scaled_comm, state_gap = [], [], [], []
-    for m in levels:
-        pa = dequantize(corr, a, m)
-        pb = dequantize(corr, b, m)
-        pab = dequantize(corr, ab, m)
-        level = corr.levels[m]
-        norm_gap.append(abs(operator_norm(pa) - norm_a))
-        # one product for both residuals, subtracted in place and freed before
-        # the next level, so that no more matrices are alive at once than
-        # with two products
-        papb = pa @ pb
-        vn_res.append(operator_norm(np.subtract(pab, papb, out=pab)))
-        papb -= pb @ pa
-        scaled_comm.append(m * operator_norm(papb))
-        del papb
-        state_gap.append(float(abs(np.trace(level.matrix @ pa) / level.trace - ref)))
-
+    rows = [_level_diagnostics(corr, a, b, ab, m, norm_a, ref) for m in levels]
+    report = ConvergenceReport(levels, *([row[i] for row in rows] for i in range(4)))
     tol = corr.kraus.tol.residual_tol
-    report = ConvergenceReport(
-        levels=levels,
-        norm_gap=norm_gap,
-        vn_residual=vn_res,
-        scaled_commutator=scaled_comm,
-        limit_state_gap=state_gap,
-    )
     for name in ConvergenceReport._COLUMNS:
         report.verdicts[name] = trend_verdict(getattr(report, name), tol)
     return report

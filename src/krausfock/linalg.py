@@ -4,7 +4,8 @@ Matrices are plain ``numpy.ndarray`` objects with complex128 entries in
 row-major layout.  Every routine is a pure function of its arguments.
 
 :func:`orthonormal_range` and :func:`spans_all` decide ranks by one rule on
-singular values (:func:`_rank`).  :func:`spans_all` reaches the rule's
+singular values (:func:`_rank`); the same rule decides full levels and
+singular correlation levels.  :func:`spans_all` reaches the rule's
 decision more cheaply far from the threshold: one Cholesky factorization of
 the Gram matrix, shifted down by a multiple of its trace, certifies a full
 row rank that the rule would also find (S. M. Rump, "Verification of
@@ -26,7 +27,6 @@ __all__ = [
     "spans_all",
     "partial_trace_right",
     "partial_trace_left",
-    "psd_inverse",
     "operator_norm",
 ]
 
@@ -52,7 +52,7 @@ class Tolerances:
 
 
 class SingularMatrixError(ValueError):
-    """A matrix required to be positive definite is numerically singular."""
+    """A level correlation matrix is singular: its square-root rows fail :func:`spans_all`."""
 
 
 def as_matrix(x, stacked: bool = False) -> np.ndarray:
@@ -178,28 +178,3 @@ def operator_norm(a) -> float:
         return 0.0
     return float(np.linalg.norm(a, 2))
 
-
-def psd_inverse(m, tol: Tolerances | None = None, label: str = "matrix") -> np.ndarray:
-    """Inverse of a Hermitian positive definite matrix via eigendecomposition.
-
-    Raises :class:`SingularMatrixError` when the smallest eigenvalue falls
-    below ``rank_rel_tol`` times the largest, naming ``label`` in the message.
-    """
-    tol = tol or Tolerances()
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{label} must be square, got shape {a.shape}")
-    asymmetry = a - a.conj().T
-    # the spectral gap is at most the Frobenius norm, which settles small gaps
-    # without an SVD; the norm of ``a`` matters only for gaps above residual_tol
-    gap = operator_norm(asymmetry) if np.linalg.norm(asymmetry) > tol.residual_tol else 0.0
-    if gap > tol.residual_tol and gap > tol.residual_tol * operator_norm(a):
-        raise ValueError(f"{label} is not Hermitian (asymmetry {gap:.3e})")
-    h = (a + a.conj().T) / 2.0
-    w, v = np.linalg.eigh(h)
-    if w[-1] <= 0.0 or w[0] <= tol.rank_rel_tol * w[-1]:
-        raise SingularMatrixError(
-            f"singular correlation: {label} has eigenvalue {w[0]:.3e}, "
-            f"below {tol.rank_rel_tol:.1e} of the largest {w[-1]:.3e}"
-        )
-    return (v / w) @ v.conj().T

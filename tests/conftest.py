@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -60,6 +61,38 @@ def dense_level_basis(kraus, m):
     if basis.shape[1] == count:
         basis = np.eye(count, dtype=complex)
     return basis
+
+
+def mp_dequantize(system, rho0, a, m, dps=50):
+    """``M_A M^{-1}`` at ``dps`` digits with mpmath, as a complex128 array.
+
+    ``M[u, v] = Tr(G_u rho0 G_v†)`` and ``M_A[u, v] = Tr(G_u a rho0 G_v†)``
+    over the level-``m`` generators of ``system``, every entry taken exactly
+    from its float64 value; only the result is rounded back.  A reference
+    for how accurately ``dequantize`` inverts ill-conditioned levels.
+    """
+    gens = system.generators(m)
+    dm, d = gens.shape[0], gens.shape[1]
+    with mpmath.workdps(dps):
+
+        def mp(x):
+            return mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in x])
+
+        g = mp(gens.reshape(dm, d * d))  # rows vec(G_u), row-major
+        g_h = g.transpose_conj()
+        rho = mp(rho0)
+
+        def pairing(x):
+            # vec(G_u x) = vec(G_u) (1 ⊗ x) in row-major vec
+            right = mpmath.zeros(d * d, d * d)
+            for i in range(d):
+                for k in range(d):
+                    for j in range(d):
+                        right[i * d + k, i * d + j] = x[k, j]
+            return g * right * g_h
+
+        out = pairing(mp(a) * rho) * pairing(rho) ** -1
+        return np.array(out.tolist(), dtype=complex)
 
 
 def full_levels(dims, n):

@@ -336,26 +336,44 @@ class TestConverge:
         code, _, _ = run(capsys, "converge", chan, "--observables", a, "missing.json")
         assert code == 2
 
-    def test_reports_the_levels_below_a_singular_one(self, tmp_path, capsys):
+    @staticmethod
+    def commuting_argv(tmp_path, state=None):
         kraus = build_catalog(CatalogSpec("commuting_generic", n=2, d=12, seed=0))
+        doc = channel_to_document(kraus)
+        if state is not None:
+            doc["state"] = {"re": state.tolist()}
         chan = tmp_path / "chan.json"
-        chan.write_text(json.dumps(channel_to_document(kraus)))
+        chan.write_text(json.dumps(doc))
         rng = np.random.default_rng(0)
         obs = [
             make_observable(tmp_path, x + x.T, name=f"{name}.json")
             for name, x in zip("ab", rng.normal(size=(2, 12, 12)))
         ]
-        argv = ["converge", str(chan), "--observables", *obs, "--max-m"]
+        return ["converge", str(chan), "--observables", *obs, "--max-m"]
+
+    def test_reports_the_levels_below_a_singular_one(self, tmp_path, capsys):
+        # a rank-2 diagonal state supports two of the twelve points, so the
+        # three-dimensional level 2 is singular in exact arithmetic
+        state = np.zeros((12, 12))
+        state[0, 0] = state[1, 1] = 0.5
+        argv = self.commuting_argv(tmp_path, state)
         code, out, err = run(capsys, *argv, "12")
         assert code == 1
-        assert err.startswith("error: singular correlation: level-11 correlation matrix")
+        assert err.startswith("error: singular correlation: level-2 correlation matrix")
         assert "Traceback" not in err
         rows = [line for line in out.splitlines() if line[:1].isdigit()]
-        assert [int(row.split(",")[0]) for row in rows] == list(range(1, 11))
+        assert [int(row.split(",")[0]) for row in rows] == [1]
         # the same rows as a run that stops below the singular level
-        code, below, _ = run(capsys, *argv, "10")
+        code, below, _ = run(capsys, *argv, "1")
         assert code == 0
         assert rows == [line for line in below.splitlines() if line[:1].isdigit()]
+
+    def test_ill_conditioned_levels_are_reported(self, tmp_path, capsys):
+        # level 11 has singular-value ratio 1.5e-5, inside the rank rule
+        code, out, err = run(capsys, *self.commuting_argv(tmp_path), "12")
+        assert code == 0, err
+        rows = [line for line in out.splitlines() if line[:1].isdigit()]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(1, 13))
 
 
 NON_UNITAL = {

@@ -21,6 +21,7 @@ from krausfock import (
 )
 from conftest import (
     fock_rank_one_oracle,
+    mp_dequantize,
     normal_ordering_oracle,
     random_complex,
     random_density,
@@ -96,6 +97,8 @@ class TestCorrelations:
         for level in corr.levels.values():
             assert operator_norm(level.matrix - level.matrix.conj().T) < 1e-12
             assert np.linalg.eigvalsh(level.matrix)[0] > 0
+            eye = np.eye(level.matrix.shape[0])
+            assert operator_norm(level.matrix @ level.inverse - eye) <= 1e-10
 
     def test_singular_correlation_names_level(self, commuting212):
         # a rank-2 diagonal state supports only two of the twelve points, so
@@ -106,6 +109,14 @@ class TestCorrelations:
         spec = state_spec(commuting212, rho)
         with pytest.raises(SingularMatrixError, match="level-2"):
             correlations(commuting212, s, spec, 2)
+
+    def test_ill_conditioned_deep_levels_are_not_refused(self):
+        # singular-value ratios of W = G_m rho0^{1/2} down to 3.3e-6 at level
+        # 46, inside the rank rule; their squares, the eigenvalue ratios of
+        # the correlation matrix, fell below it from level 45
+        k = commuting_generic(2, 48, seed=3)
+        corr = correlations(k, build_subproduct(k, 46), state_spec(k, maximally_mixed(48)), 46)
+        assert sorted(corr.levels) == list(range(1, 47))
 
 
 class TestPhiSymmetry:
@@ -236,6 +247,19 @@ class TestDequantize:
         a = random_hermitian(rng, 3)
         out = dequantize(corr, a, 4)
         assert operator_norm(out - out.conj().T) < 1e-10
+
+    def test_matches_extended_precision_on_ill_conditioned_levels(self, rng):
+        # correlation condition numbers up to about 1e8: forming the inverse
+        # from the correlation matrix itself lost up to 2e-10 here
+        k = sequential_projective(3, 0.01)
+        s = build_subproduct(k, 8)
+        spec = state_spec(k, maximally_mixed(3))
+        corr = correlations(k, s, spec, 8)
+        a = random_hermitian(rng, 3)
+        for m in range(1, 9):
+            ref = mp_dequantize(s, spec.rho0, a, m)
+            err = operator_norm(dequantize(corr, a, m) - ref) / operator_norm(ref)
+            assert err <= 1e-12, m
 
     def test_requires_built_level(self, projective3):
         s = build_subproduct(projective3, 2)

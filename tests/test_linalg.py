@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krausfock import (
-    SingularMatrixError,
     Tolerances,
     kron,
     operator_norm,
     orthonormal_range,
     partial_trace_left,
     partial_trace_right,
-    psd_inverse,
     spans_all,
 )
 from krausfock.linalg import _certified_full, _rank
@@ -224,28 +222,6 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             partial_trace_right(np.eye(5), 2, 3)
-
-
-class TestPsdInverse:
-    def test_identity(self):
-        assert np.allclose(psd_inverse(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        assert np.allclose(psd_inverse(np.diag([2.0, 0.5])), np.diag([0.5, 2.0]))
-
-    def test_random_psd_residual(self, rng):
-        g = random_complex(rng, 8, 8)
-        m = g @ g.conj().T + np.eye(8)
-        inv = psd_inverse(m)
-        assert operator_norm(m @ inv - np.eye(8)) < 1e-10
-
-    def test_singular_names_label(self):
-        with pytest.raises(SingularMatrixError, match="level-3"):
-            psd_inverse(np.diag([1.0, 0.0]), label="level-3 correlation matrix")
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            psd_inverse(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_kron_power_apply_matches_explicit(rng):
