@@ -25,7 +25,14 @@ from functools import cached_property
 import numpy as np
 
 from .channel import KrausSet, check_state, kraus_word
-from .linalg import SingularMatrixError, as_matrix, operator_norm, orthonormal_range, spans_all
+from .linalg import (
+    SingularMatrixError,
+    _certified_full,
+    as_matrix,
+    operator_norm,
+    orthonormal_range,
+    spans_all,
+)
 from .subproduct import SubproductSystem, power_sweep
 
 __all__ = [
@@ -269,7 +276,11 @@ def normal_ordering_residual(
     since ``K_v† K_v' = sum_k (K_k K_v)† (K_k K_v')`` puts every lower
     degree inside the next one.  Zero residual certifies that this word
     pair can be rewritten in normal order at the given degree bound;
-    products that vanish count as residual zero.
+    products that vanish count as residual zero.  The residual is exactly
+    ``0.0`` when the products span all of ``C^{d^2}`` by the rank rule: a
+    Cholesky certificate (see :func:`~krausfock.linalg.spans_all`) decides
+    that without a projection, and otherwise the one SVD of the products
+    that gives the projection also gives the rank.
     """
     left = tuple(int(j) for j in left_word)
     right = tuple(int(j) for j in right_word)
@@ -283,8 +294,16 @@ def normal_ordering_residual(
     if scale <= 1e-14:
         return 0.0
     gens = system.generators(degree_bound)
+    # a contiguous copy of the columns vec(G_u† G_v), with the products freed
+    # at once: the certificate would copy a transposed view while both live
     prods = gens.conj().transpose(0, 2, 1)[:, None] @ gens
-    span = orthonormal_range(prods.reshape(-1, kraus.dim * kraus.dim).T, kraus.tol)
+    columns = np.ascontiguousarray(prods.reshape(-1, target.size).T)
+    del prods
+    if columns.shape[0] <= columns.shape[1] and _certified_full(columns, kraus.tol):
+        return 0.0
+    span = orthonormal_range(columns, kraus.tol)
+    if span.shape[1] == target.size:
+        return 0.0
     residual = target - span @ (span.conj().T @ target)
     return float(np.linalg.norm(residual) / scale)
 

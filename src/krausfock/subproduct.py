@@ -29,10 +29,12 @@ those pieces, ``O(a d_{j-1} D_{j-1} n D_j)`` flops a site for a left bond
 ``a``: polynomial in ``m``.  A square chain factor is the identity, so its
 piece is zero: a sweep skips the bra product there, a split whose right
 level is full (every ``C_1..C_l`` square, ``p_l = 1``) needs no sweep at
-all, and an inductive step through a full level is ``x ⊗ 1_n``.  Generic
-families are full up to ``m ≈ 2 log_n d``.  Each shortcut reads the chain
-factors, never the shape of a sweep site: a site ``(q ⊗ 1) C_j`` can be
-square without being the identity.
+all, and an inductive step through a full level is ``x ⊗ 1_n``, a
+homomorphism, so the multiplicativity residual across full levels is zero
+without forming a product.  Generic families are full up to
+``m ≈ 2 log_n d``.  Each shortcut reads the chain factors, never the shape
+of a sweep site: a site ``(q ⊗ 1) C_j`` can be square without being the
+identity.
 """
 
 from __future__ import annotations
@@ -245,6 +247,20 @@ def shift_right(system: SubproductSystem, k: int, m: int) -> np.ndarray:
     return system.factors[m + 1][k :: system.n].conj().T
 
 
+def _check_inductive(system: SubproductSystem, m: int, l: int, *ops) -> list[np.ndarray]:
+    """The level-``m`` operators ``ops`` as matrices, after checking each
+    shape and ``m <= l <= max_level``."""
+    mats = [as_matrix(x) for x in ops]
+    system._check_level(m)
+    dim = system.dims[m]
+    for x in mats:
+        if x.shape != (dim, dim):
+            raise ValueError(f"operator must be {dim}-square at level {m}, got {x.shape}")
+    if not m <= l <= system.max_level:
+        raise ValueError(f"need m <= l <= max_level, got m={m}, l={l}")
+    return mats
+
+
 def inductive_map(system: SubproductSystem, a, m: int, l: int) -> np.ndarray:
     """Sum of right-shift conjugations carrying level ``m`` to level ``l``.
 
@@ -254,21 +270,21 @@ def inductive_map(system: SubproductSystem, a, m: int, l: int) -> np.ndarray:
     positive, and the composition rule ``iota(r,l) ∘ iota(m,r) = iota(m,l)``
     holds by construction.
     """
-    x = as_matrix(a)
-    system._check_level(m)
-    if x.shape != (system.dims[m],) * 2:
-        raise ValueError(f"operator must be {system.dims[m]}-square at level {m}, got {x.shape}")
-    if not m <= l <= system.max_level:
-        raise ValueError(f"need m <= l <= max_level, got m={m}, l={l}")
+    (x,) = _check_inductive(system, m, l, a)
     for c in system.factors[m + 1 : l + 1]:
         x = np.kron(x, np.eye(system.n)) if _full(c) else _transfer(c, x, c)
     return x
 
 
 def multiplicativity_residual(system: SubproductSystem, a, b, m: int, l: int) -> float:
-    """Norm of ``iota(ab) - iota(a) iota(b)`` between levels ``m`` and ``l``."""
-    a = as_matrix(a)
-    b = as_matrix(b)
+    """Norm of ``iota(ab) - iota(a) iota(b)`` between levels ``m`` and ``l``.
+
+    Exactly ``0.0`` when ``C_{m+1..l}`` are square: every step is then
+    ``x -> x ⊗ 1_n``, a homomorphism, and nothing is formed.
+    """
+    a, b = _check_inductive(system, m, l, a, b)
+    if all(map(_full, system.factors[m + 1 : l + 1])):
+        return 0.0
     joint = inductive_map(system, a @ b, m, l)
     separate = inductive_map(system, a, m, l) @ inductive_map(system, b, m, l)
     return operator_norm(joint - separate)

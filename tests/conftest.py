@@ -14,6 +14,7 @@ from krausfock import (
     shift_left,
     uniform_projective,
 )
+from krausfock.subproduct import _transfer
 
 
 def random_complex(rng, rows, cols):
@@ -159,6 +160,18 @@ def residual_oracle(system, m, l):
     top = system.basis(m + l)
     split = kron(level_projection(system, m), level_projection(system, l))
     return operator_norm(top.conj().T @ (np.eye(split.shape[0]) - split))
+
+
+def multiplicativity_oracle(system, a, b, m, l):
+    """``|iota(ab) - iota(a) iota(b)|`` with every step of ``iota`` taken:
+    ``x ⊗ 1_n`` through a square chain factor, the transfer map otherwise."""
+
+    def lift(x):
+        for c in system.factors[m + 1 : l + 1]:
+            x = np.kron(x, np.eye(system.n)) if c.shape[0] == c.shape[1] else _transfer(c, x, c)
+        return x
+
+    return operator_norm(lift(a @ b) - lift(a) @ lift(b))
 
 
 def normal_ordering_oracle(kraus, system, left, right, degree_bound):

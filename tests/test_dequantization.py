@@ -119,6 +119,23 @@ class TestCorrelations:
         assert sorted(corr.levels) == list(range(1, 47))
 
 
+    @pytest.mark.parametrize("d, top", [(12, 14), (24, 48)])
+    def test_commuting_spectrum_is_a_hadamard_power(self, d, top):
+        # diagonal K_j = diag(a_j(x)) and rho0 = 1/d: the raw level-m matrix
+        # is W W† with W[w, x] = a_w(x) / sqrt(d), whose nonzero spectrum is
+        # that of W† W = [<a(y), a(x)>^m] / d, of rank d_m
+        k = commuting_generic(2, d, seed=3)
+        s = build_subproduct(k, top)
+        corr = correlations(k, s, state_spec(k, maximally_mixed(d)), top)
+        points = np.stack([np.diagonal(op) for op in k.ops], axis=1)
+        gram = points.conj() @ points.T
+        for m in range(1, top + 1):
+            level = corr.levels[m]
+            got = np.linalg.eigvalsh(level.matrix / level.scale)
+            expected = np.linalg.eigvalsh(gram**m / d)[d - s.dims[m] :]
+            assert np.max(np.abs(got - expected)) <= 1e-12 * expected[-1], m
+
+
 class TestPhiSymmetry:
     def test_level_one_first_residual_vanishes(self, catalog_quartet):
         for k in catalog_quartet.values():
@@ -332,7 +349,30 @@ class TestNormalOrdering:
             for left, right in pairs:
                 for bound in range(len(left), 5):
                     got = normal_ordering_residual(k, s, left, right, bound)
-                    assert abs(got - normal_ordering_oracle(k, s, left, right, bound)) < 1e-10
+                    assert abs(got - normal_ordering_oracle(k, s, left, right, bound)) <= 1e-12
+
+    def test_full_span_takes_no_singular_vectors(self, random216, commuting212, monkeypatch):
+        # degree 4 of random216: 256 products span all of M_16; degree 3 (64
+        # products) and commuting212 at degree 4 (25 of 144) do not
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(a, full_matrices=True, compute_uv=True, hermitian=False):
+            calls.append(compute_uv)
+            return svd(a, full_matrices, compute_uv, hermitian)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        s = build_subproduct(random216, 4)
+        calls.clear()
+        assert normal_ordering_residual(random216, s, (0, 1), (1, 0), 4) == 0.0
+        assert True not in calls
+        assert normal_ordering_oracle(random216, s, (0, 1), (1, 0), 4) <= 1e-12
+        for k, bound in [(random216, 3), (commuting212, 4)]:
+            s = build_subproduct(k, bound)
+            calls.clear()
+            got = normal_ordering_residual(k, s, (0, 1), (1, 0), bound)
+            assert calls == [True]
+            assert abs(got - normal_ordering_oracle(k, s, (0, 1), (1, 0), bound)) <= 1e-12
 
     def test_vanishing_product_counts_as_ordered(self, projective3):
         s = build_subproduct(projective3, 2)

@@ -3,7 +3,10 @@
 import contextlib
 import inspect
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import krausfock
@@ -46,3 +49,20 @@ def test_readme_example_prints_its_comments():
     assert len(printed) == len(comments) == 3
     for value, comment in zip(printed, comments):
         assert comment == value or comment.startswith(value + ":"), (value, comment)
+
+
+def test_cli_import_leaves_scipy_out():
+    # a cold CLI run pays for every import: numpy alone takes about 0.1 s,
+    # numpy with scipy.linalg about 0.25 s
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, krausfock.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

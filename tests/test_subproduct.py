@@ -24,6 +24,7 @@ from conftest import (
     dense_level_basis,
     full_levels,
     haar_unitary,
+    multiplicativity_oracle,
     random_complex,
     random_hermitian,
     range_ladder,
@@ -336,7 +337,39 @@ class TestInductiveMap:
         s = build_subproduct(random216, 4)
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 2)
-        assert multiplicativity_residual(s, a, b, 1, 4) < 1e-10
+        assert multiplicativity_residual(s, a, b, 1, 4) == 0.0
+
+    @pytest.mark.parametrize(
+        "kraus, top",
+        [
+            (random_unital(2, 16, seed=0), 10),
+            (random_unital(2, 3, seed=0), 8),
+            (commuting_generic(2, 12, seed=3), 7),
+        ],
+        ids=["random216", "random23", "commuting212"],
+    )
+    def test_multiplicativity_matches_the_unshortened_form(self, kraus, top, rng):
+        # random216 is full to level 8 and not beyond; random23 mixes both
+        s = build_subproduct(kraus, top)
+        for m in range(1, top + 1):
+            for l in range(m, top + 1):
+                a, b = (random_complex(rng, s.dims[m], s.dims[m]) for _ in range(2))
+                a, b = a / operator_norm(a), b / operator_norm(b)
+                got = multiplicativity_residual(s, a, b, m, l)
+                assert abs(got - multiplicativity_oracle(s, a, b, m, l)) <= 1e-12, (m, l)
+                if all(full_levels(s.dims, s.n)[m:l]):
+                    assert got == 0.0, (m, l)
+
+    def test_full_chain_forms_no_product(self, random216, rng, monkeypatch):
+        s = build_subproduct(random216, 8)
+        a, b = random_hermitian(rng, 2), random_hermitian(rng, 2)
+
+        def refuse(*args):
+            raise AssertionError("the full chain needs no product")
+
+        monkeypatch.setattr(krausfock.subproduct, "operator_norm", refuse)
+        monkeypatch.setattr(krausfock.subproduct, "inductive_map", refuse)
+        assert multiplicativity_residual(s, a, b, 1, 8) == 0.0
 
     def test_unital_inputs_give_zero_residual(self, commuting212):
         s = build_subproduct(commuting212, 4)
@@ -358,6 +391,23 @@ class TestInductiveMap:
             inductive_map(s, np.eye(2), 1, 4)
         with pytest.raises(ValueError):
             inductive_map(s, np.eye(3), 1, 3)
+
+    def test_range_validation_on_a_full_chain(self, random216):
+        # every level is full, so the multiplicativity shortcut applies once
+        # the arguments are valid
+        s = build_subproduct(random216, 4)
+        eye2, eye3 = np.eye(2), np.eye(3)
+        bad_shape = r"operator must be 2-square at level 1, got \(3, 3\)"
+        for a, b in [(eye2, eye3), (eye3, eye2)]:
+            with pytest.raises(ValueError, match=bad_shape):
+                multiplicativity_residual(s, a, b, 1, 4)
+        with pytest.raises(ValueError, match=bad_shape):
+            inductive_map(s, eye3, 1, 4)
+        for m, l in [(1, 5), (1, 0)]:
+            with pytest.raises(ValueError, match="need m <= l <= max_level"):
+                multiplicativity_residual(s, eye2, eye2, m, l)
+        with pytest.raises(ValueError, match="level 5 out of range"):
+            multiplicativity_residual(s, eye2, eye2, 5, 5)
 
 
 class TestPresentationIndependence:
