@@ -11,6 +11,15 @@ operator built from the weighted pairings ``Tr(rho0 K_wk† K_wj A)``; its
 unitality, multiplicativity defects and state gaps over increasing ``m``
 quantify how fast the levels turn into a classical picture of the channel.
 
+A *complete* level has ``d_m = d^2``: its generators span all of ``M_d``.
+That is not the same as a *full* level, whose chain factor is square.  At a
+complete level the rows ``W = [vec(G_u rho0^{1/2})]`` form a square
+invertible matrix and ``Psi_m(X) = W (1 ⊗ rho0^{-1/2} X rho0^{1/2}) W^{-1}``
+is a similarity, hence an exact unital homomorphism.  So
+:func:`convergence_report` gives a multiplicativity defect of exactly 0
+there, and a generic channel's large-``m`` limit is the whole matrix
+algebra, not a classical one.
+
 A :class:`CorrelationData` holds the Kraus family, level spaces and
 reference state it was built from, so :func:`dequantize`,
 :func:`phi_symmetry_residual` and :func:`convergence_report` take only the
@@ -28,6 +37,7 @@ from .channel import KrausSet, check_state, kraus_word
 from .linalg import (
     SingularMatrixError,
     _certified_full,
+    _triangular_inverse,
     as_matrix,
     operator_norm,
     orthonormal_range,
@@ -135,7 +145,8 @@ def correlation_matrix(
     row rank: the rank rule that decides full levels, applied to the singular
     values of ``W``.  Otherwise the triangular factor of ``W† = Q R`` gives
     ``raw = R† R`` and its inverse ``R^{-1} R^{-†}`` without forming ``W W†``
-    first, which would square the condition number.
+    first, which would square the condition number.  ``R`` is inverted as a
+    triangle, by blocked products (``linalg._triangular_inverse``).
     """
     if m < 1:
         raise ValueError("correlation levels start at 1")
@@ -148,7 +159,7 @@ def correlation_matrix(
             f"ratio {s[-1] / s[0]:.3e}, not above {kraus.tol.rank_rel_tol:.1e}"
         )
     r = np.linalg.qr(w.conj().T, mode="r")
-    r_inv = np.linalg.inv(r)
+    r_inv = _triangular_inverse(r)
     raw = r.conj().T @ r
     inv = r_inv @ r_inv.conj().T
     tr = float(np.trace(raw).real)
@@ -318,6 +329,9 @@ class ConvergenceReport:
     - ``vn_residual[m]``: ``|Psi_m(AB) - Psi_m(A) Psi_m(B)|``
     - ``scaled_commutator[m]``: ``m * |[Psi_m(A), Psi_m(B)]|``
     - ``limit_state_gap[m]``: ``|Tr(Q_m Psi_m(A)) / Tr(Q_m) - Tr(rho0 A)|``
+
+    ``vn_residual[m]`` is exactly ``0.0`` at a complete level (``d_m = d^2``),
+    where ``Psi_m`` is a similarity and so a homomorphism.
     """
 
     levels: list[int]
@@ -352,13 +366,18 @@ def trend_verdict(seq, tol: float) -> str:
     return "irregular"
 
 
-def _level_diagnostics(corr: CorrelationData, a, b, ab, m: int, norm_a: float, ref) -> tuple:
+def _level_diagnostics(
+    corr: CorrelationData, a, b, ab, comm, m: int, norm_a: float, ref
+) -> tuple:
     """The four diagnostics at level ``m``; its level operators die at return."""
     pa = dequantize(corr, a, m)
     level = corr.levels[m]
     norm_gap = abs(operator_norm(pa) - norm_a)
     # Tr(Q_m Psi_m(A)) without the d_m^3 product, before pb and pab exist
     state_gap = float(abs(np.sum(level.matrix * pa.T) / level.trace - ref))
+    if corr.system.dims[m] == corr.kraus.dim**2:
+        # a complete level: Psi_m is a similarity, so a homomorphism
+        return norm_gap, 0.0, m * operator_norm(dequantize(corr, comm, m)), state_gap
     pb = dequantize(corr, b, m)
     pab = dequantize(corr, ab, m)
     # one product for both residuals, subtracted in place, so that no more
@@ -370,15 +389,25 @@ def _level_diagnostics(corr: CorrelationData, a, b, ab, m: int, norm_a: float, r
 
 
 def convergence_report(corr: CorrelationData, a, b, m_max: int) -> ConvergenceReport:
-    """Evaluate all four diagnostic sequences for levels ``1..m_max``."""
+    """Evaluate all four diagnostic sequences for levels ``1..m_max``.
+
+    At a complete level (``d_m = d^2``) the rows ``W = [vec(G_u rho0^{1/2})]``
+    are square and invertible, so ``Psi_m(X) = W (1 ⊗ rho0^{-1/2} X rho0^{1/2})
+    W^{-1}`` is a similarity and ``Psi_m(AB) = Psi_m(A) Psi_m(B)`` exactly.
+    There ``vn_residual`` is ``0.0``, and ``scaled_commutator`` is taken as
+    ``m * |Psi_m(AB - BA)|``, which equals ``m * |[Psi_m(A), Psi_m(B)]|``: two
+    dequantizations instead of three and no level-sized products.  Every
+    other level is evaluated from ``Psi_m(A)``, ``Psi_m(B)`` and ``Psi_m(AB)``.
+    """
     a = as_matrix(a)
     b = as_matrix(b)
     norm_a = operator_norm(a)
     ab = a @ b
+    comm = ab - b @ a
     ref = np.trace(corr.state.rho0 @ a)
 
     levels = list(range(1, m_max + 1))
-    rows = [_level_diagnostics(corr, a, b, ab, m, norm_a, ref) for m in levels]
+    rows = [_level_diagnostics(corr, a, b, ab, comm, m, norm_a, ref) for m in levels]
     report = ConvergenceReport(levels, *([row[i] for row in rows] for i in range(4)))
     tol = corr.kraus.tol.residual_tol
     for name in ConvergenceReport._COLUMNS:

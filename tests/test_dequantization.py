@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import krausfock.dequantization as dequantization
 from krausfock import (
     BalancedWordSum,
     SingularMatrixError,
@@ -415,6 +416,47 @@ class TestConvergenceReport:
         a = random_hermitian(rng, 12)
         report = convergence_report(corr, a, a, 5)
         assert max(report.limit_state_gap) < 1e-10
+
+    @staticmethod
+    def complete_instance(rng, n, d, top):
+        """``random_unital(n, d)`` to ``top`` with a random full-rank state,
+        two random observables and the complete levels (``d_m = d^2``)."""
+        kraus = random_unital(n, d, seed=0)
+        s = build_subproduct(kraus, top)
+        corr = correlations(kraus, s, state_spec(kraus, random_density(rng, d)), top)
+        complete = [m for m in range(1, top + 1) if s.dims[m] == d * d]
+        return corr, random_hermitian(rng, d), random_hermitian(rng, d), complete
+
+    @pytest.mark.parametrize("n, d, top, first", [(2, 4, 6, 4), (3, 3, 4, 2)])
+    def test_complete_levels_are_homomorphisms(self, rng, n, d, top, first):
+        corr, a, b, complete = self.complete_instance(rng, n, d, top)
+        assert complete == list(range(first, top + 1))
+        report = convergence_report(corr, a, b, top)
+        for m, norm_gap, vn, commutator, _ in report.rows():
+            pa, pb = dequantize(corr, a, m), dequantize(corr, b, m)
+            expected = m * operator_norm(pa @ pb - pb @ pa)
+            assert norm_gap == abs(operator_norm(pa) - operator_norm(a)), m
+            if m in complete:
+                # Psi_m is a similarity there: Psi_m(AB) = Psi_m(A) Psi_m(B)
+                assert vn == 0.0, m
+                assert abs(commutator - expected) <= 1e-10 * expected, m
+            else:
+                assert vn == operator_norm(dequantize(corr, a @ b, m) - pa @ pb), m
+                assert commutator == expected, m
+
+    def test_complete_levels_dequantize_twice(self, rng, monkeypatch):
+        corr, a, b, complete = self.complete_instance(rng, 2, 4, 6)
+        calls = []
+        real = dequantization.dequantize
+
+        def spy(corr, x, m):
+            calls.append(m)
+            return real(corr, x, m)
+
+        monkeypatch.setattr(dequantization, "dequantize", spy)
+        convergence_report(corr, a, b, 6)
+        expected = [2 if m in complete else 3 for m in range(1, 7)]
+        assert [calls.count(m) for m in range(1, 7)] == expected
 
     def test_rows_shape(self, projective3):
         s = build_subproduct(projective3, 3)

@@ -12,7 +12,7 @@ from krausfock import (
     partial_trace_right,
     spans_all,
 )
-from krausfock.linalg import _certified_full, _rank
+from krausfock.linalg import _certified_full, _rank, _triangular_inverse
 from conftest import haar_unitary, kron_power_apply, random_complex
 
 
@@ -188,6 +188,35 @@ class TestCertifiedFull:
             assert _certified_full(a, tol)
         elif q <= cutoff(rows, cols, tol) / 2:
             assert not _certified_full(a, tol)
+
+
+class TestTriangularInverse:
+    """The blocked inverse of an upper-triangular QR factor against an LU inverse."""
+
+    SIZES = [1, 31, 32, 33, 100, 256, 257]
+
+    @staticmethod
+    def check(r):
+        t = _triangular_inverse(r)
+        eye = np.eye(r.shape[0])
+        assert np.all(np.tril(t, -1) == 0.0)
+        residual = np.linalg.norm(t @ r - eye, 2)
+        lu_residual = np.linalg.norm(np.linalg.inv(r) @ r - eye, 2)
+        assert residual <= 2.0 * max(lu_residual, np.finfo(float).eps)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_random_factor(self, rng, n):
+        self.check(np.linalg.qr(random_complex(rng, n, n), mode="r"))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_ill_conditioned_factor(self, rng, n):
+        # singular values from 1 down to 1e-10
+        s = np.geomspace(1.0, 1e-10, n)
+        self.check(np.linalg.qr((haar_unitary(rng, n) * s) @ haar_unitary(rng, n), mode="r"))
+
+    def test_small_blocks_are_the_lu_inverse(self, rng):
+        r = np.linalg.qr(random_complex(rng, 32, 32), mode="r")
+        assert np.array_equal(_triangular_inverse(r), np.linalg.inv(r))
 
 
 class TestPartialTrace:
