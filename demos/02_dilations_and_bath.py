@@ -27,15 +27,14 @@ rng = np.random.default_rng(7)
 kraus = random_unital(3, 4, seed=11)
 d, n = kraus.dim, kraus.size
 
-bundle = unitary_dilation(kraus)
-w = bundle.unitary
+w = unitary_dilation(kraus)
 print(f"channel with n={n} Kraus operators on C^{d}")
 print(f"dilation unitary on C^{d} ⊗ C^{n}: unitarity residual "
       f"{operator_norm(w @ w.conj().T - np.eye(d * n)):.2e}")
 
 a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 a = a + a.conj().T
-compressed = compressed_action(w, a, d, n)
+compressed = compressed_action(w[:, ::n], a)  # the e_0 columns of w are V_1
 print(f"compression reproduces the channel: "
       f"{operator_norm(compressed - apply_heisenberg(kraus, a)):.2e}")
 
@@ -43,7 +42,7 @@ rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 rho = rho @ rho.conj().T
 rho /= np.trace(rho).real
 bath_state = complementary_state(kraus, rho)
-bath_state_2 = complementary_state_via_dilation(kraus, rho, bundle)
+bath_state_2 = complementary_state_via_dilation(kraus, rho, w)
 print()
 print("bath state after one step (two equivalent computations):")
 print(f"  Kraus-sum vs trace-out agreement: "

@@ -4,8 +4,9 @@ Fixing a reference state, every observable A has a time-m shadow on the
 level-m space: a matrix of normalized post-measurement pairings.  For a
 projective measurement the shadow is diagonal from the first step — the
 channel is classical immediately.  For commuting-but-not-projective
-channels the shadows form fuzzy approximations whose defects shrink only
-as m grows; for free random channels nothing commutes and the word algebra
+channels the shadows form fuzzy approximations whose multiplicativity and
+commutator defects do not decay level by level, but vanish once the level
+space saturates at the d common eigenvectors; for free random channels nothing commutes and the word algebra
 keeps its full quantum character (normal ordering fails).  Once a generic
 channel's level reaches d_m = d^2 the shadow map is a similarity onto all
 of M_d, so its multiplicativity defect is exactly 0: the limit is the whole
@@ -63,9 +64,13 @@ print("   ", " ".join(f"{x:.3f}" for x in report.norm_gap))
 print("scaled commutator m|[shadow_A, shadow_B]| per level (bounded):")
 print("   ", " ".join(f"{x:.3f}" for x in report.scaled_commutator))
 print("verdicts:", report.verdicts)
-print("note: the multiplicativity defect plateaus at this scale; the")
-print("asymptotic decay needs levels beyond a 12-point instance (the")
-print("shadows only resolve the points once m is comparable with d).")
+deep = build_subproduct(kraus, 11)
+report = convergence_report(correlations(kraus, deep, spec, 11), a, b, 11)
+print("no plateau: both defects vanish once d_m saturates at the 12 points")
+for m in (10, 11):
+    print(f"  m={m}: d_m={deep.dims[m]}, multiplicativity defect "
+          f"{report.vn_residual[m - 1]:.1e}, scaled commutator "
+          f"{report.scaled_commutator[m - 1]:.1e}")
 
 print()
 print("=== free random family: no reordering, no classical limit ===")

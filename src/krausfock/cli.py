@@ -369,16 +369,16 @@ def cmd_subproduct_check(args) -> int:
 def cmd_dilate(args) -> int:
     digest, kraus, _ = _load_channel(args)
     d = kraus.dim
-    w = unitary_dilation(kraus).unitary
+    w = unitary_dilation(kraus)
     eye = np.eye(d * kraus.size)
     unitarity = max(
         operator_norm(w @ w.conj().T - eye), operator_norm(w.conj().T @ w - eye)
     )
     # the d^2 unit probes E_ab, one stack of d for each row a
-    probe_gap, row = 0.0, np.zeros((d, d, d))
+    probe_gap, row, v1 = 0.0, np.zeros((d, d, d)), w[:, :: kraus.size]
     for a in range(d):
         row[:, a, :] = np.eye(d)
-        got = compressed_action(w, row, d, kraus.size)
+        got = compressed_action(v1, row)
         gaps = np.linalg.norm(got - apply_heisenberg(kraus, row), 2, axis=(-2, -1))
         probe_gap = max(probe_gap, float(gaps.max()))
         row[:, a, :] = 0.0
@@ -391,9 +391,7 @@ def cmd_dilate(args) -> int:
         v = stinespring_isometry(kraus, system, m)
         iso = operator_norm(v.conj().T @ v - np.eye(d))
         power = apply_heisenberg(kraus, power)
-        # (probe ⊗ 1) v without the (d d_m)-square Kronecker product
-        lifted = (probe @ v.reshape(d, -1)).reshape(v.shape)
-        comp = operator_norm(v.conj().T @ lifted - power)
+        comp = operator_norm(compressed_action(v, probe) - power)
         levels.append({"m": m, "isometry_residual": iso, "compression_residual": comp})
     payload = {
         "unitary": {"unitarity_residual": unitarity, "compression_residual": probe_gap},
@@ -458,10 +456,9 @@ def cmd_converge(args) -> int:
         except SingularMatrixError as exc:
             singular = exc
             break
-    if levels:
-        corr = CorrelationData(kraus, system, spec, levels)
-        report = convergence_report(corr, mats[0], mats[1], len(levels))
-        _emit_csv(["m", *ConvergenceReport._COLUMNS], report.rows(), digest, args)
+    corr = CorrelationData(kraus, system, spec, levels)
+    report = convergence_report(corr, mats[0], mats[1], len(levels))
+    _emit_csv(["m", *ConvergenceReport._COLUMNS], report.rows(), digest, args)
     if singular is not None:
         raise singular
     return 0

@@ -34,6 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import KrausSet, check_state, kraus_word
+from .dilation import _pairing
 from .linalg import (
     SingularMatrixError,
     _certified_full,
@@ -121,16 +122,6 @@ class CorrelationData:
     def base(self) -> np.ndarray:
         """The level-one correlation matrix."""
         return self.levels[1].matrix
-
-
-def _pairing(gens: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix of ``Tr(G_u x G_v†)`` over one level's generators.
-
-    Equals the compression ``B† [Tr(K_wj x K_wk†)] B`` of the word pairing
-    onto the level basis.
-    """
-    dm = gens.shape[0]
-    return (gens @ x).reshape(dm, -1) @ gens.reshape(dm, -1).conj().T
 
 
 def correlation_matrix(
@@ -288,10 +279,13 @@ def normal_ordering_residual(
     degree inside the next one.  Zero residual certifies that this word
     pair can be rewritten in normal order at the given degree bound;
     products that vanish count as residual zero.  The residual is exactly
-    ``0.0`` when the products span all of ``C^{d^2}`` by the rank rule: a
-    Cholesky certificate (see :func:`~krausfock.linalg.spans_all`) decides
-    that without a projection, and otherwise the one SVD of the products
-    that gives the projection also gives the rank.
+    ``0.0`` at a complete level (``d_m = d^2``), where the ``G_u`` span
+    ``M_d`` and with it the identity, so the products span ``M_d`` and are
+    never formed.  It is also ``0.0`` when the products span all of
+    ``C^{d^2}`` by the rank rule: a Cholesky certificate (see
+    :func:`~krausfock.linalg.spans_all`) decides that without a projection,
+    and otherwise the one SVD of the products that gives the projection also
+    gives the rank.
     """
     left = tuple(int(j) for j in left_word)
     right = tuple(int(j) for j in right_word)
@@ -305,6 +299,9 @@ def normal_ordering_residual(
     if scale <= 1e-14:
         return 0.0
     gens = system.generators(degree_bound)
+    if len(gens) == kraus.dim**2:
+        # a complete level: the G_u span M_d, so their products do too
+        return 0.0
     # a contiguous copy of the columns vec(G_u† G_v), with the products freed
     # at once: the certificate would copy a transposed view while both live
     prods = gens.conj().transpose(0, 2, 1)[:, None] @ gens

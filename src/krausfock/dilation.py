@@ -1,14 +1,15 @@
 """Stinespring isometries, unitary dilations and complementary channels.
 
-The level-``m`` isometry sends ``x`` to ``sum_u (G_u x) ⊗ e_u`` over the
-level generators ``G_u``, so compressing ``A ⊗ 1`` through it reproduces
-the ``m``-fold channel power.  At level one the isometry extends to a
-unitary on ``system ⊗ bath`` that acts as it on the bath vector ``e_0``.
+The level-``m`` isometry ``V_m`` sends ``x`` to ``sum_u (G_u x) ⊗ e_u`` over
+the level generators ``G_u``; it is the one object this module computes
+with.  :func:`compressed_action` forms ``V† (A ⊗ 1) V``, which reproduces
+the ``m``-fold channel power, and the bath side ``Tr_sys(V x V†)`` has
+entries ``Tr(G_u x G_v†)``.  At level one :func:`unitary_dilation` extends
+``V_1`` to a unitary ``W`` on ``system ⊗ bath`` whose ``e_0`` columns
+``W[:, ::n]`` are ``V_1``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from .linalg import as_matrix, partial_trace_left
 from .subproduct import SubproductSystem
 
 __all__ = [
-    "DilationBundle",
     "stinespring_isometry",
     "unitary_dilation",
     "compressed_action",
@@ -27,17 +27,21 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
-class DilationBundle:
-    """Level-one isometry ``V_1`` and its completion to a unitary ``W``.
+def _isometry(stack: np.ndarray) -> np.ndarray:
+    """Isometry ``x -> sum_u (G_u x) ⊗ e_u`` of a stack of ``d``-square ``G_u``."""
+    d = stack.shape[-1]
+    return stack.transpose(1, 0, 2).reshape(d * len(stack), d)
 
-    ``W`` acts as ``V_1`` on the slice of the bath vector ``e_0``; all
-    compression results are independent of how the completion fills the
-    remaining columns.
+
+def _pairing(gens: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix of ``Tr(G_u x G_v†)`` over a stack of generators ``G_u``.
+
+    It is the bath side ``Tr_sys(V x V†)`` of their isometry ``V``.  Over
+    one level's generators it equals the compression
+    ``B† [Tr(K_wj x K_wk†)] B`` of the word pairing onto the level basis.
     """
-
-    isometry: np.ndarray
-    unitary: np.ndarray
+    count = gens.shape[0]
+    return (gens @ x).reshape(count, -1) @ gens.reshape(count, -1).conj().T
 
 
 def stinespring_isometry(kraus: KrausSet, system: SubproductSystem, m: int) -> np.ndarray:
@@ -45,21 +49,19 @@ def stinespring_isometry(kraus: KrausSet, system: SubproductSystem, m: int) -> n
 
     Satisfies ``V_m† V_m = 1`` and ``V_m† (A ⊗ 1) V_m = Phi^m(A)``.
     """
-    gens = system.generators(m)
-    d = kraus.dim
-    return gens.transpose(1, 0, 2).reshape(d * gens.shape[0], d)
+    return _isometry(system.generators(m))
 
 
-def unitary_dilation(kraus: KrausSet) -> DilationBundle:
+def unitary_dilation(kraus: KrausSet) -> np.ndarray:
     """Complete the level-one isometry to a unitary ``W`` on ``C^d ⊗ C^n``.
 
-    ``W`` agrees with ``V_1`` on the ``x ⊗ e_0`` slice and carries an
-    orthonormal completion elsewhere, so
-    ``<e_0| W† (A ⊗ 1) W |e_0> = Phi(A)`` on all of ``B(C^d)``.
+    The ``x ⊗ e_0`` columns ``W[:, ::n]`` are ``V_1`` and the others an
+    orthonormal completion, so ``<e_0| W† (A ⊗ 1) W |e_0> = Phi(A)`` on all
+    of ``B(C^d)``, whatever the completion.
     """
     require_unital_minimal(kraus)
     n, d = kraus.size, kraus.dim
-    v1 = kraus.ops.transpose(1, 0, 2).reshape(d * n, d)
+    v1 = _isometry(kraus.ops)
     w = np.empty((d * n, d * n), dtype=complex)
     w[:, 0::n] = v1
     if n > 1:
@@ -67,23 +69,23 @@ def unitary_dilation(kraus: KrausSet) -> DilationBundle:
         rest = np.ones(d * n, dtype=bool)
         rest[0::n] = False
         w[:, rest] = u[:, d:]
-    return DilationBundle(isometry=v1, unitary=w)
+    return w
 
 
-def compressed_action(w, a, dim: int, bath_dim: int) -> np.ndarray:
-    """The ``dim``-square block ``<e_0| W† (a ⊗ 1) W |e_0>`` of a dilation.
+def compressed_action(v, a) -> np.ndarray:
+    """``V† (a ⊗ 1) V`` for an isometry ``v`` of shape ``(c * b, c)``.
 
-    ``e_0`` is the bath vector of :func:`unitary_dilation`.  ``a`` is one
-    ``dim``-square matrix or a stack ``(..., dim, dim)``; ``a ⊗ 1`` acts on the
-    ``e_0`` columns by a reshape, without a Kronecker product.
+    ``a`` is one ``c``-square matrix or a stack ``(..., c, c)``; ``a ⊗ 1``
+    acts on ``v`` by a reshape, without a Kronecker product.  ``v`` is any
+    ``V_m``, or the ``e_0`` columns ``W[:, ::n]`` of a unitary dilation.
     """
-    w = as_matrix(w)
+    v = as_matrix(v)
     a = as_matrix(a, stacked=True)
-    if a.shape[-2:] != (dim, dim) or w.shape[0] != dim * bath_dim:
-        raise ValueError(f"shapes {a.shape} and {w.shape} do not fit dim {dim}, bath {bath_dim}")
-    cols = w[:, ::bath_dim]
-    lifted = (a @ cols.reshape(dim, -1)).reshape(*a.shape[:-2], dim * bath_dim, dim)
-    return cols.conj().T @ lifted
+    rows, c = v.shape
+    if a.shape[-2:] != (c, c) or rows % c:
+        raise ValueError(f"shapes {a.shape} and {v.shape} do not fit an isometry on C^{c}")
+    lifted = (a @ v.reshape(c, -1)).reshape(*a.shape[:-2], rows, c)
+    return v.conj().T @ lifted
 
 
 def complementary_state(kraus: KrausSet, rho) -> np.ndarray:
@@ -92,24 +94,20 @@ def complementary_state(kraus: KrausSet, rho) -> np.ndarray:
     Describes the information about ``rho`` carried into the bath by one
     step of the evolution; a density matrix whenever ``rho`` is one.
     """
-    rho = check_state(kraus, rho)
-    n, d = kraus.size, kraus.dim
-    # Tr(K_j rho K_k†) is the inner product of vec(K_j rho) with vec(K_k)
-    return (kraus.ops @ rho).reshape(n, d * d) @ kraus.ops.reshape(n, d * d).conj().T
+    return _pairing(kraus.ops, check_state(kraus, rho))
 
 
-def complementary_state_via_dilation(
-    kraus: KrausSet, rho, bundle: DilationBundle | None = None
-) -> np.ndarray:
-    """Same state computed by tracing the system out of the dilated evolution."""
+def complementary_state_via_dilation(kraus: KrausSet, rho, unitary=None) -> np.ndarray:
+    """Same state computed by tracing the system out of the dilated evolution.
+
+    ``W (rho ⊗ |e_0><e_0|) W†`` is ``V rho V†`` for the ``e_0`` columns
+    ``V = W[:, ::n]`` of the unitary ``W`` (built when not given).
+    """
     rho = check_state(kraus, rho)
-    if bundle is None:
-        bundle = unitary_dilation(kraus)
-    n, d = kraus.size, kraus.dim
-    e_ref = np.zeros((n, n), dtype=complex)
-    e_ref[0, 0] = 1.0
-    big = bundle.unitary @ np.kron(rho, e_ref) @ bundle.unitary.conj().T
-    return partial_trace_left(big, d, n)
+    if unitary is None:
+        unitary = unitary_dilation(kraus)
+    v = unitary[:, :: kraus.size]
+    return partial_trace_left(v @ rho @ v.conj().T, kraus.dim, kraus.size)
 
 
 def covariant_symbol(kraus: KrausSet, system: SubproductSystem, m: int, x) -> np.ndarray:

@@ -118,6 +118,10 @@ class TestSequentialProjective:
         with pytest.raises(ValueError, match="angle"):
             sequential_projective(4, np.pi)
 
+    def test_dimension_validation(self):
+        with pytest.raises(ValueError, match="dimension at least 2"):
+            sequential_projective(1, np.pi / 4)
+
 
 class TestDispatcher:
     def test_unknown_family(self):

@@ -35,6 +35,11 @@ class TestKrausSet:
         with pytest.raises(ValueError):
             KrausSet(bad)
 
+    def test_rejects_empty_stacks(self):
+        for empty in (np.zeros((0, 2, 2)), np.zeros((1, 0, 0))):
+            with pytest.raises(ValueError, match="at least one Kraus operator"):
+                KrausSet(empty)
+
     def test_ops_are_read_only(self):
         k = uniform_projective(2)
         with pytest.raises(ValueError):
@@ -106,6 +111,10 @@ class TestApplySchrodinger:
             lhs = np.trace(apply_schrodinger(k, rho) @ a)
             rhs = np.trace(rho @ apply_heisenberg(k, a))
             assert abs(lhs - rhs) < 1e-10
+
+    def test_rejects_a_state_of_another_shape(self):
+        with pytest.raises(ValueError, match="state must be 2x2"):
+            apply_schrodinger(uniform_projective(2), np.eye(3) / 3)
 
 
 class TestGuards:
@@ -188,6 +197,10 @@ class TestMinimalKraus:
                 apply_heisenberg(mixed, probe) - apply_heisenberg(reduced, probe), 2
             )
             assert gap < 1e-10
+
+    def test_rejects_vanishing_operators(self):
+        with pytest.raises(ValueError, match="all Kraus operators vanish"):
+            minimal_kraus(KrausSet(np.zeros((2, 3, 3))))
 
     def test_idempotent(self, rng):
         base = random_unital(2, 3, seed=2)

@@ -368,6 +368,19 @@ class TestConverge:
         assert code == 0
         assert rows == [line for line in below.splitlines() if line[:1].isdigit()]
 
+    def test_singular_first_level_writes_the_header(self, tmp_path, capsys):
+        # a pure state supports one of the twelve points, so level 1 is singular
+        state = np.zeros((12, 12))
+        state[0, 0] = 1.0
+        argv = self.commuting_argv(tmp_path, state)
+        code, out, err = run(capsys, *argv, "12")
+        assert code == 1
+        assert err.startswith("error: singular correlation: level-1 correlation matrix")
+        assert "Traceback" not in err
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines[:3]] == ["# command", "# version", "# input_digest"]
+        assert lines[3:] == ["m,norm_gap,vn_residual,scaled_commutator,limit_state_gap"]
+
     def test_ill_conditioned_levels_are_reported(self, tmp_path, capsys):
         # level 11 has singular-value ratio 1.5e-5, inside the rank rule
         code, out, err = run(capsys, *self.commuting_argv(tmp_path), "12")
@@ -411,6 +424,8 @@ MALFORMED = {
         "tol",
     ),
     "kraus-not-a-list": ({"dim": 2, "kraus": 5}, "'kraus'"),
+    "catalog-not-an-object": ({"catalog": "projective"}, "catalog must be an object"),
+    "kraus-shape-other-than-dim": ({"dim": 3, "kraus": [{"re": np.eye(2).tolist()}]}, "kraus[0]"),
     "string-matrix-entry": ({"dim": 1, "kraus": [{"re": [["1.0"]]}]}, "kraus[0].re"),
     "unused-ranks": (
         {"catalog": {"family": "random_unital", "n": 2, "d": 3, "params": {"ranks": [1, 2]}}},

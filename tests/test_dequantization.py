@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,15 @@ class TestCorrelations:
             got = np.linalg.eigvalsh(level.matrix / level.scale)
             expected = np.linalg.eigvalsh(gram**m / d)[d - s.dims[m] :]
             assert np.max(np.abs(got - expected)) <= 1e-12 * expected[-1], m
+
+
+    def test_levels_start_at_one(self, projective3):
+        s = build_subproduct(projective3, 1)
+        spec = state_spec(projective3, maximally_mixed(3))
+        with pytest.raises(ValueError, match="correlation levels start at 1"):
+            dequantization.correlation_matrix(projective3, s, spec, 0)
+        with pytest.raises(ValueError, match="at least one correlation level"):
+            correlations(projective3, s, spec, 0)
 
 
 class TestPhiSymmetry:
@@ -285,6 +296,14 @@ class TestDequantize:
         corr = correlations(projective3, s, spec, 2)
         with pytest.raises(ValueError, match="not built"):
             dequantize(corr, np.eye(3), 3)
+        with pytest.raises(ValueError, match="not built"):
+            phi_symmetry_residual(corr, 3)
+
+    def test_rejects_an_observable_of_another_shape(self, projective3):
+        s = build_subproduct(projective3, 1)
+        corr = correlations(projective3, s, state_spec(projective3, maximally_mixed(3)), 1)
+        with pytest.raises(ValueError, match="observable must be 3x3"):
+            dequantize(corr, np.eye(2), 1)
 
 
 class TestBalancedWordSum:
@@ -374,6 +393,32 @@ class TestNormalOrdering:
             got = normal_ordering_residual(k, s, (0, 1), (1, 0), bound)
             assert calls == [True]
             assert abs(got - normal_ordering_oracle(k, s, (0, 1), (1, 0), bound)) <= 1e-12
+
+    def test_complete_level_is_decided_by_its_dimension(self):
+        # d_8 = 256 = d^2: the 65,536 products G_u† G_v (over 800 MB with
+        # their copy) span M_d exactly and are never formed
+        k = random_unital(2, 16, seed=3)
+        s = build_subproduct(k, 8)
+        assert s.dims[8] == 256
+        tracemalloc.start()
+        try:
+            got = normal_ordering_residual(k, s, (0, 1), (1, 0), 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 0.0
+        assert peak < 10e6
+
+    def test_complete_levels_agree_with_the_oracle(self):
+        # random_unital(2,4) is complete from degree 4 on
+        k = random_unital(2, 4, seed=0)
+        s = build_subproduct(k, 5)
+        assert s.dims[4:] == [16, 16]
+        pairs = [((0,), (1,)), ((1, 0), (0, 1)), ((0, 0, 1), (1, 0, 0)), ((0, 1, 1, 0), (1, 0, 0, 1))]
+        for left, right in pairs:
+            for bound in range(len(left), 6):
+                got = normal_ordering_residual(k, s, left, right, bound)
+                assert abs(got - normal_ordering_oracle(k, s, left, right, bound)) <= 1e-12
 
     def test_vanishing_product_counts_as_ordered(self, projective3):
         s = build_subproduct(projective3, 2)

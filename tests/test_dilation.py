@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import krausfock.dilation as dilation
 from krausfock import (
     KrausSet,
     apply_heisenberg,
@@ -11,6 +12,7 @@ from krausfock import (
     covariant_symbol,
     kraus_word,
     operator_norm,
+    partial_trace_left,
     random_unital,
     stinespring_isometry,
     uniform_projective,
@@ -74,36 +76,49 @@ class TestStinespringIsometry:
                 v = stinespring_isometry(k, s, m)
                 got = v.conj().T @ np.kron(a, np.eye(s.dims[m])) @ v
                 assert operator_norm(got - heisenberg_power(k, a, m)) < 1e-9
+                assert operator_norm(compressed_action(v, a) - got) < 1e-12
+
+    def test_bath_side_of_every_level_is_the_pairing(self, catalog_quartet, rng):
+        # Tr_sys(V_m rho V_m†) has entries Tr(G_u rho G_v†), the pairing that
+        # complementary_state takes at level one and dequantize at level m
+        for k in catalog_quartet.values():
+            s = build_subproduct(k, 3)
+            rho = random_density(rng, k.dim)
+            for m in range(1, 4):
+                v = stinespring_isometry(k, s, m)
+                traced = partial_trace_left(v @ rho @ v.conj().T, k.dim, s.dims[m])
+                pairing = dilation._pairing(s.generators(m), rho)
+                assert operator_norm(traced - pairing) < 1e-12
 
 
 class TestUnitaryDilation:
     def test_identity_channel(self):
-        bundle = unitary_dilation(KrausSet(np.eye(2)[None]))
-        assert np.array_equal(bundle.unitary, np.eye(2))
+        w = unitary_dilation(KrausSet(np.eye(2)[None]))
+        assert np.array_equal(w, np.eye(2))
 
     def test_unitarity(self):
         for seed in range(3):
             k = random_unital(2, 4, seed=seed)
-            w = unitary_dilation(k).unitary
+            w = unitary_dilation(k)
             eye = np.eye(8)
             assert operator_norm(w @ w.conj().T - eye) < 1e-12
             assert operator_norm(w.conj().T @ w - eye) < 1e-12
 
     def test_reference_slice_is_isometry_columns(self):
         k = random_unital(3, 2, seed=1)
-        bundle = unitary_dilation(k)
-        assert np.array_equal(bundle.unitary[:, 0 :: k.size], bundle.isometry)
+        s = build_subproduct(k, 1)
+        assert np.array_equal(unitary_dilation(k)[:, :: k.size], stinespring_isometry(k, s, 1))
 
     def test_compression_reproduces_channel_on_probe_basis(self, catalog_quartet):
         for k in catalog_quartet.values():
             if k.dim > 6:
                 continue
-            w = unitary_dilation(k).unitary
+            v = unitary_dilation(k)[:, :: k.size]
             for a in range(k.dim):
                 for b in range(k.dim):
                     unit = np.zeros((k.dim, k.dim))
                     unit[a, b] = 1.0
-                    got = compressed_action(w, unit, k.dim, k.size)
+                    got = compressed_action(v, unit)
                     gap = operator_norm(got - apply_heisenberg(k, unit))
                     assert gap < 1e-10
 
@@ -118,33 +133,36 @@ class TestStackedProbes:
 
     def test_unit_probe_stack_matches_single_calls(self, catalog_quartet):
         for name, k in catalog_quartet.items():
-            d, w = k.dim, unitary_dilation(k).unitary
+            d, v = k.dim, unitary_dilation(k)[:, :: k.size]
             units = np.eye(d * d).reshape(d, d, d, d)  # units[a, b] = E_ab
-            compressed = compressed_action(w, units, d, k.size)
+            compressed = compressed_action(v, units)
             heisenberg = apply_heisenberg(k, units)
             assert compressed.shape == heisenberg.shape == (d, d, d, d)
             for a in range(d):
                 for b in range(d):
-                    single = compressed_action(w, units[a, b], d, k.size)
+                    single = compressed_action(v, units[a, b])
                     assert np.array_equal(compressed[a, b], single), (name, a, b)
                     single = apply_heisenberg(k, units[a, b])
                     assert np.array_equal(heisenberg[a, b], single), (name, a, b)
 
     def test_two_dimensional_calls_keep_shapes_and_errors(self):
         k = random_unital(3, 2, seed=1)
-        w = unitary_dilation(k).unitary
+        w = unitary_dilation(k)
+        v = w[:, ::3]
         a = np.arange(4.0).reshape(2, 2)
-        assert compressed_action(w, a, 2, 3).shape == (2, 2)
+        assert compressed_action(v, a).shape == (2, 2)
         assert apply_heisenberg(k, a).shape == (2, 2)
         bad = [np.ones(2), np.ones((3, 3)), np.ones((2, 3)), np.full((2, 2), np.nan)]
         bad.append(np.ones((4, 2, 3)))  # a stack of non-square matrices
         for x in bad:
             with pytest.raises(ValueError):
-                compressed_action(w, x, 2, 3)
+                compressed_action(v, x)
             with pytest.raises(ValueError):
                 apply_heisenberg(k, x)
-        with pytest.raises(ValueError):
-            compressed_action(w, a, 2, 2)
+        # the whole unitary is an isometry on C^6, and 5 rows are no C^2 ⊗ C^b
+        for bad_v in (w, v[:5]):
+            with pytest.raises(ValueError):
+                compressed_action(bad_v, a)
 
 
 class TestComplementaryState:
@@ -163,11 +181,11 @@ class TestComplementaryState:
 
     def test_two_formulas_agree(self, rng):
         k = random_unital(3, 4, seed=5)
-        bundle = unitary_dilation(k)
+        w = unitary_dilation(k)
         for _ in range(5):
             rho = random_density(rng, 4)
             by_sum = complementary_state(k, rho)
-            by_dilation = complementary_state_via_dilation(k, rho, bundle)
+            by_dilation = complementary_state_via_dilation(k, rho, w)
             assert operator_norm(by_sum - by_dilation) < 1e-10
 
     def test_output_is_a_density_matrix(self, rng):

@@ -105,6 +105,10 @@ class TestBuild:
         with pytest.raises(ValueError, match="unital"):
             build_subproduct(KrausSet(ops), 2)
 
+    def test_rejects_negative_max_level(self, commuting212):
+        with pytest.raises(ValueError, match="max_level must be nonnegative"):
+            build_subproduct(commuting212, -1)
+
     def test_commuting_builds_to_level_13(self):
         # the ladder saturates at the 12 points and every level stays built
         k = commuting_generic(2, 12, seed=1)
@@ -294,6 +298,24 @@ class TestShifts:
             index = (word[0] * 4 + word[1]) * 4 + word[2]
             expected = s.basis(3).conj().T[:, index]
             assert np.allclose(vec[:, 0], expected, atol=1e-12)
+
+
+    def test_rejects_letters_out_of_range(self, commuting212):
+        s = build_subproduct(commuting212, 2)
+        for shift in (shift_left, shift_right):
+            for letter in (-1, 2):
+                with pytest.raises(ValueError, match=f"letter {letter} out of range"):
+                    shift(s, letter, 0)
+
+
+class TestPowerSweep:
+    def test_rejects_letter_matrices_and_systems_that_do_not_fit(self, commuting212, projective3):
+        s2 = build_subproduct(commuting212, 2)
+        s3 = build_subproduct(projective3, 2)
+        with pytest.raises(ValueError, match="2-square letter matrix"):
+            krausfock.subproduct.power_sweep(s2, s2, np.eye(3), 2)
+        with pytest.raises(ValueError, match="systems of equal n"):
+            krausfock.subproduct.power_sweep(s3, s2, np.eye(2), 2)
 
 
 class TestInductiveMap:
