@@ -42,7 +42,7 @@ rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 rho = rho @ rho.conj().T
 rho /= np.trace(rho).real
 bath_state = complementary_state(kraus, rho)
-bath_state_2 = complementary_state_via_dilation(kraus, rho, w)
+bath_state_2 = complementary_state_via_dilation(kraus, rho)
 print()
 print("bath state after one step (two equivalent computations):")
 print(f"  Kraus-sum vs trace-out agreement: "

@@ -5,7 +5,8 @@ seed), produces exactly unital Kraus families, and is used by both the
 test suite and the command line front end.  ``PARAMETERS`` lists what each
 family reads; a spec that sets anything else is rejected, and so is a
 parameter of the wrong type or range: nothing is rounded, parsed or cast
-from ``bool``.
+from ``bool``.  Every family carries the default tolerances; a caller who
+wants others writes ``KrausSet(family.ops, tol=...)``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Any
 import numpy as np
 
 from .channel import KrausSet
-from .linalg import Tolerances
 
 __all__ = [
     "FAMILIES",
@@ -86,21 +86,21 @@ class CatalogSpec:
             object.__setattr__(self, "seed", 0)
 
 
-def identity_channel(d: int, tol: Tolerances | None = None) -> KrausSet:
+def identity_channel(d: int) -> KrausSet:
     """The trivial channel ``A -> A``."""
-    return KrausSet(np.eye(d, dtype=complex)[None, :, :], tol=tol or Tolerances())
+    return KrausSet(np.eye(d, dtype=complex)[None, :, :])
 
 
-def unitary_channel(d: int, seed: int = 0, tol: Tolerances | None = None) -> KrausSet:
+def unitary_channel(d: int, seed: int = 0) -> KrausSet:
     """Conjugation by a Haar-random unitary."""
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return KrausSet(q[None, :, :], tol=tol or Tolerances())
+    return KrausSet(q[None, :, :])
 
 
-def projective_measurement(d: int, ranks, tol: Tolerances | None = None) -> KrausSet:
+def projective_measurement(d: int, ranks) -> KrausSet:
     """Measurement channel from orthogonal projections onto coordinate blocks."""
     if any(r < 1 for r in ranks):
         raise ValueError("projection ranks must be positive")
@@ -111,15 +111,15 @@ def projective_measurement(d: int, ranks, tol: Tolerances | None = None) -> Krau
     for k, r in enumerate(ranks):
         ops[k, start : start + r, start : start + r] = np.eye(r)
         start += r
-    return KrausSet(ops, tol=tol or Tolerances())
+    return KrausSet(ops)
 
 
-def uniform_projective(n: int, tol: Tolerances | None = None) -> KrausSet:
+def uniform_projective(n: int) -> KrausSet:
     """``n`` rank-one orthogonal projections on ``C^n``."""
-    return projective_measurement(n, [1] * n, tol=tol)
+    return projective_measurement(n, [1] * n)
 
 
-def commuting_generic(n: int, d: int, seed: int = 0, tol: Tolerances | None = None) -> KrausSet:
+def commuting_generic(n: int, d: int, seed: int = 0) -> KrausSet:
     """``n`` commuting diagonal operators with generic entries.
 
     Each diagonal position carries a seeded random point on the unit sphere
@@ -130,10 +130,10 @@ def commuting_generic(n: int, d: int, seed: int = 0, tol: Tolerances | None = No
     points = rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))
     points /= np.linalg.norm(points, axis=1, keepdims=True)
     ops = np.stack([np.diag(points[:, k]) for k in range(n)])
-    return KrausSet(ops, tol=tol or Tolerances())
+    return KrausSet(ops)
 
 
-def random_unital(n: int, d: int, seed: int = 0, tol: Tolerances | None = None) -> KrausSet:
+def random_unital(n: int, d: int, seed: int = 0) -> KrausSet:
     """Generic family with no relations: normalized Gaussian matrices.
 
     Draws ``n`` seeded complex Gaussians ``G_k`` and right-multiplies by
@@ -153,12 +153,10 @@ def random_unital(n: int, d: int, seed: int = 0, tol: Tolerances | None = None) 
             break
         attempt += 1
     inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    return KrausSet(g @ inv_sqrt, tol=tol or Tolerances())
+    return KrausSet(g @ inv_sqrt)
 
 
-def sequential_projective(
-    d: int, angle: float, seed: int = 0, tol: Tolerances | None = None
-) -> KrausSet:
+def sequential_projective(d: int, angle: float, seed: int = 0) -> KrausSet:
     """Two sequential two-outcome measurements with rotated projections.
 
     Builds a seeded rank-``d//2`` real projection ``P`` and a copy ``Q``
@@ -187,10 +185,10 @@ def sequential_projective(
     p_parts = [p, np.eye(d) - p]
     q_parts = [q, np.eye(d) - q]
     ops = np.stack([qb @ pa for pa in p_parts for qb in q_parts]).astype(complex)
-    return KrausSet(ops, tol=tol or Tolerances())
+    return KrausSet(ops)
 
 
-def build_catalog(spec: CatalogSpec, tol: Tolerances | None = None) -> KrausSet:
+def build_catalog(spec: CatalogSpec) -> KrausSet:
     """Instantiate a catalog family from its spec, of at most ``MAX_ENTRIES``."""
     family = spec.family
     d = _require(spec, "d")
@@ -201,21 +199,21 @@ def build_catalog(spec: CatalogSpec, tol: Tolerances | None = None) -> KrausSet:
     if count * d * d > MAX_ENTRIES:
         raise ValueError(f"family {family!r} with d={d} needs over {MAX_ENTRIES} Kraus entries")
     if family == "identity":
-        return identity_channel(d, tol=tol)
+        return identity_channel(d)
     if family == "unitary":
-        return unitary_channel(d, seed=spec.seed, tol=tol)
+        return unitary_channel(d, seed=spec.seed)
     if family == "projective":
         ranks = [1] * d if ranks is None else ranks
         if spec.n not in (None, len(ranks)):
             raise ValueError(
                 f"projective family has one operator per entry of ranks, not 'n'={spec.n}"
             )
-        return projective_measurement(d, ranks, tol=tol)
+        return projective_measurement(d, ranks)
     if family == "commuting_generic":
-        return commuting_generic(n, d, seed=spec.seed, tol=tol)
+        return commuting_generic(n, d, seed=spec.seed)
     if family == "random_unital":
-        return random_unital(n, d, seed=spec.seed, tol=tol)
-    return sequential_projective(d, spec.params.get("angle", np.pi / 4), seed=spec.seed, tol=tol)
+        return random_unital(n, d, seed=spec.seed)
+    return sequential_projective(d, spec.params.get("angle", np.pi / 4), seed=spec.seed)
 
 
 def _require(spec: CatalogSpec, name: str) -> int:

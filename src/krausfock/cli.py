@@ -212,9 +212,10 @@ def channel_from_document(doc, args=None) -> tuple[KrausSet, np.ndarray | None]:
             for i, m in enumerate(mats):
                 if m.shape != (dim, dim):
                     raise InputError(f"kraus[{i}] has shape {m.shape}, but 'dim' is {dim}")
-            kraus = KrausSet(np.stack(mats), tol=tol)
+            ops = np.stack(mats)
         else:
-            kraus = build_catalog(catalog_spec_from_json(doc["catalog"]), tol=tol)
+            ops = build_catalog(catalog_spec_from_json(doc["catalog"])).ops
+        kraus = KrausSet(ops, tol=tol)
         state = None
         if "state" in doc:
             state = check_state(kraus, matrix_from_json(doc["state"], "state"))

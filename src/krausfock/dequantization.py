@@ -250,14 +250,14 @@ class BalancedWordSum:
             out += coeff * kraus_word(kraus, left).conj().T @ kraus_word(kraus, right)
         return out
 
-    def is_formally_selfadjoint(self, tol: float = 1e-12) -> bool:
-        """Whether the term list is closed under the formal adjoint."""
+    def is_formally_selfadjoint(self) -> bool:
+        """Whether the term list is closed under the formal adjoint, to ``1e-12``."""
         acc: dict[tuple, complex] = {}
         for left, right, coeff in self.terms:
             acc[(left, right)] = acc.get((left, right), 0.0) + coeff
         for (left, right), coeff in acc.items():
             partner = acc.get((right, left), 0.0)
-            if abs(partner - np.conj(coeff)) > tol * max(1.0, abs(coeff)):
+            if abs(partner - np.conj(coeff)) > 1e-12 * max(1.0, abs(coeff)):
                 return False
         return True
 

@@ -97,16 +97,14 @@ def complementary_state(kraus: KrausSet, rho) -> np.ndarray:
     return _pairing(kraus.ops, check_state(kraus, rho))
 
 
-def complementary_state_via_dilation(kraus: KrausSet, rho, unitary=None) -> np.ndarray:
+def complementary_state_via_dilation(kraus: KrausSet, rho) -> np.ndarray:
     """Same state computed by tracing the system out of the dilated evolution.
 
     ``W (rho ⊗ |e_0><e_0|) W†`` is ``V rho V†`` for the ``e_0`` columns
-    ``V = W[:, ::n]`` of the unitary ``W`` (built when not given).
+    ``V = W[:, ::n]`` of the unitary ``W = unitary_dilation(kraus)``.
     """
     rho = check_state(kraus, rho)
-    if unitary is None:
-        unitary = unitary_dilation(kraus)
-    v = unitary[:, :: kraus.size]
+    v = unitary_dilation(kraus)[:, :: kraus.size]
     return partial_trace_left(v @ rho @ v.conj().T, kraus.dim, kraus.size)
 
 

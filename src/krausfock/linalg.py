@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "Tolerances",
     "SingularMatrixError",
-    "kron",
     "orthonormal_range",
     "spans_all",
     "partial_trace_right",
@@ -63,11 +62,6 @@ def as_matrix(x, stacked: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return a
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def _rank(s: np.ndarray, tol: Tolerances) -> int:

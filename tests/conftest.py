@@ -5,7 +5,6 @@ import pytest
 from krausfock import (
     commuting_generic,
     kraus_word,
-    kron,
     level_projection,
     operator_norm,
     orthonormal_range,
@@ -158,7 +157,7 @@ def residual_oracle(system, m, l):
     is an isometry; ``n^{m+l}``-square, so small levels only.
     """
     top = system.basis(m + l)
-    split = kron(level_projection(system, m), level_projection(system, l))
+    split = np.kron(level_projection(system, m), level_projection(system, l))
     return operator_norm(top.conj().T @ (np.eye(split.shape[0]) - split))
 
 

@@ -29,7 +29,6 @@ from krausfock import (
     operator_norm,
     phi_symmetry_residual,
     presentation_residual,
-    projective_measurement,
     random_unital,
     sequential_projective,
     state_spec,

@@ -6,13 +6,11 @@ from krausfock import (
     build_catalog,
     build_subproduct,
     commuting_generic,
-    identity_channel,
     minimal_kraus,
     projective_measurement,
     random_unital,
     sequential_projective,
     uniform_projective,
-    unitary_channel,
     validate,
 )
 

@@ -222,6 +222,27 @@ class TestDims:
         # level 8 is built in full, so its nesting residual is a number
         assert float(rows[8][2]) <= 1e-8
 
+    @pytest.mark.parametrize("form", ["catalog", "kraus"])
+    def test_document_tolerances_reach_the_family(self, tmp_path, capsys, form):
+        # the ladder of a nearly commuting family moves with the rank threshold
+        catalog = {"family": "sequential_projective", "d": 4, "seed": 0, "params": {"angle": 0.01}}
+        if form == "catalog":
+            doc = {"catalog": catalog}
+        else:
+            doc = channel_to_document(build_catalog(CatalogSpec(**catalog)))
+            del doc["tol"]
+
+        def ladder(name, *flags, **tol):
+            path = tmp_path / name
+            path.write_text(json.dumps({**doc, "tol": tol} if tol else doc))
+            code, out, _ = run(capsys, "dims", str(path), "--max-m", "5", *flags)
+            assert code == 0
+            return [int(line.split(",")[1]) for line in out.splitlines() if line[:1].isdigit()]
+
+        assert ladder("default.json") == [4, 6, 6, 6, 6]
+        assert ladder("tol.json", rank_rel_tol=1e-3) == [4, 4, 4, 4, 4]
+        assert ladder("flag.json", "--tol-rank", "1e-3") == [4, 4, 4, 4, 4]
+
 
 class TestSubproductCheck:
     def test_passes_on_catalog_instance(self, tmp_path, capsys):
@@ -400,6 +421,10 @@ NON_PSD_STATE = {
 
 MALFORMED = {
     "ragged-kraus-matrix": ({"dim": 2, "kraus": [{"re": [[1.0, 0.0], [0.0]]}]}, "kraus[0].re"),
+    "kraus-parts-of-other-shapes": (
+        {"dim": 2, "kraus": [{"re": np.eye(2).tolist(), "im": [[0.0, 0.0]]}]},
+        "kraus[0] parts must be equal-shaped 2-d arrays",
+    ),
     "string-tolerance": (
         {"catalog": {"family": "projective", "d": 3}, "tol": {"rank_rel_tol": "x"}},
         "tol.rank_rel_tol",

@@ -20,7 +20,6 @@ from krausfock import (
     sequential_projective,
     state_spec,
     trend_verdict,
-    uniform_projective,
 )
 from conftest import (
     fock_rank_one_oracle,

@@ -181,11 +181,10 @@ class TestComplementaryState:
 
     def test_two_formulas_agree(self, rng):
         k = random_unital(3, 4, seed=5)
-        w = unitary_dilation(k)
         for _ in range(5):
             rho = random_density(rng, 4)
             by_sum = complementary_state(k, rho)
-            by_dilation = complementary_state_via_dilation(k, rho, w)
+            by_dilation = complementary_state_via_dilation(k, rho)
             assert operator_norm(by_sum - by_dilation) < 1e-10
 
     def test_output_is_a_density_matrix(self, rng):

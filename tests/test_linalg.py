@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from krausfock import (
     Tolerances,
-    kron,
     operator_norm,
     orthonormal_range,
     partial_trace_left,
@@ -14,19 +13,6 @@ from krausfock import (
 )
 from krausfock.linalg import _certified_full, _rank, _triangular_inverse
 from conftest import haar_unitary, kron_power_apply, random_complex
-
-
-def kron_oracle(a, b):
-    # entrywise definition: (a ⊗ b)[(i,k),(j,l)] = a[i,j] b[k,l]
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
-    return out
 
 
 def trace_right_oracle(m, dh, dk):
@@ -51,27 +37,6 @@ class TestTolerances:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             Tolerances(**kwargs)
-
-
-class TestKron:
-    def test_identity_cases(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-        assert np.array_equal(
-            kron(np.diag([1.0, 0.0]), np.eye(2)), np.diag([1.0, 1.0, 0.0, 0.0])
-        )
-
-    def test_matches_entrywise_oracle(self, rng):
-        # vectorized complex multiply may differ from the scalar path in the
-        # last ulp, so compare at float resolution rather than bitwise
-        a = random_complex(rng, 3, 3)
-        b = random_complex(rng, 3, 3)
-        assert np.allclose(kron(a, b), kron_oracle(a, b), rtol=0, atol=1e-14)
-
-    def test_associative_bitwise_on_small_inputs(self):
-        a = np.array([[1.0, 2.0], [0.5, -1.0]])
-        b = np.array([[0.0, 1.0], [1.0, 0.0]])
-        c = np.array([[2.0]])
-        assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
 
 
 class TestOrthonormalRange:

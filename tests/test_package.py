@@ -38,6 +38,16 @@ def test_correlation_consumers_read_the_channel_from_corr():
     assert {"dequantize", "phi_symmetry_residual", "convergence_report"} <= readers
 
 
+def test_tolerances_enter_through_the_kraus_set():
+    # a family gets other tolerances only as KrausSet(family.ops, tol=...)
+    for name in catalog.__all__:
+        fn = getattr(catalog, name)
+        if inspect.isfunction(fn):
+            assert "tol" not in inspect.signature(fn).parameters, name
+    spec = catalog.CatalogSpec("random_unital", n=2, d=3)
+    assert catalog.build_catalog(spec).tol == linalg.Tolerances()
+
+
 def test_readme_example_prints_its_comments():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)

@@ -18,7 +18,6 @@ from krausfock import (
     shift_right,
     subproduct_residual,
     truncated_fock,
-    uniform_projective,
 )
 from conftest import (
     dense_level_basis,
