@@ -138,6 +138,13 @@ def correlation_matrix(
     ``raw = R† R`` and its inverse ``R^{-1} R^{-†}`` without forming ``W W†``
     first, which would square the condition number.  ``R`` is inverted as a
     triangle, by blocked products (``linalg._triangular_inverse``).
+
+    Each array is dropped after its last read: ``W`` after the QR, ``R``
+    after ``raw`` and ``R^{-1}``, ``R^{-1}`` after the inverse, and both
+    results are scaled in place.  So after the QR at most four ``d_m x d_m``
+    arrays are alive at once: ``raw``, ``R^{-1}``, the conjugate copy of
+    ``R^{-1}`` that the product reads, and the inverse.  At a complete level
+    that is as many as :func:`~krausfock.linalg.spans_all` holds for ``W``.
     """
     if m < 1:
         raise ValueError("correlation levels start at 1")
@@ -150,17 +157,17 @@ def correlation_matrix(
             f"ratio {s[-1] / s[0]:.3e}, not above {kraus.tol.rank_rel_tol:.1e}"
         )
     r = np.linalg.qr(w.conj().T, mode="r")
-    r_inv = _triangular_inverse(r)
+    del w
     raw = r.conj().T @ r
+    r_inv = _triangular_inverse(r)
+    del r
     inv = r_inv @ r_inv.conj().T
+    del r_inv
     tr = float(np.trace(raw).real)
     scale = float(np.sqrt(np.trace(inv).real / tr))
-    return LevelCorrelation(
-        matrix=scale * raw,
-        inverse=inv / scale,
-        trace=scale * tr,
-        scale=scale,
-    )
+    raw *= scale
+    inv /= scale
+    return LevelCorrelation(matrix=raw, inverse=inv, trace=scale * tr, scale=scale)
 
 
 def correlations(
@@ -345,19 +352,31 @@ class ConvergenceReport:
         return list(zip(self.levels, *(getattr(self, name) for name in self._COLUMNS)))
 
 
+def _median(vals: list[float]) -> float:
+    """The median of :func:`trend_verdict`.
+
+    For finite values this is the float ``np.median`` returns, without the
+    ``numpy.ma`` import that ``np.median`` makes on its first call.
+    """
+    ordered = sorted(vals)
+    half = len(ordered) // 2
+    return ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2.0
+
+
 def trend_verdict(seq, tol: float) -> str:
     """Classify a nonnegative sequence: flat / decreasing / bounded / irregular.
 
     ``flat`` means every entry is within ``tol`` of zero; ``decreasing``
     allows a relative slack of ``tol`` per step; ``bounded`` caps the
-    maximum at ten times the median.
+    maximum at ten times the median: the middle entry of the sorted values,
+    or the mean of the two middle entries for an even count.
     """
     vals = [float(x) for x in seq]
     if not vals or max(vals) <= tol:
         return "flat"
     if all(b <= a * (1.0 + tol) for a, b in zip(vals, vals[1:])):
         return "decreasing"
-    med = float(np.median(vals))
+    med = _median(vals)
     if med > 0.0 and max(vals) <= 10.0 * med:
         return "bounded"
     return "irregular"

@@ -138,6 +138,31 @@ class TestCorrelations:
             assert np.max(np.abs(got - expected)) <= 1e-12 * expected[-1], m
 
 
+    def test_dense_level_memory_and_values(self, random216):
+        # level 8 of random_unital(2,16) is complete: 256 x 256, about 1 MB an array
+        s = build_subproduct(random216, 8)
+        spec = state_spec(random216, maximally_mixed(16))
+        gens = s.generators(8)
+        w = (gens @ spec.root).reshape(gens.shape[0], -1)
+        r = np.linalg.qr(w.conj().T, mode="r")
+        r_inv = dequantization._triangular_inverse(r)
+        raw = r.conj().T @ r
+        inv = r_inv @ r_inv.conj().T
+        tr = float(np.trace(raw).real)
+        scale = float(np.sqrt(np.trace(inv).real / tr))
+        del w, r, r_inv
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            level = dequantization.correlation_matrix(random216, s, spec, 8)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5e6
+        assert np.array_equal(level.matrix, scale * raw)
+        assert np.array_equal(level.inverse, inv / scale)
+        assert level.trace == scale * tr and level.scale == scale
+
     def test_levels_start_at_one(self, projective3):
         s = build_subproduct(projective3, 1)
         spec = state_spec(projective3, maximally_mixed(3))
@@ -526,3 +551,13 @@ class TestTrendVerdict:
 
     def test_irregular(self):
         assert trend_verdict([0.01, 0.01, 1.0], 1e-8) == "irregular"
+
+    def test_even_count_median_is_the_mean_of_the_middle_two(self):
+        # median 2.5 caps the maximum at exactly 25; the lower middle entry would not
+        assert trend_verdict([0.0, 2.0, 3.0, 25.0], 1e-8) == "bounded"
+
+    def test_median_is_numpys(self, rng):
+        for size in range(1, 21):
+            for scale in (1.0, 1e-9, 1e6):
+                vals = [float(x) for x in scale * rng.standard_exponential(size)]
+                assert dequantization._median(vals) == np.median(vals)

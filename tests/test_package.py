@@ -3,11 +3,14 @@
 import contextlib
 import inspect
 import io
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import krausfock
 from krausfock import catalog, channel, dequantization, dilation, linalg, subproduct
@@ -61,12 +64,17 @@ def test_readme_example_prints_its_comments():
         assert comment == value or comment.startswith(value + ":"), (value, comment)
 
 
-def test_cli_import_leaves_scipy_out():
-    # a cold CLI run pays for every import: numpy alone takes about 0.1 s,
-    # numpy with scipy.linalg about 0.25 s
+def _src_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_leaves_scipy_out():
+    # a cold CLI run pays for every import: numpy alone takes about 0.1 s,
+    # numpy with scipy.linalg about 0.25 s
+    env = _src_env()
     probe = (
         "import sys, krausfock.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -76,3 +84,31 @@ def test_cli_import_leaves_scipy_out():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_converge_imports_nothing_lazily(tmp_path):
+    # np.median imports numpy.ma on its first call: about 0.8 MB kept alive and
+    # 15 ms of a cold converge
+    (tmp_path / "chan.json").write_text(
+        json.dumps({"catalog": {"family": "commuting_generic", "n": 2, "d": 4, "seed": 1}})
+    )
+    for name, matrix in (("a", np.diag([1.0, 2.0, 3.0, 4.0])), ("b", np.eye(4)[::-1])):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"matrix": {"re": matrix.tolist()}}))
+    argv = ["converge", "chan.json", "--observables", "a.json", "b.json", "--max-m", "4"]
+    probe = (
+        "import sys, krausfock.cli; "
+        f"code = krausfock.cli.main({argv!r}); "
+        "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=_src_env(),
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.strip() == "0 False"
+    rows = [line for line in result.stdout.splitlines() if line[:1].isdigit()]
+    assert [row.split(",")[0] for row in rows] == ["1", "2", "3", "4"]
