@@ -5,7 +5,10 @@ matrix pairs length-``m`` words through ``Tr(rho0 K_wk† K_wj)`` and is
 rescaled so that its trace equals the trace of its inverse.  A level is
 singular by the rank rule that decides full levels, applied to the square
 root ``G_m rho0^{1/2}`` of its correlation matrix, and is inverted through
-a triangular factor of that square root.  The time-``m``
+a triangular factor of that square root.  That rule alone decides which
+reference states can be used: a state that gives some Kraus operator
+probability 0 makes level 1 singular, while one that gives it probability
+``1e-12`` is accepted and computed to machine precision.  The time-``m``
 dequantization carries a system observable ``A`` to the level-``m``
 operator built from the weighted pairings ``Tr(rho0 K_wk† K_wj A)``; its
 unitality, multiplicativity defects and state gaps over increasing ``m``
@@ -65,10 +68,9 @@ __all__ = [
 
 @dataclass(eq=False)
 class StateSpec:
-    """Reference density matrix, its per-outcome weights and its square root."""
+    """Reference density matrix and its square root."""
 
     rho0: np.ndarray
-    weights: np.ndarray
 
     @cached_property
     def root(self) -> np.ndarray:
@@ -80,18 +82,13 @@ class StateSpec:
 def state_spec(kraus: KrausSet, rho0) -> StateSpec:
     """Validate a reference state against a Kraus family.
 
-    Requires a Hermitian, PSD, trace-one matrix giving every outcome a
-    strictly positive weight ``Tr(rho0 K_k† K_k)``.
+    Requires a Hermitian, PSD, trace-one ``d``-square matrix and nothing
+    more.  Whether the state can be used is decided level by level, by the
+    rank rule of :func:`correlation_matrix`: a state under which some
+    ``K_k rho0^{1/2}`` vanishes, that is some outcome has probability 0,
+    makes level 1 singular.
     """
-    rho0 = check_state(kraus, rho0)
-    weights = np.array([np.trace(rho0 @ k.conj().T @ k).real for k in kraus.ops])
-    if np.any(weights <= kraus.tol.residual_tol):
-        bad = int(np.argmin(weights))
-        raise ValueError(
-            f"outcome {bad} has weight {weights[bad]:.3e}; every Kraus operator "
-            "must carry positive probability in the reference state"
-        )
-    return StateSpec(rho0=rho0, weights=weights)
+    return StateSpec(check_state(kraus, rho0))
 
 
 @dataclass(eq=False)

@@ -29,8 +29,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def make_catalog_doc(tmp_path, name="chan.json", **catalog):
+def make_catalog_doc(tmp_path, name="chan.json", state=None, **catalog):
     doc = {"catalog": catalog}
+    if state is not None:
+        doc["state"] = {"re": np.asarray(state).tolist()}
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
@@ -338,6 +340,17 @@ class TestDequantize:
         code, _, err = run(capsys, "dequantize", chan, "--observable", "gone.json", "--level", "2")
         assert code == 2
 
+    def test_rare_outcomes_at_any_residual_tolerance(self, tmp_path, capsys):
+        # outcome probabilities 1e-4 are usable whatever residual_tol says
+        state = np.diag([1.0 - 2e-4, 1e-4, 1e-4])
+        chan = make_catalog_doc(tmp_path, state=state, family="projective", d=3)
+        obs = make_observable(tmp_path, np.diag([1.0, 2.0, 3.0]))
+        argv = ("dequantize", chan, "--observable", obs, "--level", "2")
+        for extra in ((), ("--tol-residual", "1e-3")):
+            code, out, err = run(capsys, *argv, *extra)
+            assert code == 0, err
+            assert json.loads(out)["payload"]["unitality_residual"] < 1e-8
+
 
 class TestConverge:
     def test_csv_columns_and_flat_identity(self, tmp_path, capsys):
@@ -391,16 +404,25 @@ class TestConverge:
 
     def test_singular_first_level_writes_the_header(self, tmp_path, capsys):
         # a pure state supports one of the twelve points, so level 1 is singular
-        state = np.zeros((12, 12))
-        state[0, 0] = 1.0
-        argv = self.commuting_argv(tmp_path, state)
-        code, out, err = run(capsys, *argv, "12")
-        assert code == 1
-        assert err.startswith("error: singular correlation: level-1 correlation matrix")
-        assert "Traceback" not in err
-        lines = out.splitlines()
-        assert [line.split(":")[0] for line in lines[:3]] == ["# command", "# version", "# input_digest"]
-        assert lines[3:] == ["m,norm_gap,vn_residual,scaled_commutator,limit_state_gap"]
+        pure = np.zeros((12, 12))
+        pure[0, 0] = 1.0
+        # a state that gives two of three projections probability 0 leaves two
+        # zero rows at level 1
+        starved = make_catalog_doc(
+            tmp_path, "starved.json", np.diag([1.0, 0.0, 0.0]), family="projective", d=3
+        )
+        obs = make_observable(tmp_path, np.diag([1.0, 2.0, 3.0]), name="diag.json")
+        for argv in (
+            self.commuting_argv(tmp_path, pure),
+            ["converge", starved, "--observables", obs, obs, "--max-m"],
+        ):
+            code, out, err = run(capsys, *argv, "12")
+            assert code == 1
+            assert err.startswith("error: singular correlation: level-1 correlation matrix")
+            assert "Traceback" not in err
+            lines = out.splitlines()
+            assert [line.split(":")[0] for line in lines[:3]] == ["# command", "# version", "# input_digest"]
+            assert lines[3:] == ["m,norm_gap,vn_residual,scaled_commutator,limit_state_gap"]
 
     def test_ill_conditioned_levels_are_reported(self, tmp_path, capsys):
         # level 11 has singular-value ratio 1.5e-5, inside the rank rule

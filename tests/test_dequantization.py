@@ -40,8 +40,7 @@ def maximally_mixed(dim):
 class TestStateSpec:
     def test_accepts_maximally_mixed(self, commuting212):
         spec = state_spec(commuting212, maximally_mixed(12))
-        assert spec.weights.shape == (2,)
-        assert np.all(spec.weights > 0)
+        assert np.allclose(spec.root @ spec.root, spec.rho0, rtol=0.0, atol=1e-15)
 
     def test_rejects_bad_states(self, projective3):
         with pytest.raises(ValueError, match="trace"):
@@ -52,9 +51,24 @@ class TestStateSpec:
             state_spec(projective3, np.diag([1.5, -0.25, -0.25]))
 
     def test_rejects_zero_weight_outcome(self, projective3):
-        # a state concentrated on one measurement block starves the others
-        with pytest.raises(ValueError, match="weight"):
-            state_spec(projective3, np.diag([1.0, 0.0, 0.0]))
+        # a state concentrated on one measurement block starves the others:
+        # K_1 rho^{1/2} = K_2 rho^{1/2} = 0, so the rank rule refuses level 1
+        spec = state_spec(projective3, np.diag([1.0, 0.0, 0.0]))
+        with pytest.raises(SingularMatrixError, match="level-1 correlation matrix"):
+            dequantization.correlation_matrix(projective3, build_subproduct(projective3, 1), spec, 1)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12])
+    def test_accepts_rare_outcomes(self, projective3, eps):
+        # outcomes 1 and 2 have probability eps, far below residual_tol, yet
+        # every level is computed to machine precision
+        spec = state_spec(projective3, np.diag([1.0 - 2.0 * eps, eps, eps]))
+        s = build_subproduct(projective3, 3)
+        corr = correlations(projective3, s, spec, 3)
+        a = random_hermitian(np.random.default_rng(5), 3)
+        for m in range(1, 4):
+            ref = mp_dequantize(s, spec.rho0, a, m)
+            err = operator_norm(dequantize(corr, a, m) - ref) / operator_norm(ref)
+            assert err <= 1e-13, m
 
 
 class TestCorrelations:
