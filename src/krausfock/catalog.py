@@ -62,9 +62,12 @@ class CatalogSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params must be a dict, got {self.params!r}")
         reads = PARAMETERS[self.family]
         given = [name for name in ("n", "d", "seed") if getattr(self, name) is not None]
-        for name in given + list(self.params):
+        # a size or seed is a field of its own, never read from params
+        for name in given + [f"params.{k}" if k in ("n", "d", "seed") else k for k in self.params]:
             if name not in reads:
                 raise ValueError(f"family {self.family!r} does not use parameter {name!r}")
         for name, least in (("n", 1), ("d", 1), ("seed", 0)):

@@ -384,9 +384,9 @@ def cmd_dilate(args) -> int:
         probe_gap = max(probe_gap, float(gaps.max()))
         row[:, a, :] = 0.0
     system = build_subproduct(kraus, args.max_m)
-    rng = np.random.default_rng(0)
-    probe = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    probe = probe + probe.conj().T
+    # fixed, so no random numbers are drawn; Hermitian, with real and imaginary off-diagonals
+    p = np.arange(1, d * d + 1).reshape(d, d) / (d * d)
+    probe = p + p.T + 1j * (p - p.T)
     levels, power = [], probe
     for m in range(1, args.max_m + 1):
         v = stinespring_isometry(kraus, system, m)

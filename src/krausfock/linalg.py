@@ -16,6 +16,7 @@ takes the singular values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -46,8 +47,16 @@ class Tolerances:
     residual_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 < self.rank_rel_tol < np.inf and 0.0 < self.residual_tol < np.inf):
-            raise ValueError("tolerances must be positive and finite")
+        # stored as floats; a bool, a string or a number beyond float range is refused
+        for name in ("rank_rel_tol", "residual_tol"):
+            value = getattr(self, name)
+            try:
+                x = float(value) if isinstance(value, Real) and not isinstance(value, bool) else 0.0
+            except OverflowError:
+                x = 0.0
+            if not 0.0 < x < np.inf:
+                raise ValueError(f"{name} must be a positive finite real number, got {value!r}")
+            object.__setattr__(self, name, x)
 
 
 class SingularMatrixError(ValueError):

@@ -18,8 +18,10 @@ level ``m`` is full, and then ``C_m`` is the identity; otherwise one SVD of
 ``(d_{m-1} n) x d^2``), and the
 generators ``G_m = C_m† H = sum_w conj(B_m[w, :]) K_w``.  The basis
 ``B_m = (B_{m-1} ⊗ 1_n) C_m``, a left-canonical matrix product state of
-bond dimension ``<= d^2``, is formed only on request, and the left half of
-the nesting law holds by construction.
+bond dimension ``<= d^2`` with ``n^m`` rows, is formed only by the tests, as
+a dense oracle; the left half of the nesting law holds by construction.
+Besides the build, every public function is a sweep or a slice over the
+chain factors.
 
 Sweeps: ``1 - p_l`` is the orthogonal sum of the pieces
 ``(B_{j-1} (1 - C_j C_j†) B_{j-1}†) ⊗ 1``, ``j <= l``.  Nesting, shift,
@@ -51,7 +53,6 @@ __all__ = [
     "SubproductSystem",
     "TruncatedFock",
     "build_subproduct",
-    "level_projection",
     "nesting_residuals",
     "subproduct_residual",
     "power_sweep",
@@ -90,14 +91,6 @@ class SubproductSystem:
             if not 0 <= m <= self.max_level:
                 raise ValueError(f"level {m} out of range (max level {self.max_level})")
 
-    def basis(self, m: int) -> np.ndarray:
-        """Isometry ``B_m`` with ``n^m`` rows, the chain product: small ``m`` only."""
-        self._check_level(m)
-        b = self.factors[0]
-        for c in self.factors[1 : m + 1]:
-            b = (b @ c.reshape(b.shape[1], -1)).reshape(-1, c.shape[1])
-        return b
-
     def generators(self, m: int) -> np.ndarray:
         """Stack ``G_m`` of shape ``(d_m, d, d)``."""
         self._check_level(m)
@@ -131,12 +124,6 @@ def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
         factors.append(c)
         gens.append(cand if full else (c.conj().T @ cand.reshape(-1, d * d)).reshape(-1, d, d))
     return SubproductSystem(n=kraus.size, factors=factors, gen_stacks=gens)
-
-
-def level_projection(system: SubproductSystem, m: int) -> np.ndarray:
-    """Projection ``p_m = B_m @ B_m†`` on the full ``n^m`` tensor level."""
-    b = system.basis(m)
-    return b @ b.conj().T
 
 
 def _full(c: np.ndarray) -> bool:

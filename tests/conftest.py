@@ -5,7 +5,6 @@ import pytest
 from krausfock import (
     commuting_generic,
     kraus_word,
-    level_projection,
     operator_norm,
     orthonormal_range,
     random_unital,
@@ -45,6 +44,15 @@ def words_of_length(n, m):
 def word_stack(kraus, m):
     """All length-``m`` word products, shape ``(n^m, d, d)``, last letter fastest."""
     return np.stack([kraus_word(kraus, w) for w in words_of_length(kraus.size, m)])
+
+
+def chain_basis(system, m):
+    """Isometry ``B_m = (B_{m-1} ⊗ 1_n) C_m`` with ``n^m`` rows, the product of
+    the chain factors ``C_1..C_m``.  Exponential in ``m``, so small levels only."""
+    b = system.factors[0]
+    for c in system.factors[1 : m + 1]:
+        b = (b @ c.reshape(b.shape[1], -1)).reshape(-1, c.shape[1])
+    return b
 
 
 def dense_level_basis(kraus, m):
@@ -136,14 +144,14 @@ def shift_oracle(system, k, m, side):
     """Shift block ``B_{m+1}† (e_k ⊗ B_m)`` (left) or ``B_{m+1}† (B_m ⊗ e_k)``
     (right) read off the ``n^m``-row bases."""
     n = system.n
-    b_next = system.basis(m + 1)
+    b_next = chain_basis(system, m + 1)
     block = b_next[k * n**m : (k + 1) * n**m] if side == "left" else b_next[k::n]
-    return block.conj().T @ system.basis(m)
+    return block.conj().T @ chain_basis(system, m)
 
 
 def symmetry_oracle(corr, system, m):
     """``(|Q_m - B† Q^{⊗m} B|, |(1 - p_m) Q^{⊗m} p_m|)`` on the ``n^m``-row basis."""
-    basis = system.basis(m)
+    basis = chain_basis(system, m)
     qb = kron_power_apply(corr.base, m, basis)
     compressed = basis.conj().T @ qb
     r1 = operator_norm(corr.levels[m].matrix - compressed)
@@ -156,8 +164,8 @@ def residual_oracle(system, m, l):
     Evaluated as ``|B_{m+l}† (1 - p_m ⊗ p_l)|``, equal because ``B_{m+l}``
     is an isometry; ``n^{m+l}``-square, so small levels only.
     """
-    top = system.basis(m + l)
-    split = np.kron(level_projection(system, m), level_projection(system, l))
+    top, left, right = (chain_basis(system, j) for j in (m + l, m, l))
+    split = np.kron(left @ left.conj().T, right @ right.conj().T)
     return operator_norm(top.conj().T @ (np.eye(split.shape[0]) - split))
 
 
@@ -200,7 +208,7 @@ def fock_rank_one_oracle(kraus, system, corr, a, m):
     independent of the compressed-product route in ``dequantize``.
     """
     n = kraus.size
-    basis = system.basis(m)
+    basis = chain_basis(system, m)
     rho0 = corr.state.rho0
     words = words_of_length(n, m)
 

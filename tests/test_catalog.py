@@ -179,6 +179,17 @@ class TestDispatcher:
         with pytest.raises(ValueError, match=f"parameter '{name}' must be"):
             CatalogSpec(**spec)
 
+    @pytest.mark.parametrize("name", ["seed", "d"])
+    def test_sizes_and_seed_are_not_params(self, name):
+        # such a key used to be accepted and ignored: the default seed or size was built
+        with pytest.raises(ValueError, match=f"does not use parameter 'params.{name}'"):
+            CatalogSpec("random_unital", n=2, d=3, params={name: 7})
+
+    @pytest.mark.parametrize("params", [5, None, [("angle", 0.3)]], ids=["int", "None", "list"])
+    def test_params_must_be_a_dict(self, params):
+        with pytest.raises(ValueError, match="params must be a dict"):
+            CatalogSpec("sequential_projective", d=4, params=params)
+
     def test_numpy_integers_are_accepted(self):
         spec = CatalogSpec("random_unital", n=np.int64(2), d=np.int32(3), seed=np.uint8(4))
         assert np.array_equal(build_catalog(spec).ops, random_unital(2, 3, seed=4).ops)

@@ -22,6 +22,7 @@ from krausfock import (
     trend_verdict,
 )
 from conftest import (
+    chain_basis,
     fock_rank_one_oracle,
     mp_dequantize,
     normal_ordering_oracle,
@@ -290,7 +291,7 @@ class TestDequantize:
         a = random_hermitian(rng, 3)
         for m in (2, 3, 4):
             words = word_stack(k, m)
-            basis = s.basis(m)
+            basis = chain_basis(s, m)
             count = words.shape[0]
             w_vec = np.ones(1)
             for _ in range(m):

@@ -38,6 +38,18 @@ class TestTolerances:
         with pytest.raises(ValueError):
             Tolerances(**kwargs)
 
+    @pytest.mark.parametrize("value", [True, "1e-9", 10**400], ids=["bool", "str", "huge-int"])
+    def test_rejects_what_is_not_a_positive_finite_real(self, value):
+        # a bool read as 1.0, a string raised TypeError, and an integer
+        # beyond float range raised OverflowError only when a rank was decided
+        with pytest.raises(ValueError, match="rank_rel_tol must be a positive finite real"):
+            Tolerances(rank_rel_tol=value)
+
+    def test_stores_floats(self):
+        tol = Tolerances(residual_tol=1, rank_rel_tol=np.float32(0.5))
+        assert type(tol.residual_tol) is float and tol.residual_tol == 1.0
+        assert type(tol.rank_rel_tol) is float and tol.rank_rel_tol == 0.5
+
 
 class TestOrthonormalRange:
     def test_duplicated_column(self):

@@ -41,6 +41,7 @@ from krausfock import (
 )
 from krausfock.cli import _json_chunks, channel_from_document, channel_to_document, main
 from conftest import (
+    chain_basis,
     dense_level_basis,
     full_levels,
     haar_unitary,
@@ -85,7 +86,7 @@ def test_chain_build_matches_dense_oracle(kraus):
     system = build_subproduct(kraus, top)
     for m in range(top + 1):
         dense = dense_level_basis(kraus, m)
-        chain = system.basis(m)
+        chain = chain_basis(system, m)
         assert chain.shape == dense.shape, m
         # looser than the fixed-instance check: random draws do not control
         # how far the smallest kept singular value sits above the threshold

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from krausfock import (
     build_subproduct,
     commuting_generic,
     inductive_map,
-    level_projection,
     multiplicativity_residual,
     nesting_residuals,
     operator_norm,
@@ -20,6 +21,7 @@ from krausfock import (
     truncated_fock,
 )
 from conftest import (
+    chain_basis,
     dense_level_basis,
     full_levels,
     haar_unitary,
@@ -36,19 +38,19 @@ class TestBuild:
     def test_level_zero(self, commuting212):
         s = build_subproduct(commuting212, 2)
         assert s.dims[0] == 1
-        assert np.array_equal(s.basis(0), np.ones((1, 1)))
+        assert np.array_equal(chain_basis(s, 0), np.ones((1, 1)))
 
     def test_level_one_is_identity_for_minimal_sets(self, catalog_quartet):
         for k in catalog_quartet.values():
             s = build_subproduct(k, 1)
             assert s.dims[1] == k.size
-            assert np.array_equal(s.basis(1), np.eye(k.size))
+            assert np.array_equal(chain_basis(s, 1), np.eye(k.size))
 
     def test_projective_ladder_stabilizes(self, projective3):
         s = build_subproduct(projective3, 8)
         assert s.dims == [1, 3, 3, 3, 3, 3, 3, 3, 3]
         # every level is built; the basis of level 8 has one row per word
-        assert s.basis(8).shape == (6561, 3)
+        assert chain_basis(s, 8).shape == (6561, 3)
 
     def test_commuting_ladder(self, commuting212):
         s = build_subproduct(commuting212, 7)
@@ -58,7 +60,7 @@ class TestBuild:
         s = build_subproduct(random216, 5)
         assert s.dims == [1, 2, 4, 8, 16, 32]
         for m in range(1, 6):
-            assert np.array_equal(s.basis(m), np.eye(2**m))
+            assert np.array_equal(chain_basis(s, m), np.eye(2**m))
 
     def test_dimension_cap(self, catalog_quartet):
         for k in catalog_quartet.values():
@@ -113,7 +115,7 @@ class TestBuild:
         k = commuting_generic(2, 12, seed=1)
         s = build_subproduct(k, 13)
         assert s.dims == list(range(1, 13)) + [12, 12]
-        assert s.basis(13).shape == (2**13, 12)
+        assert chain_basis(s, 13).shape == (2**13, 12)
         assert s.generators(13).shape == (12, 12, 12)
         # the system stores chain factors only: no array has n^m rows
         assert max(c.shape[0] for c in s.factors) <= 12 * 2
@@ -131,7 +133,7 @@ class TestDenseOracle:
             s = build_subproduct(k, 6)
             for m in range(7):
                 dense = dense_level_basis(k, m)
-                chain = s.basis(m)
+                chain = chain_basis(s, m)
                 assert chain.shape == dense.shape, (name, m)
                 # |P - Q| for equal ranks, without forming n^m-square matrices
                 gap = operator_norm(chain - dense @ (dense.conj().T @ chain))
@@ -140,19 +142,26 @@ class TestDenseOracle:
                 assert np.max(np.abs(s.generators(m) - gens)) <= 1e-12, (name, m)
 
 
+def chain_projection(s, m):
+    b = chain_basis(s, m)
+    return b @ b.conj().T
+
+
 class TestLevelProjection:
+    """The projection ``p_m = B_m B_m†`` of the chain factors."""
+
     def test_level_zero(self, projective3):
         s = build_subproduct(projective3, 2)
-        assert np.array_equal(level_projection(s, 0), np.ones((1, 1)))
+        assert np.array_equal(chain_projection(s, 0), np.ones((1, 1)))
 
     def test_free_case_is_identity(self, random216):
         s = build_subproduct(random216, 3)
-        assert np.array_equal(level_projection(s, 3), np.eye(8))
+        assert np.array_equal(chain_projection(s, 3), np.eye(8))
 
     def test_commuting_symmetric_projector(self, commuting212):
         # two commuting generators: p_2 maps e_0⊗e_1 to the symmetric average
         s = build_subproduct(commuting212, 2)
-        p2 = level_projection(s, 2)
+        p2 = chain_projection(s, 2)
         e01 = np.zeros(4)
         e01[1] = 1.0
         expected = np.zeros(4)
@@ -162,14 +171,9 @@ class TestLevelProjection:
 
     def test_hermitian_idempotent(self, sequential4):
         s = build_subproduct(sequential4, 3)
-        p = level_projection(s, 2)
+        p = chain_projection(s, 2)
         assert operator_norm(p - p.conj().T) < 1e-13
         assert operator_norm(p @ p - p) < 1e-13
-
-    def test_out_of_range(self, projective3):
-        s = build_subproduct(projective3, 2)
-        with pytest.raises(ValueError, match="out of range"):
-            level_projection(s, 3)
 
 
 class TestSubproductResidual:
@@ -235,7 +239,7 @@ class TestSubproductResidual:
         # antisymmetric half of e_0 ⊗ e_1, of norm 1/sqrt(2)
         s = build_subproduct(commuting212, 3)
         e00 = np.array([1.0, 0.0, 0.0, 0.0])
-        s.factors[3] = np.kron(s.basis(2).conj().T @ e00, [0.0, 1.0])[:, None]
+        s.factors[3] = np.kron(chain_basis(s, 2).conj().T @ e00, [0.0, 1.0])[:, None]
         residual = subproduct_residual(s, 1, 2)
         assert abs(residual - residual_oracle(s, 1, 2)) <= 1e-12
         assert abs(residual - 2**-0.5) <= 1e-12
@@ -295,7 +299,7 @@ class TestShifts:
             for pos, letter in enumerate(reversed(word)):
                 vec = shift_left(s, letter, pos) @ vec
             index = (word[0] * 4 + word[1]) * 4 + word[2]
-            expected = s.basis(3).conj().T[:, index]
+            expected = chain_basis(s, 3).conj().T[:, index]
             assert np.allclose(vec[:, 0], expected, atol=1e-12)
 
 
@@ -444,7 +448,7 @@ class TestPresentationIndependence:
 
     @pytest.mark.parametrize("d", [16, 3])
     def test_matches_dense_oracle_on_full_levels(self, d, rng):
-        # |p'_m - U p_m U†| from the n^m-square projections
+        # |p'_m - U p_m U†| from the n^m-square projections of the word stacks
         k = random_unital(2, d, seed=0)
         u = haar_unitary(rng, k.size)
         mixed = KrausSet(np.einsum("ij,iab->jab", u, k.ops), tol=k.tol)
@@ -452,8 +456,9 @@ class TestPresentationIndependence:
         big = np.ones((1, 1))
         for m in range(1, 6):
             big = np.kron(big, u.T)
-            rotated = big @ level_projection(s0, m) @ big.conj().T
-            oracle = operator_norm(level_projection(s1, m) - rotated)
+            b0, b1 = dense_level_basis(k, m), dense_level_basis(mixed, m)
+            rotated = big @ b0 @ b0.conj().T @ big.conj().T
+            oracle = operator_norm(b1 @ b1.conj().T - rotated)
             assert abs(presentation_residual(s0, s1, u, m) - oracle) <= 1e-12, m
 
 
@@ -480,3 +485,58 @@ class TestTruncatedFock:
         expected = np.zeros(fock.total_dim)
         expected[fock.offsets[1] + 1] = 1.0
         assert np.allclose(column, expected, atol=1e-12)
+
+
+def test_public_level_functions_stay_polynomial(commuting212, rng):
+    # a new public name is listed here, with a call at a deep level, on purpose
+    public = sorted(krausfock.subproduct.__all__)
+    assert public == [
+        "SubproductSystem",
+        "TruncatedFock",
+        "build_subproduct",
+        "inductive_map",
+        "multiplicativity_residual",
+        "nesting_residuals",
+        "power_sweep",
+        "presentation_residual",
+        "shift_left",
+        "shift_right",
+        "subproduct_residual",
+        "truncated_fock",
+    ]
+    members = [name for name in dir(krausfock.subproduct.SubproductSystem) if name[0] != "_"]
+    assert members == ["dims", "generators", "max_level"]
+    # level 40 has 2^40 words; the ladder saturates at d_m = 12 from m = 11
+    top = 40
+    s = build_subproduct(commuting212, top)
+    assert s.dims[11:] == [12] * (top - 10)
+    u = haar_unitary(rng, 2)
+    mixed = KrausSet(np.einsum("ij,iab->jab", u, commuting212.ops), tol=commuting212.tol)
+    s_mixed = build_subproduct(mixed, top)
+    a, b = random_hermitian(rng, 2), random_hermitian(rng, 2)
+    calls = {
+        "build_subproduct": lambda: build_subproduct(commuting212, top),
+        "dims": lambda: s.dims,
+        "max_level": lambda: s.max_level,
+        "generators": lambda: s.generators(top),
+        "nesting_residuals": lambda: nesting_residuals(s, 1, top - 1),
+        "subproduct_residual": lambda: subproduct_residual(s, top // 2, top // 2),
+        "power_sweep": lambda: krausfock.subproduct.power_sweep(s, s, u, top),
+        "shift_left": lambda: shift_left(s, 1, top - 1),
+        "shift_right": lambda: shift_right(s, 1, top - 1),
+        "inductive_map": lambda: inductive_map(s, a, 1, top),
+        "multiplicativity_residual": lambda: multiplicativity_residual(s, a, b, 1, top),
+        "presentation_residual": lambda: presentation_residual(s, s_mixed, u, top),
+        "truncated_fock": lambda: truncated_fock(s),
+    }
+    assert sorted(calls) == sorted([name for name in public if name.islower()] + members)
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # 1.45 MB for the build, which keeps 41 levels; at most 0.36 MB otherwise
+        assert peak < 4e6, (name, peak)
