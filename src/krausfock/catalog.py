@@ -64,10 +64,13 @@ class CatalogSpec:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if not isinstance(self.params, dict):
             raise ValueError(f"params must be a dict, got {self.params!r}")
+        # validated into a copy, so a later change to the caller's dict is never read
+        params = dict(self.params)
+        object.__setattr__(self, "params", params)
         reads = PARAMETERS[self.family]
         given = [name for name in ("n", "d", "seed") if getattr(self, name) is not None]
         # a size or seed is a field of its own, never read from params
-        for name in given + [f"params.{k}" if k in ("n", "d", "seed") else k for k in self.params]:
+        for name in given + [f"params.{k}" if k in ("n", "d", "seed") else k for k in params]:
             if name not in reads:
                 raise ValueError(f"family {self.family!r} does not use parameter {name!r}")
         for name, least in (("n", 1), ("d", 1), ("seed", 0)):
@@ -79,12 +82,14 @@ class CatalogSpec:
                     )
                 # a Python int, so size products cannot wrap around as numpy integers do
                 object.__setattr__(self, name, int(value))
-        angle = self.params.get("angle", 0.0)
+        angle = params.get("angle", 0.0)
         if isinstance(angle, bool) or not isinstance(angle, Real):
             raise ValueError(f"parameter 'angle' must be a real number, got {angle!r}")
-        ranks = self.params.get("ranks", [])
+        ranks = params.get("ranks", [])
         if not (isinstance(ranks, list) and all(_is_integer(r) for r in ranks)):
             raise ValueError(f"parameter 'ranks' must be a list of integers, got {ranks!r}")
+        if "ranks" in params:
+            params["ranks"] = list(ranks)
         if self.seed is None and "seed" in reads:
             object.__setattr__(self, "seed", 0)
 

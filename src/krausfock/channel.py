@@ -24,10 +24,8 @@ __all__ = [
     "require_unital_minimal",
     "check_state",
     "apply_heisenberg",
-    "apply_schrodinger",
     "kraus_word",
     "minimal_kraus",
-    "choi_matrix",
 ]
 
 
@@ -122,15 +120,6 @@ def apply_heisenberg(kraus: KrausSet, a) -> np.ndarray:
     return (ops.conj().transpose(0, 2, 1) @ a[..., None, :, :] @ ops).sum(axis=-3)
 
 
-def apply_schrodinger(kraus: KrausSet, rho) -> np.ndarray:
-    """Evaluate ``sum_k K_k rho K_k†``."""
-    rho = as_matrix(rho)
-    if rho.shape != (kraus.dim, kraus.dim):
-        raise ValueError(f"state must be {kraus.dim}x{kraus.dim}, got {rho.shape}")
-    ops = kraus.ops
-    return (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
-
-
 def kraus_word(kraus: KrausSet, word: Sequence[int]) -> np.ndarray:
     """Left-to-right product ``K[j1] @ ... @ K[jm]`` for a letter tuple.
 
@@ -166,10 +155,3 @@ def minimal_kraus(kraus: KrausSet) -> KrausSet:
         return kraus
     reduced = (q.conj().T @ stack).reshape(-1, d, d)
     return KrausSet(reduced, tol=kraus.tol)
-
-
-def choi_matrix(kraus: KrausSet) -> np.ndarray:
-    """Block matrix ``sum_ab E_ab ⊗ Phi_*(E_ab)``; PSD iff the map is CP."""
-    d = kraus.dim
-    c = np.einsum("kia,kjb->aibj", kraus.ops, kraus.ops.conj())
-    return c.reshape(d * d, d * d)

@@ -426,20 +426,19 @@ def cmd_dequantize(args) -> int:
     digest, kraus, state = _load_channel(args)
     a = _load_observable(args.observable, kraus.dim)
     m = args.level
-    system = build_subproduct(kraus, m)
-    spec = state_spec(kraus, state)
-    corr = correlations(kraus, system, spec, m)
+    corr = correlations(kraus, build_subproduct(kraus, m), state_spec(kraus, state), m)
     psi = dequantize(corr, a, m)
     unital = dequantize(corr, np.eye(kraus.dim), m)
-    dm = system.dims[m]
     symmetry = phi_symmetry_residual(corr, m)
     payload = {
         "level": m,
         "matrix": _matrix_arrays(psi),
-        "unitality_residual": operator_norm(unital - np.eye(dm)),
+        "unitality_residual": operator_norm(unital - np.eye(len(unital))),
         "hermiticity_residual": operator_norm(psi - psi.conj().T),
         "symmetry_residuals": {str(lv): list(symmetry[lv]) for lv in sorted(symmetry)},
     }
+    # the level spaces, correlations and Psi_m(1) are not read by the writer
+    del corr, unital
     _emit_json({**_header(digest, args), "payload": payload}, args.out)
     return 0
 

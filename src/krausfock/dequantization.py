@@ -15,8 +15,8 @@ unitality, multiplicativity defects and state gaps over increasing ``m``
 quantify how fast the levels turn into a classical picture of the channel.
 
 A *complete* level has ``d_m = d^2``: its generators span all of ``M_d``.
-That is not the same as a *full* level, whose chain factor is square.  At a
-complete level the rows ``W = [vec(G_u rho0^{1/2})]`` form a square
+That is not the same as a *full* level, whose chain factor is the identity.
+At a complete level the rows ``W = [vec(G_u rho0^{1/2})]`` form a square
 invertible matrix and ``Psi_m(X) = W (1 ⊗ rho0^{-1/2} X rho0^{1/2}) W^{-1}``
 is a similarity, hence an exact unital homomorphism.  So
 :func:`convergence_report` gives a multiplicativity defect of exactly 0
@@ -58,7 +58,6 @@ __all__ = [
     "correlations",
     "phi_symmetry_residual",
     "dequantize",
-    "BalancedWordSum",
     "normal_ordering_residual",
     "ConvergenceReport",
     "convergence_report",
@@ -223,49 +222,6 @@ def dequantize(corr: CorrelationData, a, m: int) -> np.ndarray:
     return pairing @ (level.inverse * level.scale)
 
 
-@dataclass(frozen=True)
-class BalancedWordSum:
-    """Finite sum of terms ``coeff * K_left† K_right`` with ``|left| = |right|``.
-
-    Such sums exhaust the degree-zero part of the word algebra.  The formal
-    adjoint swaps the two words and conjugates the coefficient; a term list
-    closed under that operation evaluates to a Hermitian matrix.
-    """
-
-    terms: tuple[tuple[tuple[int, ...], tuple[int, ...], complex], ...]
-
-    def __post_init__(self):
-        norm_terms = []
-        for left, right, coeff in self.terms:
-            left = tuple(int(j) for j in left)
-            right = tuple(int(j) for j in right)
-            if len(left) != len(right):
-                raise ValueError(
-                    f"term ({left}, {right}) has degree {len(right) - len(left)}, "
-                    "only degree-zero terms are allowed"
-                )
-            norm_terms.append((left, right, complex(coeff)))
-        object.__setattr__(self, "terms", tuple(norm_terms))
-
-    def evaluate(self, kraus: KrausSet) -> np.ndarray:
-        """Matrix value ``sum coeff * K_left† @ K_right``."""
-        out = np.zeros((kraus.dim, kraus.dim), dtype=complex)
-        for left, right, coeff in self.terms:
-            out += coeff * kraus_word(kraus, left).conj().T @ kraus_word(kraus, right)
-        return out
-
-    def is_formally_selfadjoint(self) -> bool:
-        """Whether the term list is closed under the formal adjoint, to ``1e-12``."""
-        acc: dict[tuple, complex] = {}
-        for left, right, coeff in self.terms:
-            acc[(left, right)] = acc.get((left, right), 0.0) + coeff
-        for (left, right), coeff in acc.items():
-            partner = acc.get((right, left), 0.0)
-            if abs(partner - np.conj(coeff)) > 1e-12 * max(1.0, abs(coeff)):
-                return False
-        return True
-
-
 def normal_ordering_residual(
     kraus: KrausSet,
     system: SubproductSystem,
@@ -389,7 +345,9 @@ def _level_diagnostics(
     # Tr(Q_m Psi_m(A)) without the d_m^3 product, before pb and pab exist
     state_gap = float(abs(np.sum(level.matrix * pa.T) / level.trace - ref))
     if corr.system.dims[m] == corr.kraus.dim**2:
-        # a complete level: Psi_m is a similarity, so a homomorphism
+        # a complete level: Psi_m is a similarity, so a homomorphism; pa is
+        # not read again, so it is dropped before the commutator's level operator
+        del pa
         return norm_gap, 0.0, m * operator_norm(dequantize(corr, comm, m)), state_gap
     pb = dequantize(corr, b, m)
     pab = dequantize(corr, ab, m)

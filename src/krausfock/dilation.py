@@ -39,9 +39,14 @@ def _pairing(gens: np.ndarray, x: np.ndarray) -> np.ndarray:
     It is the bath side ``Tr_sys(V x V†)`` of their isometry ``V``.  Over
     one level's generators it equals the compression
     ``B† [Tr(K_wj x K_wk†)] B`` of the word pairing onto the level basis.
+    It is formed as ``conj(conj(G x) G^T)``, conjugating its own buffers in
+    place, so that no conjugate copy of the stack is made.
     """
     count = gens.shape[0]
-    return (gens @ x).reshape(count, -1) @ gens.reshape(count, -1).conj().T
+    gx = (gens @ x).reshape(count, -1)
+    np.conjugate(gx, out=gx)
+    pairing = gx @ gens.reshape(count, -1).T
+    return np.conjugate(pairing, out=pairing)
 
 
 def stinespring_isometry(kraus: KrausSet, system: SubproductSystem, m: int) -> np.ndarray:

@@ -25,7 +25,6 @@ __all__ = [
     "SingularMatrixError",
     "orthonormal_range",
     "spans_all",
-    "partial_trace_right",
     "partial_trace_left",
     "operator_norm",
 ]
@@ -185,14 +184,6 @@ def _check_product_shape(a: np.ndarray, dim_left: int, dim_right: int) -> None:
             f"expected a {expected}x{expected} matrix on a {dim_left}x{dim_right} "
             f"tensor product, got shape {a.shape}"
         )
-
-
-def partial_trace_right(m, dim_left: int, dim_right: int) -> np.ndarray:
-    """Trace out the right tensor factor of an operator on ``H_left ⊗ H_right``."""
-    a = as_matrix(m)
-    _check_product_shape(a, dim_left, dim_right)
-    t = a.reshape(dim_left, dim_right, dim_left, dim_right)
-    return np.einsum("ikjk->ij", t)
 
 
 def partial_trace_left(m, dim_left: int, dim_right: int) -> np.ndarray:

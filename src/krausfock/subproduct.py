@@ -14,29 +14,29 @@ Storage: level ``m`` is the chain factor ``C_m``, an orthonormal basis of
 the range of the candidates ``H_(u,k) = G_u K_k`` built on level ``m-1``
 (while every level so far is full, a Cholesky certificate of their shifted
 Gram matrix, with singular values only where it cannot decide, says whether
-level ``m`` is full, and then ``C_m`` is the identity; otherwise one SVD of
-``(d_{m-1} n) x d^2``), and the
+level ``m`` is full; otherwise one SVD of ``(d_{m-1} n) x d^2``), and the
 generators ``G_m = C_m† H = sum_w conj(B_m[w, :]) K_w``.  The basis
 ``B_m = (B_{m-1} ⊗ 1_n) C_m``, a left-canonical matrix product state of
 bond dimension ``<= d^2`` with ``n^m`` rows, is formed only by the tests, as
 a dense oracle; the left half of the nesting law holds by construction.
 Besides the build, every public function is a sweep or a slice over the
-chain factors.
+chain factors.  A full level, ``d_m = n d_{m-1}``, is recorded once, as
+``factors[m] is None``: its ``C_m`` is the identity, and no reader forms it.
 
 Sweeps: ``1 - p_l`` is the orthogonal sum of the pieces
 ``(B_{j-1} (1 - C_j C_j†) B_{j-1}†) ⊗ 1``, ``j <= l``.  Nesting, shift,
 symmetry and presentation residuals are sweeps over sites carrying the
 overlap of a ket chain with ``B_j`` and the Gram matrix of its weight on
 those pieces, ``O(a d_{j-1} D_{j-1} n D_j)`` flops a site for a left bond
-``a``: polynomial in ``m``.  A square chain factor is the identity, so its
-piece is zero: a sweep skips the bra product there, a split whose right
-level is full (every ``C_1..C_l`` square, ``p_l = 1``) needs no sweep at
-all, and an inductive step through a full level is ``x ⊗ 1_n``, a
-homomorphism, so the multiplicativity residual across full levels is zero
-without forming a product.  Generic families are full up to
-``m ≈ 2 log_n d``.  Each shortcut reads the chain factors, never the shape
-of a sweep site: a site ``(q ⊗ 1) C_j`` can be square without being the
-identity.
+``a``: polynomial in ``m``.  At a full level the piece is zero: a sweep
+skips the bra product there and passes a ket through as ``x ⊗ 1_n``, a
+split whose right level is full (every ``C_1..C_l`` the identity,
+``p_l = 1``) needs no sweep at all, and an inductive step through a full
+level is ``x ⊗ 1_n``, a homomorphism, so the multiplicativity residual
+across full levels is zero without forming a product.  Generic families
+are full up to ``m ≈ 2 log_n d``.  Each shortcut reads the record in
+``factors``, never the shape of an array: a site ``(q ⊗ 1) C_j`` can be
+square without being the identity.
 """
 
 from __future__ import annotations
@@ -69,12 +69,13 @@ __all__ = [
 class SubproductSystem:
     """Chain factors and generator stacks of the levels of a Kraus family.
 
-    ``factors[m]`` is ``C_m`` (``factors[0]`` is the ``1 x 1`` level-zero basis)
-    and ``gen_stacks[m]`` is ``G_m``; a square chain factor is the identity.
+    ``factors[m]`` is ``C_m``, or ``None`` at a full level, whose ``C_m`` is
+    the identity (``factors[0]`` is the ``1 x 1`` level-zero basis), and
+    ``gen_stacks[m]`` is ``G_m``.
     """
 
     n: int
-    factors: list[np.ndarray]
+    factors: list[np.ndarray | None]
     gen_stacks: list[np.ndarray] = field(repr=False)
 
     @property
@@ -84,7 +85,7 @@ class SubproductSystem:
     @property
     def dims(self) -> list[int]:
         """Level dimensions ``d_0..d_max_level``."""
-        return [c.shape[1] for c in self.factors]
+        return [len(g) for g in self.gen_stacks]
 
     def _check_level(self, *levels: int) -> None:
         for m in levels:
@@ -120,15 +121,23 @@ def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
         # at the first level that is not full or at a full level whose
         # smallest singular value is below about 1e-6 of the Frobenius norm.
         full = full and spans_all(rows, kraus.tol)
-        c = np.eye(rows.shape[0], dtype=complex) if full else orthonormal_range(rows, kraus.tol)
+        c = None if full else orthonormal_range(rows, kraus.tol)
         factors.append(c)
         gens.append(cand if full else (c.conj().T @ cand.reshape(-1, d * d)).reshape(-1, d, d))
     return SubproductSystem(n=kraus.size, factors=factors, gen_stacks=gens)
 
 
-def _full(c: np.ndarray) -> bool:
-    """Whether the chain factor ``c`` is square, which makes it the identity."""
-    return c.shape[0] == c.shape[1]
+def _full(factors) -> bool:
+    """Whether every level of the chain factors ``factors`` is full."""
+    return all(c is None for c in factors)
+
+
+def _lift(x: np.ndarray, n: int) -> np.ndarray:
+    """``x ⊗ 1_n``, written by an interleave: ``out[(i, a), (j, b)] = x[i, j] δ_ab``."""
+    out = np.zeros((x.shape[0], n, x.shape[1], n), dtype=complex)
+    for a in range(n):
+        out[:, a, :, a] = x
+    return out.reshape(x.shape[0] * n, -1)
 
 
 def _transfer(bra: np.ndarray, x: np.ndarray, ket: np.ndarray) -> np.ndarray:
@@ -136,27 +145,27 @@ def _transfer(bra: np.ndarray, x: np.ndarray, ket: np.ndarray) -> np.ndarray:
     return bra.conj().T @ (x @ ket.reshape(x.shape[1], -1)).reshape(-1, ket.shape[1])
 
 
-def _complement_sweep(
-    bra: list[np.ndarray], kets: list[np.ndarray], left: int, gram: bool = True
-):
+def _complement_sweep(bra, kets, left: int, n: int, gram: bool = True):
     """Yield ``E_j = (1 ⊗ B_j)† V_j`` and ``S_j = V_j† (1 ⊗ (1 - p_j)) V_j``.
 
     ``V_j`` chains the sites ``kets[:j]`` behind a ``left``-dimensional bond
-    and ``B_j`` the factors ``bra``; ``S_j`` is ``None`` while exactly zero,
-    and always for callers that read overlaps only (``gram=False``).
-    Pieces are formed residual-first as ``Z - C (C† Z)``, none at full levels.
+    and ``B_j`` the factors ``bra``, over ``n`` letters; a ``None`` in either
+    is the identity of a full level, which a ket passes ``E`` and ``S``
+    through as ``x ⊗ 1_n``.  ``S_j`` is ``None`` while exactly zero, and
+    always for callers that read overlaps only (``gram=False``).  Pieces are
+    formed residual-first as ``Z - C (C† Z)``, none at full levels.
     """
     e, s = np.eye(left, dtype=complex), None
     for c, k in zip(bra, kets):
-        z = (e @ k.reshape(e.shape[1], -1)).reshape(left, c.shape[0], k.shape[1])
-        full = _full(c)
-        e = z if full else c.conj().T @ z
+        width = e.shape[1] * n if k is None else k.shape[1]
+        z = (_lift(e, n) if k is None else e @ k.reshape(e.shape[1], -1)).reshape(left, -1, width)
+        e = z if c is None else c.conj().T @ z
         if s is not None:
-            s = _transfer(k, s, k)
-        if gram and not full:
-            y = (z - c @ e).reshape(-1, k.shape[1])
+            s = _lift(s, n) if k is None else _transfer(k, s, k)
+        if gram and c is not None:
+            y = (z - c @ e).reshape(-1, width)
             s = y.conj().T @ y if s is None else s + y.conj().T @ y
-        e = e.reshape(-1, k.shape[1])
+        e = e.reshape(-1, width)
         yield e, s
 
 
@@ -170,14 +179,14 @@ def nesting_residuals(system: SubproductSystem, m: int, l: int) -> list[float]:
 
     With ``B_{m+j} = (B_m ⊗ 1) T`` each is ``|(1 ⊗ (1 - p_j)) T|``: one sweep
     of ``C_{m+1..m+l}`` on a ``d_m``-dimensional bond.  When ``C_1..C_l`` are
-    square (level ``l`` is full), ``p_j = 1`` for every ``j <= l`` and the
-    zeros need no sweep.
+    the identity (level ``l`` is full), ``p_j = 1`` for every ``j <= l`` and
+    the zeros need no sweep.
     """
     system._check_level(m, l, m + l)
-    if all(map(_full, system.factors[1 : l + 1])):
+    if _full(system.factors[1 : l + 1]):
         return [0.0] * (l + 1)
     kets = system.factors[m + 1 : m + l + 1]
-    sweep = _complement_sweep(system.factors[1:], kets, system.dims[m])
+    sweep = _complement_sweep(system.factors[1:], kets, system.dims[m], system.n)
     return [0.0] + [_gram_norm(s) for _, s in sweep]
 
 
@@ -193,15 +202,22 @@ def power_sweep(
 
     ``B`` and ``p`` belong to ``bra``, ``B'`` to ``ket`` and ``q`` acts on
     the letters; one sweep with the sites ``(1 ⊗ q) C'_j`` gives every level.
+    Each site is formed when the sweep reaches it, as ``1_D ⊗ q`` at a full
+    level of ``ket``.
     """
     q = as_matrix(q)
     if q.shape != (ket.n, ket.n) or bra.n != ket.n:
         raise ValueError(f"need an {ket.n}-square letter matrix for systems of equal n")
     bra._check_level(m)
     ket._check_level(m)
-    factors = ket.factors[1 : m + 1]
-    sites = [(q @ c.reshape(-1, ket.n, c.shape[1])).reshape(c.shape) for c in factors]
-    sweep = _complement_sweep(bra.factors[1:], sites, 1)
+
+    def site(dim: int, c: np.ndarray | None) -> np.ndarray:
+        if c is None:
+            return np.kron(np.eye(dim), q)
+        return (q @ c.reshape(-1, ket.n, c.shape[1])).reshape(c.shape)
+
+    sites = map(site, ket.dims, ket.factors[1 : m + 1])
+    sweep = _complement_sweep(bra.factors[1:], sites, 1, ket.n)
     return [(np.ones((1, 1), dtype=complex), 0.0)] + [(e, _gram_norm(s)) for e, s in sweep]
 
 
@@ -217,7 +233,7 @@ def _left_shifts(system: SubproductSystem, k: int, top: int) -> list[np.ndarray]
     _check_shift(system, k, top - 1)
     letter = np.eye(system.n, 1, -k, dtype=complex)
     kets = [letter] + system.factors[1:top]
-    return [e for e, _ in _complement_sweep(system.factors[1:], kets, 1, gram=False)]
+    return [e for e, _ in _complement_sweep(system.factors[1:], kets, 1, system.n, gram=False)]
 
 
 def shift_left(system: SubproductSystem, k: int, m: int) -> np.ndarray:
@@ -229,9 +245,18 @@ def shift_left(system: SubproductSystem, k: int, m: int) -> np.ndarray:
 
 
 def shift_right(system: SubproductSystem, k: int, m: int) -> np.ndarray:
-    """Block of the right shift, append letter ``k``: ``C_{m+1}[:, k, :]†``."""
+    """Block of the right shift, append letter ``k``: ``C_{m+1}[:, k, :]†``.
+
+    At a full level ``m + 1`` that is the 0/1 block selecting the rows
+    ``(i, k)``, written directly.
+    """
     _check_shift(system, k, m)
-    return system.factors[m + 1][k :: system.n].conj().T
+    c, n = system.factors[m + 1], system.n
+    if c is not None:
+        return c[k::n].conj().T
+    block = np.zeros((system.dims[m + 1], system.dims[m]), dtype=complex)
+    block[k::n] = np.eye(system.dims[m])
+    return block
 
 
 def _check_inductive(system: SubproductSystem, m: int, l: int, *ops) -> list[np.ndarray]:
@@ -252,25 +277,24 @@ def inductive_map(system: SubproductSystem, a, m: int, l: int) -> np.ndarray:
     """Sum of right-shift conjugations carrying level ``m`` to level ``l``.
 
     Each step is the transfer map ``x -> sum_k C[:, k, :]† x C[:, k, :]`` of
-    the chain, which is ``x ⊗ 1_n`` when ``C`` is square (the identity); the
-    Kronecker product gives the same entries without the matmul.  Unital and
-    positive, and the composition rule ``iota(r,l) ∘ iota(m,r) = iota(m,l)``
-    holds by construction.
+    the chain, which is ``x ⊗ 1_n`` at a full level (``C`` the identity),
+    written without a matmul.  Unital and positive, and the composition rule
+    ``iota(r,l) ∘ iota(m,r) = iota(m,l)`` holds by construction.
     """
     (x,) = _check_inductive(system, m, l, a)
     for c in system.factors[m + 1 : l + 1]:
-        x = np.kron(x, np.eye(system.n)) if _full(c) else _transfer(c, x, c)
+        x = _lift(x, system.n) if c is None else _transfer(c, x, c)
     return x
 
 
 def multiplicativity_residual(system: SubproductSystem, a, b, m: int, l: int) -> float:
     """Norm of ``iota(ab) - iota(a) iota(b)`` between levels ``m`` and ``l``.
 
-    Exactly ``0.0`` when ``C_{m+1..l}`` are square: every step is then
+    Exactly ``0.0`` when levels ``m+1..l`` are full: every step is then
     ``x -> x ⊗ 1_n``, a homomorphism, and nothing is formed.
     """
     a, b = _check_inductive(system, m, l, a, b)
-    if all(map(_full, system.factors[m + 1 : l + 1])):
+    if _full(system.factors[m + 1 : l + 1]):
         return 0.0
     joint = inductive_map(system, a @ b, m, l)
     separate = inductive_map(system, a, m, l) @ inductive_map(system, b, m, l)

@@ -46,11 +46,19 @@ def word_stack(kraus, m):
     return np.stack([kraus_word(kraus, w) for w in words_of_length(kraus.size, m)])
 
 
+def chain_factor(system, m):
+    """``C_m`` as an array, with the identity of a full level formed explicitly."""
+    c = system.factors[m]
+    return np.eye(system.n * system.dims[m - 1], dtype=complex) if c is None else c
+
+
 def chain_basis(system, m):
     """Isometry ``B_m = (B_{m-1} ⊗ 1_n) C_m`` with ``n^m`` rows, the product of
-    the chain factors ``C_1..C_m``.  Exponential in ``m``, so small levels only."""
+    the chain factors ``C_1..C_m``, every one of them an explicit array.
+    Exponential in ``m``, so small levels only."""
     b = system.factors[0]
-    for c in system.factors[1 : m + 1]:
+    for j in range(1, m + 1):
+        c = chain_factor(system, j)
         b = (b @ c.reshape(b.shape[1], -1)).reshape(-1, c.shape[1])
     return b
 
@@ -170,12 +178,13 @@ def residual_oracle(system, m, l):
 
 
 def multiplicativity_oracle(system, a, b, m, l):
-    """``|iota(ab) - iota(a) iota(b)|`` with every step of ``iota`` taken:
-    ``x ⊗ 1_n`` through a square chain factor, the transfer map otherwise."""
+    """``|iota(ab) - iota(a) iota(b)|`` with every step of ``iota`` taken as
+    the transfer map, through the explicit identity at a full level."""
 
     def lift(x):
-        for c in system.factors[m + 1 : l + 1]:
-            x = np.kron(x, np.eye(system.n)) if c.shape[0] == c.shape[1] else _transfer(c, x, c)
+        for j in range(m + 1, l + 1):
+            c = chain_factor(system, j)
+            x = _transfer(c, x, c)
         return x
 
     return operator_norm(lift(a @ b) - lift(a) @ lift(b))

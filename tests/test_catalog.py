@@ -40,11 +40,16 @@ class TestConstructorValidity:
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_square_chain_factors_are_identities(self, spec):
-        # nesting_residuals and inductive_map treat a square factor as 1
+        # a full level, d_m = n d_{m-1}, is recorded as an implicit identity,
+        # and a stored chain factor is never square
         system = build_subproduct(minimal_kraus(build_catalog(spec)), 6)
-        for m, c in enumerate(system.factors):
-            if c.shape[0] == c.shape[1]:
-                assert np.array_equal(c, np.eye(len(c))), m
+        dims, n = system.dims, system.n
+        for m, c in enumerate(system.factors[1:], start=1):
+            assert (c is None) == (dims[m] == n * dims[m - 1]), m
+            if c is not None:
+                assert c.shape == (n * dims[m - 1], dims[m]), m
+                assert c.shape[0] > c.shape[1], m
+                assert np.allclose(c.conj().T @ c, np.eye(dims[m]), atol=1e-12), m
 
 
 class TestProjective:
@@ -189,6 +194,20 @@ class TestDispatcher:
     def test_params_must_be_a_dict(self, params):
         with pytest.raises(ValueError, match="params must be a dict"):
             CatalogSpec("sequential_projective", d=4, params=params)
+
+    def test_params_are_validated_into_a_copy(self):
+        # a later change to the caller's dict skips no check and changes no family
+        p = {"angle": 0.3}
+        spec = CatalogSpec("sequential_projective", d=4, params=p)
+        p["angle"] = True
+        p["seed"] = 7
+        assert spec.params == {"angle": 0.3}
+        expected = sequential_projective(4, 0.3, seed=0).ops
+        assert np.array_equal(build_catalog(spec).ops, expected)
+        ranks = [2, 1]
+        spec = CatalogSpec("projective", d=3, params={"ranks": ranks})
+        ranks.append(1.5)
+        assert np.array_equal(build_catalog(spec).ops, projective_measurement(3, [2, 1]).ops)
 
     def test_numpy_integers_are_accepted(self):
         spec = CatalogSpec("random_unital", n=np.int64(2), d=np.int32(3), seed=np.uint8(4))

@@ -4,10 +4,8 @@ import pytest
 from krausfock import (
     KrausSet,
     apply_heisenberg,
-    apply_schrodinger,
     build_subproduct,
     check_state,
-    choi_matrix,
     kraus_word,
     minimal_kraus,
     random_unital,
@@ -15,7 +13,7 @@ from krausfock import (
     uniform_projective,
     validate,
 )
-from conftest import random_complex, random_density, random_hermitian
+from conftest import random_complex, random_hermitian
 
 
 def fold_word_oracle(ops, word):
@@ -90,31 +88,6 @@ class TestApplyHeisenberg:
         eigs_out = np.linalg.eigvalsh((out + out.conj().T) / 2)
         assert eigs_out[0] >= eigs_in[0] - 1e-10
         assert eigs_out[-1] <= eigs_in[-1] + 1e-10
-
-
-class TestApplySchrodinger:
-    def test_identity_channel(self, rng):
-        rho = random_density(rng, 3)
-        k = KrausSet(np.eye(3)[None])
-        assert np.allclose(apply_schrodinger(k, rho), rho)
-
-    def test_trace_preserving(self, rng):
-        k = random_unital(2, 4, seed=7)
-        rho = random_density(rng, 4)
-        assert abs(np.trace(apply_schrodinger(k, rho)) - 1.0) < 1e-12
-
-    def test_duality_with_heisenberg(self, rng):
-        k = random_unital(2, 4, seed=8)
-        for _ in range(5):
-            rho = random_density(rng, 4)
-            a = random_hermitian(rng, 4)
-            lhs = np.trace(apply_schrodinger(k, rho) @ a)
-            rhs = np.trace(rho @ apply_heisenberg(k, a))
-            assert abs(lhs - rhs) < 1e-10
-
-    def test_rejects_a_state_of_another_shape(self):
-        with pytest.raises(ValueError, match="state must be 2x2"):
-            apply_schrodinger(uniform_projective(2), np.eye(3) / 3)
 
 
 class TestGuards:
@@ -221,10 +194,3 @@ class TestMinimalKraus:
         assert validate(k).independence_rank == 3
         assert minimal_kraus(k) is k
         assert build_subproduct(k, 3).dims == [1, 3, 5, 5]
-
-
-def test_choi_matrix_is_psd_for_valid_sets():
-    for seed in range(3):
-        k = random_unital(2, 4, seed=seed)
-        eigs = np.linalg.eigvalsh(choi_matrix(k))
-        assert eigs[0] > -1e-10

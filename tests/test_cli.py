@@ -544,6 +544,39 @@ class TestHighLevels:
         assert sorted(payload["symmetry_residuals"], key=int) == [str(m) for m in range(1, 61)]
 
 
+class TestPeakMemory:
+    """tracemalloc peaks at level 8 of the dense instance ``random_unital(2,16)``
+    seed 3, where every level is full and the last one is complete."""
+
+    @pytest.mark.parametrize(
+        "command, bound",
+        # measured: dequantize 11.29 MB while the identity chain factors, a
+        # conjugate copy of G_8 and the level data were kept, 9.54 MB without;
+        # converge 10.59 MB and 8.14 MB
+        [("dequantize", 10.4e6), ("converge", 9.4e6)],
+    )
+    def test_dense_level_8(self, tmp_path, command, bound):
+        chan = make_catalog_doc(tmp_path, family="random_unital", n=2, d=16, seed=3)
+        rng = np.random.default_rng(3)
+        a, b = (rng.normal(size=(16, 16)) for _ in range(2))
+        obs_a = make_observable(tmp_path, a + a.T, name="a.json")
+        obs_b = make_observable(tmp_path, b + b.T, name="b.json")
+        argv = {
+            "dequantize": ["dequantize", chan, "--observable", obs_a, "--level", "8"],
+            "converge": ["converge", chan, "--max-m", "8", "--observables", obs_a, obs_b],
+        }[command] + ["--out", str(tmp_path / "report")]
+        assert main(argv) == 0  # warm: the peak below is the command's own
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < bound, peak
+
+
 class TestFlags:
     @pytest.mark.parametrize("command", ["dims", "subproduct-check", "converge"])
     def test_csv_report_goes_to_out(self, tmp_path, capsys, command):

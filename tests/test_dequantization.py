@@ -5,14 +5,12 @@ import pytest
 
 import krausfock.dequantization as dequantization
 from krausfock import (
-    BalancedWordSum,
     SingularMatrixError,
     build_subproduct,
     commuting_generic,
     convergence_report,
     correlations,
     dequantize,
-    kraus_word,
     normal_ordering_residual,
     operator_norm,
     phi_symmetry_residual,
@@ -343,45 +341,6 @@ class TestDequantize:
         corr = correlations(projective3, s, state_spec(projective3, maximally_mixed(3)), 1)
         with pytest.raises(ValueError, match="observable must be 3x3"):
             dequantize(corr, np.eye(2), 1)
-
-
-class TestBalancedWordSum:
-    def test_single_projective_term(self, projective3):
-        element = BalancedWordSum((((0,), (0,), 1.0),))
-        assert np.allclose(element.evaluate(projective3), projective3.ops[0])
-
-    def test_unitality_sum(self, catalog_quartet):
-        for k in catalog_quartet.values():
-            element = BalancedWordSum(
-                tuple(((j,), (j,), 1.0) for j in range(k.size))
-            )
-            assert operator_norm(element.evaluate(k) - np.eye(k.dim)) < 1e-12
-
-    def test_matches_word_product_oracle(self, rng):
-        k = random_unital(2, 4, seed=11)
-        terms = []
-        expected = np.zeros((4, 4), dtype=complex)
-        for _ in range(6):
-            m = int(rng.integers(1, 4))
-            left = tuple(int(x) for x in rng.integers(0, 2, size=m))
-            right = tuple(int(x) for x in rng.integers(0, 2, size=m))
-            coeff = complex(rng.normal(), rng.normal())
-            terms.append((left, right, coeff))
-            expected += coeff * kraus_word(k, left).conj().T @ kraus_word(k, right)
-        element = BalancedWordSum(tuple(terms))
-        assert np.allclose(element.evaluate(k), expected, atol=1e-13)
-
-    def test_selfadjointness_detection(self):
-        symmetric = BalancedWordSum(
-            (((0,), (1,), 1 + 2j), ((1,), (0,), 1 - 2j))
-        )
-        assert symmetric.is_formally_selfadjoint()
-        lopsided = BalancedWordSum((((0,), (1,), 1.0),))
-        assert not lopsided.is_formally_selfadjoint()
-
-    def test_rejects_unbalanced_terms(self):
-        with pytest.raises(ValueError, match="degree"):
-            BalancedWordSum((((0,), (0, 1), 1.0),))
 
 
 class TestNormalOrdering:

@@ -8,18 +8,17 @@ from krausfock import (
     operator_norm,
     orthonormal_range,
     partial_trace_left,
-    partial_trace_right,
     spans_all,
 )
 from krausfock.linalg import _certified_full, _rank, _triangular_inverse
 from conftest import haar_unitary, kron_power_apply, random_complex
 
 
-def trace_right_oracle(m, dh, dk):
-    out = np.zeros((dh, dh), dtype=complex)
-    for i in range(dh):
-        for j in range(dh):
-            out[i, j] = sum(m[i * dk + k, j * dk + k] for k in range(dk))
+def trace_left_oracle(m, dh, dk):
+    out = np.zeros((dk, dk), dtype=complex)
+    for i in range(dk):
+        for j in range(dk):
+            out[i, j] = sum(m[h * dk + i, h * dk + j] for h in range(dh))
     return out
 
 
@@ -204,30 +203,28 @@ class TestPartialTrace:
         f[1] = 1.0
         state = np.kron(e, f)
         proj = state @ state.conj().T
-        assert np.allclose(partial_trace_right(proj, 2, 3), e @ e.conj().T)
         assert np.allclose(partial_trace_left(proj, 2, 3), f @ f.conj().T)
 
     def test_identity(self):
-        assert np.allclose(partial_trace_right(np.eye(6), 2, 3), 3 * np.eye(2))
         assert np.allclose(partial_trace_left(np.eye(6), 2, 3), 2 * np.eye(3))
 
     def test_matches_loop_oracle_and_preserves_trace(self, rng):
         g = random_complex(rng, 6, 6)
         m = g @ g.conj().T
-        got = partial_trace_right(m, 2, 3)
-        assert np.allclose(got, trace_right_oracle(m, 2, 3), atol=1e-13)
+        got = partial_trace_left(m, 2, 3)
+        assert np.allclose(got, trace_left_oracle(m, 2, 3), atol=1e-13)
         assert abs(np.trace(got) - np.trace(m)) < 1e-12
 
     def test_linearity(self, rng):
         a = random_complex(rng, 6, 6)
         b = random_complex(rng, 6, 6)
-        lhs = partial_trace_right(2.0 * a + 3.0 * b, 3, 2)
-        rhs = 2.0 * partial_trace_right(a, 3, 2) + 3.0 * partial_trace_right(b, 3, 2)
+        lhs = partial_trace_left(2.0 * a + 3.0 * b, 3, 2)
+        rhs = 2.0 * partial_trace_left(a, 3, 2) + 3.0 * partial_trace_left(b, 3, 2)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            partial_trace_right(np.eye(5), 2, 3)
+            partial_trace_left(np.eye(5), 2, 3)
 
 
 def test_kron_power_apply_matches_explicit(rng):

@@ -22,14 +22,17 @@ from krausfock import (
 )
 from conftest import (
     chain_basis,
+    chain_factor,
     dense_level_basis,
     full_levels,
     haar_unitary,
+    kron_power_apply,
     multiplicativity_oracle,
     random_complex,
     random_hermitian,
     range_ladder,
     residual_oracle,
+    shift_oracle,
     word_stack,
 )
 
@@ -117,8 +120,91 @@ class TestBuild:
         assert s.dims == list(range(1, 13)) + [12, 12]
         assert chain_basis(s, 13).shape == (2**13, 12)
         assert s.generators(13).shape == (12, 12, 12)
-        # the system stores chain factors only: no array has n^m rows
-        assert max(c.shape[0] for c in s.factors) <= 12 * 2
+        # the system stores chain factors only: no array has n^m rows, and
+        # level 1, the one full level (d_1 = 2 d_0), stores none
+        assert [c is None for c in s.factors[1:]] == [True] + [False] * 12
+        assert max(c.shape[0] for c in s.factors if c is not None) <= 12 * 2
+
+
+class TestImplicitIdentity:
+    """A full level stores ``None`` for its identity chain factor; every reader
+    matches the dense oracle, which forms that identity explicitly."""
+
+    TOP = 6
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        # levels 1..4 are full (d_4 = 16 = d^2), levels 5 and 6 are not
+        s = build_subproduct(random_unital(2, 4, seed=0), self.TOP)
+        assert s.dims == [1, 2, 4, 8, 16, 16, 16]
+        return s
+
+    def test_none_exactly_at_full_levels(self, system):
+        full = full_levels(system.dims, system.n)
+        assert full == [True] * 4 + [False] * 2
+        assert [c is None for c in system.factors[1:]] == full
+        assert system.factors[0].shape == (1, 1)
+
+    def test_nesting_residuals(self, system):
+        for m in range(self.TOP + 1):
+            for l in range(self.TOP + 1 - m):
+                got = nesting_residuals(system, m, l)
+                for j in range(l + 1):
+                    assert abs(got[j] - residual_oracle(system, m, j)) <= 1e-12, (m, j)
+
+    def test_power_sweep(self, system, rng):
+        q = random_complex(rng, 2, 2)
+        sweep = krausfock.subproduct.power_sweep(system, system, q, self.TOP)
+        for j, (compressed, residual) in enumerate(sweep):
+            b = chain_basis(system, j)
+            qb = kron_power_apply(q, j, b)
+            assert np.max(np.abs(compressed - b.conj().T @ qb)) <= 1e-12, j
+            expected = operator_norm(qb - b @ (b.conj().T @ qb))
+            assert abs(residual - expected) <= 1e-12, j
+
+    def test_shifts_and_truncated_fock(self, system):
+        fock = truncated_fock(system)
+        for m in range(self.TOP):
+            for k in range(system.n):
+                for side, shift, blocks in (
+                    ("left", shift_left, fock.left_blocks),
+                    ("right", shift_right, fock.right_blocks),
+                ):
+                    expected = shift_oracle(system, k, m, side)
+                    assert np.max(np.abs(shift(system, k, m) - expected)) <= 1e-12, (side, m)
+                    assert np.max(np.abs(blocks[m][k] - expected)) <= 1e-12, (side, m)
+
+    def test_inductive_map_and_multiplicativity(self, system, rng):
+        n = system.n
+        for m in range(self.TOP + 1):
+            bm = chain_basis(system, m)
+            for l in range(m, self.TOP + 1):
+                bl = chain_basis(system, l)
+
+                def lift(x):
+                    return bl.conj().T @ np.kron(bm @ x @ bm.conj().T, np.eye(n ** (l - m))) @ bl
+
+                a, b = (random_complex(rng, system.dims[m], system.dims[m]) for _ in range(2))
+                got = inductive_map(system, a, m, l)
+                assert np.max(np.abs(got - lift(a))) <= 1e-12, (m, l)
+                expected = operator_norm(lift(a @ b) - lift(a) @ lift(b))
+                residual = multiplicativity_residual(system, a, b, m, l)
+                assert abs(residual - expected) <= 1e-12 * max(1.0, expected), (m, l)
+
+
+def test_full_levels_keep_no_identity():
+    # random_unital(2,16) seed 3 is full up to level 8: the build keeps its
+    # generator stacks, 2.09 MB, and no d_m x d_m identity (1.40 MB over 1..8)
+    kraus = random_unital(2, 16, seed=3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        s = build_subproduct(kraus, 8)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert all(c is None for c in s.factors[1:])
+    assert kept - sum(g.nbytes for g in s.gen_stacks) < 0.1e6, kept
 
 
 class TestDenseOracle:
@@ -334,7 +420,8 @@ class TestInductiveMap:
         for m in range(8):
             x = random_complex(rng, s.dims[m], s.dims[m])
             expected = x.astype(complex)
-            for c in s.factors[m + 1 :]:
+            for j in range(m + 1, 9):
+                c = chain_factor(s, j)
                 expected = krausfock.subproduct._transfer(c, expected, c)
             assert np.array_equal(inductive_map(s, x, m, 8), expected), m
 
