@@ -5,14 +5,16 @@ matrix pairs length-``m`` words through ``Tr(rho0 K_wk† K_wj)`` and is
 rescaled so that its trace equals the trace of its inverse.  A level is
 singular by the rank rule that decides full levels, applied to the square
 root ``G_m rho0^{1/2}`` of its correlation matrix, and is inverted through
-a triangular factor of that square root.  That rule alone decides which
-reference states can be used: a state that gives some Kraus operator
-probability 0 makes level 1 singular, while one that gives it probability
-``1e-12`` is accepted and computed to machine precision.  The time-``m``
-dequantization carries a system observable ``A`` to the level-``m``
-operator built from the weighted pairings ``Tr(rho0 K_wk† K_wj A)``; its
-unitality, multiplicativity defects and state gaps over increasing ``m``
-quantify how fast the levels turn into a classical picture of the channel.
+a triangular factor of that square root.  The normalized trace, read off
+that inverse, certifies most levels full; only a level near the threshold
+takes the singular values.  That rule alone decides which reference states
+can be used: a state that gives some Kraus operator probability 0 makes
+level 1 singular, while one that gives it probability ``1e-12`` is accepted
+and computed to machine precision.  The time-``m`` dequantization carries
+a system observable ``A`` to the level-``m`` operator built from the
+weighted pairings ``Tr(rho0 K_wk† K_wj A)``; its unitality,
+multiplicativity defects and state gaps over increasing ``m`` quantify how
+fast the levels turn into a classical picture of the channel.
 
 A *complete* level has ``d_m = d^2``: its generators span all of ``M_d``.
 That is not the same as a *full* level, whose chain factor is the identity.
@@ -41,11 +43,11 @@ from .dilation import _pairing
 from .linalg import (
     SingularMatrixError,
     _certified_full,
+    _rank,
     _triangular_inverse,
     as_matrix,
     operator_norm,
     orthonormal_range,
-    spans_all,
 )
 from .subproduct import SubproductSystem, power_sweep
 
@@ -92,7 +94,14 @@ def state_spec(kraus: KrausSet, rho0) -> StateSpec:
 
 @dataclass(eq=False)
 class LevelCorrelation:
-    """Normalized level correlation matrix, its inverse, trace and scale."""
+    """Normalized level correlation matrix, its inverse, trace and scale.
+
+    ``trace`` is the normalized trace ``sqrt(tr(W W†) tr((W W†)^{-1}))`` of
+    the raw matrix ``W W†``, ``W = [vec(G_u rho0^{1/2})]``.  It bounds the
+    condition number of ``W`` on both sides,
+    ``cond(W) <= trace <= d_m cond(W)``, and decides whether the level is
+    certified full (see :func:`correlation_matrix`).
+    """
 
     matrix: np.ndarray
     inverse: np.ndarray
@@ -120,50 +129,87 @@ class CorrelationData:
         return self.levels[1].matrix
 
 
+def _root_rows(system: SubproductSystem, state: StateSpec, m: int) -> np.ndarray:
+    """The rows ``W = [vec(G_u rho0^{1/2})]`` of level ``m``."""
+    gens = system.generators(m)
+    return (gens @ state.root).reshape(gens.shape[0], -1)
+
+
 def correlation_matrix(
     kraus: KrausSet, system: SubproductSystem, state: StateSpec, m: int
 ) -> LevelCorrelation:
     """Level-``m`` correlation matrix, scaled so trace equals inverse trace.
 
-    The raw matrix ``[Tr(G_u rho0 G_v†)]`` is ``W W†`` for the rows
-    ``W = [vec(G_u rho0^{1/2})]``.  The level is singular, and
-    :class:`~krausfock.linalg.SingularMatrixError` is raised, exactly when
-    :func:`~krausfock.linalg.spans_all` finds that ``W`` does not have full
-    row rank: the rank rule that decides full levels, applied to the singular
-    values of ``W``.  Otherwise the triangular factor of ``W† = Q R`` gives
-    ``raw = R† R`` and its inverse ``R^{-1} R^{-†}`` without forming ``W W†``
-    first, which would square the condition number.  ``R`` is inverted as a
-    triangle, by blocked products (``linalg._triangular_inverse``).
+    The raw matrix ``[Tr(G_u rho0 G_v†)]`` is ``W W†`` for the ``rows x cols``
+    matrix ``W = [vec(G_u rho0^{1/2})]``.  The triangular factor of
+    ``W† = Q R`` gives ``raw = R† R`` and its inverse ``R^{-1} R^{-†}``
+    without forming ``W W†`` first, which would square the condition number.
+    ``R`` is inverted as a triangle, by blocked products
+    (``linalg._triangular_inverse``).
 
-    Each array is dropped after its last read: ``W`` after the QR, ``R``
-    after ``raw`` and ``R^{-1}``, ``R^{-1}`` after the inverse, and both
-    results are scaled in place.  So after the QR at most four ``d_m x d_m``
-    arrays are alive at once: ``raw``, ``R^{-1}``, the conjugate copy of
-    ``R^{-1}`` that the product reads, and the inverse.  At a complete level
-    that is as many as :func:`~krausfock.linalg.spans_all` holds for ``W``.
+    The level is singular, and :class:`~krausfock.linalg.SingularMatrixError`
+    is raised, exactly when the rank rule that decides full levels finds that
+    ``W`` does not have full row rank.  Far from the threshold the normalized
+    trace ``T = sqrt(tr(raw) tr(inv))``, the stored ``trace``, reaches that
+    decision without singular values.  In exact arithmetic
+    ``T^2 = (sum s_i^2)(sum s_i^{-2})`` over the singular values of ``W``, so
+    ``s_max / s_min <= T <= rows * s_max / s_min``.  The computed ``R`` is the
+    exact factor of ``W† + E`` with ``|E| <= c (rows + cols) eps |W|``
+    (Householder QR), and the computed ``R^{-1}`` has a relative error of at
+    most about ``c rows eps cond(R)`` (J. Du Croz and N. J. Higham, IMA J.
+    Numer. Anal. 12 (1992) 1-19), with ``eps`` the machine epsilon and ``c``
+    a modest constant.  Both move the computed ``T`` by a relative
+    ``O((rows + cols) eps T)``.  The level is certified full when
+    ``(1 + 1/32) T < min(1 / (2 tau), 1 / (64 (rows + cols) eps))``
+    (``tau = rank_rel_tol``).  The second cap keeps those errors below
+    ``T / 32``, so the singular-value ratio of ``W`` exceeds both ``2 tau``
+    and ``64 (rows + cols) eps``, a margin far wider than the error of
+    computed singular values, and the rank rule finds the rows full too.  At
+    the default ``tau = 1e-9`` the cap binds only where ``rows + cols``
+    exceeds about ``1.4e5``.
+
+    When the certificate fails, a trace is not finite or the inversion raises
+    :class:`numpy.linalg.LinAlgError`, ``W`` is formed again and the rule is
+    applied to its singular values.  A level the rule finds singular raises;
+    an inversion error at a level it finds full is raised again; otherwise
+    the computed matrices are kept.  So every decision is the rule's, and the
+    values come from the same operations on either path.
     """
     if m < 1:
         raise ValueError("correlation levels start at 1")
-    gens = system.generators(m)
-    w = (gens @ state.root).reshape(gens.shape[0], -1)
-    if not spans_all(w, kraus.tol):
-        s = np.linalg.svd(w, compute_uv=False)
-        raise SingularMatrixError(
-            f"singular correlation: level-{m} correlation matrix has singular-value "
-            f"ratio {s[-1] / s[0]:.3e}, not above {kraus.tol.rank_rel_tol:.1e}"
-        )
+    w = _root_rows(system, state, m)
+    rows, cols = w.shape
     r = np.linalg.qr(w.conj().T, mode="r")
     del w
     raw = r.conj().T @ r
-    r_inv = _triangular_inverse(r)
-    del r
-    inv = r_inv @ r_inv.conj().T
-    del r_inv
     tr = float(np.trace(raw).real)
-    scale = float(np.sqrt(np.trace(inv).real / tr))
+    failure = None
+    try:
+        # near or past the threshold the inverse may overflow; the rule decides below
+        with np.errstate(all="ignore"):
+            r_inv = _triangular_inverse(r)
+            del r
+            inv = r_inv @ r_inv.conj().T
+            del r_inv
+            scale = float(np.sqrt(np.trace(inv).real / tr))
+    except np.linalg.LinAlgError as exc:
+        failure, scale = exc, np.nan
+    trace = scale * tr
+    tau = kraus.tol.rank_rel_tol
+    cap = 1.0 / (64.0 * (rows + cols) * np.finfo(float).eps)
+    # a trace that is not finite compares false and takes the singular values
+    if not (1.0 + 1.0 / 32.0) * trace < min(0.5 / tau, cap):
+        s = np.linalg.svd(_root_rows(system, state, m), compute_uv=False)
+        if _rank(s, kraus.tol) < rows:
+            raise SingularMatrixError(
+                f"singular correlation: level-{m} correlation matrix has singular-value "
+                f"ratio {s[-1] / s[0]:.3e}, not above {tau:.1e}"
+            )
+        if failure is not None:
+            raise failure
     raw *= scale
     inv /= scale
-    return LevelCorrelation(matrix=raw, inverse=inv, trace=scale * tr, scale=scale)
+    return LevelCorrelation(matrix=raw, inverse=inv, trace=trace, scale=scale)
 
 
 def correlations(

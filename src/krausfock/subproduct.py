@@ -13,15 +13,16 @@ nesting law ``level(m+l) ⊆ level(m) ⊗ level(l)`` exactly.
 Storage: level ``m`` is the chain factor ``C_m``, an orthonormal basis of
 the range of the candidates ``H_(u,k) = G_u K_k`` built on level ``m-1``
 (while every level so far is full, a Cholesky certificate of their shifted
-Gram matrix, with singular values only where it cannot decide, says whether
-level ``m`` is full; otherwise one SVD of ``(d_{m-1} n) x d^2``), and the
-generators ``G_m = C_m† H = sum_w conj(B_m[w, :]) K_w``.  The basis
-``B_m = (B_{m-1} ⊗ 1_n) C_m``, a left-canonical matrix product state of
-bond dimension ``<= d^2`` with ``n^m`` rows, is formed only by the tests, as
-a dense oracle; the left half of the nesting law holds by construction.
-Besides the build, every public function is a sweep or a slice over the
-chain factors.  A full level, ``d_m = n d_{m-1}``, is recorded once, as
-``factors[m] is None``: its ``C_m`` is the identity, and no reader forms it.
+Gram matrix can prove level ``m`` full; otherwise one SVD of
+``(d_{m-1} n) x d^2`` gives ``C_m``, and the level is full when ``C_m`` is
+square), and the generators ``G_m = C_m† H = sum_w conj(B_m[w, :]) K_w``.
+The basis ``B_m = (B_{m-1} ⊗ 1_n) C_m``, a left-canonical matrix product
+state of bond dimension ``<= d^2`` with ``n^m`` rows, is formed only by the
+tests, as a dense oracle; the left half of the nesting law holds by
+construction.  Besides the build, every public function is a sweep or a
+slice over the chain factors.  A full level, ``d_m = n d_{m-1}``, is
+recorded once, as ``factors[m] is None``: its ``C_m`` is the identity, and
+no reader forms it.
 
 Sweeps: ``1 - p_l`` is the orthogonal sum of the pieces
 ``(B_{j-1} (1 - C_j C_j†) B_{j-1}†) ⊗ 1``, ``j <= l``.  Nesting, shift,
@@ -47,7 +48,7 @@ from itertools import accumulate
 import numpy as np
 
 from .channel import KrausSet, require_unital_minimal
-from .linalg import as_matrix, operator_norm, orthonormal_range, spans_all
+from .linalg import _certified_full, as_matrix, operator_norm, orthonormal_range
 
 __all__ = [
     "SubproductSystem",
@@ -115,14 +116,16 @@ def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
         # For a unital family a level that is not full leaves no later level
         # full: a relation sum_k W_k K_k = 0 with W_k in level m-1 gives
         # sum_k (K_j W_k) K_k = 0 at level m+1, and the K_j W_k cannot all
-        # vanish, since then W_k = sum_j K_j† K_j W_k = 0.  So the probe for a
-        # full level runs only while every earlier level was full.  Its
-        # Cholesky certificate fails, and the singular values are taken, only
-        # at the first level that is not full or at a full level whose
-        # smallest singular value is below about 1e-6 of the Frobenius norm.
-        full = full and spans_all(rows, kraus.tol)
-        c = None if full else orthonormal_range(rows, kraus.tol)
-        factors.append(c)
+        # vanish, since then W_k = sum_j K_j† K_j W_k = 0.  So the Cholesky
+        # certificate of a full level runs only while every earlier level was
+        # full.  Where it cannot decide, at the first level that is not full
+        # or at a full level whose smallest singular value is below about 1e-6
+        # of the Frobenius norm, one SVD gives both C_m and the rank rule's
+        # decision: full when C_m is square.
+        certified = full and len(rows) <= d * d and _certified_full(rows, kraus.tol)
+        c = None if certified else orthonormal_range(rows, kraus.tol)
+        full = certified or (full and c.shape[1] == len(rows))
+        factors.append(None if full else c)
         gens.append(cand if full else (c.conj().T @ cand.reshape(-1, d * d)).reshape(-1, d, d))
     return SubproductSystem(n=kraus.size, factors=factors, gen_stacks=gens)
 

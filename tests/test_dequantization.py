@@ -1,11 +1,17 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import krausfock.dequantization as dequantization
 from krausfock import (
+    KrausSet,
     SingularMatrixError,
+    SubproductSystem,
+    Tolerances,
     build_subproduct,
     commuting_generic,
     convergence_report,
@@ -19,9 +25,11 @@ from krausfock import (
     state_spec,
     trend_verdict,
 )
+from krausfock.linalg import _rank
 from conftest import (
     chain_basis,
     fock_rank_one_oracle,
+    haar_unitary,
     mp_dequantize,
     normal_ordering_oracle,
     random_complex,
@@ -34,6 +42,15 @@ from conftest import (
 
 def maximally_mixed(dim):
     return np.eye(dim) / dim
+
+
+@pytest.fixture(scope="module")
+def deep48():
+    """``commuting_generic(2,48)`` seed 3 with correlation levels 1..46 at ``rho0 = 1/48``."""
+    k = commuting_generic(2, 48, seed=3)
+    s = build_subproduct(k, 46)
+    spec = state_spec(k, maximally_mixed(48))
+    return s, spec, correlations(k, s, spec, 46)
 
 
 class TestStateSpec:
@@ -125,13 +142,30 @@ class TestCorrelations:
         with pytest.raises(SingularMatrixError, match="level-2"):
             correlations(commuting212, s, spec, 2)
 
-    def test_ill_conditioned_deep_levels_are_not_refused(self):
+    def test_ill_conditioned_deep_levels_are_not_refused(self, deep48):
         # singular-value ratios of W = G_m rho0^{1/2} down to 3.3e-6 at level
         # 46, inside the rank rule; their squares, the eigenvalue ratios of
         # the correlation matrix, fell below it from level 45
-        k = commuting_generic(2, 48, seed=3)
-        corr = correlations(k, build_subproduct(k, 46), state_spec(k, maximally_mixed(48)), 46)
+        _, _, corr = deep48
         assert sorted(corr.levels) == list(range(1, 47))
+
+    def test_trace_bounds_the_condition_number(self, catalog_quartet, deep48):
+        # the normalized trace T = sqrt(tr(W W†) tr((W W†)^{-1})) satisfies
+        # cond(W) <= T <= d_m cond(W); the uniform projective levels, whose
+        # singular values are all equal, meet the upper bound
+        cases = []
+        for k in catalog_quartet.values():
+            s = build_subproduct(k, 5)
+            spec = state_spec(k, maximally_mixed(k.dim))
+            cases.append((s, spec, correlations(k, s, spec, 5)))
+        cases.append(deep48)
+        for s, spec, corr in cases:
+            for m, level in corr.levels.items():
+                sv = np.linalg.svd(dequantization._root_rows(s, spec, m), compute_uv=False)
+                cond = sv[0] / sv[-1]
+                assert cond <= level.trace * (1.0 + 1e-12), m
+                assert level.trace <= s.dims[m] * cond * (1.0 + 1e-12), m
+        assert deep48[2].levels[46].trace >= 1.0 / 3.4e-6
 
 
     @pytest.mark.parametrize("d, top", [(12, 14), (24, 48)])
@@ -175,6 +209,109 @@ class TestCorrelations:
         assert np.array_equal(level.matrix, scale * raw)
         assert np.array_equal(level.inverse, inv / scale)
         assert level.trace == scale * tr and level.scale == scale
+
+    def test_certified_levels_take_no_singular_values(self, random216, commuting212, monkeypatch):
+        # far from the threshold the normalized trace decides every level:
+        # no SVD and no Cholesky factorization is taken
+        systems = [(k, build_subproduct(k, top)) for k, top in ((random216, 8), (commuting212, 12))]
+        calls = []
+
+        def spy(name):
+            real = getattr(np.linalg, name)
+
+            def counted(a, *args, **kwargs):
+                calls.append((name, a.shape))
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        spy("svd")
+        spy("cholesky")
+        for k, s in systems:
+            correlations(k, s, state_spec(k, maximally_mixed(k.dim)), s.max_level)
+        assert calls == []
+
+    def test_near_threshold_level_takes_the_rank_rule(self, monkeypatch):
+        # level 11 of commuting_generic(2,12) seed 0 has singular-value ratio
+        # 1.5e-5: above tau = 1e-5, so the rule keeps it, but too close for the
+        # certificate, which needs about 2 tau; the values are the certified ones
+        k = commuting_generic(2, 12, seed=0)
+        near = KrausSet(k.ops, tol=Tolerances(rank_rel_tol=1e-5))
+        s = build_subproduct(near, 11)
+        spec = state_spec(near, maximally_mixed(12))
+        certified = dequantization.correlation_matrix(k, s, spec, 11)
+        shapes = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        level = dequantization.correlation_matrix(near, s, spec, 11)
+        assert shapes == [(12, 144)]
+        assert np.array_equal(level.matrix, certified.matrix)
+        assert np.array_equal(level.inverse, certified.inverse)
+        assert (level.trace, level.scale) == (certified.trace, certified.scale)
+
+    def test_inversion_error_at_a_full_level_is_raised_again(self, projective3, monkeypatch):
+        def failing(r):
+            raise np.linalg.LinAlgError("planted")
+
+        s = build_subproduct(projective3, 1)
+        spec = state_spec(projective3, maximally_mixed(3))
+        monkeypatch.setattr(dequantization, "_triangular_inverse", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="planted"):
+            dequantization.correlation_matrix(projective3, s, spec, 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([1e-15, 1e-9, 1e-3]),
+        st.sampled_from(["planted", "random state", "rank-2 state"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(1e-15, "rank-2 state", 0)
+    @example(1e-9, "rank-2 state", 0)
+    @example(1e-3, "rank-2 state", 0)
+    def test_singular_exactly_when_the_rank_rule_says_so(self, tau, case, seed):
+        # planted: rows W of a synthetic 3 x 3 level with a smallest singular
+        # value within a factor of about 20 of tau or 2 tau, the certificate's
+        # edge, or anywhere in [1e-16, 1]; otherwise commuting_generic(2,12)
+        # seed 3 under a random full-rank state or the rank-2 state of
+        # test_singular_correlation_names_level, at one of levels 1..3
+        rng = np.random.default_rng(seed)
+        tol = Tolerances(rank_rel_tol=tau)
+        if case == "planted":
+            rows = int(rng.integers(1, 10))
+            sv = np.concatenate([[1.0], 10.0 ** rng.uniform(-3.0, 0.0, rows - 1)])
+            edge = rng.choice([tau, 2.0 * tau, 10.0 ** rng.uniform(-16.0, 0.0)])
+            offset = np.exp(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, 0.5))
+            sv[-1] = min(edge * offset, 1.0)
+            w = (haar_unitary(rng, rows) * sv) @ haar_unitary(rng, 9)[:rows]
+            k = KrausSet(np.eye(3)[None], tol=tol)
+            gens = np.sqrt(3.0) * w.reshape(rows, 3, 3)
+            s = SubproductSystem(rows, [np.ones((1, 1)), None], [np.eye(3)[None], gens])
+            spec, m = state_spec(k, maximally_mixed(3)), 1
+        else:
+            k = KrausSet(commuting_generic(2, 12, seed=3).ops, tol=tol)
+            s = build_subproduct(k, 3)
+            if case == "random state":
+                rho = random_density(rng, 12)
+            else:
+                rho = np.diag([0.5, 0.5] + [0.0] * 10)
+            spec, m = state_spec(k, rho), int(rng.integers(1, 4))
+        sv = np.linalg.svd(dequantization._root_rows(s, spec, m), compute_uv=False)
+        full = _rank(sv, tol) == s.dims[m]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                level = dequantization.correlation_matrix(k, s, spec, m)
+            except SingularMatrixError as exc:
+                assert not full
+                assert f"level-{m} correlation matrix has singular-value ratio" in str(exc)
+            else:
+                assert full
+                assert np.all(np.isfinite(level.matrix)) and np.all(np.isfinite(level.inverse))
 
     def test_levels_start_at_one(self, projective3):
         s = build_subproduct(projective3, 1)

@@ -82,22 +82,25 @@ class TestBuild:
         assert build_subproduct(families["small-angle"], 8).dims == [1, 4] + [6] * 7
 
     def test_full_levels_take_no_singular_values(self, monkeypatch):
-        # spans_all takes singular values only where its Cholesky certificate
-        # cannot decide: not at the full levels of a generic family, but at
-        # the first level that is not full
+        # singular values are taken only where the Cholesky certificate cannot
+        # decide: not at the full levels of a generic family, but from the
+        # first level that is not full on, one SVD a level, whose range both
+        # decides the level and gives its chain factor
         probes = []
         svd = np.linalg.svd
 
         def counted(a, *args, **kwargs):
-            if not kwargs.get("compute_uv", True):
-                probes.append(a.shape)
+            probes.append(a.shape)
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
+        # the first SVD of each build is the minimality guard's, of the n x d^2 stack
         assert build_subproduct(random_unital(2, 16, seed=3), 8).dims == [2**m for m in range(9)]
-        assert probes == []
-        assert build_subproduct(commuting_generic(2, 12, seed=0), 12).dims[:3] == [1, 2, 3]
-        assert probes == [(4, 144)]
+        assert probes == [(2, 256)]
+        probes.clear()
+        dims = build_subproduct(commuting_generic(2, 12, seed=0), 12).dims
+        assert dims[:3] == [1, 2, 3]
+        assert probes == [(2, 144)] + [(2 * dim, 144) for dim in dims[1:12]]
 
     def test_rejects_non_minimal(self):
         ops = np.stack([np.eye(2), np.eye(2)]) / np.sqrt(2.0)
