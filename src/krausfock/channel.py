@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import Tolerances, as_matrix, operator_norm, orthonormal_range
+from .linalg import Tolerances, _range_unless_full, as_matrix, operator_norm, orthonormal_range
 
 __all__ = [
     "KrausSet",
@@ -148,10 +148,10 @@ def minimal_kraus(kraus: KrausSet) -> KrausSet:
     """
     n, d = kraus.size, kraus.dim
     stack = kraus.ops.reshape(n, d * d)
-    q = orthonormal_range(stack, kraus.tol)
+    q = _range_unless_full(stack, kraus.tol)
+    if q is None:
+        return kraus
     if q.shape[1] == 0:
         raise ValueError("all Kraus operators vanish")
-    if q.shape[1] == n:
-        return kraus
     reduced = (q.conj().T @ stack).reshape(-1, d, d)
     return KrausSet(reduced, tol=kraus.tol)

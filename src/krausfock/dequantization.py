@@ -42,12 +42,11 @@ from .channel import KrausSet, check_state, kraus_word
 from .dilation import _pairing
 from .linalg import (
     SingularMatrixError,
-    _certified_full,
+    _range_unless_full,
     _rank,
     _triangular_inverse,
     as_matrix,
     operator_norm,
-    orthonormal_range,
 )
 from .subproduct import SubproductSystem, power_sweep
 
@@ -100,7 +99,8 @@ class LevelCorrelation:
     the raw matrix ``W W†``, ``W = [vec(G_u rho0^{1/2})]``.  It bounds the
     condition number of ``W`` on both sides,
     ``cond(W) <= trace <= d_m cond(W)``, and decides whether the level is
-    certified full (see :func:`correlation_matrix`).
+    certified full (see :func:`correlation_matrix`).  ``matrix`` and
+    ``inverse`` are frozen against writes.
     """
 
     matrix: np.ndarray
@@ -209,6 +209,7 @@ def correlation_matrix(
             raise failure
     raw *= scale
     inv /= scale
+    raw.flags.writeable = inv.flags.writeable = False
     return LevelCorrelation(matrix=raw, inverse=inv, trace=trace, scale=scale)
 
 
@@ -288,10 +289,9 @@ def normal_ordering_residual(
     ``0.0`` at a complete level (``d_m = d^2``), where the ``G_u`` span
     ``M_d`` and with it the identity, so the products span ``M_d`` and are
     never formed.  It is also ``0.0`` when the products span all of
-    ``C^{d^2}`` by the rank rule: a Cholesky certificate (see
-    :func:`~krausfock.linalg.spans_all`) decides that without a projection,
-    and otherwise the one SVD of the products that gives the projection also
-    gives the rank.
+    ``C^{d^2}`` by the rank rule, which
+    :func:`~krausfock.linalg._range_unless_full` decides without a
+    projection.
     """
     left = tuple(int(j) for j in left_word)
     right = tuple(int(j) for j in right_word)
@@ -313,10 +313,8 @@ def normal_ordering_residual(
     prods = gens.conj().transpose(0, 2, 1)[:, None] @ gens
     columns = np.ascontiguousarray(prods.reshape(-1, target.size).T)
     del prods
-    if columns.shape[0] <= columns.shape[1] and _certified_full(columns, kraus.tol):
-        return 0.0
-    span = orthonormal_range(columns, kraus.tol)
-    if span.shape[1] == target.size:
+    span = _range_unless_full(columns, kraus.tol)
+    if span is None:
         return 0.0
     residual = target - span @ (span.conj().T @ target)
     return float(np.linalg.norm(residual) / scale)

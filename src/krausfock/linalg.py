@@ -3,14 +3,14 @@
 Matrices are plain ``numpy.ndarray`` objects with complex128 entries in
 row-major layout.  Every routine is a pure function of its arguments.
 
-:func:`orthonormal_range` and :func:`spans_all` decide ranks by one rule on
-singular values (:func:`_rank`); the same rule decides full levels and
-singular correlation levels.  :func:`spans_all` reaches the rule's
-decision more cheaply far from the threshold: one Cholesky factorization of
-the Gram matrix, shifted down by a multiple of its trace, certifies a full
-row rank that the rule would also find (S. M. Rump, "Verification of
-positive definiteness", BIT 46 (2006) 433-452); only a failed certificate
-takes the singular values.
+:func:`orthonormal_range` decides ranks by one rule on singular values
+(:func:`_rank`); the same rule decides full levels and singular correlation
+levels.  :func:`_range_unless_full` reaches the rule's decision that a set
+of rows spans everything more cheaply far from the threshold: one Cholesky
+factorization of the Gram matrix, shifted down by a multiple of its trace,
+certifies a full row rank that the rule would also find (S. M. Rump,
+"Verification of positive definiteness", BIT 46 (2006) 433-452); only a
+failed certificate takes the singular values.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "Tolerances",
     "SingularMatrixError",
     "orthonormal_range",
-    "spans_all",
     "partial_trace_left",
     "operator_norm",
 ]
@@ -36,7 +35,8 @@ class Tolerances:
 
     rank_rel_tol
         Singular values below ``rank_rel_tol * s_max`` count as zero when
-        ranks and kernels are decided.
+        ranks and kernels are decided; it lies in ``(0, 1)``, since at 1
+        even ``s_max`` would count as zero.
     residual_tol
         Acceptable norm for residuals of identities that hold exactly in
         exact arithmetic.
@@ -56,10 +56,12 @@ class Tolerances:
             if not 0.0 < x < np.inf:
                 raise ValueError(f"{name} must be a positive finite real number, got {value!r}")
             object.__setattr__(self, name, x)
+        if self.rank_rel_tol >= 1.0:
+            raise ValueError(f"rank_rel_tol must be below 1, got {self.rank_rel_tol!r}")
 
 
 class SingularMatrixError(ValueError):
-    """A level correlation matrix is singular: its square-root rows fail :func:`spans_all`."""
+    """A level correlation matrix is singular: its square-root rows fail the rank rule."""
 
 
 def as_matrix(x, stacked: bool = False) -> np.ndarray:
@@ -83,7 +85,7 @@ def orthonormal_range(columns, tol: Tolerances | None = None) -> np.ndarray:
     """Isometry whose columns form an orthonormal basis of ``range(columns)``.
 
     Takes the leading left singular vectors of ``columns``; their count is
-    the numerical rank at ``tol.rank_rel_tol`` (see :func:`spans_all`).  An
+    the numerical rank at ``tol.rank_rel_tol`` (see :func:`_rank`).  An
     empty or all-zero input yields a matrix with zero columns.
     """
     tol = tol or Tolerances()
@@ -130,25 +132,21 @@ def _certified_full(a: np.ndarray, tol: Tolerances) -> bool:
     return True
 
 
-def spans_all(columns, tol: Tolerances | None = None) -> bool:
-    """Whether the columns of a ``rows x cols`` matrix span all of ``C^rows``:
-    ``orthonormal_range(columns, tol).shape[1] == rows``, decided by the same
-    rank rule; false at once when ``rows > cols``.
+def _range_unless_full(a: np.ndarray, tol: Tolerances) -> np.ndarray | None:
+    """``None`` when the rows of the complex array ``a`` span ``C^rows`` by
+    the rank rule, otherwise ``orthonormal_range(a, tol)``.
 
-    A full row rank far from the threshold is certified by one Cholesky
-    factorization of the shifted Gram matrix (see :func:`_certified_full`),
-    which proves that the rank rule would find it too.  Otherwise the rule is
-    applied to the singular values of the unscaled matrix, so every decision
-    is the rule's, for every input.
+    A ``rows x cols`` matrix with ``0 < rows <= cols`` is first offered to
+    the Cholesky certificate (:func:`_certified_full`), which proves a full
+    row rank that the rule would find too.  Where it cannot decide, one SVD
+    gives both the range and the rule's decision: the rows are full when
+    the range is square.  So every decision is the rule's, for every input.
     """
-    tol = tol or Tolerances()
-    a = as_matrix(columns)
     rows, cols = a.shape
-    if rows > cols:
-        return False
-    if rows and _certified_full(a, tol):
-        return True
-    return _rank(np.linalg.svd(a, compute_uv=False), tol) == rows
+    if 0 < rows <= cols and _certified_full(a, tol):
+        return None
+    q = orthonormal_range(a, tol)
+    return None if q.shape[1] == rows else q
 
 
 def _triangular_inverse(r: np.ndarray) -> np.ndarray:

@@ -12,10 +12,9 @@ nesting law ``level(m+l) ⊆ level(m) ⊗ level(l)`` exactly.
 
 Storage: level ``m`` is the chain factor ``C_m``, an orthonormal basis of
 the range of the candidates ``H_(u,k) = G_u K_k`` built on level ``m-1``
-(while every level so far is full, a Cholesky certificate of their shifted
-Gram matrix can prove level ``m`` full; otherwise one SVD of
-``(d_{m-1} n) x d^2`` gives ``C_m``, and the level is full when ``C_m`` is
-square), and the generators ``G_m = C_m† H = sum_w conj(B_m[w, :]) K_w``.
+(while every level so far is full, the rank rule decides whether level
+``m`` is full too, by :func:`~krausfock.linalg._range_unless_full`),
+and the generators ``G_m = C_m† H = sum_w conj(B_m[w, :]) K_w``.
 The basis ``B_m = (B_{m-1} ⊗ 1_n) C_m``, a left-canonical matrix product
 state of bond dimension ``<= d^2`` with ``n^m`` rows, is formed only by the
 tests, as a dense oracle; the left half of the nesting law holds by
@@ -48,7 +47,7 @@ from itertools import accumulate
 import numpy as np
 
 from .channel import KrausSet, require_unital_minimal
-from .linalg import _certified_full, as_matrix, operator_norm, orthonormal_range
+from .linalg import _range_unless_full, as_matrix, operator_norm, orthonormal_range
 
 __all__ = [
     "SubproductSystem",
@@ -72,7 +71,8 @@ class SubproductSystem:
 
     ``factors[m]`` is ``C_m``, or ``None`` at a full level, whose ``C_m`` is
     the identity (``factors[0]`` is the ``1 x 1`` level-zero basis), and
-    ``gen_stacks[m]`` is ``G_m``.
+    ``gen_stacks[m]`` is ``G_m``.  :func:`build_subproduct` freezes both
+    against writes.
     """
 
     n: int
@@ -116,17 +116,14 @@ def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
         # For a unital family a level that is not full leaves no later level
         # full: a relation sum_k W_k K_k = 0 with W_k in level m-1 gives
         # sum_k (K_j W_k) K_k = 0 at level m+1, and the K_j W_k cannot all
-        # vanish, since then W_k = sum_j K_j† K_j W_k = 0.  So the Cholesky
-        # certificate of a full level runs only while every earlier level was
-        # full.  Where it cannot decide, at the first level that is not full
-        # or at a full level whose smallest singular value is below about 1e-6
-        # of the Frobenius norm, one SVD gives both C_m and the rank rule's
-        # decision: full when C_m is square.
-        certified = full and len(rows) <= d * d and _certified_full(rows, kraus.tol)
-        c = None if certified else orthonormal_range(rows, kraus.tol)
-        full = certified or (full and c.shape[1] == len(rows))
-        factors.append(None if full else c)
+        # vanish, since then W_k = sum_j K_j† K_j W_k = 0.
+        c = _range_unless_full(rows, kraus.tol) if full else orthonormal_range(rows, kraus.tol)
+        full = c is None
+        factors.append(c)
         gens.append(cand if full else (c.conj().T @ cand.reshape(-1, d * d)).reshape(-1, d, d))
+    for a in factors + gens:
+        if a is not None:
+            a.flags.writeable = False
     return SubproductSystem(n=kraus.size, factors=factors, gen_stacks=gens)
 
 

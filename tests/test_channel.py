@@ -8,6 +8,7 @@ from krausfock import (
     check_state,
     kraus_word,
     minimal_kraus,
+    orthonormal_range,
     random_unital,
     require_unital_minimal,
     uniform_projective,
@@ -170,6 +171,35 @@ class TestMinimalKraus:
                 apply_heisenberg(mixed, probe) - apply_heisenberg(reduced, probe), 2
             )
             assert gap < 1e-10
+
+    def test_independent_set_takes_no_singular_values(self, monkeypatch):
+        # the Cholesky certificate of the 2 x 256 stack decides it
+        k = random_unital(2, 16, seed=3)
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        assert minimal_kraus(k) is k
+        assert calls == []
+
+    def test_dependent_sets_reduce_by_the_range(self, rng):
+        # a dependent family reduces to q† stack, q the orthonormal range of
+        # its n x d^2 stack, bit for bit
+        base = random_unital(2, 3, seed=2)
+        iso = np.linalg.qr(random_complex(rng, 3, 2))[0]
+        families = [
+            KrausSet(np.stack([np.eye(2), np.eye(2)]) / np.sqrt(2.0)),
+            KrausSet(np.einsum("jk,kab->jab", iso, base.ops)),
+        ]
+        for k in families:
+            stack = k.ops.reshape(k.size, -1)
+            q = orthonormal_range(stack, k.tol)
+            expected = (q.conj().T @ stack).reshape(-1, k.dim, k.dim)
+            assert np.array_equal(minimal_kraus(k).ops, expected)
 
     def test_rejects_vanishing_operators(self):
         with pytest.raises(ValueError, match="all Kraus operators vanish"):

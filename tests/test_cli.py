@@ -114,6 +114,20 @@ class TestValidate:
         assert code == 2
         assert "word_count_cap" in err
 
+    def test_rank_tolerance_of_one_is_input_error(self, tmp_path, capsys):
+        # at 1 every singular value counts as zero: validate used to report
+        # rank 0 and exit 0, and dims to refuse the family as all-vanishing
+        doc = {"catalog": {"family": "projective", "d": 3}, "tol": {"rank_rel_tol": 1}}
+        path = tmp_path / "rank-one.json"
+        path.write_text(json.dumps(doc))
+        plain = make_catalog_doc(tmp_path, family="projective", d=3)
+        for argv in (["validate", str(path)], ["dims", plain, "--tol-rank", "1"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert "rank_rel_tol must be below 1" in err
+            assert "Traceback" not in err
+
     def test_minimalize_writes_reduced_document(self, tmp_path, capsys):
         s = 0.5  # two copies of I/sqrt(2) -> one operator
         doc = {

@@ -104,6 +104,14 @@ class TestCorrelations:
         assert corr.kraus is commuting212 and corr.system is s and corr.state is spec
         assert corr.base is corr.levels[1].matrix
 
+    def test_levels_are_frozen(self, commuting212):
+        s = build_subproduct(commuting212, 3)
+        corr = correlations(commuting212, s, state_spec(commuting212, maximally_mixed(12)), 3)
+        for level in corr.levels.values():
+            for a in (level.matrix, level.inverse):
+                with pytest.raises(ValueError, match="read-only"):
+                    a *= 2.0
+
     def test_level_one_raw_trace_is_one(self, catalog_quartet):
         for k in catalog_quartet.values():
             s = build_subproduct(k, 1)

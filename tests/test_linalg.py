@@ -8,9 +8,8 @@ from krausfock import (
     operator_norm,
     orthonormal_range,
     partial_trace_left,
-    spans_all,
 )
-from krausfock.linalg import _certified_full, _rank, _triangular_inverse
+from krausfock.linalg import _certified_full, _range_unless_full, _rank, _triangular_inverse
 from conftest import haar_unitary, kron_power_apply, random_complex
 
 
@@ -31,7 +30,9 @@ class TestTolerances:
     @pytest.mark.parametrize(
         "kwargs",
         [{"rank_rel_tol": 0.0}, {"residual_tol": -1.0}]
-        + [{name: x} for name in ("rank_rel_tol", "residual_tol") for x in (np.nan, np.inf)],
+        + [{name: x} for name in ("rank_rel_tol", "residual_tol") for x in (np.nan, np.inf)]
+        # at 1 the rank rule would count even the largest singular value as zero
+        + [{"rank_rel_tol": 1.0}, {"rank_rel_tol": 2.0}],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -84,11 +85,18 @@ class TestOrthonormalRange:
 
 
 class TestSpansAll:
-    """The singular-value probe against the column count of orthonormal_range."""
+    """Whether rows span all of ``C^rows``: ``_range_unless_full`` against the
+    column count of orthonormal_range."""
 
     @staticmethod
-    def agrees(a):
-        return spans_all(a) == (orthonormal_range(a).shape[1] == a.shape[0])
+    def spans(a, tol=Tolerances()):
+        """Whether the helper finds the rows full; any range it returns is
+        bit-identical to orthonormal_range's."""
+        q = _range_unless_full(a, tol)
+        if q is not None:
+            assert np.array_equal(q, orthonormal_range(a, tol))
+        assert (q is None) == (orthonormal_range(a, tol).shape[1] == a.shape[0])
+        return q is None
 
     @pytest.mark.parametrize("shape", [(6, 6), (4, 9)])
     @pytest.mark.parametrize(
@@ -100,20 +108,18 @@ class TestSpansAll:
         # singular values from 1 down to sigma_min / sigma_max = ratio
         s = np.geomspace(1.0, ratio, rows)
         a = (haar_unitary(rng, rows) * s) @ haar_unitary(rng, cols)[:rows]
-        assert spans_all(a) is spans
-        assert self.agrees(a)
+        assert self.spans(a) is spans
 
     def test_tall_wide_and_zero(self, rng):
         cases = {
             "tall": (random_complex(rng, 7, 3), False),
             "wide": (random_complex(rng, 3, 7), True),
             "wide, rank 2": (random_complex(rng, 3, 2) @ random_complex(rng, 2, 7), False),
-            "zero": (np.zeros((3, 5)), False),
-            "no rows": (np.zeros((0, 4)), True),
+            "zero": (np.zeros((3, 5), dtype=complex), False),
+            "no rows": (np.zeros((0, 4), dtype=complex), True),
         }
         for name, (a, spans) in cases.items():
-            assert spans_all(a) is spans, name
-            assert self.agrees(a), name
+            assert self.spans(a) is spans, name
 
 
 def cutoff(rows, cols, tol):
@@ -151,14 +157,17 @@ def planted_spectra(draw):
 
 
 class TestCertifiedFull:
-    """The Cholesky certificate of spans_all against the singular-value rule."""
+    """The Cholesky certificate behind _range_unless_full against the singular-value rule."""
 
     @settings(max_examples=300, deadline=None)
     @given(planted_spectra())
     def test_never_disagrees_with_the_rank_rule(self, planted):
         a, tol, q = planted
         rows, cols = a.shape
-        assert spans_all(a, tol) == (_rank(np.linalg.svd(a, compute_uv=False), tol) == rows)
+        span = _range_unless_full(a, tol)
+        assert (span is None) == (_rank(np.linalg.svd(a, compute_uv=False), tol) == rows)
+        if span is not None:
+            assert np.array_equal(span, orthonormal_range(a, tol))
         # clear of the cut-off the certificate decides, at any scale of a
         if q >= 2 * cutoff(rows, cols, tol):
             assert _certified_full(a, tol)

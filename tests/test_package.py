@@ -1,10 +1,13 @@
-"""The package surface: one list of public names, and the README example."""
+"""The package surface: one list of public names, the README example, and two
+checks of the source: docstring roles resolve and every import is used."""
 
+import ast
 import contextlib
 import inspect
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -139,3 +142,43 @@ def test_dilate_draws_no_random_numbers(tmp_path):
     levels = json.loads(result.stdout)["payload"]["levels"]
     assert [level["m"] for level in levels] == [1, 2, 3]
     assert all(level["compression_residual"] <= 1e-9 for level in levels)
+
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "krausfock").glob("*.py"))
+ROLE = re.compile(r":(?:func|class|exc):`~?([\w.]+)`")
+
+
+def test_docstring_roles_resolve():
+    # a bare name resolves in the module whose docstring names it, a dotted
+    # name by import; a role naming a deleted function fails here
+    unresolved = []
+    for path in SOURCES:
+        module = "krausfock" if path.stem == "__init__" else f"krausfock.{path.stem}"
+        tree = ast.parse(path.read_text())
+        nodes = [tree] + [
+            n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+        ]
+        for node in nodes:
+            for role in ROLE.findall(ast.get_docstring(node) or ""):
+                try:
+                    pkgutil.resolve_name(role if "." in role else f"{module}:{role}")
+                except (ImportError, AttributeError, ValueError):
+                    unresolved.append(f"{path.name}: {role}")
+    assert unresolved == []
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    if alias.name != "*":
+                        imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -102,6 +102,19 @@ class TestBuild:
         assert dims[:3] == [1, 2, 3]
         assert probes == [(2, 144)] + [(2 * dim, 144) for dim in dims[1:12]]
 
+    def test_levels_are_frozen(self, commuting212):
+        # a write into a returned level would silently change every later
+        # reader of the system
+        s = build_subproduct(commuting212, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            s.generators(2)[...] *= 0
+        for m in range(5):
+            assert not s.generators(m).flags.writeable
+            assert s.factors[m] is None or not s.factors[m].flags.writeable
+        assert any(c is not None for c in s.factors[1:])
+        with pytest.raises(ValueError, match="read-only"):
+            s.factors[4][0, 0] = 1.0
+
     def test_rejects_non_minimal(self):
         ops = np.stack([np.eye(2), np.eye(2)]) / np.sqrt(2.0)
         with pytest.raises(ValueError, match="minimal"):
