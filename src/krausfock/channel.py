@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import Tolerances, _range_unless_full, as_matrix, operator_norm, orthonormal_range
+from .linalg import Tolerances, _range_unless_full, as_matrix, operator_norm
 
 __all__ = [
     "KrausSet",
@@ -29,11 +29,12 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class KrausSet:
     """An ordered family of ``n`` square matrices presenting one channel.
 
-    ``ops`` is stored as an ``(n, d, d)`` stack and frozen against writes.
+    ``ops`` is stored as an ``(n, d, d)`` stack and frozen against writes,
+    and neither field can be reassigned, so a set stays as it was checked.
     """
 
     ops: np.ndarray
@@ -48,7 +49,7 @@ class KrausSet:
         if not np.all(np.isfinite(ops)):
             raise ValueError("Kraus operators must have finite entries")
         ops.flags.writeable = False
-        self.ops = ops
+        object.__setattr__(self, "ops", ops)
 
     @property
     def size(self) -> int:
@@ -71,13 +72,16 @@ class ValidationReport:
 def validate(kraus: KrausSet) -> ValidationReport:
     """Unitality residual ``|sum K†K - 1|`` and rank of the ``n x d^2`` stack.
 
-    The rank is decided as in :func:`minimal_kraus`.  The set is flagged
-    valid iff the residual is within ``residual_tol``.
+    The rank is :func:`~krausfock.linalg._range_unless_full`'s decision on
+    the stack that :func:`minimal_kraus` reduces, so the guard and the
+    reducer take one decision by one code path.  The set is flagged valid
+    iff the residual is within ``residual_tol``.
     """
     d = kraus.dim
     total = np.einsum("kba,kbc->ac", kraus.ops.conj(), kraus.ops)
     residual = operator_norm(total - np.eye(d))
-    rank = orthonormal_range(kraus.ops.reshape(kraus.size, d * d), kraus.tol).shape[1]
+    q = _range_unless_full(kraus.ops.reshape(kraus.size, d * d), kraus.tol)
+    rank = kraus.size if q is None else q.shape[1]
     return ValidationReport(float(residual), rank, bool(residual <= kraus.tol.residual_tol))
 
 

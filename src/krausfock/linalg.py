@@ -81,14 +81,13 @@ def _rank(s: np.ndarray, tol: Tolerances) -> int:
     return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
 
 
-def orthonormal_range(columns, tol: Tolerances | None = None) -> np.ndarray:
+def orthonormal_range(columns, tol: Tolerances) -> np.ndarray:
     """Isometry whose columns form an orthonormal basis of ``range(columns)``.
 
     Takes the leading left singular vectors of ``columns``; their count is
     the numerical rank at ``tol.rank_rel_tol`` (see :func:`_rank`).  An
     empty or all-zero input yields a matrix with zero columns.
     """
-    tol = tol or Tolerances()
     a = as_matrix(columns)
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)

@@ -11,10 +11,12 @@ vector stay in the kernel.  The orthocomplements therefore satisfy the
 nesting law ``level(m+l) ⊆ level(m) ⊗ level(l)`` exactly.
 
 Storage: level ``m`` is the chain factor ``C_m``, an orthonormal basis of
-the range of the candidates ``H_(u,k) = G_u K_k`` built on level ``m-1``
-(while every level so far is full, the rank rule decides whether level
-``m`` is full too, by :func:`~krausfock.linalg._range_unless_full`),
-and the generators ``G_m = C_m† H = sum_w conj(B_m[w, :]) K_w``.
+the range of the candidates ``H_(u,k) = G_u K_k`` built on level ``m-1``,
+and the generators ``G_m = C_m† H = sum_w conj(B_m[w, :]) K_w``.  Level 1
+is the decision of the unital-and-minimal guard: it is full, and ``G_1`` is
+the family's own frozen stack.  From level 2 on, as long as the previous
+level was full, the rank rule decides whether level ``m`` is full too, by
+:func:`~krausfock.linalg._range_unless_full`.
 The basis ``B_m = (B_{m-1} ⊗ 1_n) C_m``, a left-canonical matrix product
 state of bond dimension ``<= d^2`` with ``n^m`` rows, is formed only by the
 tests, as a dense oracle; the left half of the nesting law holds by
@@ -72,7 +74,9 @@ class SubproductSystem:
     ``factors[m]`` is ``C_m``, or ``None`` at a full level, whose ``C_m`` is
     the identity (``factors[0]`` is the ``1 x 1`` level-zero basis), and
     ``gen_stacks[m]`` is ``G_m``.  :func:`build_subproduct` freezes both
-    against writes.
+    against writes.  Level 1 is full by the guard's decision, and ``G_1`` is
+    the family's frozen ``ops`` itself; from level 2 on, the rank rule
+    decides whether a level is full, as long as the previous level was.
     """
 
     n: int
@@ -105,10 +109,10 @@ def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
         raise ValueError("max_level must be nonnegative")
     require_unital_minimal(kraus)
     d = kraus.dim
-    factors = [np.ones((1, 1), dtype=complex)]
-    gens = [np.eye(d, dtype=complex).reshape(1, d, d)]
-    full = True
-    for _ in range(max_level):
+    # the guard has found the K_k independent: level 1 is full, G_1 = K
+    factors = [np.ones((1, 1), dtype=complex), None][: max_level + 1]
+    gens = [np.eye(d, dtype=complex).reshape(1, d, d), kraus.ops][: max_level + 1]
+    for _ in range(2, max_level + 1):
         cand = (gens[-1][:, None] @ kraus.ops).reshape(-1, d, d)
         # rows are vec(H^T): their range is the level subspace in the
         # coordinates of level(m-1) ⊗ C^n
@@ -116,11 +120,12 @@ def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
         # For a unital family a level that is not full leaves no later level
         # full: a relation sum_k W_k K_k = 0 with W_k in level m-1 gives
         # sum_k (K_j W_k) K_k = 0 at level m+1, and the K_j W_k cannot all
-        # vanish, since then W_k = sum_j K_j† K_j W_k = 0.
-        c = _range_unless_full(rows, kraus.tol) if full else orthonormal_range(rows, kraus.tol)
-        full = c is None
+        # vanish, since then W_k = sum_j K_j† K_j W_k = 0.  So only while the
+        # previous level is full can this one be.
+        decide = _range_unless_full if factors[-1] is None else orthonormal_range
+        c = decide(rows, kraus.tol)
         factors.append(c)
-        gens.append(cand if full else (c.conj().T @ cand.reshape(-1, d * d)).reshape(-1, d, d))
+        gens.append(cand if c is None else (c.conj().T @ cand.reshape(-1, d * d)).reshape(-1, d, d))
     for a in factors + gens:
         if a is not None:
             a.flags.writeable = False

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from krausfock import (
     KrausSet,
+    Tolerances,
     apply_heisenberg,
     build_subproduct,
     check_state,
@@ -15,6 +18,35 @@ from krausfock import (
     validate,
 )
 from conftest import random_complex, random_hermitian
+
+
+def near_dependent_unitaries():
+    """Three unitaries whose ``n x d^2`` stack has ``sigma_min / sigma_max = 1.6e-5``.
+
+    The third is ``exp(i t X)`` with ``t = 4e-5``; the squared ratio of the
+    Gram matrix (2.4e-10) would fall below ``rank_rel_tol = 1e-9``.
+    """
+    x = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    w, v = np.linalg.eigh(x)
+    rotation = (v * np.exp(4e-5j * w)) @ v.T
+    return KrausSet(np.stack([np.eye(3), np.diag([1.0, 1j, -1.0]), rotation]) / np.sqrt(3.0))
+
+
+def rank_tie_family():
+    """Two unitaries ``u, u exp(i t X)`` at a rounding tie of ``rank_rel_tol``.
+
+    With ``t = 1.9999998881931785e-09`` the singular-value ratio of the
+    stack is ``1.00000000011e-9`` over the rows ``vec(K_k)`` and
+    ``0.99999999514e-9`` over ``vec(K_k^T)`` with one OpenBLAS thread;
+    another BLAS may put the tie elsewhere.
+    """
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    u = np.linalg.qr(g)[0]
+    w, v = np.linalg.eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    rotation = (v * np.exp(1j * 1.9999998881931785e-09 * w)) @ v.T
+    return KrausSet(np.stack([u, u @ rotation]) / np.sqrt(2.0))
 
 
 def fold_word_oracle(ops, word):
@@ -43,6 +75,26 @@ class TestKrausSet:
         k = uniform_projective(2)
         with pytest.raises(ValueError):
             k.ops[0, 0, 0] = 5.0
+
+    def test_fields_cannot_be_reassigned(self):
+        # a reassigned field would skip the checks of construction
+        k = random_unital(2, 3, seed=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            k.ops = np.full((2, 3, 3), np.nan)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            k.tol = "x"
+        assert np.all(np.isfinite(k.ops)) and k.tol == Tolerances()
+
+    def test_replace_returns_a_checked_frozen_copy(self):
+        k = random_unital(2, 3, seed=1)
+        tol = Tolerances(rank_rel_tol=1e-6)
+        copy = dataclasses.replace(k, tol=tol)
+        assert copy.tol is tol and k.tol == Tolerances()
+        assert np.array_equal(copy.ops, k.ops) and not copy.ops.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.ops = k.ops
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(k, ops=np.full((2, 3, 3), np.nan))
 
 
 class TestValidate:
@@ -212,15 +264,20 @@ class TestMinimalKraus:
         assert minimal_kraus(reduced).size == reduced.size
 
     def test_validate_and_minimal_kraus_share_the_rank_rule(self):
-        # the third unitary is exp(i t X) with t = 4e-5, so the n x d^2 stack
-        # has sigma_min / sigma_max = 1.6e-5; the squared ratio of its Gram
-        # matrix (2.4e-10) would fall below rank_rel_tol = 1e-9
-        x = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        w, v = np.linalg.eigh(x)
-        rotation = (v * np.exp(4e-5j * w)) @ v.T
-        k = KrausSet(np.stack([np.eye(3), np.diag([1.0, 1j, -1.0]), rotation]) / np.sqrt(3.0))
+        k = near_dependent_unitaries()
         s = np.linalg.svd(k.ops.reshape(3, 9), compute_uv=False)
         assert 1e-5 < s[-1] / s[0] < 2e-5
         assert validate(k).independence_rank == 3
         assert minimal_kraus(k) is k
         assert build_subproduct(k, 3).dims == [1, 3, 5, 5]
+
+    def test_guard_reducer_and_level_one_take_one_decision(self, catalog_quartet):
+        # at a rounding tie of the threshold the stack's rows vec(K_k) and
+        # the rows vec(K_k^T) can fall on either side of it, so only the
+        # agreement is asserted, not the rank; the build reads the reduced
+        # family, as the command line does
+        families = {**catalog_quartet, "near": near_dependent_unitaries(), "tie": rank_tie_family()}
+        for name, k in families.items():
+            reduced = minimal_kraus(k)
+            rank = validate(k).independence_rank
+            assert rank == reduced.size == build_subproduct(reduced, 1).dims[1], name

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import report_digests
 from krausfock.catalog import CatalogSpec, build_catalog
 from krausfock.cli import (
     _emit_json,
@@ -293,6 +294,38 @@ class TestSplitTable:
         column = {m: residual for m, _, residual in tables["dims"]}
         assert column == {m: worst.get(m, 0.0) for m in range(1, top + 1)}
         assert column[1] == 0.0
+
+
+class TestRankDecisions:
+    @pytest.mark.parametrize("command, expected", [("dims", []), ("dilate", [(32, 16)])])
+    def test_independent_family_takes_no_rank_svd(
+        self, tmp_path, capsys, monkeypatch, command, expected
+    ):
+        # Cholesky certificates decide the family's independence at load and
+        # in the guard, and every level of this family is full; the one SVD
+        # of dilate completes its unitary
+        path = make_catalog_doc(tmp_path, family="random_unital", n=2, d=16, seed=3)
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        code, _, _ = run(capsys, command, path, "--max-m", "8")
+        assert code == 0
+        assert calls == expected
+
+
+class TestReportDigests:
+    def test_corpus_slice_is_reproducible(self):
+        # the instance-3 runs at the default tolerances of the script that
+        # checks reports for byte identity across changes
+        first = report_digests.digests(instances=(3,), flag_sets=[()])
+        assert len(first) == 4 * 7
+        assert all(run.code == 0 for run in first)
+        assert report_digests.digests(instances=(3,), flag_sets=[()]) == first
 
 
 class TestDilate:

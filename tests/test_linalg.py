@@ -53,35 +53,35 @@ class TestTolerances:
 
 class TestOrthonormalRange:
     def test_duplicated_column(self):
-        b = orthonormal_range(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        b = orthonormal_range(np.array([[1.0, 1.0], [0.0, 0.0]]), Tolerances())
         assert b.shape == (2, 1)
         assert abs(abs(b[0, 0]) - 1.0) < 1e-14
         assert abs(b[1, 0]) < 1e-14
 
     def test_already_orthonormal(self):
-        b = orthonormal_range(np.eye(2))
+        b = orthonormal_range(np.eye(2), Tolerances())
         assert b.shape == (2, 2)
         assert np.allclose(b.conj().T @ b, np.eye(2), atol=1e-14)
 
     def test_synthetic_rank_three(self, rng):
         mat = random_complex(rng, 5, 3) @ random_complex(rng, 3, 7)
-        b = orthonormal_range(mat)
+        b = orthonormal_range(mat, Tolerances())
         assert b.shape == (5, 3)
         # range equality: projecting the input onto span(b) changes nothing
         assert operator_norm(mat - b @ (b.conj().T @ mat)) < 1e-12
 
     def test_isometry_property(self, rng):
-        b = orthonormal_range(random_complex(rng, 8, 5))
+        b = orthonormal_range(random_complex(rng, 8, 5), Tolerances())
         assert operator_norm(b.conj().T @ b - np.eye(b.shape[1])) < 1e-13
 
     def test_zero_input(self):
-        b = orthonormal_range(np.zeros((4, 2)))
+        b = orthonormal_range(np.zeros((4, 2)), Tolerances())
         assert b.shape == (4, 0)
 
     def test_column_count_is_numerical_rank(self, rng):
         mat = random_complex(rng, 6, 2) @ random_complex(rng, 2, 6)
-        assert orthonormal_range(mat).shape[1] == 2
-        assert orthonormal_range(np.zeros((3, 3))).shape[1] == 0
+        assert orthonormal_range(mat, Tolerances()).shape[1] == 2
+        assert orthonormal_range(np.zeros((3, 3)), Tolerances()).shape[1] == 0
 
 
 class TestSpansAll:

@@ -42,12 +42,16 @@ class TestBuild:
         s = build_subproduct(commuting212, 2)
         assert s.dims[0] == 1
         assert np.array_equal(chain_basis(s, 0), np.ones((1, 1)))
+        assert build_subproduct(commuting212, 0).dims == [1]
 
     def test_level_one_is_identity_for_minimal_sets(self, catalog_quartet):
+        # the guard has found the K_k independent, so level 1 is recorded
+        # full without a decision of its own, and G_1 is the frozen stack
         for k in catalog_quartet.values():
-            s = build_subproduct(k, 1)
+            s = build_subproduct(k, 3)
             assert s.dims[1] == k.size
             assert np.array_equal(chain_basis(s, 1), np.eye(k.size))
+            assert s.factors[1] is None and s.generators(1) is k.ops
 
     def test_projective_ladder_stabilizes(self, projective3):
         s = build_subproduct(projective3, 8)
@@ -83,9 +87,9 @@ class TestBuild:
 
     def test_full_levels_take_no_singular_values(self, monkeypatch):
         # singular values are taken only where the Cholesky certificate cannot
-        # decide: not at the full levels of a generic family, but from the
-        # first level that is not full on, one SVD a level, whose range both
-        # decides the level and gives its chain factor
+        # decide: not in the guard, not at the full levels of a generic
+        # family, but from the first level that is not full on, one SVD a
+        # level, whose range both decides the level and gives its chain factor
         probes = []
         svd = np.linalg.svd
 
@@ -94,13 +98,11 @@ class TestBuild:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        # the first SVD of each build is the minimality guard's, of the n x d^2 stack
         assert build_subproduct(random_unital(2, 16, seed=3), 8).dims == [2**m for m in range(9)]
-        assert probes == [(2, 256)]
-        probes.clear()
+        assert probes == []
         dims = build_subproduct(commuting_generic(2, 12, seed=0), 12).dims
         assert dims[:3] == [1, 2, 3]
-        assert probes == [(2, 144)] + [(2 * dim, 144) for dim in dims[1:12]]
+        assert probes == [(2 * dim, 144) for dim in dims[1:12]]
 
     def test_levels_are_frozen(self, commuting212):
         # a write into a returned level would silently change every later
@@ -117,13 +119,16 @@ class TestBuild:
 
     def test_rejects_non_minimal(self):
         ops = np.stack([np.eye(2), np.eye(2)]) / np.sqrt(2.0)
-        with pytest.raises(ValueError, match="minimal"):
-            build_subproduct(KrausSet(ops), 2)
+        # level 0 alone still runs the guard
+        for max_level in (2, 0):
+            with pytest.raises(ValueError, match="minimal"):
+                build_subproduct(KrausSet(ops), max_level)
 
     def test_rejects_non_unital(self):
         ops = np.stack([np.diag([1.0, 0.0]), np.full((2, 2), 0.5)]) / np.sqrt(2.0)
-        with pytest.raises(ValueError, match="unital"):
-            build_subproduct(KrausSet(ops), 2)
+        for max_level in (2, 0):
+            with pytest.raises(ValueError, match="unital"):
+                build_subproduct(KrausSet(ops), max_level)
 
     def test_rejects_negative_max_level(self, commuting212):
         with pytest.raises(ValueError, match="max_level must be nonnegative"):
