@@ -48,6 +48,8 @@ class KrausSet:
             raise ValueError("need at least one Kraus operator of dimension >= 1")
         if not np.all(np.isfinite(ops)):
             raise ValueError("Kraus operators must have finite entries")
+        if not isinstance(self.tol, Tolerances):
+            raise ValueError(f"tol must be a Tolerances, got {self.tol!r}")
         ops.flags.writeable = False
         object.__setattr__(self, "ops", ops)
 

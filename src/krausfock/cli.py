@@ -17,9 +17,14 @@ not read.  Every object -- the document, ``tol``, ``catalog``,
 ``catalog.params``, each ``{re, im}`` matrix and the observable document
 ``{"matrix": ...}`` -- rejects a field it does not define.  Every command,
 ``validate`` included, checks ``state`` with ``channel.check_state`` when it
-loads the document.  Fields are checked for type and never coerced: a
-ragged matrix, a string where a number belongs or a fractional seed is an
-input error that names the field.  Complex matrices are stored as paired real
+loads the document.  This module checks the JSON shape: objects, field
+names, ``null``, ``dim`` and matrix entries and shapes, so a ragged matrix
+or a string where a matrix entry belongs is an input error that names the
+field.  The values of ``tol`` and ``catalog`` are checked only by the library
+types that hold them, :class:`~krausfock.linalg.Tolerances` and
+:class:`~krausfock.catalog.CatalogSpec`, for the command line and library
+callers alike, and so are the ``--tol-rank`` and ``--tol-residual`` flags;
+their message is the one printed.  Complex matrices are stored as paired real
 arrays; floats are written with Python's shortest round-tripping repr, so
 serialize -> parse reproduces every entry bit for bit.  JSON reports are
 written by a dedicated writer whose bytes equal
@@ -147,27 +152,22 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
 
 
 def tolerances_from_json(obj) -> Tolerances:
-    values = _object(obj, "tol", [f.name for f in fields(Tolerances)])
-    return Tolerances(**{name: _number(value, f"tol.{name}") for name, value in values.items()})
+    """Tolerances from a document's ``tol`` object; :class:`Tolerances` checks the values."""
+    return Tolerances(**_object(obj, "tol", [f.name for f in fields(Tolerances)]))
 
 
 def catalog_spec_from_json(obj) -> CatalogSpec:
     """Catalog spec from a document's ``catalog`` object.
 
-    Fields are checked for type, not coerced; an absent field takes its
-    default, and a present one must hold a value of its type.
+    Only the JSON shape is checked here: the field names, and that none is
+    ``null``, which :class:`CatalogSpec` would read as "not given".
+    :class:`CatalogSpec` checks every value, ``params`` included.
     """
     obj = _object(obj, "catalog", ("family", "n", "d", "seed", "params"), ("family",))
-    sizes = {k: _integer(obj[k], f"catalog.{k}") for k in ("n", "d", "seed") if k in obj}
-    params = dict(_object(obj.get("params", {}), "catalog.params", ("ranks", "angle")))
-    if "ranks" in params:
-        ranks = params["ranks"]
-        if not isinstance(ranks, list):
-            raise InputError(f"catalog.params.ranks must be a list of integers, got {ranks!r}")
-        params["ranks"] = [_integer(r, "catalog.params.ranks entry") for r in ranks]
-    if "angle" in params:
-        params["angle"] = _number(params["angle"], "catalog.params.angle")
-    return CatalogSpec(family=obj["family"], params=params, **sizes)
+    nulls = sorted(k for k, v in obj.items() if v is None)
+    if nulls:
+        raise InputError(f"catalog fields {nulls} must not be null")
+    return CatalogSpec(**obj)
 
 
 def load_document(path: str) -> tuple[object, str]:
@@ -476,13 +476,6 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not (np.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
-
-
 def _ranks(text: str) -> list[int]:
     return [int(r) for r in text.split(",")]
 
@@ -507,10 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("channel", help="channel document (JSON)")
         if max_m:
             p.add_argument("--max-m", type=_level, default=6, help="largest level to build")
-        p.add_argument("--tol-rank", type=_tolerance, default=None, help="override rank_rel_tol")
-        p.add_argument(
-            "--tol-residual", type=_tolerance, default=None, help="override residual_tol"
-        )
+        p.add_argument("--tol-rank", type=float, default=None, help="override rank_rel_tol")
+        p.add_argument("--tol-residual", type=float, default=None, help="override residual_tol")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.set_defaults(func=func)
         return p

@@ -96,6 +96,14 @@ class TestKrausSet:
         with pytest.raises(ValueError, match="finite"):
             dataclasses.replace(k, ops=np.full((2, 3, 3), np.nan))
 
+    def test_rejects_a_tol_that_is_not_tolerances(self):
+        # refused at construction, not at the first read of tol.rank_rel_tol
+        k = random_unital(2, 3, seed=1)
+        with pytest.raises(ValueError, match="tol must be a Tolerances, got 'x'"):
+            KrausSet(k.ops, tol="x")
+        with pytest.raises(ValueError, match="tol must be a Tolerances, got None"):
+            dataclasses.replace(k, tol=None)
+
 
 class TestValidate:
     def test_identity_channel(self):

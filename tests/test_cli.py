@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -22,6 +23,7 @@ from krausfock.cli import (
     main,
     matrix_to_json,
 )
+from krausfock.linalg import Tolerances
 
 
 def run(capsys, *argv):
@@ -496,20 +498,20 @@ MALFORMED = {
     ),
     "string-tolerance": (
         {"catalog": {"family": "projective", "d": 3}, "tol": {"rank_rel_tol": "x"}},
-        "tol.rank_rel_tol",
+        "rank_rel_tol",
     ),
     "null-seed": (
         {"catalog": {"family": "random_unital", "n": 2, "d": 3, "seed": None}},
-        "catalog.seed",
+        "'seed'",
     ),
     "string-ranks": (
         {"catalog": {"family": "projective", "d": 3, "params": {"ranks": "12"}}},
-        "catalog.params.ranks",
+        "'ranks'",
     ),
-    "string-n": ({"catalog": {"family": "random_unital", "n": "2", "d": 3}}, "catalog.n"),
+    "string-n": ({"catalog": {"family": "random_unital", "n": "2", "d": 3}}, "'n'"),
     "fractional-seed": (
         {"catalog": {"family": "random_unital", "n": 2, "d": 3, "seed": 1.7}},
-        "catalog.seed",
+        "'seed'",
     ),
     "zero-n": ({"catalog": {"family": "random_unital", "n": 0, "d": 3}}, "'n'"),
     "negative-seed": ({"catalog": {"family": "random_unital", "n": 2, "d": 3, "seed": -1}}, "'seed'"),
@@ -533,12 +535,12 @@ MALFORMED = {
     "oversized-identity": ({"catalog": {"family": "identity", "d": 100_000_000}}, "d=100000000"),
     "tolerance-beyond-float-range": (
         {"catalog": {"family": "projective", "d": 3}, "tol": {"rank_rel_tol": 10**400}},
-        "tol.rank_rel_tol",
+        "rank_rel_tol",
     ),
     "kraus-entry-beyond-float-range": ({"dim": 1, "kraus": [{"re": [[10**400]]}]}, "kraus[0].re"),
     "angle-beyond-float-range": (
         {"catalog": {"family": "sequential_projective", "d": 4, "params": {"angle": 10**400}}},
-        "catalog.params.angle",
+        "angle",
     ),
     "projective-n-other-than-ranks": (
         {"catalog": {"family": "projective", "n": 5, "d": 3, "params": {"ranks": [1, 2]}}},
@@ -555,7 +557,53 @@ MALFORMED = {
     ),
     "dim-on-catalog-document": ({"dim": 3, "catalog": {"family": "projective", "d": 3}}, "'dim'"),
     "non-psd-state": (NON_PSD_STATE, "state is not positive"),
+    "null-n": ({"catalog": {"family": "random_unital", "n": None, "d": 3}}, "'n'"),
+    "null-family": ({"catalog": {"family": None}}, "'family'"),
+    "null-angle": (
+        {"catalog": {"family": "sequential_projective", "d": 4, "params": {"angle": None}}},
+        "'angle'",
+    ),
+    "params-not-an-object": (
+        {"catalog": {"family": "projective", "d": 3, "params": [1]}},
+        "params must be a dict",
+    ),
+    "n-in-params": (
+        {"catalog": {"family": "random_unital", "n": 2, "d": 3, "params": {"n": 2}}},
+        "'params.n'",
+    ),
+    "bool-tolerance": (
+        {"catalog": {"family": "projective", "d": 3}, "tol": {"rank_rel_tol": True}},
+        "rank_rel_tol",
+    ),
+    # json.dumps writes the angle as NaN, which json.loads reads back
+    "nan-angle": (
+        {"catalog": {"family": "sequential_projective", "d": 4, "params": {"angle": np.nan}}},
+        "angle",
+    ),
+    "bool-rank": (
+        {"catalog": {"family": "projective", "d": 3, "params": {"ranks": [True, 1]}}},
+        "'ranks'",
+    ),
 }
+
+
+def library_message(doc) -> str | None:
+    """The message of the ``ValueError`` that ``Tolerances`` or ``CatalogSpec`` and
+    ``build_catalog`` raise on a catalog document, or ``None`` when the document
+    holds more than those two objects, a catalog field the spec does not define
+    or a ``null`` one, or values they accept."""
+    catalog = doc.get("catalog")
+    if not (set(doc) <= {"catalog", "tol"} and isinstance(catalog, dict)):
+        return None
+    names = {f.name for f in dataclasses.fields(CatalogSpec)}
+    if not set(catalog) <= names or None in catalog.values():
+        return None
+    try:
+        Tolerances(**doc.get("tol", {}))
+        build_catalog(CatalogSpec(**catalog))
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 class TestHighLevels:
@@ -712,12 +760,40 @@ class TestMalformedInput:
         assert field in err
         assert "Traceback" not in err
 
+    def test_message_is_the_library_types(self, tmp_path, capsys):
+        # a catalog or tolerance value is checked once, by the type that holds it
+        cases = {case: library_message(doc) for case, (doc, _) in MALFORMED.items()}
+        cases = {case: message for case, message in cases.items() if message is not None}
+        assert len(cases) >= 20
+        for case, message in sorted(cases.items()):
+            path = tmp_path / f"{case}.json"
+            path.write_text(json.dumps(MALFORMED[case][0]))
+            code, out, err = run(capsys, "dims", str(path), "--max-m", "2")
+            assert (code, out, err) == (2, "", f"error: {message}\n"), case
+
     def test_bad_tolerance_override_is_usage_error(self, tmp_path, capsys):
+        # a flag value that is not a number is refused by argparse
         path = make_catalog_doc(tmp_path, family="projective", d=3)
         with pytest.raises(SystemExit) as exc:
-            main(["dims", path, "--tol-rank", "nan"])
+            main(["dims", path, "--tol-rank", "abc"])
         assert exc.value.code == 2
         assert "--tol-rank" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["dims", "validate"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol-rank", v) for v in ("nan", "0", "-1", "inf")]
+        + [("--tol-residual", v) for v in ("0", "inf")],
+    )
+    def test_bad_tolerance_flag_prints_the_tolerances_message(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        field = {"--tol-rank": "rank_rel_tol", "--tol-residual": "residual_tol"}[flag]
+        with pytest.raises(ValueError) as exc:
+            Tolerances(**{field: float(value)})
+        path = make_catalog_doc(tmp_path, family="projective", d=3)
+        code, out, err = run(capsys, command, path, flag, value)
+        assert (code, out, err) == (2, "", f"error: {exc.value}\n")
 
     def test_observable_shape_names_the_file(self, tmp_path, capsys):
         chan = make_catalog_doc(tmp_path, family="projective", d=3)
