@@ -56,7 +56,7 @@ system = build_subproduct(kraus, 3)
 print()
 print("per-level isometries and the coarse-graining map:")
 for m in (1, 2, 3):
-    v = stinespring_isometry(kraus, system, m)
+    v = stinespring_isometry(system, m)
     iso = operator_norm(v.conj().T @ v - np.eye(d))
     x = rng.normal(size=(system.dims[m],) * 2)
     via_v = v.conj().T @ np.kron(np.eye(d), x) @ v

@@ -38,7 +38,7 @@ spec = state_spec(kraus, np.eye(3) / 3)
 corr = correlations(kraus, system, spec, MAX_LEVEL)
 a = np.diag([1.0, -0.5, 2.0])
 b = np.diag([0.5, 1.5, -1.0])
-report = convergence_report(corr, a, b, MAX_LEVEL)
+report = convergence_report(corr, a, b)
 print("multiplicativity defect per level:",
       " ".join(f"{x:.1e}" for x in report.vn_residual))
 print("identity shadow defect:",
@@ -54,10 +54,10 @@ spec = state_spec(kraus, np.eye(12) / 12)
 corr = correlations(kraus, system, spec, MAX_LEVEL)
 a = kraus.ops[0].conj().T @ kraus.ops[0] - kraus.ops[1].conj().T @ kraus.ops[1]
 b = kraus.ops[0].conj().T @ kraus.ops[1] + kraus.ops[1].conj().T @ kraus.ops[0]
-report = convergence_report(corr, a, b, MAX_LEVEL)
+report = convergence_report(corr, a, b)
 print("level dimensions:", system.dims[1:])
 print("correlation symmetry defect (first residual) per level:")
-symmetry = phi_symmetry_residual(corr, MAX_LEVEL)
+symmetry = phi_symmetry_residual(corr)
 print("   ", " ".join(f"{symmetry[m][0]:.2e}" for m in range(1, MAX_LEVEL + 1)))
 print("norm gap |  |shadow| - |A|  | per level:")
 print("   ", " ".join(f"{x:.3f}" for x in report.norm_gap))
@@ -65,7 +65,7 @@ print("scaled commutator m|[shadow_A, shadow_B]| per level (bounded):")
 print("   ", " ".join(f"{x:.3f}" for x in report.scaled_commutator))
 print("verdicts:", report.verdicts)
 deep = build_subproduct(kraus, 11)
-report = convergence_report(correlations(kraus, deep, spec, 11), a, b, 11)
+report = convergence_report(correlations(kraus, deep, spec, 11), a, b)
 print("no plateau: both defects vanish once d_m saturates at the 12 points")
 for m in (10, 11):
     print(f"  m={m}: d_m={deep.dims[m]}, multiplicativity defect "
@@ -85,6 +85,6 @@ system = build_subproduct(kraus, MAX_LEVEL)
 corr = correlations(kraus, system, state_spec(kraus, np.eye(4) / 4), MAX_LEVEL)
 a = kraus.ops[0].conj().T @ kraus.ops[0] - kraus.ops[1].conj().T @ kraus.ops[1]
 b = kraus.ops[0].conj().T @ kraus.ops[1] + kraus.ops[1].conj().T @ kraus.ops[0]
-report = convergence_report(corr, a, b, MAX_LEVEL)
+report = convergence_report(corr, a, b)
 print(f"random_unital(2,4), d_m = {system.dims[1:]}: multiplicativity defect",
       " ".join(f"{x:.1e}" for x in report.vn_residual), "(exactly 0 once d_m = 16)")

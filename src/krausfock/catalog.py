@@ -35,7 +35,7 @@ __all__ = [
 PARAMETERS = {
     "identity": ("d",),
     "unitary": ("d", "seed"),
-    "projective": ("n", "d", "ranks"),
+    "projective": ("d", "ranks"),
     "commuting_generic": ("n", "d", "seed"),
     "random_unital": ("n", "d", "seed"),
     "sequential_projective": ("d", "seed", "angle"),
@@ -211,12 +211,7 @@ def build_catalog(spec: CatalogSpec) -> KrausSet:
     if family == "unitary":
         return unitary_channel(d, seed=spec.seed)
     if family == "projective":
-        ranks = [1] * d if ranks is None else ranks
-        if spec.n not in (None, len(ranks)):
-            raise ValueError(
-                f"projective family has one operator per entry of ranks, not 'n'={spec.n}"
-            )
-        return projective_measurement(d, ranks)
+        return projective_measurement(d, [1] * d if ranks is None else ranks)
     if family == "commuting_generic":
         return commuting_generic(n, d, seed=spec.seed)
     if family == "random_unital":

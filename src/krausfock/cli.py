@@ -35,8 +35,9 @@ in memory whole.
 
 A subcommand accepts only the flags it reads.  Every channel command takes
 ``--tol-rank``, ``--tol-residual`` and ``--out``, which sends its JSON or CSV
-report to a file instead of stdout (``validate --minimalize`` writes the
-reduced channel there, by default over the input).  ``dims``,
+report to a file instead of stdout.  ``validate`` prints its report and
+takes ``--out`` only with ``--minimalize``, which writes the reduced channel
+there, by default over the input.  ``dims``,
 ``subproduct-check``, ``dilate`` and ``converge`` build every level up to
 ``--max-m``, ``dequantize`` up to ``--level``; a level holds at most
 ``(n + 1) d^4`` entries, so cost is polynomial in the level.  Exit codes: 0
@@ -321,6 +322,8 @@ def _load_observable(path: str, dim: int) -> np.ndarray:
 
 
 def cmd_validate(args) -> int:
+    if args.out and not args.minimalize:
+        raise InputError("validate writes --out only with --minimalize; its report goes to stdout")
     doc, _ = load_document(args.channel)
     kraus, state = channel_from_document(doc, args)
     report = validate(kraus)
@@ -335,12 +338,13 @@ def cmd_validate(args) -> int:
     return 0 if report.valid else 1
 
 
-def _split_rows(system: SubproductSystem, top: int) -> list[tuple[int, int, float]]:
-    """``(m, l, |p_{m+l} (1 - p_m ⊗ p_l)|)`` for ``m, l >= 1`` and ``m + l <= top``.
+def _split_rows(system: SubproductSystem) -> list[tuple[int, int, float]]:
+    """``(m, l, |p_{m+l} (1 - p_m ⊗ p_l)|)`` for ``m, l >= 1`` and ``m + l <= top``,
+    the top level of ``system``.
 
     A split with an empty side is exactly zero (``p_0 = 1``), so it is left out.
     """
-    rows = []
+    rows, top = [], system.max_level
     for m in range(1, top):
         split = nesting_residuals(system, m, top - m)
         rows += [(m, l, split[l]) for l in range(1, len(split))]
@@ -351,7 +355,7 @@ def cmd_dims(args) -> int:
     digest, kraus, _ = _load_channel(args)
     system = build_subproduct(kraus, args.max_m)
     worst = [0.0] * (args.max_m + 1)
-    for m, l, residual in _split_rows(system, args.max_m):
+    for m, l, residual in _split_rows(system):
         worst[m + l] = max(worst[m + l], residual)
     rows = [(m, system.dims[m], worst[m]) for m in range(1, args.max_m + 1)]
     _emit_csv(["m", "d_m", "subproduct_residual_max"], rows, digest, args)
@@ -361,7 +365,7 @@ def cmd_dims(args) -> int:
 def cmd_subproduct_check(args) -> int:
     digest, kraus, _ = _load_channel(args)
     system = build_subproduct(kraus, args.max_m)
-    rows = _split_rows(system, args.max_m)
+    rows = _split_rows(system)
     worst = max((residual for _, _, residual in rows), default=0.0)
     _emit_csv(["m", "l", "residual"], rows, digest, args)
     return 0 if worst <= kraus.tol.residual_tol else 1
@@ -389,7 +393,7 @@ def cmd_dilate(args) -> int:
     probe = p + p.T + 1j * (p - p.T)
     levels, power = [], probe
     for m in range(1, args.max_m + 1):
-        v = stinespring_isometry(kraus, system, m)
+        v = stinespring_isometry(system, m)
         iso = operator_norm(v.conj().T @ v - np.eye(d))
         power = apply_heisenberg(kraus, power)
         comp = operator_norm(compressed_action(v, probe) - power)
@@ -429,7 +433,7 @@ def cmd_dequantize(args) -> int:
     corr = correlations(kraus, build_subproduct(kraus, m), state_spec(kraus, state), m)
     psi = dequantize(corr, a, m)
     unital = dequantize(corr, np.eye(kraus.dim), m)
-    symmetry = phi_symmetry_residual(corr, m)
+    symmetry = phi_symmetry_residual(corr)
     payload = {
         "level": m,
         "matrix": _matrix_arrays(psi),
@@ -457,7 +461,7 @@ def cmd_converge(args) -> int:
             singular = exc
             break
     corr = CorrelationData(kraus, system, spec, levels)
-    report = convergence_report(corr, mats[0], mats[1], len(levels))
+    report = convergence_report(corr, mats[0], mats[1])
     _emit_csv(["m", *ConvergenceReport._COLUMNS], report.rows(), digest, args)
     if singular is not None:
         raise singular
@@ -468,10 +472,12 @@ def cmd_catalog(args) -> int:
     flags = vars(args)
     catalog = {key: flags[key] for key in ("family", "n", "d", "seed") if flags[key] is not None}
     catalog["params"] = {key: flags[key] for key in ("ranks", "angle") if flags[key] is not None}
-    # read as a document is, so a bad flag is an input error
-    kraus, _ = channel_from_document({"catalog": catalog})
-    doc = channel_to_document(kraus)
-    doc["catalog_echo"] = asdict(catalog_spec_from_json(catalog))
+    # read as a document's catalog is, so a bad flag is an input error
+    try:
+        spec = catalog_spec_from_json(catalog)
+        doc = {**channel_to_document(build_catalog(spec)), "catalog_echo": asdict(spec)}
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     _emit_json(doc, args.out)
     return 0
 

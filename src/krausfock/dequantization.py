@@ -228,16 +228,15 @@ def correlations(
     return CorrelationData(kraus, system, state, levels)
 
 
-def phi_symmetry_residual(corr: CorrelationData, m: int) -> dict[int, tuple[float, float]]:
+def phi_symmetry_residual(corr: CorrelationData) -> dict[int, tuple[float, float]]:
     """How far each level matrix is from a compressed tensor power of the base.
 
-    Maps each level ``j = 1..m`` to ``r1 = |Q_j - B_j† Q^{⊗j} B_j|`` and
-    ``r2 = |(1 - p_j) Q^{⊗j} p_j|``, from one :func:`power_sweep`.  Both
-    vanish exactly when the reference state has channel-symmetric correlations.
+    Maps each level ``j`` of ``corr``, ``1..max(corr.levels)``, to
+    ``r1 = |Q_j - B_j† Q^{⊗j} B_j|`` and ``r2 = |(1 - p_j) Q^{⊗j} p_j|``, from
+    one :func:`power_sweep`.  Both vanish exactly when the reference state has
+    channel-symmetric correlations.
     """
-    if m not in corr.levels:
-        raise ValueError(f"correlation level {m} not built")
-    sweep = power_sweep(corr.system, corr.system, corr.base, m)
+    sweep = power_sweep(corr.system, corr.system, corr.base, max(corr.levels))
     return {
         j: (operator_norm(corr.levels[j].matrix - compressed), r2)
         for j, (compressed, r2) in enumerate(sweep[1:], start=1)
@@ -324,7 +323,7 @@ def normal_ordering_residual(
 class ConvergenceReport:
     """Per-level diagnostic sequences with descriptive trend verdicts.
 
-    For observables ``A, B`` and levels ``1..m_max``:
+    For observables ``A, B`` and each level ``m`` of the correlation data, in order:
 
     - ``norm_gap[m]``: ``| |Psi_m(A)| - |A| |``
     - ``vn_residual[m]``: ``|Psi_m(AB) - Psi_m(A) Psi_m(B)|``
@@ -403,8 +402,8 @@ def _level_diagnostics(
     return norm_gap, vn_res, m * operator_norm(papb), state_gap
 
 
-def convergence_report(corr: CorrelationData, a, b, m_max: int) -> ConvergenceReport:
-    """Evaluate all four diagnostic sequences for levels ``1..m_max``.
+def convergence_report(corr: CorrelationData, a, b) -> ConvergenceReport:
+    """Evaluate all four diagnostic sequences at every level of ``corr``, in order.
 
     At a complete level (``d_m = d^2``) the rows ``W = [vec(G_u rho0^{1/2})]``
     are square and invertible, so ``Psi_m(X) = W (1 ⊗ rho0^{-1/2} X rho0^{1/2})
@@ -421,7 +420,7 @@ def convergence_report(corr: CorrelationData, a, b, m_max: int) -> ConvergenceRe
     comm = ab - b @ a
     ref = np.trace(corr.state.rho0 @ a)
 
-    levels = list(range(1, m_max + 1))
+    levels = sorted(corr.levels)
     rows = [_level_diagnostics(corr, a, b, ab, comm, m, norm_a, ref) for m in levels]
     report = ConvergenceReport(levels, *([row[i] for row in rows] for i in range(4)))
     tol = corr.kraus.tol.residual_tol

@@ -49,10 +49,12 @@ def _pairing(gens: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.conjugate(pairing, out=pairing)
 
 
-def stinespring_isometry(kraus: KrausSet, system: SubproductSystem, m: int) -> np.ndarray:
+def stinespring_isometry(system: SubproductSystem, m: int) -> np.ndarray:
     """Isometry ``V_m`` of shape ``(d * d_m, d)`` for the ``m``-fold channel.
 
-    Satisfies ``V_m† V_m = 1`` and ``V_m† (A ⊗ 1) V_m = Phi^m(A)``.
+    It is formed from the level-``m`` generators of ``system`` alone and
+    satisfies ``V_m† V_m = 1`` and ``V_m† (A ⊗ 1) V_m = Phi^m(A)`` for the
+    Kraus family ``system`` was built from.
     """
     return _isometry(system.generators(m))
 

@@ -22,10 +22,26 @@ The corpus has four documents at each of the instances 1, 3 and 7:
   ``K_0/√2, K_0/√2``, a dependent family, with the state
   ``diag(0.5, 0.3, 0.2)``, to ``m = 4``.
 
+Two more documents are in the corpus once, whatever the instances: two
+near-degenerate families on which the nesting law fails today, so that a
+change to their level decisions shows as a change of exactly their lines:
+
+- ``sequential_projective(d=3, angle=3e-5)`` seed 0 as a catalog document,
+  to ``m = 6``;
+- the two unitaries ``(u, u e^{itX}) / √2`` of :func:`rotated_unitaries` at
+  ``t = 1e-6`` as explicit Kraus matrices, to ``m = 6``.
+
 Each is run through ``validate``, ``dims``, ``subproduct-check`` (to at most
 ``m = 6``), ``dequantize`` at the top level, ``converge``, ``dilate`` and
 ``complementary``, with two seeded Hermitian observables, at the default
-tolerances and again with ``--tol-rank 1e-3``: 168 runs.
+tolerances and again with ``--tol-rank 1e-3``: 196 runs.
+
+``tests/report_digests.txt`` holds the output of a run of the whole corpus
+with ``OPENBLAS_NUM_THREADS=1``, after a header of ``#`` lines that names the
+numpy version, the BLAS build and that thread count (:func:`header`).  A
+change that alters report bytes on purpose records it again::
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/report_digests.py > tests/report_digests.txt
 """
 
 from __future__ import annotations
@@ -34,6 +50,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
@@ -45,6 +62,7 @@ from krausfock.cli import channel_to_document, main, matrix_to_json
 
 INSTANCES = (1, 3, 7)
 FLAG_SETS = ((), ("--tol-rank", "1e-3"))
+THREADS = "OPENBLAS_NUM_THREADS"
 
 
 class Run(NamedTuple):
@@ -95,6 +113,36 @@ def documents(seed: int) -> list[tuple[str, dict, int]]:
     ]
 
 
+def rotated_unitaries(t: float) -> KrausSet:
+    """The unitaries ``u, u exp(i t X)``, each scaled by ``1/√2``, for a seeded ``u``."""
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    u = np.linalg.qr(g)[0]
+    w, v = np.linalg.eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    rotation = (v * np.exp(1j * t * w)) @ v.T
+    return KrausSet(np.stack([u, u @ rotation]) / np.sqrt(2.0))
+
+
+def near_degenerate_documents() -> list[tuple[str, dict, int]]:
+    """``(name, document, top level)`` for the two documents run once."""
+    angle = {"family": "sequential_projective", "d": 3, "seed": 0, "params": {"angle": 3e-5}}
+    return [
+        ("sequential_projective-3-3e-05-s0", {"catalog": angle}, 6),
+        ("rotated_unitaries-1e-06", channel_to_document(rotated_unitaries(1e-6)), 6),
+    ]
+
+
+def header() -> list[str]:
+    """The lines that name what the digests depend on beyond the source tree."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [
+        f"# numpy {np.__version__}",
+        f"# blas {blas['name']} {blas['version']}: {blas.get('openblas configuration', '')}",
+        f"# {THREADS}={os.environ.get(THREADS, '(unset)')}",
+    ]
+
+
 def _observable(rng: np.random.Generator, dim: int) -> dict:
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return {"matrix": matrix_to_json((x + x.conj().T) / 2.0)}
@@ -112,38 +160,41 @@ def _run(argv: list[str], tmp: str) -> tuple[int, str, str]:
 
 
 def digests(instances=INSTANCES, flag_sets=FLAG_SETS) -> list[Run]:
-    """One :class:`Run` for every document, command and flag set, in a fixed order."""
+    """One :class:`Run` for every document, command and flag set, in a fixed order:
+    the documents of each instance, then the near-degenerate ones."""
+    corpus = [(seed, *entry) for seed in instances for entry in documents(seed)]
+    corpus += [(0, *entry) for entry in near_degenerate_documents()]
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in instances:
-            for name, doc, top in documents(seed):
-                path = Path(tmp, f"{name}.json")
-                path.write_text(json.dumps(doc))
-                dim = doc["dim"] if "dim" in doc else doc["catalog"]["d"]
-                rng = np.random.default_rng([seed, dim])
-                observables = []
-                for label in ("a", "b"):
-                    obs = Path(tmp, f"{name}-{label}.json")
-                    obs.write_text(json.dumps(_observable(rng, dim)))
-                    observables.append(str(obs))
-                commands = [
-                    ["validate"],
-                    ["dims", "--max-m", str(top)],
-                    ["subproduct-check", "--max-m", str(min(top, 6))],
-                    ["dequantize", "--observable", observables[0], "--level", str(top)],
-                    ["converge", "--observables", *observables, "--max-m", str(top)],
-                    ["dilate", "--max-m", str(top)],
-                    ["complementary"],
-                ]
-                for command, *options in commands:
-                    for flags in flag_sets:
-                        argv = [command, str(path), *options, *flags]
-                        code, out, err = _run(argv, tmp)
-                        shown = " ".join(options + list(flags)).replace(tmp, "<tmp>")
-                        runs.append(Run(name, command, shown, code, _digest(out), _digest(err)))
+        for seed, name, doc, top in corpus:
+            path = Path(tmp, f"{name}.json")
+            path.write_text(json.dumps(doc))
+            dim = doc["dim"] if "dim" in doc else doc["catalog"]["d"]
+            rng = np.random.default_rng([seed, dim])
+            observables = []
+            for label in ("a", "b"):
+                obs = Path(tmp, f"{name}-{label}.json")
+                obs.write_text(json.dumps(_observable(rng, dim)))
+                observables.append(str(obs))
+            commands = [
+                ["validate"],
+                ["dims", "--max-m", str(top)],
+                ["subproduct-check", "--max-m", str(min(top, 6))],
+                ["dequantize", "--observable", observables[0], "--level", str(top)],
+                ["converge", "--observables", *observables, "--max-m", str(top)],
+                ["dilate", "--max-m", str(top)],
+                ["complementary"],
+            ]
+            for command, *options in commands:
+                for flags in flag_sets:
+                    argv = [command, str(path), *options, *flags]
+                    code, out, err = _run(argv, tmp)
+                    shown = " ".join(options + list(flags)).replace(tmp, "<tmp>")
+                    runs.append(Run(name, command, shown, code, _digest(out), _digest(err)))
     return runs
 
 
 if __name__ == "__main__":
+    print("\n".join(header()))
     for run in digests():
         print(run)

@@ -146,7 +146,7 @@ def test_c04_dilation_fidelity(systems, families):
         kraus = families[name]
         a = random_hermitian(rng, kraus.dim)
         for m in range(1, 6):
-            v = stinespring_isometry(kraus, system, m)
+            v = stinespring_isometry(system, m)
             power = a
             for _ in range(m):
                 power = apply_heisenberg(kraus, power)
@@ -192,7 +192,7 @@ def test_c06_covariant_symbol(systems, families):
             dm = system.dims[m]
             x = random_complex(rng, dm, dm)
             direct = covariant_symbol(kraus, system, m, x)
-            v = stinespring_isometry(kraus, system, m)
+            v = stinespring_isometry(system, m)
             via_isometry = v.conj().T @ np.kron(np.eye(kraus.dim), x) @ v
             worst_dual = max(worst_dual, operator_norm(direct - via_isometry))
             unit = covariant_symbol(kraus, system, m, np.eye(dm))
@@ -250,7 +250,7 @@ def test_c08_correlation_normalization(systems, families):
     worst_q = max(
         operator_norm(corr.levels[m].matrix - np.eye(system.dims[m])) for m in range(1, 7)
     )
-    worst_sym = max(max(pair) for pair in phi_symmetry_residual(corr, 6).values())
+    worst_sym = max(max(pair) for pair in phi_symmetry_residual(corr).values())
     check(
         8,
         "correlation normalization",
@@ -307,7 +307,7 @@ def test_c10_limit_state(systems, families):
     spec = state_spec(kraus, np.eye(12) / 12)
     corr = correlations(kraus, system, spec, 6)
     a = kraus.ops[0].conj().T @ kraus.ops[0] - kraus.ops[1].conj().T @ kraus.ops[1]
-    report = convergence_report(corr, a, a, 6)
+    report = convergence_report(corr, a, a)
     gap_trend = report.verdicts["limit_state_gap"]
     # the pairing identity makes the gap vanish at every level, the strongest
     # possible form of a decreasing trend; "flat" records exactly that
@@ -328,7 +328,7 @@ def test_c11_strict_quantization_trends(systems, families):
     corr = correlations(kraus, system, spec, 7)
     a = kraus.ops[0].conj().T @ kraus.ops[0] - kraus.ops[1].conj().T @ kraus.ops[1]
     b = kraus.ops[0].conj().T @ kraus.ops[1] + kraus.ops[1].conj().T @ kraus.ops[0]
-    report = convergence_report(corr, a, b, 7)
+    report = convergence_report(corr, a, b)
 
     vn = report.vn_residual[1:]  # m = 2..7
     ng = report.norm_gap[1:]

@@ -138,14 +138,14 @@ class TestDispatcher:
     def test_projective_defaults_to_uniform(self):
         k = build_catalog(CatalogSpec("projective", d=3))
         assert k.size == 3
-        with pytest.raises(ValueError, match="ranks"):
-            build_catalog(CatalogSpec("projective", n=2, d=3))
 
-    def test_projective_n_must_count_the_ranks(self):
+    def test_projective_counts_its_operators_by_the_ranks(self):
+        # the ranks fix the count, so an 'n' could only repeat or contradict it
         ranks = {"ranks": [1, 2]}
-        assert build_catalog(CatalogSpec("projective", n=2, d=3, params=ranks)).size == 2
-        with pytest.raises(ValueError, match="'n'=5"):
-            build_catalog(CatalogSpec("projective", n=5, d=3, params=ranks))
+        assert build_catalog(CatalogSpec("projective", d=3, params=ranks)).size == 2
+        for n in (2, 5):
+            with pytest.raises(ValueError, match="does not use parameter 'n'"):
+                CatalogSpec("projective", n=n, d=3, params=ranks)
 
     def test_identity_and_unitary(self):
         assert np.array_equal(

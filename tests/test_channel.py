@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import report_digests
 from krausfock import (
     KrausSet,
     Tolerances,
@@ -40,13 +41,7 @@ def rank_tie_family():
     ``0.99999999514e-9`` over ``vec(K_k^T)`` with one OpenBLAS thread;
     another BLAS may put the tie elsewhere.
     """
-    rng = np.random.default_rng(0)
-    for _ in range(2):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    u = np.linalg.qr(g)[0]
-    w, v = np.linalg.eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    rotation = (v * np.exp(1j * 1.9999998881931785e-09 * w)) @ v.T
-    return KrausSet(np.stack([u, u @ rotation]) / np.sqrt(2.0))
+    return report_digests.rotated_unitaries(1.9999998881931785e-09)
 
 
 def fold_word_oracle(ops, word):

@@ -147,6 +147,17 @@ class TestValidate:
         assert code == 0
         reduced = json.loads(out_path.read_text())
         assert len(reduced["kraus"]) == 1
+        assert out.splitlines()[-1] == f"minimalized channel with 1 operators written to {out_path}"
+
+    def test_out_without_minimalize_is_input_error(self, tmp_path, capsys):
+        # validate writes a file only with --minimalize, so a named file would
+        # silently stay unwritten while the report went to stdout
+        path = make_catalog_doc(tmp_path, family="projective", d=3)
+        out_path = tmp_path / "report.txt"
+        code, out, err = run(capsys, "validate", path, "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert "--out" in err and "--minimalize" in err
+        assert not out_path.exists()
 
     def test_minimalize_in_place_keeps_the_state(self, tmp_path, capsys):
         rho = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]])
@@ -205,6 +216,10 @@ class TestCatalogCommand:
             (["--family", "random_unital", "--n", "2", "--d", "3", "--ranks", "1,2"], "'ranks'"),
             (["--family", "identity", "--d", "3", "--angle", "0.3"], "'angle'"),
             (["--family", "identity", "--n", "1", "--d", "3"], "'n'"),
+            (
+                ["--family", "projective", "--n", "3", "--d", "3"],
+                "family 'projective' does not use parameter 'n'",
+            ),
         ],
     )
     def test_unused_parameter_is_input_error(self, capsys, flags, unused):
@@ -212,6 +227,20 @@ class TestCatalogCommand:
         assert code == 2
         assert out == ""
         assert unused in err
+
+    def test_spec_is_checked_once(self, capsys, monkeypatch):
+        # the spec that is built is the one echoed
+        calls = []
+        check = CatalogSpec.__post_init__
+
+        def spy(spec):
+            calls.append(spec.family)
+            check(spec)
+
+        monkeypatch.setattr(CatalogSpec, "__post_init__", spy)
+        code, out, _ = run(capsys, "catalog", "--family", "projective", "--d", "3")
+        assert code == 0 and calls == ["projective"]
+        assert json.loads(out)["catalog_echo"]["family"] == "projective"
 
     def test_oversized_family_is_input_error(self, capsys):
         code, out, err = run(capsys, "catalog", "--family", "identity", "--d", "100000000")
@@ -325,9 +354,43 @@ class TestReportDigests:
         # the instance-3 runs at the default tolerances of the script that
         # checks reports for byte identity across changes
         first = report_digests.digests(instances=(3,), flag_sets=[()])
-        assert len(first) == 4 * 7
-        assert all(run.code == 0 for run in first)
+        assert len(first) == 6 * 7
+        # the near-degenerate documents close the corpus; their nesting law fails today
+        assert all(run.code == 0 for run in first[: 4 * 7])
         assert report_digests.digests(instances=(3,), flag_sets=[()]) == first
+
+    def test_checked_in_digests_match(self):
+        # the thread count must be set before numpy loads, so the corpus runs
+        # in a subprocess: instance 3 and the near-degenerate documents
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        paths = [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+        probe = (
+            "import report_digests as r; "
+            "print(*r.header(), *r.digests(instances=(3,)), sep='\\n')"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        got = result.stdout.splitlines()
+        recorded = (tests / "report_digests.txt").read_text().splitlines()
+        head = [line for line in got if line.startswith("#")]
+        assert head == [line for line in recorded if line.startswith("#")], (
+            "tests/report_digests.txt was recorded with another numpy or BLAS; record it "
+            "again with OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/report_digests.py "
+            "> tests/report_digests.txt, on the tree before the change under test"
+        )
+        by_run = {line.split(" exit=")[0]: line for line in recorded}
+        runs = got[len(head) :]
+        assert len(runs) == 6 * 7 * 2
+        differ = [
+            f"recorded: {by_run.get(line.split(' exit=')[0])}\n     got: {line}"
+            for line in runs
+            if by_run.get(line.split(" exit=")[0]) != line
+        ]
+        assert not differ, "\n".join(differ)
 
 
 class TestDilate:

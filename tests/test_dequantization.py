@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import krausfock.dequantization as dequantization
 from krausfock import (
+    CorrelationData,
     KrausSet,
     SingularMatrixError,
     SubproductSystem,
@@ -336,14 +337,14 @@ class TestPhiSymmetry:
             s = build_subproduct(k, 2)
             spec = state_spec(k, maximally_mixed(k.dim))
             corr = correlations(k, s, spec, 2)
-            r1, _ = phi_symmetry_residual(corr, 1)[1]
+            r1, _ = phi_symmetry_residual(corr)[1]
             assert r1 < 1e-12
 
     def test_uniform_projective_is_symmetric(self, projective3):
         s = build_subproduct(projective3, 6)
         spec = state_spec(projective3, maximally_mixed(3))
         corr = correlations(projective3, s, spec, 6)
-        residuals = phi_symmetry_residual(corr, 6)
+        residuals = phi_symmetry_residual(corr)
         for m in range(1, 7):
             r1, r2 = residuals[m]
             assert r1 < 1e-10
@@ -355,7 +356,7 @@ class TestPhiSymmetry:
         k = random_unital(2, d, seed=0)
         s = build_subproduct(k, 5)
         corr = correlations(k, s, state_spec(k, random_density(rng, d)), 5)
-        swept = phi_symmetry_residual(corr, 5)
+        swept = phi_symmetry_residual(corr)
         for m in range(1, 6):
             scale = max(1.0, operator_norm(corr.base)) ** m
             for fast, slow in zip(swept[m], symmetry_oracle(corr, s, m)):
@@ -368,7 +369,7 @@ class TestPhiSymmetry:
         s = build_subproduct(commuting212, 3)
         spec = state_spec(commuting212, maximally_mixed(12))
         corr = correlations(commuting212, s, spec, 3)
-        r1, r2 = phi_symmetry_residual(corr, 3)[3]
+        r1, r2 = phi_symmetry_residual(corr)[3]
         assert r1 > 1e-6
         assert r2 < 1e-10
 
@@ -478,8 +479,6 @@ class TestDequantize:
         corr = correlations(projective3, s, spec, 2)
         with pytest.raises(ValueError, match="not built"):
             dequantize(corr, np.eye(3), 3)
-        with pytest.raises(ValueError, match="not built"):
-            phi_symmetry_residual(corr, 3)
 
     def test_rejects_an_observable_of_another_shape(self, projective3):
         s = build_subproduct(projective3, 1)
@@ -582,7 +581,7 @@ class TestConvergenceReport:
         spec = state_spec(commuting212, maximally_mixed(12))
         corr = correlations(commuting212, s, spec, 4)
         eye = np.eye(12)
-        report = convergence_report(corr, eye, eye, 4)
+        report = convergence_report(corr, eye, eye)
         for name in ("norm_gap", "vn_residual", "scaled_commutator", "limit_state_gap"):
             assert max(getattr(report, name)) <= 1e-8
             assert report.verdicts[name] == "flat"
@@ -593,7 +592,7 @@ class TestConvergenceReport:
         corr = correlations(projective3, s, spec, 5)
         a = np.diag(rng.normal(size=3))
         b = np.diag(rng.normal(size=3))
-        report = convergence_report(corr, a, b, 5)
+        report = convergence_report(corr, a, b)
         assert max(report.vn_residual) < 1e-9
         assert max(report.limit_state_gap) < 1e-10
 
@@ -602,7 +601,7 @@ class TestConvergenceReport:
         spec = state_spec(commuting212, maximally_mixed(12))
         corr = correlations(commuting212, s, spec, 5)
         a = random_hermitian(rng, 12)
-        report = convergence_report(corr, a, a, 5)
+        report = convergence_report(corr, a, a)
         assert max(report.limit_state_gap) < 1e-10
 
     @staticmethod
@@ -619,7 +618,7 @@ class TestConvergenceReport:
     def test_complete_levels_are_homomorphisms(self, rng, n, d, top, first):
         corr, a, b, complete = self.complete_instance(rng, n, d, top)
         assert complete == list(range(first, top + 1))
-        report = convergence_report(corr, a, b, top)
+        report = convergence_report(corr, a, b)
         for m, norm_gap, vn, commutator, _ in report.rows():
             pa, pb = dequantize(corr, a, m), dequantize(corr, b, m)
             expected = m * operator_norm(pa @ pb - pb @ pa)
@@ -642,15 +641,29 @@ class TestConvergenceReport:
             return real(corr, x, m)
 
         monkeypatch.setattr(dequantization, "dequantize", spy)
-        convergence_report(corr, a, b, 6)
+        convergence_report(corr, a, b)
         expected = [2 if m in complete else 3 for m in range(1, 7)]
         assert [calls.count(m) for m in range(1, 7)] == expected
+
+    def test_partial_data_reports_the_levels_it_holds(self, commuting212, rng):
+        # shaped like the data converge builds when a level past k is singular:
+        # levels 1..k of a deeper system
+        s = build_subproduct(commuting212, 6)
+        spec = state_spec(commuting212, random_density(rng, 12))
+        full = correlations(commuting212, s, spec, 6)
+        partial = CorrelationData(commuting212, s, spec, {m: full.levels[m] for m in (1, 2, 3)})
+        a, b = random_hermitian(rng, 12), random_hermitian(rng, 12)
+        report = convergence_report(partial, a, b)
+        assert report.levels == [1, 2, 3]
+        assert report.rows() == convergence_report(full, a, b).rows()[:3]
+        swept, whole = phi_symmetry_residual(partial), phi_symmetry_residual(full)
+        assert swept == {m: whole[m] for m in (1, 2, 3)}
 
     def test_rows_shape(self, projective3):
         s = build_subproduct(projective3, 3)
         spec = state_spec(projective3, maximally_mixed(3))
         corr = correlations(projective3, s, spec, 3)
-        report = convergence_report(corr, np.eye(3), np.eye(3), 3)
+        report = convergence_report(corr, np.eye(3), np.eye(3))
         rows = report.rows()
         assert len(rows) == 3
         assert rows[0][0] == 1

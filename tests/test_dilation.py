@@ -48,7 +48,7 @@ class TestStinespringIsometry:
     def test_identity_channel(self):
         k = KrausSet(np.eye(3)[None])
         s = build_subproduct(k, 2)
-        v = stinespring_isometry(k, s, 1)
+        v = stinespring_isometry(s, 1)
         assert v.shape == (3, 3)
         assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-14)
 
@@ -56,14 +56,14 @@ class TestStinespringIsometry:
         for k in catalog_quartet.values():
             s = build_subproduct(k, 5)
             for m in range(1, 6):
-                v = stinespring_isometry(k, s, m)
+                v = stinespring_isometry(s, m)
                 assert operator_norm(v.conj().T @ v - np.eye(k.dim)) < 1e-10
 
     def test_compression_matches_word_sum_oracle(self, rng):
         k = random_unital(2, 4, seed=9)
         s = build_subproduct(k, 2)
         a = random_hermitian(rng, 4)
-        v = stinespring_isometry(k, s, 2)
+        v = stinespring_isometry(s, 2)
         got = v.conj().T @ np.kron(a, np.eye(s.dims[2])) @ v
         assert operator_norm(got - word_sum_oracle(k, a, 2)) < 1e-10
         assert operator_norm(got - heisenberg_power(k, a, 2)) < 1e-10
@@ -73,7 +73,7 @@ class TestStinespringIsometry:
             s = build_subproduct(k, 4)
             a = random_hermitian(rng, k.dim)
             for m in (3, 4):
-                v = stinespring_isometry(k, s, m)
+                v = stinespring_isometry(s, m)
                 got = v.conj().T @ np.kron(a, np.eye(s.dims[m])) @ v
                 assert operator_norm(got - heisenberg_power(k, a, m)) < 1e-9
                 assert operator_norm(compressed_action(v, a) - got) < 1e-12
@@ -85,7 +85,7 @@ class TestStinespringIsometry:
             s = build_subproduct(k, 3)
             rho = random_density(rng, k.dim)
             for m in range(1, 4):
-                v = stinespring_isometry(k, s, m)
+                v = stinespring_isometry(s, m)
                 traced = partial_trace_left(v @ rho @ v.conj().T, k.dim, s.dims[m])
                 pairing = dilation._pairing(s.generators(m), rho)
                 assert operator_norm(traced - pairing) < 1e-12
@@ -107,7 +107,7 @@ class TestUnitaryDilation:
     def test_reference_slice_is_isometry_columns(self):
         k = random_unital(3, 2, seed=1)
         s = build_subproduct(k, 1)
-        assert np.array_equal(unitary_dilation(k)[:, :: k.size], stinespring_isometry(k, s, 1))
+        assert np.array_equal(unitary_dilation(k)[:, :: k.size], stinespring_isometry(s, 1))
 
     def test_compression_reproduces_channel_on_probe_basis(self, catalog_quartet):
         for k in catalog_quartet.values():
@@ -238,7 +238,7 @@ class TestCovariantSymbol:
             for m in range(1, 6):
                 x = random_complex(rng, s.dims[m], s.dims[m])
                 got = covariant_symbol(k, s, m, x)
-                v = stinespring_isometry(k, s, m)
+                v = stinespring_isometry(s, m)
                 alt = v.conj().T @ np.kron(np.eye(k.dim), x) @ v
                 assert operator_norm(got - alt) < 1e-9
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import krausfock
-from krausfock import catalog, channel, dequantization, dilation, linalg, subproduct
+from krausfock import catalog, channel, cli, dequantization, dilation, linalg, subproduct
 
 MODULES = (linalg, channel, subproduct, dilation, dequantization, catalog)
 
@@ -42,6 +42,19 @@ def test_correlation_consumers_read_the_channel_from_corr():
                 readers.add(name)
                 assert not params & {"kraus", "system"}, name
     assert {"dequantize", "phi_symmetry_residual", "convergence_report"} <= readers
+
+
+def test_each_value_is_given_once():
+    # a level count, a Kraus set or an operator count that another argument fixes is not asked for
+    signatures = {
+        dequantization.phi_symmetry_residual: ["corr"],
+        dequantization.convergence_report: ["corr", "a", "b"],
+        dilation.stinespring_isometry: ["system", "m"],
+        cli._split_rows: ["system"],
+    }
+    for fn, params in signatures.items():
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__
+    assert catalog.PARAMETERS["projective"] == ("d", "ranks")
 
 
 def test_tolerances_enter_through_the_kraus_set():

@@ -149,7 +149,7 @@ def test_symmetry_sweep_matches_dense_oracle(kraus):
     top = top_level(kraus)
     system = build_subproduct(kraus, top)
     corr = correlations(kraus, system, state_spec(kraus, np.eye(kraus.dim) / kraus.dim), top)
-    swept = phi_symmetry_residual(corr, top)
+    swept = phi_symmetry_residual(corr)
     assert sorted(swept) == list(range(1, top + 1))
     for m in range(1, top + 1):
         # both routes round relative to the size of Q^{⊗m}
@@ -253,7 +253,7 @@ VALID_DOCUMENTS = [
         "tol": {"rank_rel_tol": 1e-9},
         "state": {"re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.1], [-0.1, 0.0]]},
     },
-    {"catalog": {"family": "projective", "n": 2, "d": 3, "params": {"ranks": [1, 2]}}},
+    {"catalog": {"family": "projective", "d": 3, "params": {"ranks": [1, 2]}}},
 ]
 
 
