@@ -501,18 +501,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def channel_command(name, func, help, max_m=False):
+    def channel_command(
+        name, func, help, max_m=False, out="write the report here instead of stdout"
+    ):
         p = sub.add_parser(name, help=help)
         p.add_argument("channel", help="channel document (JSON)")
         if max_m:
             p.add_argument("--max-m", type=_level, default=6, help="largest level to build")
         p.add_argument("--tol-rank", type=float, default=None, help="override rank_rel_tol")
         p.add_argument("--tol-residual", type=float, default=None, help="override residual_tol")
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
+        p.add_argument("--out", default=None, help=out)
         p.set_defaults(func=func)
         return p
 
-    p = channel_command("validate", cmd_validate, "check unitality and minimality")
+    out_help = "with --minimalize, write the reduced channel here (default: over the input)"
+    p = channel_command("validate", cmd_validate, "check unitality and minimality", out=out_help)
     p.add_argument("--minimalize", action="store_true", help="write back a reduced channel")
     channel_command(
         "dims", cmd_dims, "dimension ladder with subproduct residuals (CSV)", max_m=True

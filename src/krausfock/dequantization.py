@@ -307,12 +307,8 @@ def normal_ordering_residual(
     if len(gens) == kraus.dim**2:
         # a complete level: the G_u span M_d, so their products do too
         return 0.0
-    # a contiguous copy of the columns vec(G_u† G_v), with the products freed
-    # at once: the certificate would copy a transposed view while both live
     prods = gens.conj().transpose(0, 2, 1)[:, None] @ gens
-    columns = np.ascontiguousarray(prods.reshape(-1, target.size).T)
-    del prods
-    span = _range_unless_full(columns, kraus.tol)
+    span = _range_unless_full(prods.reshape(-1, target.size).T, kraus.tol)
     if span is None:
         return 0.0
     residual = target - span @ (span.conj().T @ target)

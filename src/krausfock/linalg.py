@@ -95,6 +95,25 @@ def orthonormal_range(columns, tol: Tolerances) -> np.ndarray:
     return u[:, : _rank(s, tol)]
 
 
+def _lower_gram(a: np.ndarray, exponent: int) -> np.ndarray:
+    """The lower block triangle of ``b b†``, ``b = 2^exponent a``, with zeros
+    above it, formed 64 rows at a time from panels of ``b`` scaled one by one.
+    A function of its own, so that the panels are freed when it returns."""
+    parts = a[..., None].view(float)
+
+    def scaled(lo):
+        # in the memory order of the input, which a strided view reads fastest
+        return np.ldexp(parts[lo : lo + 64], exponent).view(complex)[..., 0]
+
+    g = np.zeros((len(a), len(a)), dtype=complex)
+    for hi in range(0, len(a), 64):
+        left = scaled(hi)
+        for lo in range(0, hi + 1, 64):
+            right = left if lo == hi else scaled(lo)
+            g[hi : hi + 64, lo : lo + 64] = left @ right.conj().T
+    return g
+
+
 def _certified_full(a: np.ndarray, tol: Tolerances) -> bool:
     """Whether a Cholesky factorization proves that the ``rows x cols``
     matrix ``a``, ``0 < rows <= cols``, has ``sigma_min / sigma_max > 2 tau``
@@ -112,15 +131,26 @@ def _certified_full(a: np.ndarray, tol: Tolerances) -> bool:
     ``sigma_max^2 <= t``.  The singular-value ratio then exceeds both
     ``2 tau`` and about ``sqrt(7 (rows + cols) eps)``, a margin far wider
     than the error of computed singular values, so the rank rule finds the
-    rows full too.  Failure decides nothing.
+    rows full too.  Failure decides nothing; an input with a non-finite
+    entry fails at once.
+
+    Only the lower block triangle of ``g`` is formed, in 64-row panels:
+    block ``(i, j)``, ``j <= i``, is the product of row panels ``i`` and
+    ``j`` of ``a``, each scaled on its own by the same power of two, so every
+    entry is an inner product of the same scaled rows as above, with the
+    same error bound.  The entries above the diagonal blocks stay zero, since
+    ``numpy.linalg.cholesky`` reads only the lower triangle and the diagonal.
+    The scan for the largest part and the panels read ``a`` in place, also
+    a strided view, so the only level-sized arrays are ``g`` and its factor:
+    on a 256 x 256 input the peak is 2.1 MB above the input.
     """
     rows, cols = a.shape
-    parts = np.ascontiguousarray(a).view(float)
-    a = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
-    g = a @ a.conj().T
-    # the scaled copy (and a contiguous copy of a strided input) is read for
-    # the last time, so the Cholesky runs with one fewer input-sized array
-    del a, parts
+    # the real and imaginary parts as floats: a view, also of a strided input
+    parts = a[..., None].view(float)
+    top = max(parts.max(), -parts.min())
+    if not top < np.inf:  # a NaN or an infinite part
+        return False
+    g = _lower_gram(a, -np.frexp(top)[1])
     t = np.trace(g).real
     tau = tol.rank_rel_tol
     g.flat[:: rows + 1] -= (4.0 * tau * tau + 8.0 * (rows + cols + 2) * np.finfo(float).eps) * t

@@ -159,6 +159,14 @@ class TestValidate:
         assert "--out" in err and "--minimalize" in err
         assert not out_path.exists()
 
+    def test_help_names_out_as_the_reduced_channel_file(self, capsys):
+        # validate prints its report; --out only names where --minimalize writes
+        with pytest.raises(SystemExit):
+            main(["validate", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "with --minimalize, write the reduced channel here (default: over the input)" in text
+        assert "write the report here" not in text
+
     def test_minimalize_in_place_keeps_the_state(self, tmp_path, capsys):
         rho = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]])
         doc = {

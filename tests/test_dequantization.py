@@ -18,6 +18,7 @@ from krausfock import (
     convergence_report,
     correlations,
     dequantize,
+    kraus_word,
     normal_ordering_residual,
     operator_norm,
     phi_symmetry_residual,
@@ -26,7 +27,7 @@ from krausfock import (
     state_spec,
     trend_verdict,
 )
-from krausfock.linalg import _rank
+from krausfock.linalg import _range_unless_full, _rank
 from conftest import (
     chain_basis,
     fock_rank_one_oracle,
@@ -512,6 +513,32 @@ class TestNormalOrdering:
                 for bound in range(len(left), 5):
                     got = normal_ordering_residual(k, s, left, right, bound)
                     assert abs(got - normal_ordering_oracle(k, s, left, right, bound)) <= 1e-12
+
+    def test_strided_columns_give_the_contiguous_copys_residual(self, catalog_quartet):
+        # the columns vec(G_u† G_v) reach the rank helper as a transposed view;
+        # a contiguous copy of them gives the same residual, bit for bit, on
+        # both the certificate's path and the singular-value path
+        def copy_path(k, s, left, right, bound):
+            target = (kraus_word(k, left) @ kraus_word(k, right).conj().T).reshape(-1)
+            if np.linalg.norm(target) <= 1e-14:
+                return 0.0
+            gens = s.generators(bound)
+            prods = gens.conj().transpose(0, 2, 1)[:, None] @ gens
+            columns = np.ascontiguousarray(prods.reshape(-1, target.size).T)
+            span = _range_unless_full(columns, k.tol)
+            if span is None:
+                return 0.0
+            residual = target - span @ (span.conj().T @ target)
+            return float(np.linalg.norm(residual) / np.linalg.norm(target))
+
+        pairs = [((0,), (1,)), ((1, 0), (0, 1)), ((0, 0, 1), (1, 0, 0)), ((0, 1, 1, 0), (1, 0, 0, 1))]
+        for k in catalog_quartet.values():
+            s = build_subproduct(k, 4)
+            for left, right in pairs:
+                for bound in range(len(left), 5):
+                    if len(s.generators(bound)) < k.dim**2:
+                        got = normal_ordering_residual(k, s, left, right, bound)
+                        assert got == copy_path(k, s, left, right, bound)
 
     def test_full_span_takes_no_singular_vectors(self, random216, commuting212, monkeypatch):
         # degree 4 of random216: 256 products span all of M_16; degree 3 (64

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,13 @@ from krausfock import (
     orthonormal_range,
     partial_trace_left,
 )
-from krausfock.linalg import _certified_full, _range_unless_full, _rank, _triangular_inverse
+from krausfock.linalg import (
+    _certified_full,
+    _lower_gram,
+    _range_unless_full,
+    _rank,
+    _triangular_inverse,
+)
 from conftest import haar_unitary, kron_power_apply, random_complex
 
 
@@ -128,15 +136,17 @@ def cutoff(rows, cols, tol):
 
 
 @st.composite
-def planted_spectra(draw):
-    """A ``rows <= cols <= 40`` matrix with planted singular values: largest 1,
-    the rest in [1e-3, 1], and the smallest log-uniform in [1e-12, 1], or near
-    the rank threshold, or near the certificate's cut-off; then scaled by a
-    power of two or of ten far from 1.  Returns the matrix, the tolerances
-    and the planted ``sigma_min^2 / ||a||_F^2``."""
+def planted_spectra(draw, row_range=(1, 40), scales=(1.0, 2.0**600, 2.0**-600, 1e150, 1e-150)):
+    """A ``rows x cols`` matrix, ``rows`` in ``row_range`` and
+    ``rows <= cols <= row_range[1]``, with planted singular values: largest 1, the
+    rest in [1e-3, 1], and the smallest log-uniform in [1e-12, 1], or near
+    the rank threshold, or near the certificate's cut-off; then scaled by
+    one of ``scales``.  Returns the matrix, the tolerances and its
+    ``sigma_min^2 / ||a||_F^2``, measured on the matrix as stored, since a
+    subnormal scale rounds the planted spectrum away."""
     tol = Tolerances(rank_rel_tol=draw(st.sampled_from([1e-9, 1e-6, 1e-3])))
-    rows = draw(st.integers(1, 40))
-    cols = draw(st.integers(rows, 40))
+    rows = draw(st.integers(*row_range))
+    cols = draw(st.integers(rows, row_range[1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     s = np.concatenate([[1.0], 10.0 ** rng.uniform(-3.0, 0.0, max(rows - 2, 0))])
     near = draw(st.sampled_from(["anywhere", "threshold", "cut-off"]))
@@ -151,28 +161,126 @@ def planted_spectra(draw):
         smallest = np.sqrt(q * np.sum(s**2) / (1.0 - q))
     if rows > 1:
         s = np.append(s, smallest)
-    a = (haar_unitary(rng, rows) * s) @ haar_unitary(rng, cols)[:rows]
-    scale = draw(st.sampled_from([1.0, 2.0**600, 2.0**-600, 1e150, 1e-150]))
-    return a * scale, tol, np.min(s) ** 2 / np.sum(s**2)
+    scale = draw(st.sampled_from(scales))
+    a = ((haar_unitary(rng, rows) * s) @ haar_unitary(rng, cols)[:rows]) * scale
+    # dividing the parts by a power of two is exact, and by 1e+-150 moves no
+    # ratio that matters (a complex division by 2^-1060 would overflow)
+    stored = np.linalg.svd((a.view(float) / scale).view(complex), compute_uv=False)
+    return a, tol, stored[-1] ** 2 / np.sum(stored**2)
+
+
+def lower_block_mask(rows):
+    """Entries of the lower block triangle in 64-row blocks."""
+    blocks = np.arange(rows) // 64
+    return blocks[:, None] >= blocks[None, :]
 
 
 class TestCertifiedFull:
     """The Cholesky certificate behind _range_unless_full against the singular-value rule."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(planted_spectra())
-    def test_never_disagrees_with_the_rank_rule(self, planted):
-        a, tol, q = planted
+    @staticmethod
+    def check(a, tol, q):
+        """The three facts: the helper's decision is the rank rule's, any range
+        it returns is orthonormal_range's, and clear of the cut-off the
+        certificate decides, at any scale of ``a``."""
         rows, cols = a.shape
         span = _range_unless_full(a, tol)
         assert (span is None) == (_rank(np.linalg.svd(a, compute_uv=False), tol) == rows)
         if span is not None:
             assert np.array_equal(span, orthonormal_range(a, tol))
-        # clear of the cut-off the certificate decides, at any scale of a
         if q >= 2 * cutoff(rows, cols, tol):
             assert _certified_full(a, tol)
         elif q <= cutoff(rows, cols, tol) / 2:
             assert not _certified_full(a, tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_spectra())
+    def test_never_disagrees_with_the_rank_rule(self, planted):
+        self.check(*planted)
+
+    @settings(max_examples=40, deadline=None)
+    @given(planted_spectra(row_range=(65, 200), scales=(1.0, 2.0**1000, 2.0**-1000)))
+    def test_never_disagrees_across_panels_and_extreme_scales(self, planted):
+        # more than one 64-row panel
+        self.check(*planted)
+
+    @settings(max_examples=20, deadline=None)
+    @given(planted_spectra(row_range=(65, 200), scales=(2.0**-1060,)))
+    def test_subnormal_input_certifies_only_full_rows(self, planted):
+        # the largest entry is subnormal.  The certificate scales it up exactly,
+        # but an SVD of the input itself errs by the subnormal spacing, about
+        # 3e-5 of the largest singular value here, so the rule is read on the
+        # copy scaled up by 2^1060 (exact) that also gives ``q``
+        a, tol, q = planted
+        rows, cols = a.shape
+        unscaled = np.ldexp(a.view(float), 1060).view(complex)
+        if _certified_full(a, tol):
+            assert _rank(np.linalg.svd(unscaled, compute_uv=False), tol) == rows
+        if q >= 2 * cutoff(rows, cols, tol):
+            assert _certified_full(a, tol)
+        elif q <= cutoff(rows, cols, tol) / 2:
+            assert not _certified_full(a, tol)
+
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 128, 257])
+    def test_panel_edges(self, rows):
+        rng = np.random.default_rng(rows)
+        tol = Tolerances()
+        cols = rows + 7
+        u, v = haar_unitary(rng, rows), haar_unitary(rng, cols)[:rows]
+        s = np.geomspace(1.0, 0.5, rows)
+        for factor in [4.0, 0.25] if rows > 1 else [4.0]:
+            # sigma_min^2 / ||a||_F^2 = factor times the cut-off
+            q = factor * cutoff(rows, cols, tol)
+            s[-1] = np.sqrt(q * np.sum(s[:-1] ** 2) / (1.0 - q)) if rows > 1 else 1.0
+            a = (u * s) @ v
+            self.check(a, tol, np.min(s) ** 2 / np.sum(s**2))
+            assert _certified_full(a, tol) is (factor > 1)
+        # the Gram is formed on and below the 64-row diagonal blocks only
+        g = _lower_gram(a, 3)
+        full = 64.0 * (a @ a.conj().T)
+        inside = lower_block_mask(rows)
+        assert np.all(g[~inside] == 0.0)
+        assert np.max(np.abs(g - full)[inside]) <= 1e-13 * np.abs(full).max()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (64, 70), (130, 150)])
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)]
+    )
+    def test_non_finite_entries_certify_nothing(self, rng, shape, bad):
+        # numpy's Cholesky of a Gram with NaN entries returns NaN, without raising
+        tol = Tolerances()
+        a = random_complex(rng, *shape)
+        assert _certified_full(a, tol)
+        a[-1, 0] = bad
+        assert not _certified_full(a, tol)
+        assert not _certified_full(np.array([[bad, 1, 0], [0, 1, 1]], dtype=complex), tol)
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "transposed"])
+    def test_memory_is_the_gram_and_its_factor(self, rng, transposed):
+        # a 256 x 256 complex array is 1.05 MB; the Gram and its Cholesky factor
+        # are two of them, and a scaled, conjugated or contiguous copy of the
+        # input would add one more each
+        a = random_complex(rng, 256, 256)
+        a = a.T if transposed else a
+        tol = Tolerances()
+        assert _certified_full(a, tol)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert _certified_full(a, tol)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.4e6
+
+
+def test_numpy_cholesky_reads_only_the_lower_triangle(rng):
+    # _certified_full leaves the Gram at zero above its diagonal blocks
+    b = random_complex(rng, 100, 120)
+    h = b @ b.conj().T
+    poisoned = h.copy()
+    poisoned[np.triu_indices(100, 1)] = np.nan
+    assert np.array_equal(np.linalg.cholesky(poisoned), np.linalg.cholesky(h))
 
 
 class TestTriangularInverse:
