@@ -2,15 +2,19 @@
 
 Every constructor is a pure function of its parameters (including the
 seed), produces exactly unital Kraus families, and is used by both the
-test suite and the command line front end.  ``PARAMETERS`` lists what each
-family reads; a spec that sets anything else is rejected, and so is a
-parameter of the wrong type or range: nothing is rounded, parsed or cast
-from ``bool``.  Every family carries the default tolerances; a caller who
-wants others writes ``KrausSet(family.ops, tol=...)``.
+test suite and the command line front end.  A family is declared once, by
+its constructor: ``PARAMETERS`` lists the names of each constructor's
+signature, and the defaults are the signature's.  A :class:`CatalogSpec`
+that sets anything else is rejected, and so is a parameter of the wrong
+type or range (nothing is rounded, parsed or cast from ``bool``), a missing
+size and an instance of more than ``MAX_ENTRIES`` Kraus entries.  Every
+family carries the default tolerances; a caller who wants others writes
+``KrausSet(family.ops, tol=...)``.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Any
@@ -32,15 +36,6 @@ __all__ = [
     "build_catalog",
 ]
 
-PARAMETERS = {
-    "identity": ("d",),
-    "unitary": ("d", "seed"),
-    "projective": ("d", "ranks"),
-    "commuting_generic": ("n", "d", "seed"),
-    "random_unital": ("n", "d", "seed"),
-    "sequential_projective": ("d", "seed", "angle"),
-}
-FAMILIES = tuple(PARAMETERS)
 MAX_ENTRIES = 2**24  # 256 MiB of complex128 Kraus entries
 
 
@@ -51,7 +46,13 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class CatalogSpec:
-    """Family name and the parameters given for one instance (``None``: not given)."""
+    """Family name and the parameters given for one instance (``None``: not given).
+
+    Refuses an unknown family, a parameter its constructor does not take, a
+    value of the wrong type or range, a missing size (``d``, then ``n``) and
+    an instance of more than ``MAX_ENTRIES`` Kraus entries.  An omitted seed
+    is the constructor's default.
+    """
 
     family: str
     n: int | None = None
@@ -91,7 +92,17 @@ class CatalogSpec:
         if "ranks" in params:
             params["ranks"] = list(ranks)
         if self.seed is None and "seed" in reads:
-            object.__setattr__(self, "seed", 0)
+            seed = inspect.signature(_CONSTRUCTORS[self.family]).parameters["seed"].default
+            object.__setattr__(self, "seed", seed)
+        for name in ("d", "n"):
+            if name in reads and getattr(self, name) is None:
+                raise ValueError(f"family {self.family!r} needs parameter {name!r}")
+        # a projective family has at most d operators, a sequential one four
+        count = {"projective": self.d, "sequential_projective": 4}.get(self.family, self.n or 1)
+        if count * self.d * self.d > MAX_ENTRIES:
+            raise ValueError(
+                f"family {self.family!r} with d={self.d} needs over {MAX_ENTRIES} Kraus entries"
+            )
 
 
 def identity_channel(d: int) -> KrausSet:
@@ -108,8 +119,10 @@ def unitary_channel(d: int, seed: int = 0) -> KrausSet:
     return KrausSet(q[None, :, :])
 
 
-def projective_measurement(d: int, ranks) -> KrausSet:
-    """Measurement channel from orthogonal projections onto coordinate blocks."""
+def projective_measurement(d: int, ranks=None) -> KrausSet:
+    """Measurement channel from orthogonal projections onto coordinate blocks,
+    ``d`` blocks of rank one when no ``ranks`` are given."""
+    ranks = [1] * d if ranks is None else ranks
     if any(r < 1 for r in ranks):
         raise ValueError("projection ranks must be positive")
     if sum(ranks) != d:
@@ -124,7 +137,7 @@ def projective_measurement(d: int, ranks) -> KrausSet:
 
 def uniform_projective(n: int) -> KrausSet:
     """``n`` rank-one orthogonal projections on ``C^n``."""
-    return projective_measurement(n, [1] * n)
+    return projective_measurement(n)
 
 
 def commuting_generic(n: int, d: int, seed: int = 0) -> KrausSet:
@@ -164,7 +177,7 @@ def random_unital(n: int, d: int, seed: int = 0) -> KrausSet:
     return KrausSet(g @ inv_sqrt)
 
 
-def sequential_projective(d: int, angle: float, seed: int = 0) -> KrausSet:
+def sequential_projective(d: int, angle: float = np.pi / 4, seed: int = 0) -> KrausSet:
     """Two sequential two-outcome measurements with rotated projections.
 
     Builds a seeded rank-``d//2`` real projection ``P`` and a copy ``Q``
@@ -196,31 +209,20 @@ def sequential_projective(d: int, angle: float, seed: int = 0) -> KrausSet:
     return KrausSet(ops)
 
 
+_CONSTRUCTORS = {
+    "identity": identity_channel,
+    "unitary": unitary_channel,
+    "projective": projective_measurement,
+    "commuting_generic": commuting_generic,
+    "random_unital": random_unital,
+    "sequential_projective": sequential_projective,
+}
+PARAMETERS = {family: tuple(inspect.signature(c).parameters) for family, c in _CONSTRUCTORS.items()}
+FAMILIES = tuple(_CONSTRUCTORS)
+
+
 def build_catalog(spec: CatalogSpec) -> KrausSet:
-    """Instantiate a catalog family from its spec, of at most ``MAX_ENTRIES``."""
-    family = spec.family
-    d = _require(spec, "d")
-    ranks = spec.params.get("ranks")
-    n = _require(spec, "n") if family in ("commuting_generic", "random_unital") else 1
-    # a projective family has at most d operators, a sequential one four
-    count = {"projective": d, "sequential_projective": 4}.get(family, n)
-    if count * d * d > MAX_ENTRIES:
-        raise ValueError(f"family {family!r} with d={d} needs over {MAX_ENTRIES} Kraus entries")
-    if family == "identity":
-        return identity_channel(d)
-    if family == "unitary":
-        return unitary_channel(d, seed=spec.seed)
-    if family == "projective":
-        return projective_measurement(d, [1] * d if ranks is None else ranks)
-    if family == "commuting_generic":
-        return commuting_generic(n, d, seed=spec.seed)
-    if family == "random_unital":
-        return random_unital(n, d, seed=spec.seed)
-    return sequential_projective(d, spec.params.get("angle", np.pi / 4), seed=spec.seed)
-
-
-def _require(spec: CatalogSpec, name: str) -> int:
-    value = getattr(spec, name)
-    if value is None:
-        raise ValueError(f"family {spec.family!r} needs parameter {name!r}")
-    return value
+    """Instantiate a catalog family: one call of its constructor with the
+    sizes, seed and params of ``spec``, which has checked them all."""
+    sizes = {k: getattr(spec, k) for k in ("n", "d", "seed") if getattr(spec, k) is not None}
+    return _CONSTRUCTORS[spec.family](**sizes, **spec.params)

@@ -33,7 +33,7 @@ correlation data and read the rest from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -317,7 +317,7 @@ def normal_ordering_residual(
 
 @dataclass(eq=False)
 class ConvergenceReport:
-    """Per-level diagnostic sequences with descriptive trend verdicts.
+    """Per-level diagnostic sequences, and trend verdicts derived when read.
 
     For observables ``A, B`` and each level ``m`` of the correlation data, in order:
 
@@ -327,7 +327,8 @@ class ConvergenceReport:
     - ``limit_state_gap[m]``: ``|Tr(Q_m Psi_m(A)) / Tr(Q_m) - Tr(rho0 A)|``
 
     ``vn_residual[m]`` is exactly ``0.0`` at a complete level (``d_m = d^2``),
-    where ``Psi_m`` is a similarity and so a homomorphism.
+    where ``Psi_m`` is a similarity and so a homomorphism.  ``residual_tol``
+    is the tolerance of the Kraus family, which :attr:`verdicts` reads.
     """
 
     levels: list[int]
@@ -335,24 +336,18 @@ class ConvergenceReport:
     vn_residual: list[float]
     scaled_commutator: list[float]
     limit_state_gap: list[float]
-    verdicts: dict[str, str] = field(default_factory=dict)
+    residual_tol: float
 
     _COLUMNS = ("norm_gap", "vn_residual", "scaled_commutator", "limit_state_gap")
+
+    @cached_property
+    def verdicts(self) -> dict[str, str]:
+        """:func:`trend_verdict` of each column at ``residual_tol``, computed on first read."""
+        return {c: trend_verdict(getattr(self, c), self.residual_tol) for c in self._COLUMNS}
 
     def rows(self):
         """Rows ``(m, *values)`` with one value for each name in ``_COLUMNS``."""
         return list(zip(self.levels, *(getattr(self, name) for name in self._COLUMNS)))
-
-
-def _median(vals: list[float]) -> float:
-    """The median of :func:`trend_verdict`.
-
-    For finite values this is the float ``np.median`` returns, without the
-    ``numpy.ma`` import that ``np.median`` makes on its first call.
-    """
-    ordered = sorted(vals)
-    half = len(ordered) // 2
-    return ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2.0
 
 
 def trend_verdict(seq, tol: float) -> str:
@@ -361,14 +356,14 @@ def trend_verdict(seq, tol: float) -> str:
     ``flat`` means every entry is within ``tol`` of zero; ``decreasing``
     allows a relative slack of ``tol`` per step; ``bounded`` caps the
     maximum at ten times the median: the middle entry of the sorted values,
-    or the mean of the two middle entries for an even count.
+    or the mean of the two middle entries for an even count (``np.median``).
     """
     vals = [float(x) for x in seq]
     if not vals or max(vals) <= tol:
         return "flat"
     if all(b <= a * (1.0 + tol) for a, b in zip(vals, vals[1:])):
         return "decreasing"
-    med = _median(vals)
+    med = np.median(vals)
     if med > 0.0 and max(vals) <= 10.0 * med:
         return "bounded"
     return "irregular"
@@ -418,8 +413,5 @@ def convergence_report(corr: CorrelationData, a, b) -> ConvergenceReport:
 
     levels = sorted(corr.levels)
     rows = [_level_diagnostics(corr, a, b, ab, comm, m, norm_a, ref) for m in levels]
-    report = ConvergenceReport(levels, *([row[i] for row in rows] for i in range(4)))
-    tol = corr.kraus.tol.residual_tol
-    for name in ConvergenceReport._COLUMNS:
-        report.verdicts[name] = trend_verdict(getattr(report, name), tol)
-    return report
+    columns = ([row[i] for row in rows] for i in range(4))
+    return ConvergenceReport(levels, *columns, corr.kraus.tol.residual_tol)

@@ -86,30 +86,44 @@ def orthonormal_range(columns, tol: Tolerances) -> np.ndarray:
 
     Takes the leading left singular vectors of ``columns``; their count is
     the numerical rank at ``tol.rank_rel_tol`` (see :func:`_rank`).  An
-    empty or all-zero input yields a matrix with zero columns.
+    empty or all-zero input yields a matrix with zero columns.  An input
+    whose largest real or imaginary part is subnormal is first scaled up by
+    an exact power of two: LAPACK's singular values of the input as given
+    would err by the subnormal spacing, which can move the rank.
     """
     a = as_matrix(columns)
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
+    top = _largest_part(a)
+    if 0.0 < top < np.finfo(float).tiny:
+        a = _scaled(a, -np.frexp(top)[1])
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return u[:, : _rank(s, tol)]
+
+
+def _largest_part(a: np.ndarray) -> float:
+    """The largest absolute real or imaginary part of the complex array ``a``,
+    NaN or infinite when a part is; read through a float view, so that no
+    copy is made, also of a strided input."""
+    parts = a[..., None].view(float)
+    return max(parts.max(), -parts.min())
+
+
+def _scaled(a: np.ndarray, exponent: int) -> np.ndarray:
+    """``2^exponent a``, exact, in the memory order of the complex array
+    ``a``, which a strided view reads fastest."""
+    return np.ldexp(a[..., None].view(float), exponent).view(complex)[..., 0]
 
 
 def _lower_gram(a: np.ndarray, exponent: int) -> np.ndarray:
     """The lower block triangle of ``b b†``, ``b = 2^exponent a``, with zeros
     above it, formed 64 rows at a time from panels of ``b`` scaled one by one.
     A function of its own, so that the panels are freed when it returns."""
-    parts = a[..., None].view(float)
-
-    def scaled(lo):
-        # in the memory order of the input, which a strided view reads fastest
-        return np.ldexp(parts[lo : lo + 64], exponent).view(complex)[..., 0]
-
     g = np.zeros((len(a), len(a)), dtype=complex)
     for hi in range(0, len(a), 64):
-        left = scaled(hi)
+        left = _scaled(a[hi : hi + 64], exponent)
         for lo in range(0, hi + 1, 64):
-            right = left if lo == hi else scaled(lo)
+            right = left if lo == hi else _scaled(a[lo : lo + 64], exponent)
             g[hi : hi + 64, lo : lo + 64] = left @ right.conj().T
     return g
 
@@ -145,9 +159,7 @@ def _certified_full(a: np.ndarray, tol: Tolerances) -> bool:
     on a 256 x 256 input the peak is 2.1 MB above the input.
     """
     rows, cols = a.shape
-    # the real and imaginary parts as floats: a view, also of a strided input
-    parts = a[..., None].view(float)
-    top = max(parts.max(), -parts.min())
+    top = _largest_part(a)
     if not top < np.inf:  # a NaN or an infinite part
         return False
     g = _lower_gram(a, -np.frexp(top)[1])

@@ -326,11 +326,12 @@ class TruncatedFock:
     """Direct sum of the levels ``0..top`` with per-level shift blocks.
 
     ``left_blocks[m][k]`` maps level ``m`` to level ``m+1`` by prepending
-    letter ``k``; ``right_blocks`` appends instead.  Full matrices on the
-    truncated sum place each block below the diagonal.
+    letter ``k`` of ``n``; ``right_blocks`` appends instead.  Full matrices
+    on the truncated sum place each block below the diagonal.
     """
 
     dims: tuple[int, ...]
+    n: int
     left_blocks: list[list[np.ndarray]]
     right_blocks: list[list[np.ndarray]]
 
@@ -342,18 +343,20 @@ class TruncatedFock:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def _assemble(self, blocks: list[np.ndarray]) -> np.ndarray:
+    def _assemble(self, blocks: list[list[np.ndarray]], k: int) -> np.ndarray:
+        if not 0 <= k < self.n:
+            raise ValueError(f"letter {k} out of range")
         off = self.offsets
         full = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-        for m, block in enumerate(blocks):
-            full[off[m + 1] : off[m + 2], off[m] : off[m + 1]] = block
+        for m, level in enumerate(blocks):
+            full[off[m + 1] : off[m + 2], off[m] : off[m + 1]] = level[k]
         return full
 
     def left_shift_matrix(self, k: int) -> np.ndarray:
-        return self._assemble([level[k] for level in self.left_blocks])
+        return self._assemble(self.left_blocks, k)
 
     def right_shift_matrix(self, k: int) -> np.ndarray:
-        return self._assemble([level[k] for level in self.right_blocks])
+        return self._assemble(self.right_blocks, k)
 
 
 def truncated_fock(system: SubproductSystem, top: int | None = None) -> TruncatedFock:
@@ -364,4 +367,4 @@ def truncated_fock(system: SubproductSystem, top: int | None = None) -> Truncate
     sweeps = [_left_shifts(system, k, top) for k in range(system.n)] if top else []
     left = [[blocks[m] for blocks in sweeps] for m in range(top)]
     right = [[shift_right(system, k, m) for k in range(system.n)] for m in range(top)]
-    return TruncatedFock(dims=dims, left_blocks=left, right_blocks=right)
+    return TruncatedFock(dims=dims, n=system.n, left_blocks=left, right_blocks=right)

@@ -220,12 +220,12 @@ class TestDispatcher:
     @pytest.mark.parametrize(
         "spec",
         [
-            CatalogSpec("identity", d=100_000_000),
-            CatalogSpec("commuting_generic", n=100_000_000, d=1),
-            CatalogSpec("sequential_projective", d=4096),
+            dict(family="identity", d=100_000_000),
+            dict(family="commuting_generic", n=100_000_000, d=1),
+            dict(family="sequential_projective", d=4096),
         ],
     )
     def test_size_bound(self, spec):
         with pytest.raises(ValueError, match="Kraus entries"):
-            build_catalog(spec)
+            CatalogSpec(**spec)
 

@@ -655,6 +655,10 @@ MALFORMED = {
         {"catalog": {"family": "projective", "d": 3, "params": {"ranks": [True, 1]}}},
         "'ranks'",
     ),
+    # (2, 2) == (2.0, 2.0), so a float dim would pass the shape check
+    "dim-bool": ({"dim": True, "kraus": [{"re": [[1.0]]}]}, "dim must be an integer"),
+    "dim-float": ({"dim": 2.0, "kraus": [{"re": np.eye(2).tolist()}]}, "dim must be an integer"),
+    "dim-string": ({"dim": "2", "kraus": [{"re": np.eye(2).tolist()}]}, "dim must be an integer"),
 }
 
 

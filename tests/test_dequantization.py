@@ -714,9 +714,3 @@ class TestTrendVerdict:
     def test_even_count_median_is_the_mean_of_the_middle_two(self):
         # median 2.5 caps the maximum at exactly 25; the lower middle entry would not
         assert trend_verdict([0.0, 2.0, 3.0, 25.0], 1e-8) == "bounded"
-
-    def test_median_is_numpys(self, rng):
-        for size in range(1, 21):
-            for scale in (1.0, 1e-9, 1e6):
-                vals = [float(x) for x in scale * rng.standard_exponential(size)]
-                assert dequantization._median(vals) == np.median(vals)

@@ -207,19 +207,37 @@ class TestCertifiedFull:
     @settings(max_examples=20, deadline=None)
     @given(planted_spectra(row_range=(65, 200), scales=(2.0**-1060,)))
     def test_subnormal_input_certifies_only_full_rows(self, planted):
-        # the largest entry is subnormal.  The certificate scales it up exactly,
-        # but an SVD of the input itself errs by the subnormal spacing, about
-        # 3e-5 of the largest singular value here, so the rule is read on the
-        # copy scaled up by 2^1060 (exact) that also gives ``q``
+        # the largest entry is subnormal.  The certificate and orthonormal_range
+        # scale it up exactly, since an SVD of the input itself errs by the
+        # subnormal spacing, about 3e-5 of the largest singular value here; the
+        # rule is read on the copy scaled up by 2^1060 (exact) that also gives ``q``
         a, tol, q = planted
         rows, cols = a.shape
         unscaled = np.ldexp(a.view(float), 1060).view(complex)
+        rank = _rank(np.linalg.svd(unscaled, compute_uv=False), tol)
+        assert orthonormal_range(a, tol).shape[1] == rank
+        assert (_range_unless_full(a, tol) is None) == (rank == rows)
         if _certified_full(a, tol):
-            assert _rank(np.linalg.svd(unscaled, compute_uv=False), tol) == rows
+            assert rank == rows
         if q >= 2 * cutoff(rows, cols, tol):
             assert _certified_full(a, tol)
         elif q <= cutoff(rows, cols, tol) / 2:
             assert not _certified_full(a, tol)
+
+    def test_subnormal_rank_is_the_rescaled_copys(self):
+        # 65 x 65, smallest singular value 10^-4.9 to 10^-4.2 of the largest:
+        # an SVD of the subnormal input itself found rank 64 for 6 of these seeds
+        tol = Tolerances(rank_rel_tol=1e-9)
+        for seed in range(16):
+            rng = np.random.default_rng(seed)
+            low = 10.0 ** rng.uniform(-4.9, -4.2)
+            s = np.concatenate([[1.0], 10.0 ** rng.uniform(-3.0, 0.0, 63), [low]])
+            a = ((haar_unitary(rng, 65) * s) @ haar_unitary(rng, 65)) * 2.0**-1060
+            unscaled = np.ldexp(a.view(float), 1060).view(complex)
+            rank = _rank(np.linalg.svd(unscaled, compute_uv=False), tol)
+            assert rank == 65, seed
+            assert orthonormal_range(a, tol).shape[1] == rank, seed
+            assert _range_unless_full(a, tol) is None, seed
 
     @pytest.mark.parametrize("rows", [1, 63, 64, 65, 128, 257])
     def test_panel_edges(self, rows):

@@ -3,6 +3,7 @@ checks of the source: docstring roles resolve and every import is used."""
 
 import ast
 import contextlib
+import dataclasses
 import inspect
 import io
 import json
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import krausfock
 from krausfock import catalog, channel, cli, dequantization, dilation, linalg, subproduct
@@ -55,6 +57,42 @@ def test_each_value_is_given_once():
     for fn, params in signatures.items():
         assert list(inspect.signature(fn).parameters) == params, fn.__name__
     assert catalog.PARAMETERS["projective"] == ("d", "ranks")
+
+
+def test_each_family_is_declared_by_its_constructor():
+    # names and defaults live in the signature alone
+    constructors = {
+        "identity": catalog.identity_channel,
+        "unitary": catalog.unitary_channel,
+        "projective": catalog.projective_measurement,
+        "commuting_generic": catalog.commuting_generic,
+        "random_unital": catalog.random_unital,
+        "sequential_projective": catalog.sequential_projective,
+    }
+    assert catalog.FAMILIES == tuple(constructors)
+    for family, constructor in constructors.items():
+        assert catalog.PARAMETERS[family] == tuple(inspect.signature(constructor).parameters)
+
+
+def test_the_spec_refuses_what_the_build_cannot_build():
+    # a missing size or an oversized instance raises at CatalogSpec, not at build_catalog
+    for family in catalog.FAMILIES:
+        sizes = [name for name in ("d", "n") if name in catalog.PARAMETERS[family]]
+        for missing in sizes:
+            given = {name: 2 for name in sizes if name != missing}
+            with pytest.raises(ValueError, match=f"needs parameter '{missing}'"):
+                catalog.CatalogSpec(family, **given)
+        with pytest.raises(ValueError, match="needs parameter 'd'"):
+            catalog.CatalogSpec(family)
+        # d^2 = 2^26 entries a Kraus operator, over MAX_ENTRIES = 2^24
+        with pytest.raises(ValueError, match="Kraus entries"):
+            catalog.CatalogSpec(family, **{name: 2**13 for name in sizes})
+
+
+def test_convergence_report_stores_no_verdicts():
+    # derived when read, so converge, which never reads them, never computes them
+    names = [f.name for f in dataclasses.fields(dequantization.ConvergenceReport)]
+    assert "verdicts" not in names and "residual_tol" in names
 
 
 def test_tolerances_enter_through_the_kraus_set():

@@ -594,6 +594,21 @@ class TestTruncatedFock:
         expected[fock.offsets[1] + 1] = 1.0
         assert np.allclose(column, expected, atol=1e-12)
 
+    def test_letter_out_of_range_is_refused_at_every_top(self):
+        # as shift_left refuses it; a letter used to wrap around, overrun the
+        # blocks, or give a 1 x 1 zero at top 0
+        s = build_subproduct(commuting_generic(2, 4, seed=0), 3)
+        for top in range(4):
+            fock = truncated_fock(s, top)
+            for k in (-1, 2, 5):
+                for matrix in (fock.left_shift_matrix, fock.right_shift_matrix):
+                    with pytest.raises(ValueError, match=f"letter {k} out of range"):
+                        matrix(k)
+            for k in range(2):
+                assert fock.left_shift_matrix(k).shape == (sum(s.dims[: top + 1]),) * 2
+        with pytest.raises(ValueError, match="letter -1 out of range"):
+            shift_left(s, -1, 0)
+
 
 def test_public_level_functions_stay_polynomial(commuting212, rng):
     # a new public name is listed here, with a call at a deep level, on purpose
