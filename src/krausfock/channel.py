@@ -113,7 +113,7 @@ def check_state(kraus: KrausSet, rho) -> np.ndarray:
     if eigs[0] < -tol.residual_tol:
         raise ValueError(f"state is not positive (eigenvalue {eigs[0]:.3e})")
     if abs(np.trace(rho) - 1.0) > tol.residual_tol:
-        raise ValueError(f"state trace {np.trace(rho):.6f} differs from 1")
+        raise ValueError(f"state trace {float(np.trace(rho).real)!r} differs from 1")
     return rho
 
 

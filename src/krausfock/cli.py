@@ -46,11 +46,17 @@ the failure arose while input was read: ``load_document`` and
 ``channel_from_document`` raise :class:`InputError`, the latter also for
 every ``ValueError`` the library raises on what it is given, and ``main``
 maps it to 2.  After loading, a ``ValueError`` exits 1 in every command.
+
+:func:`main` may be called many times in one process, as the tests, the
+benchmark and notebooks do.  It builds its parser on the first call and only
+reads it afterwards, so a call carries no flag or default over to the next;
+a command run from the shell builds one parser, as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -493,7 +499,13 @@ def _level(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared after it.
+
+    Callers only read it: parsing returns a fresh namespace and leaves the
+    parser as it was.
+    """
     parser = argparse.ArgumentParser(
         prog="krausfock",
         description="Level spaces, dilations and dequantization reports for Kraus channels",
@@ -557,8 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._argv = ["krausfock"] + argv
     try:
         return args.func(args)

@@ -234,9 +234,13 @@ def partial_trace_left(m, dim_left: int, dim_right: int) -> np.ndarray:
 
 
 def operator_norm(a) -> float:
-    """Largest singular value; zero for empty matrices."""
+    """Largest singular value; zero for empty matrices, ``inf`` for one with
+    an infinite entry and no NaN entry."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    norm = float(np.linalg.norm(a, 2))
+    if np.isnan(norm) and not np.isnan(a).any():
+        return np.inf  # LAPACK's SVD is NaN for an infinite entry, which bounds the norm
+    return norm
 

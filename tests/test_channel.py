@@ -162,6 +162,7 @@ class TestGuards:
             (np.array([[1.0, 1.0], [0.0, 0.0]]), "Hermitian"),
             (np.diag([1.5, -0.5]), "positive"),
             (np.eye(2), "trace"),
+            (np.diag([1e200, 0.0]), r"^state trace 1e\+200 differs from 1$"),
         ]:
             with pytest.raises(ValueError, match=message):
                 check_state(k, bad)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -30,6 +31,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def src_env() -> dict:
+    """The environment with one BLAS thread and this checkout's ``src`` first
+    on the import path, for a child interpreter."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def make_catalog_doc(tmp_path, name="chan.json", state=None, **catalog):
@@ -298,6 +308,8 @@ class TestDims:
         assert ladder("default.json") == [4, 6, 6, 6, 6]
         assert ladder("tol.json", rank_rel_tol=1e-3) == [4, 4, 4, 4, 4]
         assert ladder("flag.json", "--tol-rank", "1e-3") == [4, 4, 4, 4, 4]
+        # the flag does not carry over to the next call
+        assert ladder("default.json") == [4, 6, 6, 6, 6]
 
 
 class TestSubproductCheck:
@@ -929,6 +941,16 @@ class TestExitCodes:
         assert code == 1
         assert "not unital" in err
 
+    def test_infinite_unitality_residual_reads_inf(self, tmp_path, capsys):
+        # K†K = 1e400 overflows, and LAPACK's SVD of the infinite residual is NaN
+        chan = tmp_path / "huge.json"
+        chan.write_text(json.dumps({"dim": 1, "kraus": [{"re": [[1e200]]}]}))
+        code, out, _ = run(capsys, "validate", str(chan))
+        assert code == 1
+        assert out.splitlines()[0] == "unitality_residual = inf"
+        code, out, err = run(capsys, "dims", str(chan))
+        assert (code, out, err) == (1, "", "error: Kraus set is not unital (residual inf)\n")
+
     @pytest.mark.parametrize("command", ["complementary", "dequantize", "converge"])
     def test_non_psd_state_exits_2(self, tmp_path, capsys, command):
         code, out, err = run(capsys, *self.argv(tmp_path, command, NON_PSD_STATE))
@@ -988,18 +1010,113 @@ class TestReportWriter:
         # about 800 kB, more than a pipe holds, so the reader's exit is seen
         chan = make_catalog_doc(tmp_path, family="random_unital", n=2, d=16, seed=0)
         obs = make_observable(tmp_path, np.eye(16))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         argv = ["dequantize", chan, "--observable", obs, "--level", "7"]
         with subprocess.Popen(
             [sys.executable, "-m", "krausfock.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=src_env(),
         ) as proc:
             assert proc.stdout.read(20).startswith(b"{")
             proc.stdout.close()
             err = proc.stderr.read()
             code = proc.wait(timeout=120)
         assert (code, err) == (0, b"")
+
+
+class TestRepeatedCalls:
+    """``main`` builds one parser per process, and a call carries nothing to the next."""
+
+    PARSERS_BUILT = """
+import argparse, contextlib, io, sys
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    built.append(self.prog)
+
+argparse.ArgumentParser.__init__ = counted
+import krausfock.cli
+print(built.count("krausfock"))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [krausfock.cli.main(argv.split("|")) for argv in sys.argv[1:]]
+print(codes, built.count("krausfock"))
+"""
+
+    def test_a_process_builds_one_parser(self, tmp_path):
+        chan = make_catalog_doc(tmp_path, family="projective", d=2)
+        calls = [f"validate|{chan}", f"dims|{chan}|--max-m|2", "catalog|--family|projective|--d|2"]
+        result = subprocess.run(
+            [sys.executable, "-c", self.PARSERS_BUILT, *calls],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        # none at import; one, shared by the subcommands, after three calls
+        assert result.stdout.splitlines() == ["0", "[0, 0, 0] 1"]
+
+    def test_usage_error_leaves_the_next_call_working(self, tmp_path, capsys):
+        chan = make_catalog_doc(tmp_path, family="projective", d=3)
+        with pytest.raises(SystemExit) as exc:
+            main(["dims", chan, "--bogus"])
+        assert exc.value.code == 2
+        assert "--bogus" in capsys.readouterr().err
+        code, out, err = run(capsys, "dims", chan, "--max-m", "2")
+        assert (code, err) == (0, "")
+        assert [line.split(",")[1] for line in out.splitlines() if line[:1].isdigit()] == ["3", "3"]
+
+    def test_plain_validate_after_minimalize_writes_nothing(self, tmp_path, capsys):
+        chan = make_catalog_doc(tmp_path, family="random_unital", n=2, d=3, seed=1)
+        reduced = tmp_path / "reduced.json"
+        code, out, _ = run(capsys, "validate", chan, "--minimalize", "--out", str(reduced))
+        assert code == 0
+        assert out.splitlines()[-1].endswith(f"written to {reduced}")
+        reduced.unlink()
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        code, out, err = run(capsys, "validate", chan)
+        assert (code, err) == (0, "")
+        assert "written" not in out
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+class TestCyclicGarbage:
+    def test_a_warm_command_leaves_none(self, tmp_path, capsys):
+        # a parser dropped after each call is freed only by the cyclic collector
+        chan = make_catalog_doc(tmp_path, family="random_unital", n=2, d=3, seed=1)
+        a = make_observable(tmp_path, np.diag([1.0, -1.0, 0.5]), name="a.json")
+        b = make_observable(tmp_path, np.eye(3, k=1) + np.eye(3, k=-1), name="b.json")
+        docs = {"non-unital": NON_UNITAL, "ragged": MALFORMED["ragged-kraus-matrix"][0]}
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        commands = {
+            "validate": (["validate", chan], 0),
+            "validate --minimalize": (
+                ["validate", chan, "--minimalize", "--out", str(tmp_path / "reduced.json")],
+                0,
+            ),
+            "dims": (["dims", chan, "--max-m", "3"], 0),
+            "subproduct-check": (["subproduct-check", chan, "--max-m", "3"], 0),
+            "dilate": (["dilate", chan, "--max-m", "2"], 0),
+            "complementary": (["complementary", chan], 0),
+            "dequantize": (["dequantize", chan, "--observable", a, "--level", "2"], 0),
+            "converge": (["converge", chan, "--observables", a, b, "--max-m", "3"], 0),
+            "catalog": (["catalog", "--family", "random_unital", "--n", "2", "--d", "3"], 0),
+            "exit 1": (["dims", str(tmp_path / "non-unital.json"), "--max-m", "2"], 1),
+            "exit 2": (["dims", str(tmp_path / "ragged.json"), "--max-m", "2"], 2),
+        }
+        for argv, _ in commands.values():  # first calls fill caches
+            main(argv)
+        left = {}
+        gc.collect()
+        gc.disable()
+        try:
+            for name, (argv, expected) in commands.items():
+                assert main(argv) == expected, name
+                left[name] = gc.collect()
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert left == dict.fromkeys(commands, 0)

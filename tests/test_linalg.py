@@ -372,3 +372,11 @@ def test_kron_power_apply_matches_explicit(rng):
 
 def test_operator_norm_empty():
     assert operator_norm(np.zeros((3, 0))) == 0.0
+
+
+@pytest.mark.parametrize(
+    "a", [[[np.inf]], [[1.0, -np.inf]], [[complex(0.0, np.inf), 0.0], [0.0, 1.0]]]
+)
+def test_operator_norm_of_an_infinite_entry_is_inf(a):
+    # LAPACK's SVD gives NaN here; the norm is at least every entry's modulus
+    assert operator_norm(a) == np.inf
