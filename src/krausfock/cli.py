@@ -145,7 +145,9 @@ def _real_rows(rows, what: str) -> np.ndarray:
         raise InputError(f"{what} is ragged: every row needs the same nonzero length")
     for row in rows:
         for x in row:
-            _number(x, f"{what} entry")
+            # a finite float passes as is; anything else gets _number's check and message
+            if not (type(x) is float and -math.inf < x < math.inf):
+                _number(x, f"{what} entry")
     return np.array(rows, dtype=float)
 
 

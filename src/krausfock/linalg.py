@@ -5,7 +5,11 @@ row-major layout.  Every routine is a pure function of its arguments.
 
 :func:`orthonormal_range` decides ranks by one rule on singular values
 (:func:`_rank`); the same rule decides full levels and singular correlation
-levels.  :func:`_range_unless_full` reaches the rule's decision that a set
+levels.  A wide input ``a`` gives its singular values and range from the
+square triangular factor of ``a^T = Q R`` (the R-SVD; T. F. Chan, "An
+improved algorithm for computing the singular value decomposition", ACM
+TOMS 8 (1982) 72-83), so no right singular vectors are formed.
+:func:`_range_unless_full` reaches the rule's decision that a set
 of rows spans everything more cheaply far from the threshold: one Cholesky
 factorization of the Gram matrix, shifted down by a multiple of its trace,
 certifies a full row rank that the rule would also find (S. M. Rump,
@@ -89,14 +93,25 @@ def orthonormal_range(columns, tol: Tolerances) -> np.ndarray:
     empty or all-zero input yields a matrix with zero columns.  An input
     whose largest real or imaginary part is subnormal is first scaled up by
     an exact power of two: LAPACK's singular values of the input as given
-    would err by the subnormal spacing, which can move the rank.
+    would err by the subnormal spacing, which can move the rank.  One whose
+    largest part exceeds ``2^500`` is scaled down alike, so that no column
+    norm of the factorizations below overflows.
+
+    A wide ``rows x cols`` input ``a``, ``rows < cols``, is then replaced by
+    ``R^T`` from ``a^T = Q R``, ``R`` square: ``a = R^T Q^T`` and ``Q^T`` has
+    orthonormal rows, so ``R^T`` has the singular values and left singular
+    vectors of ``a``.  The rank rule is read on them unchanged, and the SVD
+    forms no right singular vectors of length ``cols``.  A square or tall
+    input keeps the SVD of itself, whose range needs ``Q``.
     """
     a = as_matrix(columns)
     if a.size == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
     top = _largest_part(a)
-    if 0.0 < top < np.finfo(float).tiny:
+    if 0.0 < top < np.finfo(float).tiny or top > 2.0**500:
         a = _scaled(a, -np.frexp(top)[1])
+    if a.shape[0] < a.shape[1]:
+        a = np.linalg.qr(a.T, mode="r").T
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return u[:, : _rank(s, tol)]
 
@@ -235,12 +250,15 @@ def partial_trace_left(m, dim_left: int, dim_right: int) -> np.ndarray:
 
 def operator_norm(a) -> float:
     """Largest singular value; zero for empty matrices, ``inf`` for one with
-    an infinite entry and no NaN entry."""
+    an infinite entry, NaN for one with a NaN entry and no infinite one.
+
+    A non-finite input never reaches LAPACK, whose SVD fails to converge on
+    a NaN entry, returns NaN for an infinite one, and on some prints a
+    complaint straight to a file descriptor, past Python's streams."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0.0
-    norm = float(np.linalg.norm(a, 2))
-    if np.isnan(norm) and not np.isnan(a).any():
-        return np.inf  # LAPACK's SVD is NaN for an infinite entry, which bounds the norm
-    return norm
+    if not _largest_part(a) < np.inf:  # a NaN or an infinite part
+        return np.inf if np.isinf(a).any() else np.nan
+    return float(np.linalg.norm(a, 2))
 

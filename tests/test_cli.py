@@ -951,6 +951,29 @@ class TestExitCodes:
         code, out, err = run(capsys, "dims", str(chan))
         assert (code, out, err) == (1, "", "error: Kraus set is not unital (residual inf)\n")
 
+    def test_undefined_unitality_residual_reads_inf(self, tmp_path, capsys):
+        # K†K holds inf - inf, on which LAPACK's SVD does not converge
+        chan = tmp_path / "huge.json"
+        huge = [[1e200, 1e200], [1e200, -1e200]]
+        chan.write_text(json.dumps({"dim": 2, "kraus": [{"re": huge}]}))
+        code, out, err = run(capsys, "validate", str(chan))
+        assert (code, err) == (1, "")
+        assert out.splitlines()[0] == "unitality_residual = inf"
+        code, out, err = run(capsys, "dims", str(chan))
+        assert (code, out, err) == (1, "", "error: Kraus set is not unital (residual inf)\n")
+
+    def test_infinite_residual_writes_nothing_past_python(self, tmp_path, capfd):
+        # handed the all-infinite residual, LAPACK reports an illegal DLASCL
+        # argument straight to a file descriptor, past sys.stdout and
+        # sys.stderr; capfd reads both descriptors
+        chan = tmp_path / "huge.json"
+        chan.write_text(json.dumps({"dim": 3, "kraus": [{"re": [[1e200] * 3] * 3}]}))
+        code = main(["validate", str(chan)])
+        out, err = capfd.readouterr()
+        assert "DLASCL" not in out + err
+        assert (code, err) == (1, "")
+        assert out.splitlines()[0] == "unitality_residual = inf"
+
     @pytest.mark.parametrize("command", ["complementary", "dequantize", "converge"])
     def test_non_psd_state_exits_2(self, tmp_path, capsys, command):
         code, out, err = run(capsys, *self.argv(tmp_path, command, NON_PSD_STATE))

@@ -85,11 +85,116 @@ class TestOrthonormalRange:
     def test_zero_input(self):
         b = orthonormal_range(np.zeros((4, 2)), Tolerances())
         assert b.shape == (4, 0)
+        assert orthonormal_range(np.zeros((3, 11)), Tolerances()).shape == (3, 0)
 
     def test_column_count_is_numerical_rank(self, rng):
         mat = random_complex(rng, 6, 2) @ random_complex(rng, 2, 6)
         assert orthonormal_range(mat, Tolerances()).shape[1] == 2
         assert orthonormal_range(np.zeros((3, 3)), Tolerances()).shape[1] == 0
+
+
+@st.composite
+def wide_spectra(draw):
+    """A ``rows x cols`` matrix, ``rows < cols``, with planted singular values
+    clear of the rank threshold by at least 10x on both sides: largest 1, the
+    kept ones log-uniform in ``[10 tau, 1]``, the dropped ones log-uniform in
+    ``[1e-8 tau, tau / 10]`` or zero; then scaled by a power of two.  Returns
+    the matrix, the tolerances and the planted rank."""
+    tau = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    rows = draw(st.integers(1, 40))
+    cols = draw(st.integers(rows + 1, 160))
+    rank = draw(st.integers(1, rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kept = 10.0 ** rng.uniform(np.log10(10.0 * tau), 0.0, rank)
+    kept[0] = 1.0
+    dropped = 10.0 ** rng.uniform(np.log10(tau) - 8.0, np.log10(tau / 10.0), rows - rank)
+    if draw(st.booleans()):
+        dropped[:] = 0.0
+    s = np.concatenate([kept, dropped])
+    scale = draw(st.sampled_from([1.0, 2.0**600, 2.0**-600]))
+    a = ((haar_unitary(rng, rows) * s) @ haar_unitary(rng, cols)[:rows]) * scale
+    return a, Tolerances(rank_rel_tol=tau), rank
+
+
+def svd_calls(run):
+    """``run()`` and, for each call of ``np.linalg.svd`` it made, the shape of
+    the input and the singular values."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(x, *args, **kwargs):
+        u, s, vh = svd(x, *args, **kwargs)
+        calls.append((x.shape, s))
+        return u, s, vh
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "svd", spy)
+        return run(), calls
+
+
+class TestWideRange:
+    """A wide input's range, taken from the triangular factor of its
+    transpose, against the direct SVD of the input."""
+
+    @staticmethod
+    def check(a, tol):
+        """The rank, the range and the singular values relative to the
+        largest (an input beyond ``2^500`` is scaled down first) agree with
+        the direct SVD's; returns the rank.  Two backward stable ranges
+        differ by about ``eps s_max / sigma_k`` (Wedin), so the projector
+        distance is held to 1e-12 for ``sigma_k >= 1e-3 s_max`` and to
+        ``1e-15 s_max / sigma_k`` below."""
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
+        rank = _rank(s, tol)
+        q, [(_, seen)] = svd_calls(lambda: orthonormal_range(a, tol))
+        assert q.shape == (a.shape[0], rank)
+        assert np.max(np.abs(seen / seen[0] - s / s[0])) <= 1e-13
+        p = u[:, :rank]
+        distance = operator_norm(q @ q.conj().T - p @ p.conj().T)
+        assert distance <= (max(1e-12, 1e-15 * s[0] / s[rank - 1]) if rank else 0.0)
+        return rank
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_spectra())
+    def test_agrees_with_the_direct_svd(self, planted):
+        a, tol, rank = planted
+        assert self.check(a, tol) == rank
+
+    @pytest.mark.parametrize(
+        "shape, factored", [((5, 30), (5, 5)), ((30, 5), (30, 5)), ((7, 7), (7, 7))]
+    )
+    def test_only_a_wide_input_is_factored(self, rng, shape, factored):
+        a = random_complex(rng, *shape)
+        _, [(seen, _)] = svd_calls(lambda: orthonormal_range(a, Tolerances()))
+        assert seen == factored
+
+    def test_subnormal_input(self, rng):
+        # the largest part is subnormal, so the input is scaled up by an exact
+        # power of two before the factorization; the rank and range are those
+        # of the copy scaled back up by 2^1024
+        tol = Tolerances()
+        s = np.concatenate([np.geomspace(1.0, 1e-3, 6), [1e-11, 0.0]])
+        a = ((haar_unitary(rng, 8) * s) @ haar_unitary(rng, 50)[:8]) * 2.0**-1024
+        assert 0.0 < np.abs(a.view(float)).max() < np.finfo(float).tiny
+        unscaled = np.ldexp(a.view(float), 1024).view(complex)
+        assert self.check(unscaled, tol) == 6
+        q = orthonormal_range(a, tol)
+        assert q.shape == (8, 6)
+        p = orthonormal_range(unscaled, tol)
+        assert operator_norm(q @ q.conj().T - p @ p.conj().T) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(2, 5), (5, 2)])
+    def test_huge_input(self, shape):
+        # scaled down first: a column norm of 1e308 sqrt(5) would overflow
+        a = np.full(shape, 1e308, dtype=complex)
+        q = orthonormal_range(a, Tolerances())
+        assert q.shape == (shape[0], 1)
+        assert np.allclose(np.abs(q), 1.0 / np.sqrt(shape[0]), rtol=1e-14)
+
+    def test_single_row(self, rng):
+        q = orthonormal_range(random_complex(rng, 1, 9), Tolerances())
+        assert q.shape == (1, 1) and abs(abs(q[0, 0]) - 1.0) < 1e-15
+        assert orthonormal_range(np.zeros((1, 9)), Tolerances()).shape == (1, 0)
 
 
 class TestSpansAll:
@@ -375,8 +480,22 @@ def test_operator_norm_empty():
 
 
 @pytest.mark.parametrize(
-    "a", [[[np.inf]], [[1.0, -np.inf]], [[complex(0.0, np.inf), 0.0], [0.0, 1.0]]]
+    "a",
+    [
+        [[np.inf]],
+        [[1.0, -np.inf]],
+        [[complex(0.0, np.inf), 0.0], [0.0, 1.0]],
+        [[np.nan]],
+        [[np.inf, np.nan]],
+    ],
 )
-def test_operator_norm_of_an_infinite_entry_is_inf(a):
-    # LAPACK's SVD gives NaN here; the norm is at least every entry's modulus
-    assert operator_norm(a) == np.inf
+def test_operator_norm_of_an_infinite_entry_is_inf(monkeypatch, a):
+    # the norm is at least every entry's modulus, so an infinite entry makes it
+    # infinite, NaN entries or not; NaN entries alone leave it undefined.
+    # LAPACK sees neither: its SVD fails on a NaN entry and is NaN on an infinite one
+    monkeypatch.setattr(np.linalg, "norm", None)
+    norm = operator_norm(a)
+    if np.isinf(a).any():
+        assert norm == np.inf
+    else:
+        assert np.isnan(norm)

@@ -89,7 +89,9 @@ class TestBuild:
         # singular values are taken only where the Cholesky certificate cannot
         # decide: not in the guard, not at the full levels of a generic
         # family, but from the first level that is not full on, one SVD a
-        # level, whose range both decides the level and gives its chain factor
+        # level, whose range both decides the level and gives its chain
+        # factor.  The 2 d x 144 candidate rows are wide, so that SVD reads
+        # their square triangular factor
         probes = []
         svd = np.linalg.svd
 
@@ -102,7 +104,7 @@ class TestBuild:
         assert probes == []
         dims = build_subproduct(commuting_generic(2, 12, seed=0), 12).dims
         assert dims[:3] == [1, 2, 3]
-        assert probes == [(2 * dim, 144) for dim in dims[1:12]]
+        assert probes == [(2 * dim, 2 * dim) for dim in dims[1:12]]
 
     def test_levels_are_frozen(self, commuting212):
         # a write into a returned level would silently change every later
