@@ -101,19 +101,27 @@ def require_unital_minimal(kraus: KrausSet) -> None:
 
 
 def check_state(kraus: KrausSet, rho) -> np.ndarray:
-    """Coerce ``rho`` and require a Hermitian, PSD, trace-one ``d``-square matrix."""
+    """Coerce ``rho`` and require a Hermitian, PSD, trace-one ``d``-square matrix.
+
+    Sums and differences of entries are formed on ``rho / 2``, so none
+    overflows, and doubled as Python numbers, which round a value beyond
+    float range to ``inf`` silently; above the subnormal range every value
+    equals the one formed on ``rho`` itself.
+    """
     rho = as_matrix(rho)
     if rho.shape != (kraus.dim, kraus.dim):
         raise ValueError(f"state must be {kraus.dim}x{kraus.dim}, got {rho.shape}")
     tol = kraus.tol
-    gap = operator_norm(rho - rho.conj().T)
+    half = rho / 2.0
+    gap = 2.0 * operator_norm(half - half.conj().T)
     if gap > tol.residual_tol:
         raise ValueError(f"state is not Hermitian (asymmetry {gap:.3e})")
-    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+    eigs = np.linalg.eigvalsh(half + half.conj().T)
     if eigs[0] < -tol.residual_tol:
         raise ValueError(f"state is not positive (eigenvalue {eigs[0]:.3e})")
-    if abs(np.trace(rho) - 1.0) > tol.residual_tol:
-        raise ValueError(f"state trace {float(np.trace(rho).real)!r} differs from 1")
+    trace = 2.0 * complex(np.trace(half))
+    if abs(trace - 1.0) > tol.residual_tol:
+        raise ValueError(f"state trace {trace.real!r} differs from 1")
     return rho
 
 

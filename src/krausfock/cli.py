@@ -39,8 +39,9 @@ report to a file instead of stdout.  ``validate`` prints its report and
 takes ``--out`` only with ``--minimalize``, which writes the reduced channel
 there, by default over the input.  ``dims``,
 ``subproduct-check``, ``dilate`` and ``converge`` build every level up to
-``--max-m``, ``dequantize`` up to ``--level``; a level holds at most
-``(n + 1) d^4`` entries, so cost is polynomial in the level.  Exit codes: 0
+``--max-m``, ``dequantize`` up to ``--level``; a level keeps its chain
+factor, at most ``n d^4`` entries, and the generators of one level are kept
+besides, so cost is polynomial in the level.  Exit codes: 0
 success, 1 validation or acceptance failure, 2 input error.  Exit 2 means
 the failure arose while input was read: ``load_document`` and
 ``channel_from_document`` raise :class:`InputError`, the latter also for
@@ -73,7 +74,7 @@ from .channel import KrausSet, apply_heisenberg, check_state, minimal_kraus, val
 from .dequantization import (
     ConvergenceReport,
     CorrelationData,
-    convergence_report,
+    _diagnostics,
     correlation_matrix,
     correlations,
     dequantize,
@@ -460,17 +461,21 @@ def cmd_converge(args) -> int:
     mats = [_load_observable(path, kraus.dim) for path in args.observables]
     system = build_subproduct(kraus, args.max_m)
     spec = state_spec(kraus, state)
-    # rows for the levels below the first singular one, then that level's error
-    levels, singular = {}, None
+    # one upward pass: each level's correlations, then its row, so every
+    # level's generators are formed once; the levels below the first
+    # singular one get rows, then that level's error is raised
+    corr = CorrelationData(kraus, system, spec, {})
+    row = _diagnostics(corr, *mats)
+    rows, singular = [], None
     for m in range(1, args.max_m + 1):
         try:
-            levels[m] = correlation_matrix(kraus, system, spec, m)
+            # a row reads its own level only, so no earlier level is kept
+            corr.levels = {m: correlation_matrix(kraus, system, spec, m)}
         except SingularMatrixError as exc:
             singular = exc
             break
-    corr = CorrelationData(kraus, system, spec, levels)
-    report = convergence_report(corr, mats[0], mats[1])
-    _emit_csv(["m", *ConvergenceReport._COLUMNS], report.rows(), digest, args)
+        rows.append((m, *row(m)))
+    _emit_csv(["m", *ConvergenceReport._COLUMNS], rows, digest, args)
     if singular is not None:
         raise singular
     return 0

@@ -369,28 +369,43 @@ def trend_verdict(seq, tol: float) -> str:
     return "irregular"
 
 
-def _level_diagnostics(
-    corr: CorrelationData, a, b, ab, comm, m: int, norm_a: float, ref
-) -> tuple:
-    """The four diagnostics at level ``m``; its level operators die at return."""
-    pa = dequantize(corr, a, m)
-    level = corr.levels[m]
-    norm_gap = abs(operator_norm(pa) - norm_a)
-    # Tr(Q_m Psi_m(A)) without the d_m^3 product, before pb and pab exist
-    state_gap = float(abs(np.sum(level.matrix * pa.T) / level.trace - ref))
-    if corr.system.dims[m] == corr.kraus.dim**2:
-        # a complete level: Psi_m is a similarity, so a homomorphism; pa is
-        # not read again, so it is dropped before the commutator's level operator
-        del pa
-        return norm_gap, 0.0, m * operator_norm(dequantize(corr, comm, m)), state_gap
-    pb = dequantize(corr, b, m)
-    pab = dequantize(corr, ab, m)
-    # one product for both residuals, subtracted in place, so that no more
-    # matrices are alive at once than with two products
-    papb = pa @ pb
-    vn_res = operator_norm(np.subtract(pab, papb, out=pab))
-    papb -= pb @ pa
-    return norm_gap, vn_res, m * operator_norm(papb), state_gap
+def _diagnostics(corr: CorrelationData, a, b):
+    """The row function of :func:`convergence_report` for observables ``a, b``.
+
+    It maps a level ``m`` of ``corr`` to its four diagnostics, in the order
+    of ``ConvergenceReport._COLUMNS``; its level operators die at return.
+    ``corr.levels`` is read at the call, so a caller may add each level just
+    before its row.
+    """
+    a = as_matrix(a)
+    b = as_matrix(b)
+    norm_a = operator_norm(a)
+    ab = a @ b
+    comm = ab - b @ a
+    ref = np.trace(corr.state.rho0 @ a)
+    complete = corr.kraus.dim**2
+
+    def row(m: int) -> tuple:
+        pa = dequantize(corr, a, m)
+        level = corr.levels[m]
+        norm_gap = abs(operator_norm(pa) - norm_a)
+        # Tr(Q_m Psi_m(A)) without the d_m^3 product, before pb and pab exist
+        state_gap = float(abs(np.sum(level.matrix * pa.T) / level.trace - ref))
+        if corr.system.dims[m] == complete:
+            # a complete level: Psi_m is a similarity, so a homomorphism; pa is
+            # not read again, so it is dropped before the commutator's level operator
+            del pa
+            return norm_gap, 0.0, m * operator_norm(dequantize(corr, comm, m)), state_gap
+        pb = dequantize(corr, b, m)
+        pab = dequantize(corr, ab, m)
+        # one product for both residuals, subtracted in place, so that no more
+        # matrices are alive at once than with two products
+        papb = pa @ pb
+        vn_res = operator_norm(np.subtract(pab, papb, out=pab))
+        papb -= pb @ pa
+        return norm_gap, vn_res, m * operator_norm(papb), state_gap
+
+    return row
 
 
 def convergence_report(corr: CorrelationData, a, b) -> ConvergenceReport:
@@ -404,14 +419,8 @@ def convergence_report(corr: CorrelationData, a, b) -> ConvergenceReport:
     dequantizations instead of three and no level-sized products.  Every
     other level is evaluated from ``Psi_m(A)``, ``Psi_m(B)`` and ``Psi_m(AB)``.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    norm_a = operator_norm(a)
-    ab = a @ b
-    comm = ab - b @ a
-    ref = np.trace(corr.state.rho0 @ a)
-
+    row = _diagnostics(corr, a, b)
     levels = sorted(corr.levels)
-    rows = [_level_diagnostics(corr, a, b, ab, comm, m, norm_a, ref) for m in levels]
-    columns = ([row[i] for row in rows] for i in range(4))
+    values = [row(m) for m in levels]
+    columns = ([v[i] for v in values] for i in range(4))
     return ConvergenceReport(levels, *columns, corr.kraus.tol.residual_tol)

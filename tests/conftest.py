@@ -12,6 +12,7 @@ from krausfock import (
     shift_left,
     uniform_projective,
 )
+from krausfock.linalg import _range_unless_full
 from krausfock.subproduct import _transfer
 
 
@@ -129,6 +130,23 @@ def range_ladder(kraus, top):
         gens = (c.conj().T @ cand.reshape(-1, d * d)).reshape(-1, d, d)
         dims.append(c.shape[1])
     return dims
+
+
+def every_level(kraus, top):
+    """Chain factors and generator stacks ``G_0..G_top`` of a build that keeps
+    every level's stack, as :func:`krausfock.build_subproduct` did before it
+    kept one: an oracle for :meth:`~krausfock.SubproductSystem.generators`."""
+    d = kraus.dim
+    factors = [np.ones((1, 1), dtype=complex), None][: top + 1]
+    gens = [np.eye(d, dtype=complex).reshape(1, d, d), kraus.ops][: top + 1]
+    for _ in range(2, top + 1):
+        cand = (gens[-1][:, None] @ kraus.ops).reshape(-1, d, d)
+        rows = cand.transpose(0, 2, 1).reshape(-1, d * d)
+        decide = _range_unless_full if factors[-1] is None else orthonormal_range
+        c = decide(rows, kraus.tol)
+        factors.append(c)
+        gens.append(cand if c is None else (c.conj().T @ cand.reshape(-1, d * d)).reshape(-1, d, d))
+    return factors, gens
 
 
 def kron_power_apply(op, power, mat):

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import command_peaks
 import report_digests
 from krausfock.catalog import CatalogSpec, build_catalog
 from krausfock.cli import (
@@ -367,6 +368,16 @@ class TestRankDecisions:
         code, _, _ = run(capsys, command, path, "--max-m", "8")
         assert code == 0
         assert calls == expected
+
+
+def test_command_peaks_stop_growing_with_depth():
+    # commuting_generic(2,24) seed 3 saturates at m = 23, so a level past it
+    # adds a 24 x 48 chain factor and nothing else a command must keep: from
+    # m = 24 to 48 the peaks grow 1.38-1.46 times (1.95 to 2.85 MB for
+    # dequantize), where keeping every level's generators grew them 2.3-2.4 times
+    peaks = command_peaks.command_peaks(("dequantize", "converge", "dilate"))
+    for command, (shallow, deep) in peaks.items():
+        assert deep <= 1.6 * shallow, (command, shallow, deep)
 
 
 class TestReportDigests:
@@ -961,6 +972,28 @@ class TestExitCodes:
         assert out.splitlines()[0] == "unitality_residual = inf"
         code, out, err = run(capsys, "dims", str(chan))
         assert (code, out, err) == (1, "", "error: Kraus set is not unital (residual inf)\n")
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_complementary_checks_unitality_before_the_pairing(self, tmp_path, capfd, count):
+        # the bath pairing of this set overflows, and with the second matrix
+        # meets inf - inf too; the guard refuses the set before it is formed
+        kraus = [{"re": [[1e308, 1e308], [1e308, 1e308]]}, {"re": [[1e308, 0], [0, 1e308]]}]
+        chan = tmp_path / "huge.json"
+        chan.write_text(json.dumps({"dim": 2, "kraus": kraus[:count]}))
+        code = main(["complementary", str(chan)])
+        out, err = capfd.readouterr()
+        assert (code, out, err) == (1, "", "error: Kraus set is not unital (residual inf)\n")
+
+    @pytest.mark.parametrize("command", ["validate", "dims"])
+    def test_huge_asymmetric_state_reads_inf(self, tmp_path, capfd, command):
+        # rho - rho† would overflow: the asymmetry is beyond float range
+        doc = {"dim": 2, "kraus": [{"re": [[1.0, 0.0], [0.0, 1.0]]}]}
+        doc["state"] = {"re": [[1e308, 1e308], [-1e308, 0.0]]}
+        chan = tmp_path / "chan.json"
+        chan.write_text(json.dumps(doc))
+        code = main([command, str(chan)])
+        out, err = capfd.readouterr()
+        assert (code, out, err) == (2, "", "error: state is not Hermitian (asymmetry inf)\n")
 
     def test_infinite_residual_writes_nothing_past_python(self, tmp_path, capfd):
         # handed the all-infinite residual, LAPACK reports an illegal DLASCL

@@ -300,7 +300,8 @@ class TestCorrelations:
             w = (haar_unitary(rng, rows) * sv) @ haar_unitary(rng, 9)[:rows]
             k = KrausSet(np.eye(3)[None], tol=tol)
             gens = np.sqrt(3.0) * w.reshape(rows, 3, 3)
-            s = SubproductSystem(rows, [np.ones((1, 1)), None], [np.eye(3)[None], gens])
+            # a full level 1 whose G_1 is the planted stack
+            s = SubproductSystem(rows, [np.ones((1, 1)), None], gens)
             spec, m = state_spec(k, maximally_mixed(3)), 1
         else:
             k = KrausSet(commuting_generic(2, 12, seed=3).ops, tol=tol)

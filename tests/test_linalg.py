@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import krausfock.linalg
 from krausfock import (
     Tolerances,
     operator_norm,
@@ -479,6 +480,15 @@ def test_operator_norm_empty():
     assert operator_norm(np.zeros((3, 0))) == 0.0
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_operator_norm_equals_numpy_2_norm(rows, cols, seed):
+    # one SVD call gives the bits of np.linalg.norm(a, 2), which runs the
+    # same LAPACK routine and reduces its descending values by a maximum
+    a = random_complex(np.random.default_rng(seed), rows, cols)
+    assert operator_norm(a) == float(np.linalg.norm(a, 2))
+
+
 @pytest.mark.parametrize(
     "a",
     [
@@ -493,7 +503,7 @@ def test_operator_norm_of_an_infinite_entry_is_inf(monkeypatch, a):
     # the norm is at least every entry's modulus, so an infinite entry makes it
     # infinite, NaN entries or not; NaN entries alone leave it undefined.
     # LAPACK sees neither: its SVD fails on a NaN entry and is NaN on an infinite one
-    monkeypatch.setattr(np.linalg, "norm", None)
+    monkeypatch.setattr(krausfock.linalg, "_singular_values", None)
     norm = operator_norm(a)
     if np.isinf(a).any():
         assert norm == np.inf

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import krausfock.subproduct
 from krausfock import (
@@ -24,6 +26,7 @@ from conftest import (
     chain_basis,
     chain_factor,
     dense_level_basis,
+    every_level,
     full_levels,
     haar_unitary,
     kron_power_apply,
@@ -215,19 +218,30 @@ class TestImplicitIdentity:
                 assert abs(residual - expected) <= 1e-12 * max(1.0, expected), (m, l)
 
 
+def _held_bytes(a):
+    """Bytes of the buffer that the array ``a`` keeps alive."""
+    return (a if a.base is None else a.base).nbytes
+
+
 def test_full_levels_keep_no_identity():
-    # random_unital(2,16) seed 3 is full up to level 8: the build keeps its
-    # generator stacks, 2.09 MB, and no d_m x d_m identity (1.40 MB over 1..8)
-    kraus = random_unital(2, 16, seed=3)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        s = build_subproduct(kraus, 8)
-        kept = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert all(c is None for c in s.factors[1:])
-    assert kept - sum(g.nbytes for g in s.gen_stacks) < 0.1e6, kept
+    # a build keeps its chain factors and the top level's generators, nothing
+    # more.  random_unital(2,16) seed 3 is full up to level 8: no factor and
+    # the 1.05 MB of G_8, neither the stacks below it (1.04 MB) nor a
+    # d_m x d_m identity (1.40 MB over 1..8).  commuting_generic(2,24) seed 3
+    # is not full from level 2: to level 48 its factors hold 1.20 MB and G_48
+    # is 0.22 MB, against 8.3 MB for the stacks of all levels
+    cases = ((random_unital(2, 16, seed=3), 8, True), (commuting_generic(2, 24, seed=3), 48, False))
+    for kraus, top, full in cases:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            s = build_subproduct(kraus, top)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert all(c is None for c in s.factors[1:]) == full
+        factors = sum(_held_bytes(c) for c in s.factors if c is not None)
+        assert kept - factors - _held_bytes(s.generators(top)) < 0.1e6, (top, kept)
 
 
 class TestDenseOracle:
@@ -249,6 +263,39 @@ class TestDenseOracle:
                 assert gap <= 1e-12, (name, m, gap)
                 gens = np.einsum("wu,wij->uij", chain.conj(), word_stack(k, m))
                 assert np.max(np.abs(s.generators(m) - gens)) <= 1e-12, (name, m)
+
+
+ON_DEMAND_TOP = 8
+ON_DEMAND_FAMILIES = ("projective", "commuting", "random", "sequential", "small-angle")
+
+
+@pytest.fixture(scope="module")
+def kept_levels(catalog_quartet):
+    """Each family with the chain factors and stacks of a build that keeps every level."""
+    families = {**catalog_quartet, "small-angle": sequential_projective(4, 0.05, seed=0)}
+    return {name: (k, *every_level(k, ON_DEMAND_TOP)) for name, k in families.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(ON_DEMAND_FAMILIES),
+    order=st.lists(st.integers(0, ON_DEMAND_TOP), min_size=1, max_size=12),
+)
+def test_generators_in_any_order_match_every_level_build(kept_levels, name, order):
+    # a system keeps one level and forms the others on demand, by the
+    # build's own step: bit for bit the stack a keep-every-level build
+    # stored, in any order of reading, repeats included
+    kraus, factors, stacks = kept_levels[name]
+    s = build_subproduct(kraus, ON_DEMAND_TOP)
+    assert len(s.factors) == len(factors)
+    for c, expected in zip(s.factors, factors):
+        assert (c is None) == (expected is None)
+        assert c is None or np.array_equal(c, expected)
+    for m in order:
+        gens = s.generators(m)
+        assert np.array_equal(gens, stacks[m]), (name, m)
+        assert not gens.flags.writeable
+        assert s.dims[m] == len(stacks[m])
 
 
 def chain_projection(s, m):
@@ -643,7 +690,8 @@ def test_public_level_functions_stay_polynomial(commuting212, rng):
         "build_subproduct": lambda: build_subproduct(commuting212, top),
         "dims": lambda: s.dims,
         "max_level": lambda: s.max_level,
-        "generators": lambda: s.generators(top),
+        # from level 1 up: every level regenerated, one kept
+        "generators": lambda: (s.generators(1), s.generators(top)),
         "nesting_residuals": lambda: nesting_residuals(s, 1, top - 1),
         "subproduct_residual": lambda: subproduct_residual(s, top // 2, top // 2),
         "power_sweep": lambda: krausfock.subproduct.power_sweep(s, s, u, top),
@@ -663,5 +711,6 @@ def test_public_level_functions_stay_polynomial(commuting212, rng):
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # 1.45 MB for the build, which keeps 41 levels; at most 0.36 MB otherwise
+        # 0.52 MB for the build, which keeps the factors and one level (1.45 MB
+        # with the stacks of all 41); 0.12 MB to regenerate; at most 0.36 MB otherwise
         assert peak < 4e6, (name, peak)
