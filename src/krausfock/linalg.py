@@ -113,7 +113,9 @@ def orthonormal_range(columns, tol: Tolerances) -> np.ndarray:
     if a.shape[0] < a.shape[1]:
         a = np.linalg.qr(a.T, mode="r").T
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, : _rank(s, tol)]
+    rank = _rank(s, tol)
+    # a copy when columns are dropped, so that the result does not hold all of u
+    return u if rank == u.shape[1] else u[:, :rank].copy()
 
 
 def _largest_part(a: np.ndarray) -> float:

@@ -43,12 +43,16 @@ across full levels is zero without forming a product.  Generic families
 are full up to ``m ≈ 2 log_n d``.  Each shortcut reads the record in
 ``factors``, never the shape of an array: a site ``(q ⊗ 1) C_j`` can be
 square without being the identity.
+
+Shifts: the truncated Fock space of levels ``0..top`` is held as its
+blocks, ``d_{m+1} x d_m`` for each letter and level; a left block is an
+overlap of a sweep, a right block a slice of ``C_{m+1}``, and no function
+assembles the ``sum d_m``-square shift matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -87,11 +91,15 @@ class SubproductSystem:
     stack handed out is frozen too.
     """
 
-    n: int
     factors: list[np.ndarray | None]
     ops: np.ndarray = field(repr=False)
     # the last level formed and its frozen G_m; level 1 until one is formed
     _cache: tuple[int, np.ndarray] | None = field(default=None, repr=False)
+
+    @property
+    def n(self) -> int:
+        """The number of operators, the letters of the words."""
+        return self.ops.shape[0]
 
     @property
     def max_level(self) -> int:
@@ -146,6 +154,9 @@ def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
     Each level is formed from the one before by :func:`_candidates` and
     :func:`_compress`, the step :meth:`SubproductSystem.generators` reruns,
     so only the previous level is held; the top level is kept in the result.
+    A level with no direction left by the rank rule is refused: a unital
+    family has none, but a set that passes the guard only at a loose
+    ``residual_tol`` can, when its candidates underflow to zero.
     """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
@@ -154,7 +165,7 @@ def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
     # the guard has found the K_k independent: level 1 is full, G_1 = K
     factors = [np.ones((1, 1), dtype=complex), None][: max_level + 1]
     gens = kraus.ops
-    for _ in range(2, max_level + 1):
+    for m in range(2, max_level + 1):
         cand = _candidates(gens, kraus.ops)
         # For a unital family a level that is not full leaves no later level
         # full: a relation sum_k W_k K_k = 0 with W_k in level m-1 gives
@@ -166,12 +177,14 @@ def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
         # the level subspace in the coordinates of level(m-1) ⊗ C^n
         c = decide(cand.transpose(0, 2, 1).reshape(-1, d * d), kraus.tol)
         if c is not None:
+            if c.shape[1] == 0:
+                raise ValueError(f"level {m} is empty: the rank rule keeps no direction")
             c.flags.writeable = False
         factors.append(c)
         gens = _compress(cand, c)
         del cand  # before the next level's candidates are formed
     factors[0].flags.writeable = False
-    return SubproductSystem(kraus.size, factors, kraus.ops, _cache=(max(max_level, 1), gens))
+    return SubproductSystem(factors, kraus.ops, _cache=(max(max_level, 1), gens))
 
 
 def _full(factors) -> bool:
@@ -365,48 +378,24 @@ def presentation_residual(
 
 @dataclass(eq=False)
 class TruncatedFock:
-    """Direct sum of the levels ``0..top`` with per-level shift blocks.
+    """Direct sum of the levels ``0..top``, held as its per-level shift blocks.
 
     ``left_blocks[m][k]`` maps level ``m`` to level ``m+1`` by prepending
-    letter ``k`` of ``n``; ``right_blocks`` appends instead.  Full matrices
-    on the truncated sum place each block below the diagonal.
+    letter ``k``; ``right_blocks`` appends instead.  A shift of one letter on
+    the sum is block sub-diagonal, so its norm is the largest of its blocks'.
     """
 
     dims: tuple[int, ...]
-    n: int
     left_blocks: list[list[np.ndarray]]
     right_blocks: list[list[np.ndarray]]
 
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(accumulate(self.dims, initial=0))
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
-    def _assemble(self, blocks: list[list[np.ndarray]], k: int) -> np.ndarray:
-        if not 0 <= k < self.n:
-            raise ValueError(f"letter {k} out of range")
-        off = self.offsets
-        full = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-        for m, level in enumerate(blocks):
-            full[off[m + 1] : off[m + 2], off[m] : off[m + 1]] = level[k]
-        return full
-
-    def left_shift_matrix(self, k: int) -> np.ndarray:
-        return self._assemble(self.left_blocks, k)
-
-    def right_shift_matrix(self, k: int) -> np.ndarray:
-        return self._assemble(self.right_blocks, k)
-
 
 def truncated_fock(system: SubproductSystem, top: int | None = None) -> TruncatedFock:
-    """Assemble the truncated direct sum of levels ``0..top`` with shifts."""
+    """The shift blocks of the levels ``0..top``: one sweep a letter for the left ones."""
     top = system.max_level if top is None else top
     system._check_level(top)
     dims = tuple(system.dims[: top + 1])
     sweeps = [_left_shifts(system, k, top) for k in range(system.n)] if top else []
     left = [[blocks[m] for blocks in sweeps] for m in range(top)]
     right = [[shift_right(system, k, m) for k in range(system.n)] for m in range(top)]
-    return TruncatedFock(dims=dims, n=system.n, left_blocks=left, right_blocks=right)
+    return TruncatedFock(dims=dims, left_blocks=left, right_blocks=right)

@@ -984,6 +984,32 @@ class TestExitCodes:
         out, err = capfd.readouterr()
         assert (code, out, err) == (1, "", "error: Kraus set is not unital (residual inf)\n")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dims", "--max-m", "3"],
+            ["subproduct-check", "--max-m", "3"],
+            ["dequantize", "--observable", "{a}", "--level", "2"],
+            ["converge", "--observables", "{a}", "{a}"],
+            ["dilate"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_empty_level_exits_1(self, tmp_path, capfd, argv):
+        # the guard passes K = 1e-320 at residual_tol 1e300, and K K underflows
+        # to zero: level 2 has no direction, which the build refuses before a
+        # reader meets an empty array
+        doc = {"dim": 1, "kraus": [{"re": [[1e-320]]}]}
+        doc["tol"] = {"rank_rel_tol": 1e-15, "residual_tol": 1e300}
+        chan = tmp_path / "chan.json"
+        chan.write_text(json.dumps(doc))
+        a = make_observable(tmp_path, np.eye(1))
+        code = main([argv[0], str(chan)] + [arg.format(a=a) for arg in argv[1:]])
+        out, err = capfd.readouterr()
+        error = "error: level 2 is empty: the rank rule keeps no direction\n"
+        assert (code, out, err) == (1, "", error)
+
     @pytest.mark.parametrize("command", ["validate", "dims"])
     def test_huge_asymmetric_state_reads_inf(self, tmp_path, capfd, command):
         # rho - rho† would overflow: the asymmetry is beyond float range

@@ -301,7 +301,7 @@ class TestCorrelations:
             k = KrausSet(np.eye(3)[None], tol=tol)
             gens = np.sqrt(3.0) * w.reshape(rows, 3, 3)
             # a full level 1 whose G_1 is the planted stack
-            s = SubproductSystem(rows, [np.ones((1, 1)), None], gens)
+            s = SubproductSystem([np.ones((1, 1)), None], gens)
             spec, m = state_spec(k, maximally_mixed(3)), 1
         else:
             k = KrausSet(commuting_generic(2, 12, seed=3).ops, tol=tol)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import krausfock.subproduct
 from krausfock import (
     KrausSet,
+    Tolerances,
     build_subproduct,
     commuting_generic,
     inductive_map,
@@ -135,6 +136,15 @@ class TestBuild:
             with pytest.raises(ValueError, match="unital"):
                 build_subproduct(KrausSet(ops), max_level)
 
+    def test_rejects_an_empty_level(self):
+        # K K underflows to zero, and a residual_tol of 1e300 passes the
+        # guard: level 1 is full and level 2 has no direction
+        tol = Tolerances(rank_rel_tol=1e-15, residual_tol=1e300)
+        k = KrausSet(np.full((1, 1, 1), 1e-320), tol=tol)
+        assert build_subproduct(k, 1).dims == [1, 1]
+        with pytest.raises(ValueError, match="level 2 is empty"):
+            build_subproduct(k, 2)
+
     def test_rejects_negative_max_level(self, commuting212):
         with pytest.raises(ValueError, match="max_level must be nonnegative"):
             build_subproduct(commuting212, -1)
@@ -228,7 +238,7 @@ def test_full_levels_keep_no_identity():
     # more.  random_unital(2,16) seed 3 is full up to level 8: no factor and
     # the 1.05 MB of G_8, neither the stacks below it (1.04 MB) nor a
     # d_m x d_m identity (1.40 MB over 1..8).  commuting_generic(2,24) seed 3
-    # is not full from level 2: to level 48 its factors hold 1.20 MB and G_48
+    # is not full from level 2: to level 48 its factors hold 0.61 MB and G_48
     # is 0.22 MB, against 8.3 MB for the stacks of all levels
     cases = ((random_unital(2, 16, seed=3), 8, True), (commuting_generic(2, 24, seed=3), 48, False))
     for kraus, top, full in cases:
@@ -242,6 +252,13 @@ def test_full_levels_keep_no_identity():
         assert all(c is None for c in s.factors[1:]) == full
         factors = sum(_held_bytes(c) for c in s.factors if c is not None)
         assert kept - factors - _held_bytes(s.generators(top)) < 0.1e6, (top, kept)
+
+
+def test_stored_factors_own_their_buffers():
+    # a factor that dropped columns of the SVD's U would keep all of U alive:
+    # 1.20 MB held for the 0.61 MB of these factors
+    s = build_subproduct(commuting_generic(2, 24, seed=3), 48)
+    assert all(c.flags.owndata for c in s.factors if c is not None)
 
 
 class TestDenseOracle:
@@ -420,6 +437,8 @@ class TestShifts:
         assert abs(np.linalg.norm(out) - 2**-0.5) < 1e-12
 
     def test_contractions(self, catalog_quartet):
+        # so a shift of one letter on the truncated Fock space, which is block
+        # sub-diagonal with these blocks, is a contraction too
         for k in catalog_quartet.values():
             s = build_subproduct(k, 5)
             for m in range(5):
@@ -460,11 +479,12 @@ class TestShifts:
 
 
     def test_rejects_letters_out_of_range(self, commuting212):
-        s = build_subproduct(commuting212, 2)
-        for shift in (shift_left, shift_right):
-            for letter in (-1, 2):
-                with pytest.raises(ValueError, match=f"letter {letter} out of range"):
-                    shift(s, letter, 0)
+        s = build_subproduct(commuting212, 3)
+        for m in range(3):
+            for shift in (shift_left, shift_right):
+                for letter in (-1, 2, 5):
+                    with pytest.raises(ValueError, match=f"letter {letter} out of range"):
+                        shift(s, letter, m)
 
 
 class TestPowerSweep:
@@ -620,43 +640,23 @@ class TestPresentationIndependence:
 
 
 class TestTruncatedFock:
-    def test_shapes_and_offsets(self, commuting212):
+    """The truncated Fock space is its shift blocks, which equal
+    :func:`shift_left` and :func:`shift_right` (see TestImplicitIdentity)."""
+
+    def test_dims_and_block_shapes(self, commuting212):
         s = build_subproduct(commuting212, 3)
         fock = truncated_fock(s)
         assert fock.dims == (1, 2, 3, 4)
-        assert fock.offsets == (0, 1, 3, 6, 10)
-        assert fock.total_dim == 10
-
-    def test_full_matrices_are_contractions(self, sequential4):
-        s = build_subproduct(sequential4, 3)
-        fock = truncated_fock(s)
-        for letter in range(4):
-            assert operator_norm(fock.left_shift_matrix(letter)) <= 1 + 1e-12
-            assert operator_norm(fock.right_shift_matrix(letter)) <= 1 + 1e-12
+        for blocks in (fock.left_blocks, fock.right_blocks):
+            assert len(blocks) == 3
+            for m, level in enumerate(blocks):
+                assert [b.shape for b in level] == [(fock.dims[m + 1], fock.dims[m])] * 2
 
     def test_level_zero_column(self, commuting212):
+        # letter 1 carries the vacuum to e_1 at level 1
         s = build_subproduct(commuting212, 3)
-        fock = truncated_fock(s)
-        full = fock.left_shift_matrix(1)
-        column = full[:, 0]
-        expected = np.zeros(fock.total_dim)
-        expected[fock.offsets[1] + 1] = 1.0
-        assert np.allclose(column, expected, atol=1e-12)
-
-    def test_letter_out_of_range_is_refused_at_every_top(self):
-        # as shift_left refuses it; a letter used to wrap around, overrun the
-        # blocks, or give a 1 x 1 zero at top 0
-        s = build_subproduct(commuting_generic(2, 4, seed=0), 3)
-        for top in range(4):
-            fock = truncated_fock(s, top)
-            for k in (-1, 2, 5):
-                for matrix in (fock.left_shift_matrix, fock.right_shift_matrix):
-                    with pytest.raises(ValueError, match=f"letter {k} out of range"):
-                        matrix(k)
-            for k in range(2):
-                assert fock.left_shift_matrix(k).shape == (sum(s.dims[: top + 1]),) * 2
-        with pytest.raises(ValueError, match="letter -1 out of range"):
-            shift_left(s, -1, 0)
+        column = truncated_fock(s).left_blocks[0][1][:, 0]
+        assert np.allclose(column, [0.0, 1.0], atol=1e-12)
 
 
 def test_public_level_functions_stay_polynomial(commuting212, rng):
@@ -677,7 +677,7 @@ def test_public_level_functions_stay_polynomial(commuting212, rng):
         "truncated_fock",
     ]
     members = [name for name in dir(krausfock.subproduct.SubproductSystem) if name[0] != "_"]
-    assert members == ["dims", "generators", "max_level"]
+    assert members == ["dims", "generators", "max_level", "n"]
     # level 40 has 2^40 words; the ladder saturates at d_m = 12 from m = 11
     top = 40
     s = build_subproduct(commuting212, top)
@@ -690,6 +690,7 @@ def test_public_level_functions_stay_polynomial(commuting212, rng):
         "build_subproduct": lambda: build_subproduct(commuting212, top),
         "dims": lambda: s.dims,
         "max_level": lambda: s.max_level,
+        "n": lambda: s.n,
         # from level 1 up: every level regenerated, one kept
         "generators": lambda: (s.generators(1), s.generators(top)),
         "nesting_residuals": lambda: nesting_residuals(s, 1, top - 1),
