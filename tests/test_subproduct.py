@@ -652,11 +652,35 @@ class TestTruncatedFock:
             for m, level in enumerate(blocks):
                 assert [b.shape for b in level] == [(fock.dims[m + 1], fock.dims[m])] * 2
 
+    def test_full_matrices_are_contractions(self, sequential4):
+        # a shift of one letter on the truncated Fock space is block
+        # sub-diagonal, so its norm is the largest norm among its blocks
+        s = build_subproduct(sequential4, 3)
+        fock = truncated_fock(s)
+        for letter in range(4):
+            for blocks in (fock.left_blocks, fock.right_blocks):
+                norm = max(operator_norm(level[letter]) for level in blocks)
+                assert norm <= 1 + 1e-12
+
     def test_level_zero_column(self, commuting212):
         # letter 1 carries the vacuum to e_1 at level 1
         s = build_subproduct(commuting212, 3)
         column = truncated_fock(s).left_blocks[0][1][:, 0]
         assert np.allclose(column, [0.0, 1.0], atol=1e-12)
+
+    def test_letter_out_of_range_is_refused_at_every_top(self):
+        # each top holds exactly one block per letter and level, and the
+        # shifts that form those blocks refuse any other letter
+        s = build_subproduct(commuting_generic(2, 4, seed=0), 3)
+        for top in range(4):
+            fock = truncated_fock(s, top)
+            for blocks in (fock.left_blocks, fock.right_blocks):
+                assert [len(level) for level in blocks] == [2] * top
+            for m in range(top):
+                for k in (-1, 2, 5):
+                    for shift in (shift_left, shift_right):
+                        with pytest.raises(ValueError, match=f"letter {k} out of range"):
+                            shift(s, k, m)
 
 
 def test_public_level_functions_stay_polynomial(commuting212, rng):
