@@ -35,7 +35,7 @@ print("=== projective measurement: classical after one step ===")
 kraus = uniform_projective(3)
 system = build_subproduct(kraus, MAX_LEVEL)
 spec = state_spec(kraus, np.eye(3) / 3)
-corr = correlations(kraus, system, spec, MAX_LEVEL)
+corr = correlations(kraus, system, spec)
 a = np.diag([1.0, -0.5, 2.0])
 b = np.diag([0.5, 1.5, -1.0])
 report = convergence_report(corr, a, b)
@@ -51,7 +51,7 @@ print("=== commuting generic: a fuzzy classical limit ===")
 kraus = commuting_generic(2, 12, seed=3)
 system = build_subproduct(kraus, MAX_LEVEL)
 spec = state_spec(kraus, np.eye(12) / 12)
-corr = correlations(kraus, system, spec, MAX_LEVEL)
+corr = correlations(kraus, system, spec)
 a = kraus.ops[0].conj().T @ kraus.ops[0] - kraus.ops[1].conj().T @ kraus.ops[1]
 b = kraus.ops[0].conj().T @ kraus.ops[1] + kraus.ops[1].conj().T @ kraus.ops[0]
 report = convergence_report(corr, a, b)
@@ -65,7 +65,7 @@ print("scaled commutator m|[shadow_A, shadow_B]| per level (bounded):")
 print("   ", " ".join(f"{x:.3f}" for x in report.scaled_commutator))
 print("verdicts:", report.verdicts)
 deep = build_subproduct(kraus, 11)
-report = convergence_report(correlations(kraus, deep, spec, 11), a, b)
+report = convergence_report(correlations(kraus, deep, spec), a, b)
 print("no plateau: both defects vanish once d_m saturates at the 12 points")
 for m in (10, 11):
     print(f"  m={m}: d_m={deep.dims[m]}, multiplicativity defect "
@@ -82,7 +82,7 @@ print("strictly positive: anti-normally ordered words carry information the")
 print("forward trajectories cannot express.")
 kraus = random_unital(2, 4, seed=0)
 system = build_subproduct(kraus, MAX_LEVEL)
-corr = correlations(kraus, system, state_spec(kraus, np.eye(4) / 4), MAX_LEVEL)
+corr = correlations(kraus, system, state_spec(kraus, np.eye(4) / 4))
 a = kraus.ops[0].conj().T @ kraus.ops[0] - kraus.ops[1].conj().T @ kraus.ops[1]
 b = kraus.ops[0].conj().T @ kraus.ops[1] + kraus.ops[1].conj().T @ kraus.ops[0]
 report = convergence_report(corr, a, b)

@@ -40,8 +40,8 @@ takes ``--out`` only with ``--minimalize``, which writes the reduced channel
 there, by default over the input.  ``dims``,
 ``subproduct-check``, ``dilate`` and ``converge`` build every level up to
 ``--max-m``, ``dequantize`` up to ``--level``; a level keeps its chain
-factor, at most ``n d^4`` entries, and the generators of one level are kept
-besides, so cost is polynomial in the level.  Exit codes: 0
+factor, at most ``n d^4`` entries, and the generators and correlations of
+one level are kept besides, so cost is polynomial in the level.  Exit codes: 0
 success, 1 validation or acceptance failure, 2 input error.  Exit 2 means
 the failure arose while input was read: ``load_document`` and
 ``channel_from_document`` raise :class:`InputError`, the latter also for
@@ -73,9 +73,7 @@ from .catalog import CatalogSpec, build_catalog
 from .channel import KrausSet, apply_heisenberg, check_state, minimal_kraus, validate
 from .dequantization import (
     ConvergenceReport,
-    CorrelationData,
-    _diagnostics,
-    correlation_matrix,
+    convergence_rows,
     correlations,
     dequantize,
     phi_symmetry_residual,
@@ -88,7 +86,7 @@ from .dilation import (
     stinespring_isometry,
     unitary_dilation,
 )
-from .linalg import SingularMatrixError, Tolerances, operator_norm
+from .linalg import Tolerances, operator_norm
 from .subproduct import SubproductSystem, build_subproduct, nesting_residuals
 
 
@@ -303,7 +301,10 @@ def _emit_json(obj: dict, out: str | None) -> None:
 
 
 def _emit_csv(columns: list[str], rows, digest: str, args) -> None:
-    """A CSV report of int and float rows; floats are written by their repr."""
+    """A CSV report of int and float rows; floats are written by their repr.
+
+    Each row is written as it is read from ``rows``, so an error raised by
+    a row comes after the rows before it have been written."""
     header = [f"# {key}: {value}" for key, value in _header(digest, args).items()]
     lines = chain(header, [",".join(columns)], (",".join(map(repr, row)) for row in rows))
     _write((line + "\n" for line in lines), args.out)
@@ -439,10 +440,11 @@ def cmd_dequantize(args) -> int:
     digest, kraus, state = _load_channel(args)
     a = _load_observable(args.observable, kraus.dim)
     m = args.level
-    corr = correlations(kraus, build_subproduct(kraus, m), state_spec(kraus, state), m)
+    corr = correlations(kraus, build_subproduct(kraus, m), state_spec(kraus, state))
+    # the sweep reads the levels upward, so each is formed once and level m is kept
+    symmetry = phi_symmetry_residual(corr)
     psi = dequantize(corr, a, m)
     unital = dequantize(corr, np.eye(kraus.dim), m)
-    symmetry = phi_symmetry_residual(corr)
     payload = {
         "level": m,
         "matrix": _matrix_arrays(psi),
@@ -459,25 +461,10 @@ def cmd_dequantize(args) -> int:
 def cmd_converge(args) -> int:
     digest, kraus, state = _load_channel(args)
     mats = [_load_observable(path, kraus.dim) for path in args.observables]
-    system = build_subproduct(kraus, args.max_m)
-    spec = state_spec(kraus, state)
-    # one upward pass: each level's correlations, then its row, so every
-    # level's generators are formed once; the levels below the first
-    # singular one get rows, then that level's error is raised
-    corr = CorrelationData(kraus, system, spec, {})
-    row = _diagnostics(corr, *mats)
-    rows, singular = [], None
-    for m in range(1, args.max_m + 1):
-        try:
-            # a row reads its own level only, so no earlier level is kept
-            corr.levels = {m: correlation_matrix(kraus, system, spec, m)}
-        except SingularMatrixError as exc:
-            singular = exc
-            break
-        rows.append((m, *row(m)))
-    _emit_csv(["m", *ConvergenceReport._COLUMNS], rows, digest, args)
-    if singular is not None:
-        raise singular
+    corr = correlations(kraus, build_subproduct(kraus, args.max_m), state_spec(kraus, state))
+    # one upward pass, a row written as its level is formed: the rows below
+    # the first singular level are printed before its error
+    _emit_csv(["m", *ConvergenceReport.COLUMNS], convergence_rows(corr, *mats), digest, args)
     return 0
 
 

@@ -27,13 +27,16 @@ algebra, not a classical one.
 
 A :class:`CorrelationData` holds the Kraus family, level spaces and
 reference state it was built from, so :func:`dequantize`,
-:func:`phi_symmetry_residual` and :func:`convergence_report` take only the
-correlation data and read the rest from it.
+:func:`phi_symmetry_residual`, :func:`convergence_rows` and
+:func:`convergence_report` take only the correlation data and read the rest
+from it.  Its levels are those of the level spaces, ``1..system.max_level``;
+each is formed when it is read, and the last one formed is kept, so a
+reader that walks the levels upward forms each once and holds one at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -42,6 +45,7 @@ from .channel import KrausSet, check_state, kraus_word
 from .dilation import _pairing
 from .linalg import (
     SingularMatrixError,
+    _largest_part,
     _range_unless_full,
     _rank,
     _triangular_inverse,
@@ -61,6 +65,7 @@ __all__ = [
     "dequantize",
     "normal_ordering_residual",
     "ConvergenceReport",
+    "convergence_rows",
     "convergence_report",
     "trend_verdict",
 ]
@@ -116,17 +121,31 @@ class LevelCorrelation:
 
 @dataclass(eq=False)
 class CorrelationData:
-    """Correlation levels and the Kraus family, level spaces and state they come from."""
+    """The Kraus family, level spaces and state of the correlation levels, and one level.
+
+    :meth:`level` forms level ``m`` by :func:`correlation_matrix` when it is
+    read and keeps it until another level is read.
+    """
 
     kraus: KrausSet
     system: SubproductSystem
     state: StateSpec
-    levels: dict[int, LevelCorrelation]
+    # the last level formed and its correlations; none until a level is read
+    _cache: tuple[int, LevelCorrelation] | None = field(default=None, repr=False)
 
-    @property
-    def base(self) -> np.ndarray:
-        """The level-one correlation matrix."""
-        return self.levels[1].matrix
+    def level(self, m: int) -> LevelCorrelation:
+        """Correlations of level ``m``, ``1 <= m <= system.max_level``.
+
+        A singular level raises :class:`~krausfock.linalg.SingularMatrixError`
+        here, when it is read.
+        """
+        if not 1 <= m <= self.system.max_level:
+            raise ValueError(f"correlation level {m} not built")
+        if self._cache is None or self._cache[0] != m:
+            # a level does not depend on another, so the kept one goes first
+            self._cache = None
+            self._cache = (m, correlation_matrix(self.kraus, self.system, self.state, m))
+        return self._cache[1]
 
 
 def _root_rows(system: SubproductSystem, state: StateSpec, m: int) -> np.ndarray:
@@ -213,32 +232,34 @@ def correlation_matrix(
     return LevelCorrelation(matrix=raw, inverse=inv, trace=trace, scale=scale)
 
 
-def correlations(
-    kraus: KrausSet, system: SubproductSystem, state: StateSpec, max_level: int
-) -> CorrelationData:
-    """Build correlation levels ``1..max_level``.
+def correlations(kraus: KrausSet, system: SubproductSystem, state: StateSpec) -> CorrelationData:
+    """Correlation data over the levels ``1..system.max_level`` of ``system``.
 
     The result keeps ``kraus``, ``system`` and ``state`` for the functions
     that read it, so this is the one place where the three must be given
     consistently: ``system`` built from ``kraus``, ``state`` checked against it.
+    A system without level 1 is refused.  No level is formed here: a
+    singular level raises when it is first read, by
+    :meth:`CorrelationData.level`.
     """
-    if max_level < 1:
+    if system.max_level < 1:
         raise ValueError("need at least one correlation level")
-    levels = {m: correlation_matrix(kraus, system, state, m) for m in range(1, max_level + 1)}
-    return CorrelationData(kraus, system, state, levels)
+    return CorrelationData(kraus, system, state)
 
 
 def phi_symmetry_residual(corr: CorrelationData) -> dict[int, tuple[float, float]]:
     """How far each level matrix is from a compressed tensor power of the base.
 
-    Maps each level ``j`` of ``corr``, ``1..max(corr.levels)``, to
+    Maps each level ``j`` of ``corr``, ``1..system.max_level``, to
     ``r1 = |Q_j - B_j† Q^{⊗j} B_j|`` and ``r2 = |(1 - p_j) Q^{⊗j} p_j|``, from
     one :func:`power_sweep`.  Both vanish exactly when the reference state has
-    channel-symmetric correlations.
+    channel-symmetric correlations.  The levels are read upward, so each is
+    formed once and the top one is kept.
     """
-    sweep = power_sweep(corr.system, corr.system, corr.base, max(corr.levels))
+    top = corr.system.max_level
+    sweep = power_sweep(corr.system, corr.system, corr.level(1).matrix, top)
     return {
-        j: (operator_norm(corr.levels[j].matrix - compressed), r2)
+        j: (operator_norm(corr.level(j).matrix - compressed), r2)
         for j, (compressed, r2) in enumerate(sweep[1:], start=1)
     }
 
@@ -256,16 +277,22 @@ def dequantize(corr: CorrelationData, a, m: int) -> np.ndarray:
     ``Tr(Q_m) sum_words w(wk) Tr(rho0 K_wk† K_wj A) |B† e_wj><B† e_wk|``
     whose per-word weight ``w(wk)`` is the product, over the letters ``k_i``
     of ``wk``, of the entries of the diagonal of the level-one inverse.
+
+    An observable whose pairings overflow is refused with a ``ValueError``:
+    ``Psi_m(A)`` is checked to be finite.
     """
     a = as_matrix(a)
     dim = corr.kraus.dim
     if a.shape != (dim, dim):
         raise ValueError(f"observable must be {dim}x{dim}, got {a.shape}")
-    if m not in corr.levels:
-        raise ValueError(f"correlation level {m} not built")
-    pairing = _pairing(corr.system.generators(m), a @ corr.state.rho0)
-    level = corr.levels[m]
-    return pairing @ (level.inverse * level.scale)
+    level = corr.level(m)
+    # a huge observable may overflow; the finiteness check below decides
+    with np.errstate(all="ignore"):
+        pairing = _pairing(corr.system.generators(m), a @ corr.state.rho0)
+        psi = pairing @ (level.inverse * level.scale)
+    if not _largest_part(psi) < np.inf:  # read in place: no level-sized mask
+        raise ValueError(f"Psi_{m} of the observable has non-finite entries: its pairings overflow")
+    return psi
 
 
 def normal_ordering_residual(
@@ -338,16 +365,16 @@ class ConvergenceReport:
     limit_state_gap: list[float]
     residual_tol: float
 
-    _COLUMNS = ("norm_gap", "vn_residual", "scaled_commutator", "limit_state_gap")
+    COLUMNS = ("norm_gap", "vn_residual", "scaled_commutator", "limit_state_gap")
 
     @cached_property
     def verdicts(self) -> dict[str, str]:
         """:func:`trend_verdict` of each column at ``residual_tol``, computed on first read."""
-        return {c: trend_verdict(getattr(self, c), self.residual_tol) for c in self._COLUMNS}
+        return {c: trend_verdict(getattr(self, c), self.residual_tol) for c in self.COLUMNS}
 
     def rows(self):
-        """Rows ``(m, *values)`` with one value for each name in ``_COLUMNS``."""
-        return list(zip(self.levels, *(getattr(self, name) for name in self._COLUMNS)))
+        """Rows ``(m, *values)`` with one value for each name in ``COLUMNS``."""
+        return list(zip(self.levels, *(getattr(self, name) for name in self.COLUMNS)))
 
 
 def trend_verdict(seq, tol: float) -> str:
@@ -369,25 +396,32 @@ def trend_verdict(seq, tol: float) -> str:
     return "irregular"
 
 
-def _diagnostics(corr: CorrelationData, a, b):
-    """The row function of :func:`convergence_report` for observables ``a, b``.
+def convergence_rows(corr: CorrelationData, a, b):
+    """Rows ``(m, *diagnostics)`` of observables ``a, b`` for ``m = 1..system.max_level``.
 
-    It maps a level ``m`` of ``corr`` to its four diagnostics, in the order
-    of ``ConvergenceReport._COLUMNS``; its level operators die at return.
-    ``corr.levels`` is read at the call, so a caller may add each level just
-    before its row.
+    The observables are checked at the call; a product ``AB`` or commutator
+    ``[A, B]`` that overflows is refused with a ``ValueError``.  The rows
+    are then formed upward as they are read, one level at a time, with the
+    four diagnostics in the order of ``ConvergenceReport.COLUMNS`` (see
+    :func:`convergence_report`).  A singular level raises when its row is
+    read, after the rows below it.  A row's level operators die when the
+    row function returns, so none is alive while the next level is formed.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     norm_a = operator_norm(a)
-    ab = a @ b
-    comm = ab - b @ a
+    with np.errstate(all="ignore"):
+        ab = a @ b
+        comm = ab - b @ a
+    # an entry that is not finite in AB is not finite in [A, B] either
+    if not np.isfinite(comm).all():
+        raise ValueError("the product of the observables overflows: AB or [A, B] is not finite")
     ref = np.trace(corr.state.rho0 @ a)
     complete = corr.kraus.dim**2
 
     def row(m: int) -> tuple:
         pa = dequantize(corr, a, m)
-        level = corr.levels[m]
+        level = corr.level(m)
         norm_gap = abs(operator_norm(pa) - norm_a)
         # Tr(Q_m Psi_m(A)) without the d_m^3 product, before pb and pab exist
         state_gap = float(abs(np.sum(level.matrix * pa.T) / level.trace - ref))
@@ -405,7 +439,7 @@ def _diagnostics(corr: CorrelationData, a, b):
         papb -= pb @ pa
         return norm_gap, vn_res, m * operator_norm(papb), state_gap
 
-    return row
+    return ((m, *row(m)) for m in range(1, corr.system.max_level + 1))
 
 
 def convergence_report(corr: CorrelationData, a, b) -> ConvergenceReport:
@@ -418,9 +452,8 @@ def convergence_report(corr: CorrelationData, a, b) -> ConvergenceReport:
     ``m * |Psi_m(AB - BA)|``, which equals ``m * |[Psi_m(A), Psi_m(B)]|``: two
     dequantizations instead of three and no level-sized products.  Every
     other level is evaluated from ``Psi_m(A)``, ``Psi_m(B)`` and ``Psi_m(AB)``.
+    The report collects the rows of :func:`convergence_rows`.
     """
-    row = _diagnostics(corr, a, b)
-    levels = sorted(corr.levels)
-    values = [row(m) for m in levels]
-    columns = ([v[i] for v in values] for i in range(4))
-    return ConvergenceReport(levels, *columns, corr.kraus.tol.residual_tol)
+    rows = list(convergence_rows(corr, a, b))
+    columns = ([row[i] for row in rows] for i in range(5))
+    return ConvergenceReport(*columns, corr.kraus.tol.residual_tol)

@@ -178,9 +178,9 @@ def shift_oracle(system, k, m, side):
 def symmetry_oracle(corr, system, m):
     """``(|Q_m - B† Q^{⊗m} B|, |(1 - p_m) Q^{⊗m} p_m|)`` on the ``n^m``-row basis."""
     basis = chain_basis(system, m)
-    qb = kron_power_apply(corr.base, m, basis)
+    qb = kron_power_apply(corr.level(1).matrix, m, basis)
     compressed = basis.conj().T @ qb
-    r1 = operator_norm(corr.levels[m].matrix - compressed)
+    r1 = operator_norm(corr.level(m).matrix - compressed)
     return r1, operator_norm(qb - basis @ compressed)
 
 
@@ -262,7 +262,7 @@ def fock_rank_one_oracle(kraus, system, corr, a, m):
         for ki, wk in enumerate(words):
             pairing[ji, ki] = np.trace(rho0 @ kraus_word(kraus, wk).conj().T @ kj @ a)
 
-    level = corr.levels[m]
+    level = corr.level(m)
     lifted_inverse = basis @ (level.inverse * level.scale) @ basis.conj().T
     coeff = pairing @ lifted_inverse
     out = np.zeros((system.dims[m], system.dims[m]), dtype=complex)

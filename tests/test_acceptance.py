@@ -236,19 +236,22 @@ def test_c07_inductive_maps(systems):
     )
 
 
-def test_c08_correlation_normalization(systems, families):
+def test_c08_correlation_normalization(families):
+    # criteria 8-11 build each system to the levels they read, since a sweep
+    # or report covers every level of its system; no level depends on how
+    # deep the build goes
     worst_norm = 0.0
-    for name, system in systems.items():
-        kraus = families[name]
+    for kraus in families.values():
         spec = state_spec(kraus, np.eye(kraus.dim) / kraus.dim)
-        corr = correlations(kraus, system, spec, 5)
-        for level in corr.levels.values():
+        corr = correlations(kraus, build_subproduct(kraus, 5), spec)
+        for m in range(1, 6):
+            level = corr.level(m)
             worst_norm = max(worst_norm, abs(level.inv_trace - level.trace) / level.trace)
     kraus = families["projective"]
-    system = systems["projective"]
-    corr = correlations(kraus, system, state_spec(kraus, np.eye(3) / 3), 6)
+    system = build_subproduct(kraus, 6)
+    corr = correlations(kraus, system, state_spec(kraus, np.eye(3) / 3))
     worst_q = max(
-        operator_norm(corr.levels[m].matrix - np.eye(system.dims[m])) for m in range(1, 7)
+        operator_norm(corr.level(m).matrix - np.eye(system.dims[m])) for m in range(1, 7)
     )
     worst_sym = max(max(pair) for pair in phi_symmetry_residual(corr).values())
     check(
@@ -260,20 +263,20 @@ def test_c08_correlation_normalization(systems, families):
     )
 
 
-def test_c09_dequantization_unitality_and_oracle(systems, families):
+def test_c09_dequantization_unitality_and_oracle(families):
     kraus = families["projective"]
-    system = systems["projective"]
-    corr = correlations(kraus, system, state_spec(kraus, np.eye(3) / 3), 6)
+    system = build_subproduct(kraus, 6)
+    corr = correlations(kraus, system, state_spec(kraus, np.eye(3) / 3))
     worst_unital = max(
         operator_norm(dequantize(corr, np.eye(3), m) - np.eye(system.dims[m]))
         for m in range(1, 7)
     )
     rng = np.random.default_rng(9)
     worst_oracle = 0.0
-    for name, system in systems.items():
-        kraus = families[name]
+    for kraus in families.values():
+        system = build_subproduct(kraus, 4)
         spec = state_spec(kraus, np.eye(kraus.dim) / kraus.dim)
-        corr = correlations(kraus, system, spec, 4)
+        corr = correlations(kraus, system, spec)
         a = random_hermitian(rng, kraus.dim)
         for m in range(1, 5):
             fast = dequantize(corr, a, m)
@@ -288,24 +291,24 @@ def test_c09_dequantization_unitality_and_oracle(systems, families):
     )
 
 
-def test_c10_limit_state(systems, families):
+def test_c10_limit_state(families):
     rng = np.random.default_rng(10)
     kraus = families["projective"]
-    system = systems["projective"]
+    system = build_subproduct(kraus, 6)
     spec = state_spec(kraus, np.eye(3) / 3)
-    corr = correlations(kraus, system, spec, 6)
+    corr = correlations(kraus, system, spec)
     a = random_hermitian(rng, 3)
     worst = 0.0
     for m in range(1, 7):
         psi = dequantize(corr, a, m)
-        level = corr.levels[m]
+        level = corr.level(m)
         value = np.trace(level.matrix @ psi) / level.trace
         worst = max(worst, abs(value - np.trace(spec.rho0 @ a)))
 
     kraus = families["commuting"]
-    system = systems["commuting"]
+    system = build_subproduct(kraus, 6)
     spec = state_spec(kraus, np.eye(12) / 12)
-    corr = correlations(kraus, system, spec, 6)
+    corr = correlations(kraus, system, spec)
     a = kraus.ops[0].conj().T @ kraus.ops[0] - kraus.ops[1].conj().T @ kraus.ops[1]
     report = convergence_report(corr, a, a)
     gap_trend = report.verdicts["limit_state_gap"]
@@ -321,11 +324,11 @@ def test_c10_limit_state(systems, families):
     )
 
 
-def test_c11_strict_quantization_trends(systems, families):
+def test_c11_strict_quantization_trends(families):
     kraus = families["commuting"]
-    system = systems["commuting"]
+    system = build_subproduct(kraus, 7)
     spec = state_spec(kraus, np.eye(12) / 12)
-    corr = correlations(kraus, system, spec, 7)
+    corr = correlations(kraus, system, spec)
     a = kraus.ops[0].conj().T @ kraus.ops[0] - kraus.ops[1].conj().T @ kraus.ops[1]
     b = kraus.ops[0].conj().T @ kraus.ops[1] + kraus.ops[1].conj().T @ kraus.ops[0]
     report = convergence_report(corr, a, b)

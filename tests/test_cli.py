@@ -14,6 +14,7 @@ import pytest
 
 import command_peaks
 import report_digests
+import krausfock.dequantization as dequantization
 from krausfock.catalog import CatalogSpec, build_catalog
 from krausfock.cli import (
     _emit_json,
@@ -749,15 +750,7 @@ class TestPeakMemory:
         [("dequantize", 10.4e6), ("converge", 9.4e6)],
     )
     def test_dense_level_8(self, tmp_path, command, bound):
-        chan = make_catalog_doc(tmp_path, family="random_unital", n=2, d=16, seed=3)
-        rng = np.random.default_rng(3)
-        a, b = (rng.normal(size=(16, 16)) for _ in range(2))
-        obs_a = make_observable(tmp_path, a + a.T, name="a.json")
-        obs_b = make_observable(tmp_path, b + b.T, name="b.json")
-        argv = {
-            "dequantize": ["dequantize", chan, "--observable", obs_a, "--level", "8"],
-            "converge": ["converge", chan, "--max-m", "8", "--observables", obs_a, obs_b],
-        }[command] + ["--out", str(tmp_path / "report")]
+        argv = self.argv(tmp_path, command)
         assert main(argv) == 0  # warm: the peak below is the command's own
         tracemalloc.start()
         try:
@@ -768,6 +761,31 @@ class TestPeakMemory:
             tracemalloc.stop()
         assert code == 0
         assert peak < bound, peak
+
+    @staticmethod
+    def argv(tmp_path, command):
+        chan = make_catalog_doc(tmp_path, family="random_unital", n=2, d=16, seed=3)
+        rng = np.random.default_rng(3)
+        a, b = (rng.normal(size=(16, 16)) for _ in range(2))
+        obs_a = make_observable(tmp_path, a + a.T, name="a.json")
+        obs_b = make_observable(tmp_path, b + b.T, name="b.json")
+        return {
+            "dequantize": ["dequantize", chan, "--observable", obs_a, "--level", "8"],
+            "converge": ["converge", chan, "--max-m", "8", "--observables", obs_a, obs_b],
+        }[command] + ["--out", str(tmp_path / "report")]
+
+    @pytest.mark.parametrize("command", ["dequantize", "converge"])
+    def test_each_level_is_formed_once(self, tmp_path, monkeypatch, command):
+        formed = []
+        real = dequantization.correlation_matrix
+
+        def spy(kraus, system, state, m):
+            formed.append(m)
+            return real(kraus, system, state, m)
+
+        monkeypatch.setattr(dequantization, "correlation_matrix", spy)
+        assert main(self.argv(tmp_path, command)) == 0
+        assert formed == list(range(1, 9))
 
 
 class TestFlags:
@@ -1009,6 +1027,27 @@ class TestExitCodes:
         out, err = capfd.readouterr()
         error = "error: level 2 is empty: the rank rule keeps no direction\n"
         assert (code, out, err) == (1, "", error)
+
+    @pytest.mark.parametrize(
+        "command, entry, error",
+        [
+            ("dequantize", 1e308, "Psi_2 of the observable has non-finite entries: its pairings overflow"),
+            ("converge", 1e300, "the product of the observables overflows: AB or [A, B] is not finite"),
+        ],
+        ids=["dequantize", "converge"],
+    )
+    def test_overflowing_observable_exits_1(self, tmp_path, capfd, command, entry, error):
+        # at 1e308 the level-2 pairings of A overflow; at 1e300 A itself is
+        # dequantized, but A A overflows: one error line, no warning, no report
+        chan = make_catalog_doc(tmp_path, family="commuting_generic", n=2, d=3, seed=1)
+        obs = make_observable(tmp_path, [[entry, entry, 0.0], [entry, entry, 0.0], [0.0, 0.0, 1.0]])
+        options = {
+            "dequantize": ["--observable", obs, "--level", "2"],
+            "converge": ["--observables", obs, obs],
+        }[command]
+        code = main([command, chan, *options])
+        out, err = capfd.readouterr()
+        assert (code, out, err) == (1, "", f"error: {error}\n")
 
     @pytest.mark.parametrize("command", ["validate", "dims"])
     def test_huge_asymmetric_state_reads_inf(self, tmp_path, capfd, command):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import krausfock.dequantization as dequantization
 from krausfock import (
-    CorrelationData,
     KrausSet,
     SingularMatrixError,
     SubproductSystem,
@@ -46,13 +45,18 @@ def maximally_mixed(dim):
     return np.eye(dim) / dim
 
 
+def every_level(corr):
+    """The correlations of each level of ``corr``, read upward."""
+    return [corr.level(m) for m in range(1, corr.system.max_level + 1)]
+
+
 @pytest.fixture(scope="module")
 def deep48():
     """``commuting_generic(2,48)`` seed 3 with correlation levels 1..46 at ``rho0 = 1/48``."""
     k = commuting_generic(2, 48, seed=3)
     s = build_subproduct(k, 46)
     spec = state_spec(k, maximally_mixed(48))
-    return s, spec, correlations(k, s, spec, 46)
+    return s, spec, correlations(k, s, spec)
 
 
 class TestStateSpec:
@@ -81,7 +85,7 @@ class TestStateSpec:
         # every level is computed to machine precision
         spec = state_spec(projective3, np.diag([1.0 - 2.0 * eps, eps, eps]))
         s = build_subproduct(projective3, 3)
-        corr = correlations(projective3, s, spec, 3)
+        corr = correlations(projective3, s, spec)
         a = random_hermitian(np.random.default_rng(5), 3)
         for m in range(1, 4):
             ref = mp_dequantize(s, spec.rho0, a, m)
@@ -93,23 +97,42 @@ class TestCorrelations:
     def test_uniform_projective_is_identity(self, projective3):
         s = build_subproduct(projective3, 6)
         spec = state_spec(projective3, maximally_mixed(3))
-        corr = correlations(projective3, s, spec, 6)
-        assert np.allclose(corr.base, np.eye(3), atol=1e-10)
+        corr = correlations(projective3, s, spec)
+        assert np.allclose(corr.level(1).matrix, np.eye(3), atol=1e-10)
         for m in range(1, 7):
-            level = corr.levels[m]
+            level = corr.level(m)
             assert operator_norm(level.matrix - np.eye(s.dims[m])) < 1e-10
 
     def test_keeps_what_it_was_built_from(self, commuting212):
         s = build_subproduct(commuting212, 2)
         spec = state_spec(commuting212, maximally_mixed(12))
-        corr = correlations(commuting212, s, spec, 2)
+        corr = correlations(commuting212, s, spec)
         assert corr.kraus is commuting212 and corr.system is s and corr.state is spec
-        assert corr.base is corr.levels[1].matrix
+
+    def test_levels_are_formed_when_read_and_the_last_is_kept(self, commuting212, monkeypatch):
+        s = build_subproduct(commuting212, 3)
+        corr = correlations(commuting212, s, state_spec(commuting212, maximally_mixed(12)))
+        formed = []
+        real = dequantization.correlation_matrix
+
+        def spy(kraus, system, state, m):
+            formed.append(m)
+            return real(kraus, system, state, m)
+
+        monkeypatch.setattr(dequantization, "correlation_matrix", spy)
+        level = corr.level(2)
+        assert corr.level(2) is level
+        corr.level(3)
+        corr.level(2)
+        assert formed == [2, 3, 2]
+        for m in (0, 4):
+            with pytest.raises(ValueError, match=f"correlation level {m} not built"):
+                corr.level(m)
 
     def test_levels_are_frozen(self, commuting212):
         s = build_subproduct(commuting212, 3)
-        corr = correlations(commuting212, s, state_spec(commuting212, maximally_mixed(12)), 3)
-        for level in corr.levels.values():
+        corr = correlations(commuting212, s, state_spec(commuting212, maximally_mixed(12)))
+        for level in every_level(corr):
             for a in (level.matrix, level.inverse):
                 with pytest.raises(ValueError, match="read-only"):
                     a *= 2.0
@@ -118,7 +141,7 @@ class TestCorrelations:
         for k in catalog_quartet.values():
             s = build_subproduct(k, 1)
             spec = state_spec(k, maximally_mixed(k.dim))
-            level = correlations(k, s, spec, 1).levels[1]
+            level = correlations(k, s, spec).level(1)
             raw_trace = level.trace / level.scale
             assert abs(raw_trace - 1.0) < 1e-12
 
@@ -126,8 +149,8 @@ class TestCorrelations:
         for k in catalog_quartet.values():
             s = build_subproduct(k, 5)
             spec = state_spec(k, maximally_mixed(k.dim))
-            corr = correlations(k, s, spec, 5)
-            for level in corr.levels.values():
+            corr = correlations(k, s, spec)
+            for level in every_level(corr):
                 assert abs(level.inv_trace - level.trace) < 1e-8 * level.trace
 
     def test_hermitian_positive(self, commuting212, rng):
@@ -135,8 +158,8 @@ class TestCorrelations:
         g = random_complex(rng, 12, 12)
         rho = g @ g.conj().T
         spec = state_spec(commuting212, rho / np.trace(rho).real)
-        corr = correlations(commuting212, s, spec, 4)
-        for level in corr.levels.values():
+        corr = correlations(commuting212, s, spec)
+        for level in every_level(corr):
             assert operator_norm(level.matrix - level.matrix.conj().T) < 1e-12
             assert np.linalg.eigvalsh(level.matrix)[0] > 0
             eye = np.eye(level.matrix.shape[0])
@@ -149,15 +172,18 @@ class TestCorrelations:
         rho = np.zeros((12, 12))
         rho[0, 0] = rho[1, 1] = 0.5
         spec = state_spec(commuting212, rho)
+        # the level is refused when it is read, not when the data is made
+        corr = correlations(commuting212, s, spec)
+        corr.level(1)
         with pytest.raises(SingularMatrixError, match="level-2"):
-            correlations(commuting212, s, spec, 2)
+            corr.level(2)
 
     def test_ill_conditioned_deep_levels_are_not_refused(self, deep48):
         # singular-value ratios of W = G_m rho0^{1/2} down to 3.3e-6 at level
         # 46, inside the rank rule; their squares, the eigenvalue ratios of
         # the correlation matrix, fell below it from level 45
         _, _, corr = deep48
-        assert sorted(corr.levels) == list(range(1, 47))
+        assert len(every_level(corr)) == 46
 
     def test_trace_bounds_the_condition_number(self, catalog_quartet, deep48):
         # the normalized trace T = sqrt(tr(W W†) tr((W W†)^{-1})) satisfies
@@ -167,15 +193,15 @@ class TestCorrelations:
         for k in catalog_quartet.values():
             s = build_subproduct(k, 5)
             spec = state_spec(k, maximally_mixed(k.dim))
-            cases.append((s, spec, correlations(k, s, spec, 5)))
+            cases.append((s, spec, correlations(k, s, spec)))
         cases.append(deep48)
         for s, spec, corr in cases:
-            for m, level in corr.levels.items():
+            for m, level in enumerate(every_level(corr), start=1):
                 sv = np.linalg.svd(dequantization._root_rows(s, spec, m), compute_uv=False)
                 cond = sv[0] / sv[-1]
                 assert cond <= level.trace * (1.0 + 1e-12), m
                 assert level.trace <= s.dims[m] * cond * (1.0 + 1e-12), m
-        assert deep48[2].levels[46].trace >= 1.0 / 3.4e-6
+        assert deep48[2].level(46).trace >= 1.0 / 3.4e-6
 
 
     @pytest.mark.parametrize("d, top", [(12, 14), (24, 48)])
@@ -185,11 +211,11 @@ class TestCorrelations:
         # that of W† W = [<a(y), a(x)>^m] / d, of rank d_m
         k = commuting_generic(2, d, seed=3)
         s = build_subproduct(k, top)
-        corr = correlations(k, s, state_spec(k, maximally_mixed(d)), top)
+        corr = correlations(k, s, state_spec(k, maximally_mixed(d)))
         points = np.stack([np.diagonal(op) for op in k.ops], axis=1)
         gram = points.conj() @ points.T
         for m in range(1, top + 1):
-            level = corr.levels[m]
+            level = corr.level(m)
             got = np.linalg.eigvalsh(level.matrix / level.scale)
             expected = np.linalg.eigvalsh(gram**m / d)[d - s.dims[m] :]
             assert np.max(np.abs(got - expected)) <= 1e-12 * expected[-1], m
@@ -238,7 +264,7 @@ class TestCorrelations:
         spy("svd")
         spy("cholesky")
         for k, s in systems:
-            correlations(k, s, state_spec(k, maximally_mixed(k.dim)), s.max_level)
+            every_level(correlations(k, s, state_spec(k, maximally_mixed(k.dim))))
         assert calls == []
 
     def test_near_threshold_level_takes_the_rank_rule(self, monkeypatch):
@@ -330,7 +356,7 @@ class TestCorrelations:
         with pytest.raises(ValueError, match="correlation levels start at 1"):
             dequantization.correlation_matrix(projective3, s, spec, 0)
         with pytest.raises(ValueError, match="at least one correlation level"):
-            correlations(projective3, s, spec, 0)
+            correlations(projective3, build_subproduct(projective3, 0), spec)
 
 
 class TestPhiSymmetry:
@@ -338,14 +364,14 @@ class TestPhiSymmetry:
         for k in catalog_quartet.values():
             s = build_subproduct(k, 2)
             spec = state_spec(k, maximally_mixed(k.dim))
-            corr = correlations(k, s, spec, 2)
+            corr = correlations(k, s, spec)
             r1, _ = phi_symmetry_residual(corr)[1]
             assert r1 < 1e-12
 
     def test_uniform_projective_is_symmetric(self, projective3):
         s = build_subproduct(projective3, 6)
         spec = state_spec(projective3, maximally_mixed(3))
-        corr = correlations(projective3, s, spec, 6)
+        corr = correlations(projective3, s, spec)
         residuals = phi_symmetry_residual(corr)
         for m in range(1, 7):
             r1, r2 = residuals[m]
@@ -357,10 +383,10 @@ class TestPhiSymmetry:
         # d = 16: levels 1..5 are full; d = 3: levels 4 and 5 are not
         k = random_unital(2, d, seed=0)
         s = build_subproduct(k, 5)
-        corr = correlations(k, s, state_spec(k, random_density(rng, d)), 5)
+        corr = correlations(k, s, state_spec(k, random_density(rng, d)))
         swept = phi_symmetry_residual(corr)
         for m in range(1, 6):
-            scale = max(1.0, operator_norm(corr.base)) ** m
+            scale = max(1.0, operator_norm(corr.level(1).matrix)) ** m
             for fast, slow in zip(swept[m], symmetry_oracle(corr, s, m)):
                 assert abs(fast - slow) <= 1e-12 * scale, m
 
@@ -370,7 +396,7 @@ class TestPhiSymmetry:
         # subspace here and tensor powers commute with the symmetrizer
         s = build_subproduct(commuting212, 3)
         spec = state_spec(commuting212, maximally_mixed(12))
-        corr = correlations(commuting212, s, spec, 3)
+        corr = correlations(commuting212, s, spec)
         r1, r2 = phi_symmetry_residual(corr)[3]
         assert r1 > 1e-6
         assert r2 < 1e-10
@@ -381,7 +407,7 @@ class TestDequantize:
         for k in catalog_quartet.values():
             s = build_subproduct(k, 5)
             spec = state_spec(k, maximally_mixed(k.dim))
-            corr = correlations(k, s, spec, 5)
+            corr = correlations(k, s, spec)
             for m in range(1, 6):
                 out = dequantize(corr, np.eye(k.dim), m)
                 assert operator_norm(out - np.eye(s.dims[m])) < 1e-8
@@ -389,7 +415,7 @@ class TestDequantize:
     def test_projective_level_one_closed_form(self, projective3, rng):
         s = build_subproduct(projective3, 1)
         spec = state_spec(projective3, maximally_mixed(3))
-        corr = correlations(projective3, s, spec, 1)
+        corr = correlations(projective3, s, spec)
         a = random_hermitian(rng, 3)
         got = dequantize(corr, a, 1)
         # post-measurement expectations Tr(rho0 P_k A) / Tr(rho0 P_k)
@@ -406,7 +432,7 @@ class TestDequantize:
         # so compare the spectra instead of fixed matrix positions
         s = build_subproduct(projective3, 5)
         spec = state_spec(projective3, maximally_mixed(3))
-        corr = correlations(projective3, s, spec, 5)
+        corr = correlations(projective3, s, spec)
         a = random_hermitian(rng, 3)
         expected = sorted(np.trace(p @ a).real for p in projective3.ops)
         for m in range(1, 6):
@@ -419,7 +445,7 @@ class TestDequantize:
         for k in catalog_quartet.values():
             s = build_subproduct(k, 3)
             spec = state_spec(k, maximally_mixed(k.dim))
-            corr = correlations(k, s, spec, 3)
+            corr = correlations(k, s, spec)
             a = random_hermitian(rng, k.dim)
             for m in (1, 2, 3):
                 fast = dequantize(corr, a, m)
@@ -433,7 +459,7 @@ class TestDequantize:
         k = projective3
         s = build_subproduct(k, 4)
         spec = state_spec(k, maximally_mixed(3))
-        corr = correlations(k, s, spec, 4)
+        corr = correlations(k, s, spec)
         a = random_hermitian(rng, 3)
         for m in (2, 3, 4):
             words = word_stack(k, m)
@@ -441,14 +467,14 @@ class TestDequantize:
             count = words.shape[0]
             w_vec = np.ones(1)
             for _ in range(m):
-                w_vec = np.kron(w_vec, np.diag(corr.levels[1].inverse).real)
+                w_vec = np.kron(w_vec, np.diag(corr.level(1).inverse).real)
             pairing = np.empty((count, count), dtype=complex)
             for ji in range(count):
                 for ki in range(count):
                     pairing[ji, ki] = np.trace(
                         spec.rho0 @ words[ki].conj().T @ words[ji] @ a
                     )
-            weighted = corr.levels[m].trace * (
+            weighted = corr.level(m).trace * (
                 basis.conj().T @ (pairing * w_vec[None, :]) @ basis
             )
             fast = dequantize(corr, a, m)
@@ -457,7 +483,7 @@ class TestDequantize:
     def test_hermitian_on_symmetric_instance(self, projective3, rng):
         s = build_subproduct(projective3, 4)
         spec = state_spec(projective3, maximally_mixed(3))
-        corr = correlations(projective3, s, spec, 4)
+        corr = correlations(projective3, s, spec)
         a = random_hermitian(rng, 3)
         out = dequantize(corr, a, 4)
         assert operator_norm(out - out.conj().T) < 1e-10
@@ -468,7 +494,7 @@ class TestDequantize:
         k = sequential_projective(3, 0.01)
         s = build_subproduct(k, 8)
         spec = state_spec(k, maximally_mixed(3))
-        corr = correlations(k, s, spec, 8)
+        corr = correlations(k, s, spec)
         a = random_hermitian(rng, 3)
         for m in range(1, 9):
             ref = mp_dequantize(s, spec.rho0, a, m)
@@ -478,13 +504,13 @@ class TestDequantize:
     def test_requires_built_level(self, projective3):
         s = build_subproduct(projective3, 2)
         spec = state_spec(projective3, maximally_mixed(3))
-        corr = correlations(projective3, s, spec, 2)
+        corr = correlations(projective3, s, spec)
         with pytest.raises(ValueError, match="not built"):
             dequantize(corr, np.eye(3), 3)
 
     def test_rejects_an_observable_of_another_shape(self, projective3):
         s = build_subproduct(projective3, 1)
-        corr = correlations(projective3, s, state_spec(projective3, maximally_mixed(3)), 1)
+        corr = correlations(projective3, s, state_spec(projective3, maximally_mixed(3)))
         with pytest.raises(ValueError, match="observable must be 3x3"):
             dequantize(corr, np.eye(2), 1)
 
@@ -607,7 +633,7 @@ class TestConvergenceReport:
     def test_identity_observables_are_flat(self, commuting212):
         s = build_subproduct(commuting212, 4)
         spec = state_spec(commuting212, maximally_mixed(12))
-        corr = correlations(commuting212, s, spec, 4)
+        corr = correlations(commuting212, s, spec)
         eye = np.eye(12)
         report = convergence_report(corr, eye, eye)
         for name in ("norm_gap", "vn_residual", "scaled_commutator", "limit_state_gap"):
@@ -617,7 +643,7 @@ class TestConvergenceReport:
     def test_projective_diagonal_observables_are_classical(self, projective3, rng):
         s = build_subproduct(projective3, 5)
         spec = state_spec(projective3, maximally_mixed(3))
-        corr = correlations(projective3, s, spec, 5)
+        corr = correlations(projective3, s, spec)
         a = np.diag(rng.normal(size=3))
         b = np.diag(rng.normal(size=3))
         report = convergence_report(corr, a, b)
@@ -627,7 +653,7 @@ class TestConvergenceReport:
     def test_limit_state_gap_is_structurally_zero(self, commuting212, rng):
         s = build_subproduct(commuting212, 5)
         spec = state_spec(commuting212, maximally_mixed(12))
-        corr = correlations(commuting212, s, spec, 5)
+        corr = correlations(commuting212, s, spec)
         a = random_hermitian(rng, 12)
         report = convergence_report(corr, a, a)
         assert max(report.limit_state_gap) < 1e-10
@@ -638,7 +664,7 @@ class TestConvergenceReport:
         two random observables and the complete levels (``d_m = d^2``)."""
         kraus = random_unital(n, d, seed=0)
         s = build_subproduct(kraus, top)
-        corr = correlations(kraus, s, state_spec(kraus, random_density(rng, d)), top)
+        corr = correlations(kraus, s, state_spec(kraus, random_density(rng, d)))
         complete = [m for m in range(1, top + 1) if s.dims[m] == d * d]
         return corr, random_hermitian(rng, d), random_hermitian(rng, d), complete
 
@@ -674,12 +700,11 @@ class TestConvergenceReport:
         assert [calls.count(m) for m in range(1, 7)] == expected
 
     def test_partial_data_reports_the_levels_it_holds(self, commuting212, rng):
-        # shaped like the data converge builds when a level past k is singular:
-        # levels 1..k of a deeper system
-        s = build_subproduct(commuting212, 6)
+        # a level's factors and generators do not depend on how deep the build
+        # goes, so a system built to 3 gives the first rows of one built to 6
         spec = state_spec(commuting212, random_density(rng, 12))
-        full = correlations(commuting212, s, spec, 6)
-        partial = CorrelationData(commuting212, s, spec, {m: full.levels[m] for m in (1, 2, 3)})
+        full = correlations(commuting212, build_subproduct(commuting212, 6), spec)
+        partial = correlations(commuting212, build_subproduct(commuting212, 3), spec)
         a, b = random_hermitian(rng, 12), random_hermitian(rng, 12)
         report = convergence_report(partial, a, b)
         assert report.levels == [1, 2, 3]
@@ -690,7 +715,7 @@ class TestConvergenceReport:
     def test_rows_shape(self, projective3):
         s = build_subproduct(projective3, 3)
         spec = state_spec(projective3, maximally_mixed(3))
-        corr = correlations(projective3, s, spec, 3)
+        corr = correlations(projective3, s, spec)
         report = convergence_report(corr, np.eye(3), np.eye(3))
         rows = report.rows()
         assert len(rows) == 3

@@ -43,13 +43,15 @@ def test_correlation_consumers_read_the_channel_from_corr():
             if "corr" in params:
                 readers.add(name)
                 assert not params & {"kraus", "system"}, name
-    assert {"dequantize", "phi_symmetry_residual", "convergence_report"} <= readers
+    assert {"dequantize", "phi_symmetry_residual", "convergence_rows", "convergence_report"} <= readers
 
 
 def test_each_value_is_given_once():
     # a level count, a Kraus set or an operator count that another argument fixes is not asked for
     signatures = {
+        dequantization.correlations: ["kraus", "system", "state"],
         dequantization.phi_symmetry_residual: ["corr"],
+        dequantization.convergence_rows: ["corr", "a", "b"],
         dequantization.convergence_report: ["corr", "a", "b"],
         dilation.stinespring_isometry: ["system", "m"],
         cli._split_rows: ["system"],

@@ -148,12 +148,12 @@ def test_shift_sweeps_match_dense_oracle(kraus):
 def test_symmetry_sweep_matches_dense_oracle(kraus):
     top = top_level(kraus)
     system = build_subproduct(kraus, top)
-    corr = correlations(kraus, system, state_spec(kraus, np.eye(kraus.dim) / kraus.dim), top)
+    corr = correlations(kraus, system, state_spec(kraus, np.eye(kraus.dim) / kraus.dim))
     swept = phi_symmetry_residual(corr)
     assert sorted(swept) == list(range(1, top + 1))
     for m in range(1, top + 1):
         # both routes round relative to the size of Q^{⊗m}
-        scale = max(1.0, operator_norm(corr.base)) ** m
+        scale = max(1.0, operator_norm(corr.level(1).matrix)) ** m
         for fast, slow in zip(swept[m], symmetry_oracle(corr, system, m)):
             assert abs(fast - slow) <= 1e-12 * scale, m
 
@@ -169,11 +169,11 @@ def test_channel_is_unital(kraus):
 def test_dequantization_is_unital(kraus):
     top = 3
     system = build_subproduct(kraus, top)
-    corr = correlations(kraus, system, state_spec(kraus, np.eye(kraus.dim) / kraus.dim), top)
+    corr = correlations(kraus, system, state_spec(kraus, np.eye(kraus.dim) / kraus.dim))
     for m in range(1, top + 1):
         psi = dequantize(corr, np.eye(kraus.dim), m)
         # M @ M^-1 loses accuracy with the condition number of M
-        cond = np.linalg.cond(corr.levels[m].matrix)
+        cond = np.linalg.cond(corr.level(m).matrix)
         assert operator_norm(psi - np.eye(system.dims[m])) <= 1e-13 * max(cond, 100.0), m
 
 
