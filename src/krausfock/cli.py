@@ -73,8 +73,8 @@ from .catalog import CatalogSpec, build_catalog
 from .channel import KrausSet, apply_heisenberg, check_state, minimal_kraus, validate
 from .dequantization import (
     ConvergenceReport,
+    CorrelationData,
     convergence_rows,
-    correlations,
     dequantize,
     phi_symmetry_residual,
     state_spec,
@@ -440,7 +440,7 @@ def cmd_dequantize(args) -> int:
     digest, kraus, state = _load_channel(args)
     a = _load_observable(args.observable, kraus.dim)
     m = args.level
-    corr = correlations(kraus, build_subproduct(kraus, m), state_spec(kraus, state))
+    corr = CorrelationData(build_subproduct(kraus, m), state_spec(kraus, state))
     # the sweep reads the levels upward, so each is formed once and level m is kept
     symmetry = phi_symmetry_residual(corr)
     psi = dequantize(corr, a, m)
@@ -461,7 +461,7 @@ def cmd_dequantize(args) -> int:
 def cmd_converge(args) -> int:
     digest, kraus, state = _load_channel(args)
     mats = [_load_observable(path, kraus.dim) for path in args.observables]
-    corr = correlations(kraus, build_subproduct(kraus, args.max_m), state_spec(kraus, state))
+    corr = CorrelationData(build_subproduct(kraus, args.max_m), state_spec(kraus, state))
     # one upward pass, a row written as its level is formed: the rows below
     # the first singular level are printed before its error
     _emit_csv(["m", *ConvergenceReport.COLUMNS], convergence_rows(corr, *mats), digest, args)

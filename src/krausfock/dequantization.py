@@ -25,13 +25,15 @@ is a similarity, hence an exact unital homomorphism.  So
 there, and a generic channel's large-``m`` limit is the whole matrix
 algebra, not a classical one.
 
-A :class:`CorrelationData` holds the Kraus family, level spaces and
-reference state it was built from, so :func:`dequantize`,
-:func:`phi_symmetry_residual`, :func:`convergence_rows` and
-:func:`convergence_report` take only the correlation data and read the rest
-from it.  Its levels are those of the level spaces, ``1..system.max_level``;
-each is formed when it is read, and the last one formed is kept, so a
-reader that walks the levels upward forms each once and holds one at a time.
+A :class:`CorrelationData` holds the level spaces and reference state it
+is made of, ``CorrelationData(system, state)``, and reads the Kraus family
+from the level spaces, which hold the family they were built from; so
+:func:`dequantize`, :func:`phi_symmetry_residual`, :func:`convergence_rows`
+and :func:`convergence_report` take only the correlation data and read the
+rest from it.  Its levels are those of the level spaces,
+``1..system.max_level``; each is formed when it is read, and the last one
+formed is kept, so a reader that walks the levels upward forms each once
+and holds one at a time.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ __all__ = [
     "LevelCorrelation",
     "CorrelationData",
     "correlation_matrix",
-    "correlations",
     "phi_symmetry_residual",
     "dequantize",
     "normal_ordering_residual",
@@ -121,17 +122,26 @@ class LevelCorrelation:
 
 @dataclass(eq=False)
 class CorrelationData:
-    """The Kraus family, level spaces and state of the correlation levels, and one level.
+    """The level spaces and state of the correlation levels, and one level.
 
-    :meth:`level` forms level ``m`` by :func:`correlation_matrix` when it is
-    read and keeps it until another level is read.
+    The Kraus family is the one ``system`` was built from.  A system without
+    level 1 is refused, and so is a state that is not ``d``-square for that
+    family.  No level is formed here: :meth:`level` forms level ``m`` by
+    :func:`correlation_matrix` when it is read, a singular level raising
+    there, and keeps it until another level is read.
     """
 
-    kraus: KrausSet
     system: SubproductSystem
     state: StateSpec
     # the last level formed and its correlations; none until a level is read
     _cache: tuple[int, LevelCorrelation] | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.system.max_level < 1:
+            raise ValueError("need at least one correlation level")
+        d = self.system.kraus.dim
+        if self.state.rho0.shape != (d, d):
+            raise ValueError(f"state must be {d}x{d}, got {self.state.rho0.shape}")
 
     def level(self, m: int) -> LevelCorrelation:
         """Correlations of level ``m``, ``1 <= m <= system.max_level``.
@@ -144,7 +154,7 @@ class CorrelationData:
         if self._cache is None or self._cache[0] != m:
             # a level does not depend on another, so the kept one goes first
             self._cache = None
-            self._cache = (m, correlation_matrix(self.kraus, self.system, self.state, m))
+            self._cache = (m, correlation_matrix(self.system.kraus, self.system, self.state, m))
         return self._cache[1]
 
 
@@ -232,21 +242,6 @@ def correlation_matrix(
     return LevelCorrelation(matrix=raw, inverse=inv, trace=trace, scale=scale)
 
 
-def correlations(kraus: KrausSet, system: SubproductSystem, state: StateSpec) -> CorrelationData:
-    """Correlation data over the levels ``1..system.max_level`` of ``system``.
-
-    The result keeps ``kraus``, ``system`` and ``state`` for the functions
-    that read it, so this is the one place where the three must be given
-    consistently: ``system`` built from ``kraus``, ``state`` checked against it.
-    A system without level 1 is refused.  No level is formed here: a
-    singular level raises when it is first read, by
-    :meth:`CorrelationData.level`.
-    """
-    if system.max_level < 1:
-        raise ValueError("need at least one correlation level")
-    return CorrelationData(kraus, system, state)
-
-
 def phi_symmetry_residual(corr: CorrelationData) -> dict[int, tuple[float, float]]:
     """How far each level matrix is from a compressed tensor power of the base.
 
@@ -256,8 +251,7 @@ def phi_symmetry_residual(corr: CorrelationData) -> dict[int, tuple[float, float
     channel-symmetric correlations.  The levels are read upward, so each is
     formed once and the top one is kept.
     """
-    top = corr.system.max_level
-    sweep = power_sweep(corr.system, corr.system, corr.level(1).matrix, top)
+    sweep = power_sweep(corr.system, corr.system, corr.level(1).matrix, corr.system.max_level)
     return {
         j: (operator_norm(corr.level(j).matrix - compressed), r2)
         for j, (compressed, r2) in enumerate(sweep[1:], start=1)
@@ -270,9 +264,9 @@ def dequantize(corr: CorrelationData, a, m: int) -> np.ndarray:
     In level coordinates this is ``M_A @ M^(-1)`` where
     ``M_A = B† [Tr(rho0 K_wk† K_wj A)] B`` is the compressed ``A``-weighted
     pairing matrix and ``M`` the compressed pairing matrix of the identity,
-    both over the Kraus family, level spaces and state that ``corr`` was
-    built from.  Unitality ``Psi_m(1) = 1`` holds identically.  When the
-    reference state has channel-symmetric correlations and the base
+    both over the level spaces and state of ``corr`` and the Kraus family
+    the level spaces hold.  Unitality ``Psi_m(1) = 1`` holds identically.
+    When the reference state has channel-symmetric correlations and the base
     correlation matrix is diagonal, this coincides with the weighted sum
     ``Tr(Q_m) sum_words w(wk) Tr(rho0 K_wk† K_wj A) |B† e_wj><B† e_wk|``
     whose per-word weight ``w(wk)`` is the product, over the letters ``k_i``
@@ -282,7 +276,7 @@ def dequantize(corr: CorrelationData, a, m: int) -> np.ndarray:
     ``Psi_m(A)`` is checked to be finite.
     """
     a = as_matrix(a)
-    dim = corr.kraus.dim
+    dim = corr.system.kraus.dim
     if a.shape != (dim, dim):
         raise ValueError(f"observable must be {dim}x{dim}, got {a.shape}")
     level = corr.level(m)
@@ -417,7 +411,7 @@ def convergence_rows(corr: CorrelationData, a, b):
     if not np.isfinite(comm).all():
         raise ValueError("the product of the observables overflows: AB or [A, B] is not finite")
     ref = np.trace(corr.state.rho0 @ a)
-    complete = corr.kraus.dim**2
+    complete = corr.system.kraus.dim**2
 
     def row(m: int) -> tuple:
         pa = dequantize(corr, a, m)
@@ -454,6 +448,5 @@ def convergence_report(corr: CorrelationData, a, b) -> ConvergenceReport:
     other level is evaluated from ``Psi_m(A)``, ``Psi_m(B)`` and ``Psi_m(AB)``.
     The report collects the rows of :func:`convergence_rows`.
     """
-    rows = list(convergence_rows(corr, a, b))
-    columns = ([row[i] for row in rows] for i in range(5))
-    return ConvergenceReport(*columns, corr.kraus.tol.residual_tol)
+    columns = map(list, zip(*convergence_rows(corr, a, b)))
+    return ConvergenceReport(*columns, corr.system.kraus.tol.residual_tol)

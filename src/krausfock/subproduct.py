@@ -13,16 +13,19 @@ nesting law ``level(m+l) ⊆ level(m) ⊗ level(l)`` exactly.
 Storage: level ``m`` is the chain factor ``C_m``, an orthonormal basis of
 the range of the candidates ``H_(u,k) = G_u K_k`` built on level ``m-1``.
 The factors fix the generators ``G_m = C_m† H = sum_w conj(B_m[w, :]) K_w``
-of every level, so a system stores the factors, ``G_1`` and the ``G_m`` of
-one level, the last one formed, and forms any other on demand by rerunning
-the build's step from it or from ``G_1``, so memory does not grow by a
-``d_m x d x d`` stack a level.  A reader that walks the levels upward pays
-one step a level.  Level 1 is the decision of the unital-and-minimal guard:
-it is full, and ``G_1`` is the family's own frozen stack.  From level 2 on,
-as long as the previous level was full, the rank rule decides whether
-level ``m`` is full too, by :func:`~krausfock.linalg._range_unless_full`.
-The basis ``B_m = (B_{m-1} ⊗ 1_n) C_m``, a left-canonical matrix product
-state of bond dimension ``<= d^2`` with ``n^m`` rows, is formed only by the
+of every level, so a system stores the factors, the family it was built
+from, whose frozen stack is ``G_1``, and the ``G_m`` of one level, the last
+one formed, and forms any other on demand by rerunning the build's step
+from it or from ``G_1``, so memory does not grow by a ``d_m x d x d``
+stack a level.  A reader that walks the levels upward pays one step a
+level.  Every level space belongs to that one family, so a reader
+of the levels reads the family from the system and is never given it
+again.  Level 1 is the decision of the unital-and-minimal guard: it is
+full, and ``G_1`` is the family's own frozen stack.  From level 2 on, as
+long as the previous level was full, the rank rule decides whether level
+``m`` is full too, by :func:`~krausfock.linalg._range_unless_full`.  The
+basis ``B_m = (B_{m-1} ⊗ 1_n) C_m``, a left-canonical matrix product state
+of bond dimension ``<= d^2`` with ``n^m`` rows, is formed only by the
 tests, as a dense oracle; the left half of the nesting law holds by
 construction.  Besides the build, every public function is a sweep or a
 slice over the chain factors.  A full level, ``d_m = n d_{m-1}``, is
@@ -77,29 +80,29 @@ __all__ = [
 
 @dataclass(eq=False)
 class SubproductSystem:
-    """Chain factors of the levels of a Kraus family, and one level's generators.
+    """Chain factors of the levels of a Kraus family, the family, and one level's generators.
 
     ``factors[m]`` is ``C_m``, or ``None`` at a full level, whose ``C_m`` is
     the identity (``factors[0]`` is the ``1 x 1`` level-zero basis), and
-    ``ops`` is the family's frozen stack ``G_1``: level 1 is full by the
-    guard's decision, and from level 2 on, the rank rule decides whether a
-    level is full, as long as the previous level was.  The factors fix every
-    ``G_m``; :meth:`generators` forms it on demand by the build's own step,
-    so its bits are the build's.  The last level formed is kept, and a
-    reader that walks the levels upward pays one step a level.
-    :func:`build_subproduct` freezes the factors against writes, and every
-    stack handed out is frozen too.
+    ``kraus`` is the family the levels belong to, whose frozen stack is
+    ``G_1``: level 1 is full by the guard's decision, and from level 2 on,
+    the rank rule decides whether a level is full, as long as the previous
+    level was.  The factors fix every ``G_m``; :meth:`generators` forms it
+    on demand by the build's own step, so its bits are the build's.  The
+    last level formed is kept, and a reader that walks the levels upward
+    pays one step a level.  :func:`build_subproduct` freezes the factors
+    against writes, and every stack handed out is frozen too.
     """
 
     factors: list[np.ndarray | None]
-    ops: np.ndarray = field(repr=False)
+    kraus: KrausSet = field(repr=False)
     # the last level formed and its frozen G_m; level 1 until one is formed
     _cache: tuple[int, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         """The number of operators, the letters of the words."""
-        return self.ops.shape[0]
+        return self.kraus.size
 
     @property
     def max_level(self) -> int:
@@ -126,11 +129,11 @@ class SubproductSystem:
         """
         self._check_level(m)
         if m == 0:
-            d = self.ops.shape[1]
+            d = self.kraus.dim
             return np.broadcast_to(np.eye(d, dtype=complex), (1, d, d))  # a read-only view
-        level, gens = self._cache if self._cache and self._cache[0] <= m else (1, self.ops)
+        level, gens = self._cache if self._cache and self._cache[0] <= m else (1, self.kraus.ops)
         for c in self.factors[level + 1 : m + 1]:
-            gens = _compress(_candidates(gens, self.ops), c)
+            gens = _compress(_candidates(gens, self.kraus.ops), c)
         gens.flags.writeable = False
         self._cache = (m, gens)
         return gens
@@ -153,7 +156,8 @@ def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
 
     Each level is formed from the one before by :func:`_candidates` and
     :func:`_compress`, the step :meth:`SubproductSystem.generators` reruns,
-    so only the previous level is held; the top level is kept in the result.
+    so only the previous level is held; the top level is kept in the result,
+    and so is ``kraus`` itself, the family every level belongs to.
     A level with no direction left by the rank rule is refused: a unital
     family has none, but a set that passes the guard only at a loose
     ``residual_tol`` can, when its candidates underflow to zero.
@@ -161,7 +165,6 @@ def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
     require_unital_minimal(kraus)
-    d = kraus.dim
     # the guard has found the K_k independent: level 1 is full, G_1 = K
     factors = [np.ones((1, 1), dtype=complex), None][: max_level + 1]
     gens = kraus.ops
@@ -175,7 +178,7 @@ def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
         decide = _range_unless_full if factors[-1] is None else orthonormal_range
         # the rows vec(H^T), a copy that dies with the call: their range is
         # the level subspace in the coordinates of level(m-1) ⊗ C^n
-        c = decide(cand.transpose(0, 2, 1).reshape(-1, d * d), kraus.tol)
+        c = decide(cand.transpose(0, 2, 1).reshape(len(cand), -1), kraus.tol)
         if c is not None:
             if c.shape[1] == 0:
                 raise ValueError(f"level {m} is empty: the rank rule keeps no direction")
@@ -184,7 +187,7 @@ def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
         gens = _compress(cand, c)
         del cand  # before the next level's candidates are formed
     factors[0].flags.writeable = False
-    return SubproductSystem(factors, kraus.ops, _cache=(max(max_level, 1), gens))
+    return SubproductSystem(factors, kraus, _cache=(max(max_level, 1), gens))
 
 
 def _full(factors) -> bool:

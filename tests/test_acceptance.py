@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from krausfock import (
+    CorrelationData,
     KrausSet,
     apply_heisenberg,
     build_subproduct,
@@ -20,7 +21,6 @@ from krausfock import (
     complementary_state_via_dilation,
     compressed_action,
     convergence_report,
-    correlations,
     covariant_symbol,
     dequantize,
     inductive_map,
@@ -243,13 +243,13 @@ def test_c08_correlation_normalization(families):
     worst_norm = 0.0
     for kraus in families.values():
         spec = state_spec(kraus, np.eye(kraus.dim) / kraus.dim)
-        corr = correlations(kraus, build_subproduct(kraus, 5), spec)
+        corr = CorrelationData(build_subproduct(kraus, 5), spec)
         for m in range(1, 6):
             level = corr.level(m)
             worst_norm = max(worst_norm, abs(level.inv_trace - level.trace) / level.trace)
     kraus = families["projective"]
     system = build_subproduct(kraus, 6)
-    corr = correlations(kraus, system, state_spec(kraus, np.eye(3) / 3))
+    corr = CorrelationData(system, state_spec(kraus, np.eye(3) / 3))
     worst_q = max(
         operator_norm(corr.level(m).matrix - np.eye(system.dims[m])) for m in range(1, 7)
     )
@@ -266,7 +266,7 @@ def test_c08_correlation_normalization(families):
 def test_c09_dequantization_unitality_and_oracle(families):
     kraus = families["projective"]
     system = build_subproduct(kraus, 6)
-    corr = correlations(kraus, system, state_spec(kraus, np.eye(3) / 3))
+    corr = CorrelationData(system, state_spec(kraus, np.eye(3) / 3))
     worst_unital = max(
         operator_norm(dequantize(corr, np.eye(3), m) - np.eye(system.dims[m]))
         for m in range(1, 7)
@@ -276,7 +276,7 @@ def test_c09_dequantization_unitality_and_oracle(families):
     for kraus in families.values():
         system = build_subproduct(kraus, 4)
         spec = state_spec(kraus, np.eye(kraus.dim) / kraus.dim)
-        corr = correlations(kraus, system, spec)
+        corr = CorrelationData(system, spec)
         a = random_hermitian(rng, kraus.dim)
         for m in range(1, 5):
             fast = dequantize(corr, a, m)
@@ -296,7 +296,7 @@ def test_c10_limit_state(families):
     kraus = families["projective"]
     system = build_subproduct(kraus, 6)
     spec = state_spec(kraus, np.eye(3) / 3)
-    corr = correlations(kraus, system, spec)
+    corr = CorrelationData(system, spec)
     a = random_hermitian(rng, 3)
     worst = 0.0
     for m in range(1, 7):
@@ -308,7 +308,7 @@ def test_c10_limit_state(families):
     kraus = families["commuting"]
     system = build_subproduct(kraus, 6)
     spec = state_spec(kraus, np.eye(12) / 12)
-    corr = correlations(kraus, system, spec)
+    corr = CorrelationData(system, spec)
     a = kraus.ops[0].conj().T @ kraus.ops[0] - kraus.ops[1].conj().T @ kraus.ops[1]
     report = convergence_report(corr, a, a)
     gap_trend = report.verdicts["limit_state_gap"]
@@ -328,7 +328,7 @@ def test_c11_strict_quantization_trends(families):
     kraus = families["commuting"]
     system = build_subproduct(kraus, 7)
     spec = state_spec(kraus, np.eye(12) / 12)
-    corr = correlations(kraus, system, spec)
+    corr = CorrelationData(system, spec)
     a = kraus.ops[0].conj().T @ kraus.ops[0] - kraus.ops[1].conj().T @ kraus.ops[1]
     b = kraus.ops[0].conj().T @ kraus.ops[1] + kraus.ops[1].conj().T @ kraus.ops[0]
     report = convergence_report(corr, a, b)

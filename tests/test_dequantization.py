@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import krausfock.dequantization as dequantization
 from krausfock import (
+    CorrelationData,
     KrausSet,
     SingularMatrixError,
     SubproductSystem,
@@ -15,7 +16,6 @@ from krausfock import (
     build_subproduct,
     commuting_generic,
     convergence_report,
-    correlations,
     dequantize,
     kraus_word,
     normal_ordering_residual,
@@ -56,7 +56,7 @@ def deep48():
     k = commuting_generic(2, 48, seed=3)
     s = build_subproduct(k, 46)
     spec = state_spec(k, maximally_mixed(48))
-    return s, spec, correlations(k, s, spec)
+    return s, spec, CorrelationData(s, spec)
 
 
 class TestStateSpec:
@@ -85,7 +85,7 @@ class TestStateSpec:
         # every level is computed to machine precision
         spec = state_spec(projective3, np.diag([1.0 - 2.0 * eps, eps, eps]))
         s = build_subproduct(projective3, 3)
-        corr = correlations(projective3, s, spec)
+        corr = CorrelationData(s, spec)
         a = random_hermitian(np.random.default_rng(5), 3)
         for m in range(1, 4):
             ref = mp_dequantize(s, spec.rho0, a, m)
@@ -97,7 +97,7 @@ class TestCorrelations:
     def test_uniform_projective_is_identity(self, projective3):
         s = build_subproduct(projective3, 6)
         spec = state_spec(projective3, maximally_mixed(3))
-        corr = correlations(projective3, s, spec)
+        corr = CorrelationData(s, spec)
         assert np.allclose(corr.level(1).matrix, np.eye(3), atol=1e-10)
         for m in range(1, 7):
             level = corr.level(m)
@@ -106,12 +106,19 @@ class TestCorrelations:
     def test_keeps_what_it_was_built_from(self, commuting212):
         s = build_subproduct(commuting212, 2)
         spec = state_spec(commuting212, maximally_mixed(12))
-        corr = correlations(commuting212, s, spec)
-        assert corr.kraus is commuting212 and corr.system is s and corr.state is spec
+        corr = CorrelationData(s, spec)
+        assert corr.system.kraus is commuting212 and corr.system is s and corr.state is spec
+
+    def test_refuses_a_state_of_another_family(self, projective3, commuting212):
+        # the state is checked against the family the level spaces hold, by
+        # the library and not by numpy's matmul
+        spec = state_spec(projective3, maximally_mixed(3))
+        with pytest.raises(ValueError, match=r"state must be 12x12, got \(3, 3\)"):
+            CorrelationData(build_subproduct(commuting212, 2), spec)
 
     def test_levels_are_formed_when_read_and_the_last_is_kept(self, commuting212, monkeypatch):
         s = build_subproduct(commuting212, 3)
-        corr = correlations(commuting212, s, state_spec(commuting212, maximally_mixed(12)))
+        corr = CorrelationData(s, state_spec(commuting212, maximally_mixed(12)))
         formed = []
         real = dequantization.correlation_matrix
 
@@ -131,7 +138,7 @@ class TestCorrelations:
 
     def test_levels_are_frozen(self, commuting212):
         s = build_subproduct(commuting212, 3)
-        corr = correlations(commuting212, s, state_spec(commuting212, maximally_mixed(12)))
+        corr = CorrelationData(s, state_spec(commuting212, maximally_mixed(12)))
         for level in every_level(corr):
             for a in (level.matrix, level.inverse):
                 with pytest.raises(ValueError, match="read-only"):
@@ -141,7 +148,7 @@ class TestCorrelations:
         for k in catalog_quartet.values():
             s = build_subproduct(k, 1)
             spec = state_spec(k, maximally_mixed(k.dim))
-            level = correlations(k, s, spec).level(1)
+            level = CorrelationData(s, spec).level(1)
             raw_trace = level.trace / level.scale
             assert abs(raw_trace - 1.0) < 1e-12
 
@@ -149,7 +156,7 @@ class TestCorrelations:
         for k in catalog_quartet.values():
             s = build_subproduct(k, 5)
             spec = state_spec(k, maximally_mixed(k.dim))
-            corr = correlations(k, s, spec)
+            corr = CorrelationData(s, spec)
             for level in every_level(corr):
                 assert abs(level.inv_trace - level.trace) < 1e-8 * level.trace
 
@@ -158,7 +165,7 @@ class TestCorrelations:
         g = random_complex(rng, 12, 12)
         rho = g @ g.conj().T
         spec = state_spec(commuting212, rho / np.trace(rho).real)
-        corr = correlations(commuting212, s, spec)
+        corr = CorrelationData(s, spec)
         for level in every_level(corr):
             assert operator_norm(level.matrix - level.matrix.conj().T) < 1e-12
             assert np.linalg.eigvalsh(level.matrix)[0] > 0
@@ -173,7 +180,7 @@ class TestCorrelations:
         rho[0, 0] = rho[1, 1] = 0.5
         spec = state_spec(commuting212, rho)
         # the level is refused when it is read, not when the data is made
-        corr = correlations(commuting212, s, spec)
+        corr = CorrelationData(s, spec)
         corr.level(1)
         with pytest.raises(SingularMatrixError, match="level-2"):
             corr.level(2)
@@ -193,7 +200,7 @@ class TestCorrelations:
         for k in catalog_quartet.values():
             s = build_subproduct(k, 5)
             spec = state_spec(k, maximally_mixed(k.dim))
-            cases.append((s, spec, correlations(k, s, spec)))
+            cases.append((s, spec, CorrelationData(s, spec)))
         cases.append(deep48)
         for s, spec, corr in cases:
             for m, level in enumerate(every_level(corr), start=1):
@@ -211,7 +218,7 @@ class TestCorrelations:
         # that of W† W = [<a(y), a(x)>^m] / d, of rank d_m
         k = commuting_generic(2, d, seed=3)
         s = build_subproduct(k, top)
-        corr = correlations(k, s, state_spec(k, maximally_mixed(d)))
+        corr = CorrelationData(s, state_spec(k, maximally_mixed(d)))
         points = np.stack([np.diagonal(op) for op in k.ops], axis=1)
         gram = points.conj() @ points.T
         for m in range(1, top + 1):
@@ -264,7 +271,7 @@ class TestCorrelations:
         spy("svd")
         spy("cholesky")
         for k, s in systems:
-            every_level(correlations(k, s, state_spec(k, maximally_mixed(k.dim))))
+            every_level(CorrelationData(s, state_spec(k, maximally_mixed(k.dim))))
         assert calls == []
 
     def test_near_threshold_level_takes_the_rank_rule(self, monkeypatch):
@@ -324,10 +331,9 @@ class TestCorrelations:
             offset = np.exp(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.0, 0.5))
             sv[-1] = min(edge * offset, 1.0)
             w = (haar_unitary(rng, rows) * sv) @ haar_unitary(rng, 9)[:rows]
-            k = KrausSet(np.eye(3)[None], tol=tol)
-            gens = np.sqrt(3.0) * w.reshape(rows, 3, 3)
+            k = KrausSet(np.sqrt(3.0) * w.reshape(rows, 3, 3), tol=tol)
             # a full level 1 whose G_1 is the planted stack
-            s = SubproductSystem([np.ones((1, 1)), None], gens)
+            s = SubproductSystem([np.ones((1, 1)), None], k)
             spec, m = state_spec(k, maximally_mixed(3)), 1
         else:
             k = KrausSet(commuting_generic(2, 12, seed=3).ops, tol=tol)
@@ -356,7 +362,7 @@ class TestCorrelations:
         with pytest.raises(ValueError, match="correlation levels start at 1"):
             dequantization.correlation_matrix(projective3, s, spec, 0)
         with pytest.raises(ValueError, match="at least one correlation level"):
-            correlations(projective3, build_subproduct(projective3, 0), spec)
+            CorrelationData(build_subproduct(projective3, 0), spec)
 
 
 class TestPhiSymmetry:
@@ -364,14 +370,14 @@ class TestPhiSymmetry:
         for k in catalog_quartet.values():
             s = build_subproduct(k, 2)
             spec = state_spec(k, maximally_mixed(k.dim))
-            corr = correlations(k, s, spec)
+            corr = CorrelationData(s, spec)
             r1, _ = phi_symmetry_residual(corr)[1]
             assert r1 < 1e-12
 
     def test_uniform_projective_is_symmetric(self, projective3):
         s = build_subproduct(projective3, 6)
         spec = state_spec(projective3, maximally_mixed(3))
-        corr = correlations(projective3, s, spec)
+        corr = CorrelationData(s, spec)
         residuals = phi_symmetry_residual(corr)
         for m in range(1, 7):
             r1, r2 = residuals[m]
@@ -383,7 +389,7 @@ class TestPhiSymmetry:
         # d = 16: levels 1..5 are full; d = 3: levels 4 and 5 are not
         k = random_unital(2, d, seed=0)
         s = build_subproduct(k, 5)
-        corr = correlations(k, s, state_spec(k, random_density(rng, d)))
+        corr = CorrelationData(s, state_spec(k, random_density(rng, d)))
         swept = phi_symmetry_residual(corr)
         for m in range(1, 6):
             scale = max(1.0, operator_norm(corr.level(1).matrix)) ** m
@@ -396,7 +402,7 @@ class TestPhiSymmetry:
         # subspace here and tensor powers commute with the symmetrizer
         s = build_subproduct(commuting212, 3)
         spec = state_spec(commuting212, maximally_mixed(12))
-        corr = correlations(commuting212, s, spec)
+        corr = CorrelationData(s, spec)
         r1, r2 = phi_symmetry_residual(corr)[3]
         assert r1 > 1e-6
         assert r2 < 1e-10
@@ -407,7 +413,7 @@ class TestDequantize:
         for k in catalog_quartet.values():
             s = build_subproduct(k, 5)
             spec = state_spec(k, maximally_mixed(k.dim))
-            corr = correlations(k, s, spec)
+            corr = CorrelationData(s, spec)
             for m in range(1, 6):
                 out = dequantize(corr, np.eye(k.dim), m)
                 assert operator_norm(out - np.eye(s.dims[m])) < 1e-8
@@ -415,7 +421,7 @@ class TestDequantize:
     def test_projective_level_one_closed_form(self, projective3, rng):
         s = build_subproduct(projective3, 1)
         spec = state_spec(projective3, maximally_mixed(3))
-        corr = correlations(projective3, s, spec)
+        corr = CorrelationData(s, spec)
         a = random_hermitian(rng, 3)
         got = dequantize(corr, a, 1)
         # post-measurement expectations Tr(rho0 P_k A) / Tr(rho0 P_k)
@@ -432,7 +438,7 @@ class TestDequantize:
         # so compare the spectra instead of fixed matrix positions
         s = build_subproduct(projective3, 5)
         spec = state_spec(projective3, maximally_mixed(3))
-        corr = correlations(projective3, s, spec)
+        corr = CorrelationData(s, spec)
         a = random_hermitian(rng, 3)
         expected = sorted(np.trace(p @ a).real for p in projective3.ops)
         for m in range(1, 6):
@@ -445,7 +451,7 @@ class TestDequantize:
         for k in catalog_quartet.values():
             s = build_subproduct(k, 3)
             spec = state_spec(k, maximally_mixed(k.dim))
-            corr = correlations(k, s, spec)
+            corr = CorrelationData(s, spec)
             a = random_hermitian(rng, k.dim)
             for m in (1, 2, 3):
                 fast = dequantize(corr, a, m)
@@ -459,7 +465,7 @@ class TestDequantize:
         k = projective3
         s = build_subproduct(k, 4)
         spec = state_spec(k, maximally_mixed(3))
-        corr = correlations(k, s, spec)
+        corr = CorrelationData(s, spec)
         a = random_hermitian(rng, 3)
         for m in (2, 3, 4):
             words = word_stack(k, m)
@@ -483,7 +489,7 @@ class TestDequantize:
     def test_hermitian_on_symmetric_instance(self, projective3, rng):
         s = build_subproduct(projective3, 4)
         spec = state_spec(projective3, maximally_mixed(3))
-        corr = correlations(projective3, s, spec)
+        corr = CorrelationData(s, spec)
         a = random_hermitian(rng, 3)
         out = dequantize(corr, a, 4)
         assert operator_norm(out - out.conj().T) < 1e-10
@@ -494,7 +500,7 @@ class TestDequantize:
         k = sequential_projective(3, 0.01)
         s = build_subproduct(k, 8)
         spec = state_spec(k, maximally_mixed(3))
-        corr = correlations(k, s, spec)
+        corr = CorrelationData(s, spec)
         a = random_hermitian(rng, 3)
         for m in range(1, 9):
             ref = mp_dequantize(s, spec.rho0, a, m)
@@ -504,13 +510,13 @@ class TestDequantize:
     def test_requires_built_level(self, projective3):
         s = build_subproduct(projective3, 2)
         spec = state_spec(projective3, maximally_mixed(3))
-        corr = correlations(projective3, s, spec)
+        corr = CorrelationData(s, spec)
         with pytest.raises(ValueError, match="not built"):
             dequantize(corr, np.eye(3), 3)
 
     def test_rejects_an_observable_of_another_shape(self, projective3):
         s = build_subproduct(projective3, 1)
-        corr = correlations(projective3, s, state_spec(projective3, maximally_mixed(3)))
+        corr = CorrelationData(s, state_spec(projective3, maximally_mixed(3)))
         with pytest.raises(ValueError, match="observable must be 3x3"):
             dequantize(corr, np.eye(2), 1)
 
@@ -633,7 +639,7 @@ class TestConvergenceReport:
     def test_identity_observables_are_flat(self, commuting212):
         s = build_subproduct(commuting212, 4)
         spec = state_spec(commuting212, maximally_mixed(12))
-        corr = correlations(commuting212, s, spec)
+        corr = CorrelationData(s, spec)
         eye = np.eye(12)
         report = convergence_report(corr, eye, eye)
         for name in ("norm_gap", "vn_residual", "scaled_commutator", "limit_state_gap"):
@@ -643,7 +649,7 @@ class TestConvergenceReport:
     def test_projective_diagonal_observables_are_classical(self, projective3, rng):
         s = build_subproduct(projective3, 5)
         spec = state_spec(projective3, maximally_mixed(3))
-        corr = correlations(projective3, s, spec)
+        corr = CorrelationData(s, spec)
         a = np.diag(rng.normal(size=3))
         b = np.diag(rng.normal(size=3))
         report = convergence_report(corr, a, b)
@@ -653,7 +659,7 @@ class TestConvergenceReport:
     def test_limit_state_gap_is_structurally_zero(self, commuting212, rng):
         s = build_subproduct(commuting212, 5)
         spec = state_spec(commuting212, maximally_mixed(12))
-        corr = correlations(commuting212, s, spec)
+        corr = CorrelationData(s, spec)
         a = random_hermitian(rng, 12)
         report = convergence_report(corr, a, a)
         assert max(report.limit_state_gap) < 1e-10
@@ -664,7 +670,7 @@ class TestConvergenceReport:
         two random observables and the complete levels (``d_m = d^2``)."""
         kraus = random_unital(n, d, seed=0)
         s = build_subproduct(kraus, top)
-        corr = correlations(kraus, s, state_spec(kraus, random_density(rng, d)))
+        corr = CorrelationData(s, state_spec(kraus, random_density(rng, d)))
         complete = [m for m in range(1, top + 1) if s.dims[m] == d * d]
         return corr, random_hermitian(rng, d), random_hermitian(rng, d), complete
 
@@ -703,8 +709,8 @@ class TestConvergenceReport:
         # a level's factors and generators do not depend on how deep the build
         # goes, so a system built to 3 gives the first rows of one built to 6
         spec = state_spec(commuting212, random_density(rng, 12))
-        full = correlations(commuting212, build_subproduct(commuting212, 6), spec)
-        partial = correlations(commuting212, build_subproduct(commuting212, 3), spec)
+        full = CorrelationData(build_subproduct(commuting212, 6), spec)
+        partial = CorrelationData(build_subproduct(commuting212, 3), spec)
         a, b = random_hermitian(rng, 12), random_hermitian(rng, 12)
         report = convergence_report(partial, a, b)
         assert report.levels == [1, 2, 3]
@@ -715,7 +721,7 @@ class TestConvergenceReport:
     def test_rows_shape(self, projective3):
         s = build_subproduct(projective3, 3)
         spec = state_spec(projective3, maximally_mixed(3))
-        corr = correlations(projective3, s, spec)
+        corr = CorrelationData(s, spec)
         report = convergence_report(corr, np.eye(3), np.eye(3))
         rows = report.rows()
         assert len(rows) == 3

@@ -46,10 +46,30 @@ def test_correlation_consumers_read_the_channel_from_corr():
     assert {"dequantize", "phi_symmetry_residual", "convergence_rows", "convergence_report"} <= readers
 
 
+def test_level_spaces_carry_their_family():
+    # a system holds the Kraus family it was built from, so a function that
+    # takes a system is not given the family again; the three that still are
+    # take it positionally in the benchmark scripts
+    both = {
+        name
+        for module in (subproduct, dilation, dequantization)
+        for name in module.__all__
+        if inspect.isfunction(getattr(module, name))
+        and {"kraus", "system"} <= set(inspect.signature(getattr(module, name)).parameters)
+    }
+    assert both == {"correlation_matrix", "normal_ordering_residual", "covariant_symbol"}
+    names = lambda cls: [f.name for f in dataclasses.fields(cls)]  # noqa: E731
+    assert names(subproduct.SubproductSystem) == ["factors", "kraus", "_cache"]
+    assert names(dequantization.CorrelationData) == ["system", "state", "_cache"]
+    kraus = catalog.random_unital(2, 3)
+    assert subproduct.build_subproduct(kraus, 3).kraus is kraus
+    assert not hasattr(krausfock, "correlations")
+
+
 def test_each_value_is_given_once():
     # a level count, a Kraus set or an operator count that another argument fixes is not asked for
     signatures = {
-        dequantization.correlations: ["kraus", "system", "state"],
+        dequantization.CorrelationData: ["system", "state", "_cache"],
         dequantization.phi_symmetry_residual: ["corr"],
         dequantization.convergence_rows: ["corr", "a", "b"],
         dequantization.convergence_report: ["corr", "a", "b"],

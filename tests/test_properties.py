@@ -21,19 +21,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from krausfock import (
+    CorrelationData,
     KrausSet,
     Tolerances,
     apply_heisenberg,
     build_subproduct,
     commuting_generic,
-    correlations,
     dequantize,
     minimal_kraus,
     operator_norm,
+    phi_symmetry_residual,
     projective_measurement,
     random_unital,
     sequential_projective,
-    phi_symmetry_residual,
     shift_left,
     shift_right,
     state_spec,
@@ -148,7 +148,7 @@ def test_shift_sweeps_match_dense_oracle(kraus):
 def test_symmetry_sweep_matches_dense_oracle(kraus):
     top = top_level(kraus)
     system = build_subproduct(kraus, top)
-    corr = correlations(kraus, system, state_spec(kraus, np.eye(kraus.dim) / kraus.dim))
+    corr = CorrelationData(system, state_spec(kraus, np.eye(kraus.dim) / kraus.dim))
     swept = phi_symmetry_residual(corr)
     assert sorted(swept) == list(range(1, top + 1))
     for m in range(1, top + 1):
@@ -169,7 +169,7 @@ def test_channel_is_unital(kraus):
 def test_dequantization_is_unital(kraus):
     top = 3
     system = build_subproduct(kraus, top)
-    corr = correlations(kraus, system, state_spec(kraus, np.eye(kraus.dim) / kraus.dim))
+    corr = CorrelationData(system, state_spec(kraus, np.eye(kraus.dim) / kraus.dim))
     for m in range(1, top + 1):
         psi = dequantize(corr, np.eye(kraus.dim), m)
         # M @ M^-1 loses accuracy with the condition number of M
