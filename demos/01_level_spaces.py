@@ -17,16 +17,16 @@ import numpy as np
 from krausfock import (
     build_subproduct,
     commuting_generic,
+    projective_measurement,
     random_unital,
     sequential_projective,
     subproduct_residual,
-    uniform_projective,
 )
 
 MAX_LEVEL = 7
 
 families = {
-    "projective measurement (n=3, d=3)": uniform_projective(3),
+    "projective measurement (n=3, d=3)": projective_measurement(3),
     "commuting generic     (n=2, d=12)": commuting_generic(2, 12, seed=3),
     "commuting generic     (n=3, d=20)": commuting_generic(3, 20, seed=3),
     "random unital         (n=2, d=16)": random_unital(2, 16, seed=0),

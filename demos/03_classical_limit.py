@@ -24,15 +24,15 @@ from krausfock import (
     normal_ordering_residual,
     operator_norm,
     phi_symmetry_residual,
+    projective_measurement,
     random_unital,
     state_spec,
-    uniform_projective,
 )
 
 MAX_LEVEL = 6
 
 print("=== projective measurement: classical after one step ===")
-kraus = uniform_projective(3)
+kraus = projective_measurement(3)
 system = build_subproduct(kraus, MAX_LEVEL)
 spec = state_spec(kraus, np.eye(3) / 3)
 corr = CorrelationData(system, spec)

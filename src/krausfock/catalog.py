@@ -29,7 +29,6 @@ __all__ = [
     "identity_channel",
     "unitary_channel",
     "projective_measurement",
-    "uniform_projective",
     "commuting_generic",
     "random_unital",
     "sequential_projective",
@@ -133,11 +132,6 @@ def projective_measurement(d: int, ranks=None) -> KrausSet:
         ops[k, start : start + r, start : start + r] = np.eye(r)
         start += r
     return KrausSet(ops)
-
-
-def uniform_projective(n: int) -> KrausSet:
-    """``n`` rank-one orthogonal projections on ``C^n``."""
-    return projective_measurement(n)
 
 
 def commuting_generic(n: int, d: int, seed: int = 0) -> KrausSet:

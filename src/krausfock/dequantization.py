@@ -139,9 +139,7 @@ class CorrelationData:
     def __post_init__(self):
         if self.system.max_level < 1:
             raise ValueError("need at least one correlation level")
-        d = self.system.kraus.dim
-        if self.state.rho0.shape != (d, d):
-            raise ValueError(f"state must be {d}x{d}, got {self.state.rho0.shape}")
+        _square(self.state.rho0, self.system.kraus.dim, "state")
 
     def level(self, m: int) -> LevelCorrelation:
         """Correlations of level ``m``, ``1 <= m <= system.max_level``.
@@ -156,6 +154,14 @@ class CorrelationData:
             self._cache = None
             self._cache = (m, correlation_matrix(self.system.kraus, self.system, self.state, m))
         return self._cache[1]
+
+
+def _square(a, d: int, what: str = "observable") -> np.ndarray:
+    """``a`` as a matrix, refused unless it is ``d``-square; ``what`` names it."""
+    a = as_matrix(a)
+    if a.shape != (d, d):
+        raise ValueError(f"{what} must be {d}x{d}, got {a.shape}")
+    return a
 
 
 def _root_rows(system: SubproductSystem, state: StateSpec, m: int) -> np.ndarray:
@@ -275,10 +281,7 @@ def dequantize(corr: CorrelationData, a, m: int) -> np.ndarray:
     An observable whose pairings overflow is refused with a ``ValueError``:
     ``Psi_m(A)`` is checked to be finite.
     """
-    a = as_matrix(a)
-    dim = corr.system.kraus.dim
-    if a.shape != (dim, dim):
-        raise ValueError(f"observable must be {dim}x{dim}, got {a.shape}")
+    a = _square(a, corr.system.kraus.dim)
     level = corr.level(m)
     # a huge observable may overflow; the finiteness check below decides
     with np.errstate(all="ignore"):
@@ -393,16 +396,18 @@ def trend_verdict(seq, tol: float) -> str:
 def convergence_rows(corr: CorrelationData, a, b):
     """Rows ``(m, *diagnostics)`` of observables ``a, b`` for ``m = 1..system.max_level``.
 
-    The observables are checked at the call; a product ``AB`` or commutator
-    ``[A, B]`` that overflows is refused with a ``ValueError``.  The rows
-    are then formed upward as they are read, one level at a time, with the
-    four diagnostics in the order of ``ConvergenceReport.COLUMNS`` (see
-    :func:`convergence_report`).  A singular level raises when its row is
-    read, after the rows below it.  A row's level operators die when the
-    row function returns, so none is alive while the next level is formed.
+    The observables are checked at the call, each to be ``d``-square; a
+    product ``AB`` or commutator ``[A, B]`` that overflows is refused with a
+    ``ValueError``.  The rows are then formed upward as they are read, one
+    level at a time, with the four diagnostics in the order of
+    ``ConvergenceReport.COLUMNS`` (see :func:`convergence_report`).  A
+    singular level raises when its row is read, after the rows below it, and
+    so does a level whose products ``Psi_m(A) Psi_m(B)`` overflow, with a
+    ``ValueError``.  A row's level operators die when the row function
+    returns, so none is alive while the next level is formed.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
+    dim = corr.system.kraus.dim
+    a, b = _square(a, dim), _square(b, dim)
     norm_a = operator_norm(a)
     with np.errstate(all="ignore"):
         ab = a @ b
@@ -411,7 +416,7 @@ def convergence_rows(corr: CorrelationData, a, b):
     if not np.isfinite(comm).all():
         raise ValueError("the product of the observables overflows: AB or [A, B] is not finite")
     ref = np.trace(corr.state.rho0 @ a)
-    complete = corr.system.kraus.dim**2
+    complete = dim**2
 
     def row(m: int) -> tuple:
         pa = dequantize(corr, a, m)
@@ -427,11 +432,16 @@ def convergence_rows(corr: CorrelationData, a, b):
         pb = dequantize(corr, b, m)
         pab = dequantize(corr, ab, m)
         # one product for both residuals, subtracted in place, so that no more
-        # matrices are alive at once than with two products
-        papb = pa @ pb
-        vn_res = operator_norm(np.subtract(pab, papb, out=pab))
-        papb -= pb @ pa
-        return norm_gap, vn_res, m * operator_norm(papb), state_gap
+        # matrices are alive at once than with two products; they may
+        # overflow, and the two norms decide below
+        with np.errstate(all="ignore"):
+            papb = pa @ pb
+            vn_res = operator_norm(np.subtract(pab, papb, out=pab))
+            papb -= pb @ pa
+        commutator = operator_norm(papb)
+        if not (vn_res < np.inf and commutator < np.inf):  # NaN compares false too
+            raise ValueError(f"the products of Psi_{m}(A) and Psi_{m}(B) overflow")
+        return norm_gap, vn_res, m * commutator, state_gap
 
     return ((m, *row(m)) for m in range(1, corr.system.max_level + 1))
 

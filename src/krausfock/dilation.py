@@ -113,10 +113,12 @@ def complementary_state_via_dilation(kraus: KrausSet, rho) -> np.ndarray:
     """Same state computed by tracing the system out of the dilated evolution.
 
     ``W (rho ⊗ |e_0><e_0|) W†`` is ``V rho V†`` for the ``e_0`` columns
-    ``V = W[:, ::n]`` of the unitary ``W = unitary_dilation(kraus)``.
+    ``V = W[:, ::n]`` of the unitary ``W = unitary_dilation(kraus)``.  Those
+    columns are ``V_1``, whatever the completion, so only ``V_1`` is formed.
     """
     rho = check_state(kraus, rho)
-    v = unitary_dilation(kraus)[:, :: kraus.size]
+    require_unital_minimal(kraus)
+    v = _isometry(kraus.ops)
     return partial_trace_left(v @ rho @ v.conj().T, kraus.dim, kraus.size)
 
 

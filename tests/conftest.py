@@ -7,10 +7,10 @@ from krausfock import (
     kraus_word,
     operator_norm,
     orthonormal_range,
+    projective_measurement,
     random_unital,
     sequential_projective,
     shift_left,
-    uniform_projective,
 )
 from krausfock.linalg import _range_unless_full
 from krausfock.subproduct import _transfer
@@ -278,7 +278,7 @@ def rng():
 
 @pytest.fixture(scope="session")
 def projective3():
-    return uniform_projective(3)
+    return projective_measurement(3)
 
 
 @pytest.fixture(scope="session")

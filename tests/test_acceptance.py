@@ -29,12 +29,12 @@ from krausfock import (
     operator_norm,
     phi_symmetry_residual,
     presentation_residual,
+    projective_measurement,
     random_unital,
     sequential_projective,
     state_spec,
     stinespring_isometry,
     subproduct_residual,
-    uniform_projective,
     unitary_dilation,
 )
 from conftest import (
@@ -58,7 +58,7 @@ def check(num, name, ok, detail=""):
 def families():
     # the four catalog instances the criteria name
     return {
-        "projective": uniform_projective(3),
+        "projective": projective_measurement(3),
         "commuting": commuting_generic(2, 12, seed=3),
         "random": random_unital(2, 16, seed=0),
         "sequential": sequential_projective(4, np.pi / 4, seed=0),

@@ -10,7 +10,6 @@ from krausfock import (
     projective_measurement,
     random_unital,
     sequential_projective,
-    uniform_projective,
     validate,
 )
 
@@ -60,9 +59,11 @@ class TestProjective:
         assert np.array_equal(k.ops[1], np.diag([0.0, 1.0, 1.0]))
 
     def test_uniform_shortcut(self):
-        k = uniform_projective(4)
+        # without ranks: d rank-one projections onto the coordinate axes
+        k = projective_measurement(4)
         assert k.size == 4
         assert k.dim == 4
+        assert np.array_equal(k.ops, np.eye(4)[:, None, :] * np.eye(4)[:, :, None])
 
     def test_rank_sum_mismatch(self):
         with pytest.raises(ValueError, match="sum"):

@@ -13,9 +13,9 @@ from krausfock import (
     kraus_word,
     minimal_kraus,
     orthonormal_range,
+    projective_measurement,
     random_unital,
     require_unital_minimal,
-    uniform_projective,
     validate,
 )
 from conftest import random_complex, random_hermitian
@@ -67,7 +67,7 @@ class TestKrausSet:
                 KrausSet(empty)
 
     def test_ops_are_read_only(self):
-        k = uniform_projective(2)
+        k = projective_measurement(2)
         with pytest.raises(ValueError):
             k.ops[0, 0, 0] = 5.0
 
@@ -131,7 +131,7 @@ class TestApplyHeisenberg:
             assert np.linalg.norm(out - np.eye(k.dim), 2) < 1e-12
 
     def test_projective_kills_off_diagonals(self):
-        k = uniform_projective(2)
+        k = projective_measurement(2)
         sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert np.allclose(apply_heisenberg(k, sigma_x), 0.0)
 
@@ -148,14 +148,14 @@ class TestApplyHeisenberg:
 
 class TestGuards:
     def test_require_unital_minimal(self):
-        require_unital_minimal(uniform_projective(3))
+        require_unital_minimal(projective_measurement(3))
         with pytest.raises(ValueError, match="not unital"):
             require_unital_minimal(KrausSet(2.0 * np.eye(2)[None]))
         with pytest.raises(ValueError, match="minimal_kraus"):
             require_unital_minimal(KrausSet(np.stack([np.eye(2), np.eye(2)]) / np.sqrt(2.0)))
 
     def test_check_state(self):
-        k = uniform_projective(2)
+        k = projective_measurement(2)
         assert np.array_equal(check_state(k, np.eye(2) / 2), np.eye(2) / 2)
         for bad, message in [
             (np.eye(3) / 3, "must be 2x2"),
@@ -170,11 +170,11 @@ class TestGuards:
 
 class TestKrausWord:
     def test_empty_word(self):
-        k = uniform_projective(3)
+        k = projective_measurement(3)
         assert np.array_equal(kraus_word(k, ()), np.eye(3))
 
     def test_orthogonal_projections_annihilate(self):
-        k = uniform_projective(2)
+        k = projective_measurement(2)
         assert np.allclose(kraus_word(k, (0, 1)), 0.0)
 
     def test_matches_fold_oracle(self, rng):
@@ -192,7 +192,7 @@ class TestKrausWord:
             assert np.allclose(kraus_word(k, left + right), prod, atol=1e-14)
 
     def test_letter_out_of_range(self):
-        k = uniform_projective(2)
+        k = projective_measurement(2)
         with pytest.raises(ValueError, match="letter"):
             kraus_word(k, (2,))
 
@@ -211,7 +211,7 @@ class TestMinimalKraus:
         assert np.allclose(np.abs(reduced.ops[0]), np.eye(2), atol=1e-12)
 
     def test_independent_set_unchanged(self):
-        k = uniform_projective(3)
+        k = projective_measurement(3)
         assert minimal_kraus(k) is k
 
     def test_reduces_mixed_presentation(self, rng):

@@ -53,6 +53,11 @@ def make_catalog_doc(tmp_path, name="chan.json", state=None, **catalog):
     return str(path)
 
 
+def _huge_block(entry):
+    """A 3 x 3 observable with a 2 x 2 block of ``entry``, whose square overflows at 1e300."""
+    return [[entry, entry, 0.0], [entry, entry, 0.0], [0.0, 0.0, 1.0]]
+
+
 def make_observable(tmp_path, matrix, name="obs.json"):
     path = tmp_path / name
     path.write_text(
@@ -1029,25 +1034,47 @@ class TestExitCodes:
         assert (code, out, err) == (1, "", error)
 
     @pytest.mark.parametrize(
-        "command, entry, error",
+        "command, observables, error",
         [
-            ("dequantize", 1e308, "Psi_2 of the observable has non-finite entries: its pairings overflow"),
-            ("converge", 1e300, "the product of the observables overflows: AB or [A, B] is not finite"),
+            (
+                "dequantize",
+                [_huge_block(1e308)],
+                "Psi_2 of the observable has non-finite entries: its pairings overflow",
+            ),
+            (
+                "converge",
+                [_huge_block(1e300)] * 2,
+                "the product of the observables overflows: AB or [A, B] is not finite",
+            ),
+            (
+                "converge",
+                [np.diag([1e200, 0.0, 0.0]), np.diag([0.0, 1e200, 0.0])],
+                "the products of Psi_1(A) and Psi_1(B) overflow",
+            ),
         ],
-        ids=["dequantize", "converge"],
+        ids=["dequantize", "converge", "converge-rows"],
     )
-    def test_overflowing_observable_exits_1(self, tmp_path, capfd, command, entry, error):
+    def test_overflowing_observable_exits_1(self, tmp_path, capfd, command, observables, error):
         # at 1e308 the level-2 pairings of A overflow; at 1e300 A itself is
-        # dequantized, but A A overflows: one error line, no warning, no report
+        # dequantized, but A A overflows: one error line, no warning, no report.
+        # diag(1e200, 0, 0) and diag(0, 1e200, 0) pass the check of AB, which
+        # is 0, but Psi_1(A) Psi_1(B) overflows: the first row is refused, and
+        # only the header and the column line are printed, as for a singular level
         chan = make_catalog_doc(tmp_path, family="commuting_generic", n=2, d=3, seed=1)
-        obs = make_observable(tmp_path, [[entry, entry, 0.0], [entry, entry, 0.0], [0.0, 0.0, 1.0]])
+        paths = [make_observable(tmp_path, x, name=f"obs{i}.json") for i, x in enumerate(observables)]
         options = {
-            "dequantize": ["--observable", obs, "--level", "2"],
-            "converge": ["--observables", obs, obs],
+            "dequantize": ["--observable", *paths, "--level", "2"],
+            "converge": ["--observables", *paths],
         }[command]
         code = main([command, chan, *options])
         out, err = capfd.readouterr()
-        assert (code, out, err) == (1, "", f"error: {error}\n")
+        assert (code, err) == (1, f"error: {error}\n")
+        if "Psi_1" in error:
+            *header, columns = out.splitlines()
+            assert len(header) == 3 and all(line.startswith("# ") for line in header)
+            assert columns == "m,norm_gap,vn_residual,scaled_commutator,limit_state_gap"
+        else:
+            assert out == ""
 
     @pytest.mark.parametrize("command", ["validate", "dims"])
     def test_huge_asymmetric_state_reads_inf(self, tmp_path, capfd, command):

@@ -1,3 +1,5 @@
+import functools
+import re
 import tracemalloc
 import warnings
 
@@ -48,6 +50,13 @@ def maximally_mixed(dim):
 def every_level(corr):
     """The correlations of each level of ``corr``, read upward."""
     return [corr.level(m) for m in range(1, corr.system.max_level + 1)]
+
+
+@functools.cache
+def _convergence_case(family):
+    """Correlation data of a ``d = 3`` family to level 4 at ``rho0 = 1/3``."""
+    k = commuting_generic(2, 3, seed=1) if family == "commuting" else random_unital(2, 3, seed=1)
+    return CorrelationData(build_subproduct(k, 4), state_spec(k, maximally_mixed(3)))
 
 
 @pytest.fixture(scope="module")
@@ -717,6 +726,45 @@ class TestConvergenceReport:
         assert report.rows() == convergence_report(full, a, b).rows()[:3]
         swept, whole = phi_symmetry_residual(partial), phi_symmetry_residual(full)
         assert swept == {m: whole[m] for m in (1, 2, 3)}
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["commuting", "complete"]),
+        st.tuples(*[st.sampled_from([(3, 3), (2, 2), (4, 4), (3, 4)])] * 2),
+        st.tuples(*[st.floats(-320.0, 308.0)] * 2),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @example("commuting", ((3, 3), (3, 3)), (200.0, 200.0), True, 0)
+    @example("complete", ((3, 3), (3, 3)), (200.0, 200.0), True, 0)
+    @example("complete", ((3, 3), (3, 3)), (308.0, 0.0), False, 0)
+    def test_rows_are_finite_or_refused(self, family, shapes, exponents, disjoint, seed):
+        # observables of any shape, of entries up to 1e308 or down to the
+        # subnormals, on a d = 3 family whose levels stay below d^2 = 9 or
+        # reach it at m = 4.  Disjoint observables hold one entry each, at
+        # (0, 0) and (1, 1): AB = BA = 0, yet Psi_m(A) Psi_m(B) can overflow.
+        # The report is finite, or the library refuses the observables with
+        # its own ValueError, never numpy's, and nothing warns
+        corr = _convergence_case(family)
+        rng = np.random.default_rng(seed)
+        a, b = (
+            (rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)) * 10.0**e
+            for shape, e in zip(shapes, exponents)
+        )
+        if disjoint:
+            keep_a, keep_b = np.zeros(a.shape), np.zeros(b.shape)
+            keep_a[0, 0] = keep_b[1, 1] = 1.0
+            a, b = a * keep_a, b * keep_b
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                report = convergence_report(corr, a, b)
+            except ValueError as exc:
+                assert re.fullmatch(
+                    r"observable must be 3x3, got \(\d, \d\)|.* overflows?(: .*)?", str(exc)
+                ), exc
+            else:
+                assert np.isfinite(report.rows()).all()
 
     def test_rows_shape(self, projective3):
         s = build_subproduct(projective3, 3)

@@ -13,9 +13,9 @@ from krausfock import (
     kraus_word,
     operator_norm,
     partial_trace_left,
+    projective_measurement,
     random_unital,
     stinespring_isometry,
-    uniform_projective,
     unitary_channel,
     unitary_dilation,
 )
@@ -175,7 +175,7 @@ class TestComplementaryState:
 
     def test_uniform_projective(self):
         n = 4
-        k = uniform_projective(n)
+        k = projective_measurement(n)
         out = complementary_state(k, np.eye(n) / n)
         assert np.allclose(out, np.eye(n) / n, atol=1e-12)
 
@@ -187,6 +187,18 @@ class TestComplementaryState:
             by_dilation = complementary_state_via_dilation(k, rho)
             assert operator_norm(by_sum - by_dilation) < 1e-10
 
+    def test_dilation_route_forms_only_the_isometry(self, rng, monkeypatch):
+        # the e_0 columns of W are V_1 bit for bit, so no completion is formed,
+        # and the unital-and-minimal guard still runs
+        k = random_unital(2, 6, seed=3)
+        rho = random_density(rng, 6)
+        v = unitary_dilation(k)[:, :: k.size]
+        expected = partial_trace_left(v @ rho @ v.conj().T, 6, 2)
+        monkeypatch.setattr(dilation, "unitary_dilation", None)
+        assert np.array_equal(complementary_state_via_dilation(k, rho), expected)
+        with pytest.raises(ValueError, match="not unital"):
+            complementary_state_via_dilation(KrausSet(2.0 * k.ops), rho)
+
     def test_output_is_a_density_matrix(self, rng):
         k = random_unital(3, 5, seed=6)
         rho = random_density(rng, 5)
@@ -196,7 +208,7 @@ class TestComplementaryState:
         assert abs(np.trace(out) - 1.0) < 1e-12
 
     def test_rejects_invalid_states(self):
-        k = uniform_projective(2)
+        k = projective_measurement(2)
         with pytest.raises(ValueError, match="trace"):
             complementary_state(k, np.eye(2))
         with pytest.raises(ValueError, match="Hermitian"):
@@ -205,7 +217,7 @@ class TestComplementaryState:
             complementary_state(k, np.diag([1.5, -0.5]))
 
     def test_both_routes_share_the_state_validator(self):
-        k = uniform_projective(2)
+        k = projective_measurement(2)
         for route in (complementary_state, complementary_state_via_dilation):
             with pytest.raises(ValueError, match="state must be 2x2"):
                 route(k, np.eye(3) / 3)
@@ -250,7 +262,7 @@ class TestCovariantSymbol:
         assert np.linalg.eigvalsh((out + out.conj().T) / 2)[0] > -1e-10
 
     def test_shape_validation(self):
-        k = uniform_projective(3)
+        k = projective_measurement(3)
         s = build_subproduct(k, 2)
         with pytest.raises(ValueError):
             covariant_symbol(k, s, 2, np.eye(5))

@@ -58,9 +58,11 @@ def test_level_spaces_carry_their_family():
         and {"kraus", "system"} <= set(inspect.signature(getattr(module, name)).parameters)
     }
     assert both == {"correlation_matrix", "normal_ordering_residual", "covariant_symbol"}
-    names = lambda cls: [f.name for f in dataclasses.fields(cls)]  # noqa: E731
-    assert names(subproduct.SubproductSystem) == ["factors", "kraus", "_cache"]
-    assert names(dequantization.CorrelationData) == ["system", "state", "_cache"]
+    for cls, names in (
+        (subproduct.SubproductSystem, ["factors", "kraus", "_cache"]),
+        (dequantization.CorrelationData, ["system", "state", "_cache"]),
+    ):
+        assert [f.name for f in dataclasses.fields(cls)] == names
     kraus = catalog.random_unital(2, 3)
     assert subproduct.build_subproduct(kraus, 3).kraus is kraus
     assert not hasattr(krausfock, "correlations")
