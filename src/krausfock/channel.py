@@ -11,6 +11,7 @@ tuples of 0-based letters; the empty word is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +36,9 @@ class KrausSet:
 
     ``ops`` is stored as an ``(n, d, d)`` stack and frozen against writes,
     and neither field can be reassigned, so a set stays as it was checked.
+    So the guard's findings are kept on the set, each formed once, when
+    first read: :func:`validate`, :func:`require_unital_minimal` and
+    :func:`minimal_kraus` all read them.
     """
 
     ops: np.ndarray
@@ -63,6 +67,23 @@ class KrausSet:
         """Dimension of the system Hilbert space."""
         return self.ops.shape[1]
 
+    @cached_property
+    def _range(self) -> np.ndarray | None:
+        """``None`` when the ``n x d^2`` stack has independent rows by the rank
+        rule, else its orthonormal range (:func:`~krausfock.linalg._range_unless_full`)."""
+        q = _range_unless_full(self.ops.reshape(self.size, -1), self.tol)
+        if q is not None:
+            q.flags.writeable = False
+        return q
+
+    @cached_property
+    def _report(self) -> ValidationReport:
+        """What :func:`validate` returns."""
+        total = np.einsum("kba,kbc->ac", self.ops.conj(), self.ops)
+        residual = operator_norm(total - np.eye(self.dim))
+        rank = self.size if self._range is None else self._range.shape[1]
+        return ValidationReport(float(residual), rank, bool(residual <= self.tol.residual_tol))
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -76,15 +97,11 @@ def validate(kraus: KrausSet) -> ValidationReport:
 
     The rank is :func:`~krausfock.linalg._range_unless_full`'s decision on
     the stack that :func:`minimal_kraus` reduces, so the guard and the
-    reducer take one decision by one code path.  The set is flagged valid
-    iff the residual is within ``residual_tol``.
+    reducer take one decision, made once per set.  The set is flagged valid
+    iff the residual is within ``residual_tol``.  The report is formed on
+    the first call and kept on the set, which cannot change.
     """
-    d = kraus.dim
-    total = np.einsum("kba,kbc->ac", kraus.ops.conj(), kraus.ops)
-    residual = operator_norm(total - np.eye(d))
-    q = _range_unless_full(kraus.ops.reshape(kraus.size, d * d), kraus.tol)
-    rank = kraus.size if q is None else q.shape[1]
-    return ValidationReport(float(residual), rank, bool(residual <= kraus.tol.residual_tol))
+    return kraus._report
 
 
 def require_unital_minimal(kraus: KrausSet) -> None:
@@ -160,12 +177,11 @@ def minimal_kraus(kraus: KrausSet) -> KrausSet:
     to the usual singular-subspace freedom.  Already independent sets are
     returned unchanged.
     """
-    n, d = kraus.size, kraus.dim
-    stack = kraus.ops.reshape(n, d * d)
-    q = _range_unless_full(stack, kraus.tol)
+    q = kraus._range
     if q is None:
         return kraus
     if q.shape[1] == 0:
         raise ValueError("all Kraus operators vanish")
-    reduced = (q.conj().T @ stack).reshape(-1, d, d)
+    d = kraus.dim
+    reduced = (q.conj().T @ kraus.ops.reshape(kraus.size, d * d)).reshape(-1, d, d)
     return KrausSet(reduced, tol=kraus.tol)

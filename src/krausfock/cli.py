@@ -74,10 +74,10 @@ from .channel import KrausSet, apply_heisenberg, check_state, minimal_kraus, val
 from .dequantization import (
     ConvergenceReport,
     CorrelationData,
+    StateSpec,
     convergence_rows,
     dequantize,
     phi_symmetry_residual,
-    state_spec,
 )
 from .dilation import (
     complementary_state,
@@ -86,7 +86,7 @@ from .dilation import (
     stinespring_isometry,
     unitary_dilation,
 )
-from .linalg import Tolerances, operator_norm
+from .linalg import Tolerances, _largest_norm, operator_norm
 from .subproduct import SubproductSystem, build_subproduct, nesting_residuals
 
 
@@ -313,12 +313,14 @@ def _emit_csv(columns: list[str], rows, digest: str, args) -> None:
 def _load_channel(args) -> tuple[str, KrausSet, np.ndarray]:
     """Input digest, minimal Kraus set and reference state of ``args.channel``.
 
-    The state is maximally mixed when the document has none.
+    The state is the document's, checked once by :func:`channel_from_document`,
+    or maximally mixed when the document has none; commands hold it in a
+    :class:`~krausfock.dequantization.StateSpec` without checking it again.
     """
     doc, digest = load_document(args.channel)
     kraus, state = channel_from_document(doc, args)
-    if state is None:
-        state = np.eye(kraus.dim) / kraus.dim
+    if state is None:  # complex, as check_state returns a state
+        state = np.eye(kraus.dim, dtype=complex) / kraus.dim
     return digest, minimal_kraus(kraus), state
 
 
@@ -386,28 +388,29 @@ def cmd_dilate(args) -> int:
     d = kraus.dim
     w = unitary_dilation(kraus)
     eye = np.eye(d * kraus.size)
-    unitarity = max(
-        operator_norm(w @ w.conj().T - eye), operator_norm(w.conj().T @ w - eye)
-    )
-    # the d^2 unit probes E_ab, one stack of d for each row a
+    unitarity = max(operator_norm(np.stack([w @ w.conj().T, w.conj().T @ w]) - eye).tolist())
+    # the d^2 unit probes E_ab, one stack of d for each row a; a probe is
+    # normed only while it can still exceed the largest gap found so far
     probe_gap, row, v1 = 0.0, np.zeros((d, d, d)), w[:, :: kraus.size]
     for a in range(d):
         row[:, a, :] = np.eye(d)
-        got = compressed_action(v1, row)
-        gaps = np.linalg.norm(got - apply_heisenberg(kraus, row), 2, axis=(-2, -1))
-        probe_gap = max(probe_gap, float(gaps.max()))
+        gaps = compressed_action(v1, row) - apply_heisenberg(kraus, row)
+        probe_gap = _largest_norm(gaps, probe_gap)
         row[:, a, :] = 0.0
     system = build_subproduct(kraus, args.max_m)
     # fixed, so no random numbers are drawn; Hermitian, with real and imaginary off-diagonals
     p = np.arange(1, d * d + 1).reshape(d, d) / (d * d)
     probe = p + p.T + 1j * (p - p.T)
-    levels, power = [], probe
+    # each level's isometry and compression residuals, normed in one call after the loop
+    residuals, power = np.empty((args.max_m, 2, d, d), dtype=complex), probe
     for m in range(1, args.max_m + 1):
         v = stinespring_isometry(system, m)
-        iso = operator_norm(v.conj().T @ v - np.eye(d))
         power = apply_heisenberg(kraus, power)
-        comp = operator_norm(compressed_action(v, probe) - power)
-        levels.append({"m": m, "isometry_residual": iso, "compression_residual": comp})
+        residuals[m - 1] = v.conj().T @ v - np.eye(d), compressed_action(v, probe) - power
+    levels = [
+        {"m": m, "isometry_residual": iso, "compression_residual": comp}
+        for m, (iso, comp) in enumerate(operator_norm(residuals).tolist(), start=1)
+    ]
     payload = {
         "unitary": {"unitarity_residual": unitarity, "compression_residual": probe_gap},
         "levels": levels,
@@ -440,7 +443,7 @@ def cmd_dequantize(args) -> int:
     digest, kraus, state = _load_channel(args)
     a = _load_observable(args.observable, kraus.dim)
     m = args.level
-    corr = CorrelationData(build_subproduct(kraus, m), state_spec(kraus, state))
+    corr = CorrelationData(build_subproduct(kraus, m), StateSpec(state))
     # the sweep reads the levels upward, so each is formed once and level m is kept
     symmetry = phi_symmetry_residual(corr)
     psi = dequantize(corr, a, m)
@@ -461,7 +464,7 @@ def cmd_dequantize(args) -> int:
 def cmd_converge(args) -> int:
     digest, kraus, state = _load_channel(args)
     mats = [_load_observable(path, kraus.dim) for path in args.observables]
-    corr = CorrelationData(build_subproduct(kraus, args.max_m), state_spec(kraus, state))
+    corr = CorrelationData(build_subproduct(kraus, args.max_m), StateSpec(state))
     # one upward pass, a row written as its level is formed: the rows below
     # the first singular level are printed before its error
     _emit_csv(["m", *ConvergenceReport.COLUMNS], convergence_rows(corr, *mats), digest, args)

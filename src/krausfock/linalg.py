@@ -255,20 +255,49 @@ def partial_trace_left(m, dim_left: int, dim_right: int) -> np.ndarray:
 _singular_values = np.linalg.svd
 
 
-def operator_norm(a) -> float:
+def operator_norm(a):
     """Largest singular value; zero for empty matrices, ``inf`` for one with
     an infinite entry, NaN for one with a NaN entry and no infinite one.
 
-    A non-finite input never reaches LAPACK, whose SVD fails to converge on
-    a NaN entry, returns NaN for an infinite one, and on some prints a
-    complaint straight to a file descriptor, past Python's streams.  The
-    value is the first of the descending singular values of one call to
-    ``_singular_values``, numpy's SVD taken at import: the routine, and so
-    the value, of ``np.linalg.norm(a, 2)``, without its reduction."""
+    A matrix gives a float.  A stack ``(..., r, c)`` gives an array of shape
+    ``(...)``, each matrix's norm, from one call for all of its finite
+    matrices.  A non-finite matrix is settled on its own and never reaches
+    LAPACK, whose SVD fails to converge on a NaN entry, returns NaN for an
+    infinite one, and on some prints a complaint straight to a file
+    descriptor, past Python's streams.  A norm is the first of the descending
+    singular values from ``_singular_values``, numpy's SVD taken at import:
+    the routine, and so the value, of ``np.linalg.norm(a, 2)``, without its
+    reduction, whether the matrix is given alone or in a stack."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
-        return 0.0
-    if not _largest_part(a) < np.inf:  # a NaN or an infinite part
-        return np.inf if np.isinf(a).any() else np.nan
-    return float(_singular_values(a, compute_uv=False)[0])
+        norms = np.zeros(a.shape[:-2])
+    elif _largest_part(a) < np.inf:
+        norms = _singular_values(a, compute_uv=False)[..., 0]
+    else:  # a NaN or an infinite part: only the finite matrices reach LAPACK
+        finite = np.isfinite(a).all(axis=(-2, -1))
+        norms = np.where(np.isinf(a).any(axis=(-2, -1)), np.inf, np.nan)
+        if finite.any():
+            norms[finite] = _singular_values(a[finite], compute_uv=False)[:, 0]
+    return float(norms) if a.ndim == 2 else norms
+
+
+def _largest_norm(stack: np.ndarray, floor: float) -> float:
+    """``max(floor, largest operator_norm in stack)`` for a stack ``(k, r, c)``,
+    norming only the matrices that can exceed ``floor``.
+
+    A matrix's operator norm is at most its exact Frobenius norm.  So one
+    whose computed Frobenius norm ``f`` has ``f (1 + 2^-20) + 2^-500 <
+    floor`` is skipped: the factor covers the rounding of ``f`` and of
+    LAPACK's singular values, the term the squares that underflow to zero.
+    An ``f`` that overflows or is NaN fails the test, and its matrix is
+    normed.  Every kept matrix is normed as :func:`operator_norm` norms it,
+    and no skipped one can set the maximum, so the value is the one of
+    norming them all, bit for bit.
+    """
+    with np.errstate(over="ignore"):
+        f = np.linalg.norm(stack, axis=(-2, -1))
+        keep = ~(f * (1.0 + 2.0**-20) + 2.0**-500 < floor)
+    if not keep.any():
+        return floor
+    return max(floor, float(operator_norm(stack[keep]).max()))
 

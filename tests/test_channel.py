@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import krausfock.channel
 import report_digests
 from krausfock import (
     KrausSet,
@@ -274,6 +275,30 @@ class TestMinimalKraus:
         assert validate(k).independence_rank == 3
         assert minimal_kraus(k) is k
         assert build_subproduct(k, 3).dims == [1, 3, 5, 5]
+
+    def test_the_decision_is_made_once_per_set(self, monkeypatch):
+        # the guard, the reducer and validate read one decision and one report,
+        # kept on the frozen set; a copy with other tolerances decides anew
+        calls = []
+        decide = krausfock.channel._range_unless_full
+
+        def spy(a, tol):
+            calls.append(tol.rank_rel_tol)
+            return decide(a, tol)
+
+        monkeypatch.setattr(krausfock.channel, "_range_unless_full", spy)
+        k = random_unital(2, 3, seed=1)
+        report = validate(k)
+        require_unital_minimal(k)
+        assert minimal_kraus(k) is k and validate(k) is report
+        assert calls == [1e-9]
+        loose = dataclasses.replace(k, tol=Tolerances(rank_rel_tol=1e-3))
+        assert validate(loose) == report and validate(loose) is not report
+        assert calls == [1e-9, 1e-3]
+        dependent = KrausSet(np.concatenate([k.ops, k.ops]) / np.sqrt(2.0))
+        reduced = minimal_kraus(dependent)
+        assert validate(dependent).independence_rank == reduced.size == 2
+        assert calls == [1e-9, 1e-3, 1e-9]
 
     def test_guard_reducer_and_level_one_take_one_decision(self, catalog_quartet):
         # at a rounding tie of the threshold the stack's rows vec(K_k) and

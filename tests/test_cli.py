@@ -14,7 +14,10 @@ import pytest
 
 import command_peaks
 import report_digests
+import krausfock.channel
+import krausfock.cli
 import krausfock.dequantization as dequantization
+import krausfock.dilation
 from krausfock.catalog import CatalogSpec, build_catalog
 from krausfock.cli import (
     _emit_json,
@@ -442,6 +445,45 @@ class TestDilate:
         assert all(lvl["compression_residual"] < 1e-9 for lvl in payload["levels"])
         assert [lvl["m"] for lvl in payload["levels"]] == [1, 2, 3]
 
+    @pytest.mark.parametrize(
+        "catalog, top",
+        [
+            ({"family": "commuting_generic", "n": 2, "d": 12, "seed": 4}, 12),
+            ({"family": "random_unital", "n": 2, "d": 16, "seed": 7}, 4),
+            ({"family": "sequential_projective", "d": 4, "seed": 1}, 4),
+        ],
+    )
+    def test_skipped_probes_leave_the_report(self, tmp_path, capsys, monkeypatch, catalog, top):
+        # the largest unit-probe gap, taken over the probes that can still
+        # exceed it, is the one of norming every probe, and so is every byte
+        path = make_catalog_doc(tmp_path, **catalog)
+        argv = ("dilate", path, "--max-m", str(top))
+        skipped = run(capsys, *argv)
+
+        def every_probe(stack, floor):
+            return max(floor, float(np.linalg.norm(stack, 2, axis=(-2, -1)).max()))
+
+        monkeypatch.setattr(krausfock.cli, "_largest_norm", every_probe)
+        assert skipped == run(capsys, *argv)
+        assert skipped[0] == 0
+
+    @pytest.mark.parametrize("command", ["dilate", "complementary"])
+    def test_family_is_decided_once(self, tmp_path, capsys, monkeypatch, command):
+        # the loader's reducer and the guards of the unitary dilation, the
+        # build and both complementary states read one decision of the set
+        calls = []
+        decide = krausfock.channel._range_unless_full
+
+        def spy(a, tol):
+            calls.append(a.shape)
+            return decide(a, tol)
+
+        monkeypatch.setattr(krausfock.channel, "_range_unless_full", spy)
+        path = make_catalog_doc(tmp_path, family="random_unital", n=2, d=4, seed=3)
+        flags = ["--max-m", "3"] if command == "dilate" else []
+        code, _, _ = run(capsys, command, path, *flags)
+        assert code == 0 and calls == [(2, 16)]
+
 
 class TestComplementary:
     def test_agreement_and_trace(self, tmp_path, capsys):
@@ -483,6 +525,29 @@ class TestDequantize:
         payload = json.loads(out)["payload"]
         assert payload["unitality_residual"] < 1e-8
         assert sorted(payload["symmetry_residuals"], key=int) == [str(m) for m in range(1, 9)]
+
+    @pytest.mark.parametrize("command", ["dequantize", "converge"])
+    def test_state_is_checked_once(self, tmp_path, capsys, monkeypatch, command):
+        # at load; the command holds the checked state without a second check
+        calls = []
+        check = krausfock.channel.check_state
+
+        def spy(kraus, rho):
+            calls.append(rho.shape)
+            return check(kraus, rho)
+
+        for module in (krausfock.channel, krausfock.cli, dequantization, krausfock.dilation):
+            monkeypatch.setattr(module, "check_state", spy, raising=False)
+        chan = make_catalog_doc(
+            tmp_path, family="commuting_generic", n=2, d=3, seed=1, state=np.diag([0.5, 0.3, 0.2])
+        )
+        obs = make_observable(tmp_path, np.diag([1.0, -1.0, 0.5]))
+        if command == "dequantize":
+            flags = ["--observable", obs, "--level", "3"]
+        else:
+            flags = ["--observables", obs, obs, "--max-m", "3"]
+        code, _, _ = run(capsys, command, chan, *flags)
+        assert code == 0 and calls == [(3, 3)]
 
     def test_missing_observable_file(self, tmp_path, capsys):
         chan = make_catalog_doc(tmp_path, family="projective", d=3)

@@ -14,6 +14,7 @@ from krausfock import (
 )
 from krausfock.linalg import (
     _certified_full,
+    _largest_norm,
     _lower_gram,
     _range_unless_full,
     _rank,
@@ -486,7 +487,8 @@ def test_operator_norm_equals_numpy_2_norm(rows, cols, seed):
     # one SVD call gives the bits of np.linalg.norm(a, 2), which runs the
     # same LAPACK routine and reduces its descending values by a maximum
     a = random_complex(np.random.default_rng(seed), rows, cols)
-    assert operator_norm(a) == float(np.linalg.norm(a, 2))
+    norm = operator_norm(a)
+    assert type(norm) is float and norm == float(np.linalg.norm(a, 2))
 
 
 @pytest.mark.parametrize(
@@ -509,3 +511,123 @@ def test_operator_norm_of_an_infinite_entry_is_inf(monkeypatch, a):
         assert norm == np.inf
     else:
         assert np.isnan(norm)
+
+
+@pytest.fixture
+def lapack_inputs(monkeypatch):
+    """The shapes of the inputs ``operator_norm`` hands to LAPACK, each checked finite."""
+    shapes = []
+    svd = krausfock.linalg._singular_values
+
+    def spy(x, **kwargs):
+        assert np.isfinite(x).all()
+        shapes.append(x.shape)
+        return svd(x, **kwargs)
+
+    monkeypatch.setattr(krausfock.linalg, "_singular_values", spy)
+    return shapes
+
+
+class TestStackedOperatorNorm:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=2),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_each_matrix_as_if_alone(self, lead, rows, cols, seed):
+        # one LAPACK call for the stack gives each matrix's value bit for bit
+        rng = np.random.default_rng(seed)
+        a = random_complex(rng, int(np.prod(lead)) * rows, cols).reshape(*lead, rows, cols)
+        norms = operator_norm(a)
+        assert norms.shape == tuple(lead)
+        alone = [operator_norm(x) for x in a.reshape(-1, rows, cols)]
+        assert norms.ravel().tolist() == alone
+
+    def test_one_lapack_call_for_the_stack(self, rng, lapack_inputs):
+        operator_norm(random_complex(rng, 12, 4).reshape(2, 3, 2, 4))
+        assert lapack_inputs == [(2, 3, 2, 4)]
+
+    @pytest.mark.parametrize("shape", [(3, 0, 4), (2, 4, 0), (0, 3, 3), (2, 0, 0, 0)])
+    def test_empty_matrices_are_zero(self, shape):
+        norms = operator_norm(np.zeros(shape))
+        assert norms.shape == shape[:-2] and not norms.any()
+
+    def test_non_finite_matrices_are_settled_alone(self, rng, lapack_inputs):
+        a = random_complex(rng, 16, 3).reshape(4, 4, 3)
+        expected = [operator_norm(x) for x in a]
+        a[1, 2, 0] = complex(np.nan, np.inf)
+        a[3, 0, 1] = np.nan
+        lapack_inputs.clear()
+        norms = operator_norm(a)
+        assert lapack_inputs == [(2, 4, 3)]
+        assert norms[1] == np.inf and np.isnan(norms[3])
+        assert norms[[0, 2]].tolist() == [expected[0], expected[2]]
+
+    def test_nothing_is_written_past_python(self, capfd):
+        # handed an all-infinite matrix, LAPACK reports an illegal DLASCL
+        # argument straight to a file descriptor; capfd reads both descriptors
+        a = np.stack([np.full((3, 3), np.inf), np.eye(3), np.full((3, 3), np.nan)])
+        assert operator_norm(a).tolist()[:2] == [np.inf, 1.0]
+        assert capfd.readouterr() == ("", "")
+
+
+@st.composite
+def probe_rows(draw):
+    """Rows of probe stacks ``(rows, k, r, c)`` and a floor to start from.
+
+    Each probe is a random matrix, or a rank-one one, whose operator norm is
+    its Frobenius norm in exact arithmetic, scaled by its own power of two
+    from 2^-1074 to 2^1000, or all zero.  The floor is 0, or the float just
+    above the computed Frobenius norm of the probe whose computed operator
+    norm exceeds it the most: a rule with no margin for rounding skips that
+    probe when its operator norm is above the floor.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 6)))
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    count = int(np.prod(shape))
+    if draw(st.booleans()):
+        probes = random_complex(rng, count * r, c).reshape(*shape, r, c)
+    else:
+        probes = random_complex(rng, count * r, 1).reshape(*shape, r, 1)
+        probes = probes @ random_complex(rng, count, c).reshape(*shape, 1, c)
+    exponents = rng.integers(-1074, 1001, size=shape)
+    if draw(st.booleans()):  # probes of nearly one size, as rounding leaves them
+        exponents = draw(st.integers(-1074, 1000)) + rng.integers(-2, 3, size=shape)
+    scaled = np.ldexp(probes.view(float), np.minimum(exponents, 1000)[..., None, None])
+    probes = scaled.view(complex)
+    probes[rng.random(shape) < 0.3] = 0.0
+    floor = 0.0
+    if draw(st.booleans()):
+        with np.errstate(over="ignore"):
+            f = np.linalg.norm(probes, axis=(-2, -1))
+        norms = np.linalg.norm(probes, 2, axis=(-2, -1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            excess = np.where((f > 0) & (f < np.inf), norms / f, 0.0)
+        floor = float(np.nextafter(f.flat[np.argmax(excess)], np.inf))
+    return probes, floor
+
+
+class TestLargestNorm:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(probe_rows())
+    def test_skipping_keeps_the_maximum(self, planted):
+        # row after row, as dilate takes its unit probes: the maximum over
+        # the probes that can still exceed it is the maximum over all
+        rows, floor = planted
+        full = max(floor, float(np.linalg.norm(rows, 2, axis=(-2, -1)).max()))
+        g = floor
+        for row in rows:
+            g = _largest_norm(row, g)
+        assert g == full
+
+    def test_a_probe_below_the_floor_is_not_normed(self, lapack_inputs):
+        row = np.stack([np.eye(3), np.eye(3) * 1e-3, np.zeros((3, 3)), np.eye(3) * 2.0])
+        assert _largest_norm(row, 0.5) == 2.0 and lapack_inputs == [(2, 3, 3)]
+        # the floor stands when nothing can exceed it; an underflowing f is kept
+        assert _largest_norm(row[1:3], 0.5) == 0.5 and lapack_inputs == [(2, 3, 3)]
+        tiny = np.full((1, 2, 2), 2.0**-600)
+        assert _largest_norm(tiny, 2.0**-600) == 2.0**-599
+        assert lapack_inputs == [(2, 3, 3), (1, 2, 2)]
