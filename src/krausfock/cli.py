@@ -80,8 +80,8 @@ from .dequantization import (
     phi_symmetry_residual,
 )
 from .dilation import (
-    complementary_state,
-    complementary_state_via_dilation,
+    _complementary_state,
+    _complementary_state_via_dilation,
     compressed_action,
     stinespring_isometry,
     unitary_dilation,
@@ -425,8 +425,9 @@ def cmd_dilate(args) -> int:
 
 def cmd_complementary(args) -> int:
     digest, kraus, state = _load_channel(args)
-    by_sum = complementary_state(kraus, state)
-    by_dilation = complementary_state_via_dilation(kraus, state)
+    # the state was checked at load; the library's checked entry points would check it again
+    by_sum = _complementary_state(kraus, state)
+    by_dilation = _complementary_state_via_dilation(kraus, state)
     agreement = operator_norm(by_sum - by_dilation)
     eigs = np.linalg.eigvalsh((by_sum + by_sum.conj().T) / 2.0)
     payload = {

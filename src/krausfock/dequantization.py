@@ -156,10 +156,11 @@ class CorrelationData:
         return self._cache[1]
 
 
-def _square(a, d: int, what: str = "observable") -> np.ndarray:
-    """``a`` as a matrix, refused unless it is ``d``-square; ``what`` names it."""
-    a = as_matrix(a)
-    if a.shape != (d, d):
+def _square(a, d: int, what: str = "observable", stacked: bool = False) -> np.ndarray:
+    """``a`` as a matrix, or a stack of them if ``stacked``, refused unless
+    ``d``-square; ``what`` names it."""
+    a = as_matrix(a, stacked)
+    if a.shape[-2:] != (d, d):
         raise ValueError(f"{what} must be {d}x{d}, got {a.shape}")
     return a
 
@@ -265,7 +266,7 @@ def phi_symmetry_residual(corr: CorrelationData) -> dict[int, tuple[float, float
 
 
 def dequantize(corr: CorrelationData, a, m: int) -> np.ndarray:
-    """Time-``m`` dequantization of a system observable.
+    """Time-``m`` dequantization of a system observable, or of a stack of them.
 
     In level coordinates this is ``M_A @ M^(-1)`` where
     ``M_A = B† [Tr(rho0 K_wk† K_wj A)] B`` is the compressed ``A``-weighted
@@ -278,10 +279,15 @@ def dequantize(corr: CorrelationData, a, m: int) -> np.ndarray:
     whose per-word weight ``w(wk)`` is the product, over the letters ``k_i``
     of ``wk``, of the entries of the diagonal of the level-one inverse.
 
-    An observable whose pairings overflow is refused with a ``ValueError``:
-    ``Psi_m(A)`` is checked to be finite.
+    ``a`` is one ``d``-square observable, which gives a ``d_m``-square
+    ``Psi_m(A)``, or a stack ``(..., d, d)``, which gives the stack
+    ``(..., d_m, d_m)`` of their dequantizations from one check of the stack,
+    one scaling of the level inverse and one pairing; each matrix is formed
+    by the same products, so it equals the one of its observable alone.  An
+    observable whose pairings overflow is refused with a ``ValueError``:
+    ``Psi_m`` of every observable is checked to be finite.
     """
-    a = _square(a, corr.system.kraus.dim)
+    a = _square(a, corr.system.kraus.dim, stacked=True)
     level = corr.level(m)
     # a huge observable may overflow; the finiteness check below decides
     with np.errstate(all="ignore"):
@@ -402,9 +408,17 @@ def convergence_rows(corr: CorrelationData, a, b):
     level at a time, with the four diagnostics in the order of
     ``ConvergenceReport.COLUMNS`` (see :func:`convergence_report`).  A
     singular level raises when its row is read, after the rows below it, and
-    so does a level whose products ``Psi_m(A) Psi_m(B)`` overflow, with a
-    ``ValueError``.  A row's level operators die when the row function
-    returns, so none is alive while the next level is formed.
+    so does a level whose products ``Psi_m(A) Psi_m(B)`` or diagnostics
+    overflow, with a ``ValueError``.  A row's level operators die when the
+    row function returns, so none is alive while the next level is formed.
+
+    Below a complete level, one :func:`dequantize` call forms ``Psi_m(A)``,
+    ``Psi_m(B)`` and ``Psi_m(AB)`` as a stack, and one
+    :func:`~krausfock.linalg.operator_norm` call takes ``|Psi_m(A)|`` and the
+    norms of the multiplicativity residual and the commutator, as a
+    ``(3, d_m, d_m)`` stack.  A complete level makes two dequantizations and
+    two norm calls, one operator at a time, so that only one level-sized
+    operator is alive.
     """
     dim = corr.system.kraus.dim
     a, b = _square(a, dim), _square(b, dim)
@@ -412,36 +426,45 @@ def convergence_rows(corr: CorrelationData, a, b):
     with np.errstate(all="ignore"):
         ab = a @ b
         comm = ab - b @ a
+        ref = np.trace(corr.state.rho0 @ a)
     # an entry that is not finite in AB is not finite in [A, B] either
     if not np.isfinite(comm).all():
         raise ValueError("the product of the observables overflows: AB or [A, B] is not finite")
-    ref = np.trace(corr.state.rho0 @ a)
     complete = dim**2
 
-    def row(m: int) -> tuple:
-        pa = dequantize(corr, a, m)
+    def state_gap(m: int, pa: np.ndarray) -> float:
+        # Tr(Q_m Psi_m(A)) without the d_m^3 product
         level = corr.level(m)
-        norm_gap = abs(operator_norm(pa) - norm_a)
-        # Tr(Q_m Psi_m(A)) without the d_m^3 product, before pb and pab exist
-        state_gap = float(abs(np.sum(level.matrix * pa.T) / level.trace - ref))
+        with np.errstate(all="ignore"):
+            return float(abs(np.sum(level.matrix * pa.T) / level.trace - ref))
+
+    def row(m: int) -> tuple:
         if corr.system.dims[m] == complete:
             # a complete level: Psi_m is a similarity, so a homomorphism; pa is
             # not read again, so it is dropped before the commutator's level operator
+            pa = dequantize(corr, a, m)
+            norm_pa, gap = operator_norm(pa), state_gap(m, pa)
             del pa
-            return norm_gap, 0.0, m * operator_norm(dequantize(corr, comm, m)), state_gap
-        pb = dequantize(corr, b, m)
-        pab = dequantize(corr, ab, m)
-        # one product for both residuals, subtracted in place, so that no more
-        # matrices are alive at once than with two products; they may
-        # overflow, and the two norms decide below
-        with np.errstate(all="ignore"):
-            papb = pa @ pb
-            vn_res = operator_norm(np.subtract(pab, papb, out=pab))
-            papb -= pb @ pa
-        commutator = operator_norm(papb)
-        if not (vn_res < np.inf and commutator < np.inf):  # NaN compares false too
-            raise ValueError(f"the products of Psi_{m}(A) and Psi_{m}(B) overflow")
-        return norm_gap, vn_res, m * commutator, state_gap
+            commutator = operator_norm(dequantize(corr, comm, m))
+            values = abs(norm_pa - norm_a), 0.0, m * commutator, gap
+        else:
+            psi = dequantize(corr, np.stack([a, b, ab]), m)
+            pa, pb, pab = psi
+            # pb and pab are overwritten by the commutator and the vn residual, so
+            # that one norm call takes |pa| and both; the products may overflow,
+            # and the norms decide below
+            with np.errstate(all="ignore"):
+                papb = pa @ pb
+                pab -= papb
+                np.subtract(papb, pb @ pa, out=pb)
+            norm_pa, commutator, vn_res = operator_norm(psi).tolist()
+            if not (vn_res < np.inf and commutator < np.inf):  # NaN compares false too
+                raise ValueError(f"the products of Psi_{m}(A) and Psi_{m}(B) overflow")
+            values = abs(norm_pa - norm_a), vn_res, m * commutator, state_gap(m, pa)
+        # a norm, a scaled commutator or a state gap may overflow where every Psi_m is finite
+        if not all(v < np.inf for v in values):
+            raise ValueError(f"a diagnostic of level {m} overflows")
+        return values
 
     return ((m, *row(m)) for m in range(1, corr.system.max_level + 1))
 
@@ -455,7 +478,8 @@ def convergence_report(corr: CorrelationData, a, b) -> ConvergenceReport:
     There ``vn_residual`` is ``0.0``, and ``scaled_commutator`` is taken as
     ``m * |Psi_m(AB - BA)|``, which equals ``m * |[Psi_m(A), Psi_m(B)]|``: two
     dequantizations instead of three and no level-sized products.  Every
-    other level is evaluated from ``Psi_m(A)``, ``Psi_m(B)`` and ``Psi_m(AB)``.
+    other level is evaluated from ``Psi_m(A)``, ``Psi_m(B)`` and ``Psi_m(AB)``,
+    formed in one call.
     The report collects the rows of :func:`convergence_rows`.
     """
     columns = map(list, zip(*convergence_rows(corr, a, b)))

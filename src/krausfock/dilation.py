@@ -40,10 +40,12 @@ def _pairing(gens: np.ndarray, x: np.ndarray) -> np.ndarray:
     one level's generators it equals the compression
     ``B† [Tr(K_wj x K_wk†)] B`` of the word pairing onto the level basis.
     It is formed as ``conj(conj(G x) G^T)``, conjugating its own buffers in
-    place, so that no conjugate copy of the stack is made.
+    place, so that no conjugate copy of the stack is made.  ``x`` may be a
+    stack ``(..., d, d)``, which gives a stack ``(..., count, count)``, each
+    matrix by the same products as ``x`` alone would give.
     """
     count = gens.shape[0]
-    gx = (gens @ x).reshape(count, -1)
+    gx = (gens @ x[..., None, :, :]).reshape(*x.shape[:-2], count, -1)
     np.conjugate(gx, out=gx)
     pairing = gx @ gens.reshape(count, -1).T
     return np.conjugate(pairing, out=pairing)
@@ -104,7 +106,11 @@ def complementary_state(kraus: KrausSet, rho) -> np.ndarray:
     set, and checks that before the pairing, which overflows on a set far
     from unital.
     """
-    rho = check_state(kraus, rho)
+    return _complementary_state(kraus, check_state(kraus, rho))
+
+
+def _complementary_state(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
+    """:func:`complementary_state` of a state that is already checked."""
     require_unital_minimal(kraus)
     return _pairing(kraus.ops, rho)
 
@@ -116,7 +122,11 @@ def complementary_state_via_dilation(kraus: KrausSet, rho) -> np.ndarray:
     ``V = W[:, ::n]`` of the unitary ``W = unitary_dilation(kraus)``.  Those
     columns are ``V_1``, whatever the completion, so only ``V_1`` is formed.
     """
-    rho = check_state(kraus, rho)
+    return _complementary_state_via_dilation(kraus, check_state(kraus, rho))
+
+
+def _complementary_state_via_dilation(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
+    """:func:`complementary_state_via_dilation` of a state that is already checked."""
     require_unital_minimal(kraus)
     v = _isometry(kraus.ops)
     return partial_trace_left(v @ rho @ v.conj().T, kraus.dim, kraus.size)

@@ -19,6 +19,9 @@ import krausfock.cli
 import krausfock.dequantization as dequantization
 import krausfock.dilation
 from krausfock.catalog import CatalogSpec, build_catalog
+from krausfock.channel import minimal_kraus
+from krausfock.dilation import compressed_action, unitary_dilation
+from krausfock.subproduct import build_subproduct
 from krausfock.cli import (
     _emit_json,
     _matrix_arrays,
@@ -29,7 +32,8 @@ from krausfock.cli import (
     main,
     matrix_to_json,
 )
-from krausfock.linalg import Tolerances
+from krausfock.linalg import Tolerances, operator_norm
+from conftest import mp_dequantize, random_complex, random_density
 
 
 def run(capsys, *argv):
@@ -67,6 +71,17 @@ def make_observable(tmp_path, matrix, name="obs.json"):
         json.dumps({"matrix": {"re": np.real(matrix).tolist(), "im": np.imag(matrix).tolist()}})
     )
     return str(path)
+
+
+def oracle_case(tmp_path, rng):
+    """``random_unital(2,3)`` seed 1 with a random complex state, as a catalog
+    document: its path, the minimal Kraus set the commands reduce it to, and
+    the state.  Level 4 is complete (``d_4 = 9``)."""
+    rho = random_density(rng, 3)
+    path = tmp_path / "oracle.json"
+    catalog = {"family": "random_unital", "n": 2, "d": 3, "seed": 1}
+    path.write_text(json.dumps({"catalog": catalog, "state": matrix_to_json(rho)}))
+    return str(path), minimal_kraus(build_catalog(CatalogSpec(**catalog))), rho
 
 
 class TestValidate:
@@ -467,6 +482,34 @@ class TestDilate:
         assert skipped == run(capsys, *argv)
         assert skipped[0] == 0
 
+    @pytest.mark.parametrize("largest", [(0, 0), (2, 0), (1, 2), (2, 2)])
+    def test_probe_maximum_is_the_one_of_every_probe_normed_densely(
+        self, tmp_path, capsys, monkeypatch, largest
+    ):
+        # the gaps of an exact dilation are rounding, so gaps w[a, b] E_ab are
+        # planted in Phi, the largest at the probe E_largest; the report must
+        # be the largest gap of all d^2 probes, each formed and normed alone
+        d = 3
+        weights = np.random.default_rng(5).uniform(1e-3, 2e-3, (d, d))
+        weights[largest] = 3e-3
+        heisenberg = krausfock.cli.apply_heisenberg
+
+        def planted(kraus, x):
+            return heisenberg(kraus, x) + weights * x
+
+        monkeypatch.setattr(krausfock.cli, "apply_heisenberg", planted)
+        catalog = {"family": "random_unital", "n": 2, "d": d, "seed": 1}
+        code, out, _ = run(capsys, "dilate", make_catalog_doc(tmp_path, **catalog), "--max-m", "1")
+        assert code == 1  # the planted gaps exceed residual_tol
+        kraus = minimal_kraus(build_catalog(CatalogSpec(**catalog)))
+        v1 = unitary_dilation(kraus)[:, :: kraus.size]
+        probes = np.eye(d * d).reshape(d * d, d, d)
+        dense = max(
+            np.linalg.norm(compressed_action(v1, e) - planted(kraus, e), 2) for e in probes
+        )
+        reported = json.loads(out)["payload"]["unitary"]["compression_residual"]
+        assert reported == pytest.approx(dense, rel=1e-9, abs=0.0)
+
     @pytest.mark.parametrize("command", ["dilate", "complementary"])
     def test_family_is_decided_once(self, tmp_path, capsys, monkeypatch, command):
         # the loader's reducer and the guards of the unitary dilation, the
@@ -506,6 +549,26 @@ class TestDequantize:
         assert payload["unitality_residual"] < 1e-8
         assert payload["level"] == 3
 
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_matrix_and_hermiticity_match_the_oracle(self, tmp_path, capsys, rng, hermitian):
+        # on a complex family and state, Psi_3 of a Hermitian or non-Hermitian
+        # observable is a complex, non-Hermitian matrix: its transpose is not
+        # its adjoint, and hermiticity_residual is |Psi - Psi†|
+        chan, kraus, rho = oracle_case(tmp_path, rng)
+        x = random_complex(rng, 3, 3)
+        a = x + x.conj().T if hermitian else x
+        m = 3
+        argv = ("dequantize", chan, "--observable", make_observable(tmp_path, a), "--level", str(m))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        psi = np.array(payload["matrix"]["re"]) + 1j * np.array(payload["matrix"]["im"])
+        ref = mp_dequantize(build_subproduct(kraus, m), rho, a, m)
+        assert operator_norm(psi - ref) <= 1e-12 * operator_norm(ref)
+        assert payload["hermiticity_residual"] == operator_norm(psi - psi.conj().T)
+        assert payload["hermiticity_residual"] > 1e-3
+        assert abs(operator_norm(psi - psi.T) - payload["hermiticity_residual"]) > 1e-3
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         chan = make_catalog_doc(tmp_path, family="commuting_generic", n=2, d=8, seed=4)
         obs = make_observable(tmp_path, np.diag([1.0, -1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.25]))
@@ -526,7 +589,7 @@ class TestDequantize:
         assert payload["unitality_residual"] < 1e-8
         assert sorted(payload["symmetry_residuals"], key=int) == [str(m) for m in range(1, 9)]
 
-    @pytest.mark.parametrize("command", ["dequantize", "converge"])
+    @pytest.mark.parametrize("command", ["dequantize", "converge", "complementary"])
     def test_state_is_checked_once(self, tmp_path, capsys, monkeypatch, command):
         # at load; the command holds the checked state without a second check
         calls = []
@@ -542,10 +605,11 @@ class TestDequantize:
             tmp_path, family="commuting_generic", n=2, d=3, seed=1, state=np.diag([0.5, 0.3, 0.2])
         )
         obs = make_observable(tmp_path, np.diag([1.0, -1.0, 0.5]))
-        if command == "dequantize":
-            flags = ["--observable", obs, "--level", "3"]
-        else:
-            flags = ["--observables", obs, obs, "--max-m", "3"]
+        flags = {
+            "dequantize": ["--observable", obs, "--level", "3"],
+            "converge": ["--observables", obs, obs, "--max-m", "3"],
+            "complementary": [],
+        }[command]
         code, _, _ = run(capsys, command, chan, *flags)
         assert code == 0 and calls == [(3, 3)]
 
@@ -583,6 +647,30 @@ class TestConverge:
         a = make_observable(tmp_path, np.eye(3))
         code, _, _ = run(capsys, "converge", chan, "--observables", a, "missing.json")
         assert code == 2
+
+    def test_non_hermitian_observables_match_the_oracle(self, tmp_path, capsys, rng):
+        # Tr(rho0 A) is complex, and the limit state gap is 0 in exact arithmetic
+        chan, kraus, rho = oracle_case(tmp_path, rng)
+        a, b = random_complex(rng, 3, 3), random_complex(rng, 3, 3)
+        assert abs(np.trace(rho @ a).imag) > 1e-2
+        paths = [make_observable(tmp_path, x, name=f"{name}.json") for name, x in zip("ab", (a, b))]
+        code, out, _ = run(capsys, "converge", chan, "--observables", *paths, "--max-m", "4")
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[4:]]
+        assert [row[0] for row in rows] == [1, 2, 3, 4]
+        system = build_subproduct(kraus, 4)
+        for m, norm_gap, vn, commutator, state_gap in rows:
+            m = int(m)
+            pa, pb, pab = (mp_dequantize(system, rho, x, m) for x in (a, b, a @ b))
+            gens = system.generators(m)
+            raw = np.einsum("uij,jk,vik->uv", gens, rho, gens.conj())
+            scale = operator_norm(pa) * operator_norm(pb)
+            assert norm_gap == pytest.approx(abs(operator_norm(pa) - operator_norm(a)), abs=1e-12)
+            assert vn == pytest.approx(operator_norm(pab - pa @ pb), abs=1e-12 * scale)
+            expected = m * operator_norm(pa @ pb - pb @ pa)
+            assert commutator == pytest.approx(expected, abs=1e-12 * m * scale)
+            gap = abs(np.trace(raw @ pa) / np.trace(raw) - np.trace(rho @ a))
+            assert state_gap == pytest.approx(gap, abs=1e-12)
 
     @staticmethod
     def commuting_argv(tmp_path, state=None):
@@ -816,8 +904,10 @@ class TestPeakMemory:
         "command, bound",
         # measured: dequantize 11.29 MB while the identity chain factors, a
         # conjugate copy of G_8 and the level data were kept, 9.54 MB without;
-        # converge 10.59 MB and 8.14 MB
-        [("dequantize", 10.4e6), ("converge", 9.4e6)],
+        # converge 10.59 MB and 8.14 MB, then 6.345 MB with one correlation
+        # level kept, bounded 2.4 % above: its level-8 peak, which a stacked
+        # level-8 dequantization would raise by about 1 MB
+        [("dequantize", 10.4e6), ("converge", 6.5e6)],
     )
     def test_dense_level_8(self, tmp_path, command, bound):
         argv = self.argv(tmp_path, command)

@@ -529,6 +529,44 @@ class TestDequantize:
         with pytest.raises(ValueError, match="observable must be 3x3"):
             dequantize(corr, np.eye(2), 1)
 
+    @pytest.mark.parametrize(
+        "family, top",
+        [("commuting212", 12), ("random216", 8), ("sequential", 6)],
+    )
+    def test_a_stack_is_its_members_alone(self, request, rng, family, top):
+        # every level, full, partial and complete: the stack's matrices are
+        # those of the single calls, bit for bit
+        if family == "sequential":
+            k = sequential_projective(4, 0.05)
+        else:
+            k = request.getfixturevalue(family)
+        corr = CorrelationData(build_subproduct(k, top), state_spec(k, random_density(rng, k.dim)))
+        a, b = random_complex(rng, k.dim, k.dim), random_hermitian(rng, k.dim)
+        observables = np.stack([a, b, a @ b])
+        for m in range(1, top + 1):
+            stacked = dequantize(corr, observables, m)
+            assert stacked.shape == (3, corr.system.dims[m], corr.system.dims[m])
+            for x, psi in zip(observables, stacked):
+                assert np.array_equal(psi, dequantize(corr, x, m)), m
+
+    def test_a_stack_keeps_the_refusals(self):
+        corr = _convergence_case("commuting")
+        with pytest.raises(ValueError) as shape:
+            dequantize(corr, np.eye(3, 4), 2)
+        assert str(shape.value) == "observable must be 3x3, got (3, 4)"
+        with pytest.raises(ValueError) as stack_shape:
+            dequantize(corr, np.zeros((2, 3, 2)), 2)
+        assert str(stack_shape.value) == "observable must be 3x3, got (2, 3, 2)"
+        # one member whose level-2 pairings overflow refuses the stack
+        huge = np.zeros((3, 3))
+        huge[:2, :2] = 1e308
+        observables = np.stack([np.eye(3), huge, np.eye(3)])
+        with pytest.raises(ValueError) as overflow:
+            dequantize(corr, observables, 2)
+        assert str(overflow.value) == (
+            "Psi_2 of the observable has non-finite entries: its pairings overflow"
+        )
+
 
 class TestNormalOrdering:
     def test_projective_words_are_ordered(self, projective3):
@@ -701,18 +739,22 @@ class TestConvergenceReport:
                 assert commutator == expected, m
 
     def test_complete_levels_dequantize_twice(self, rng, monkeypatch):
+        # counted by observables: a matrix is one, a stack (k, d, d) is k
         corr, a, b, complete = self.complete_instance(rng, 2, 4, 6)
         calls = []
         real = dequantization.dequantize
 
         def spy(corr, x, m):
-            calls.append(m)
+            calls.append((m, int(np.prod(np.shape(x)[:-2]))))
             return real(corr, x, m)
 
         monkeypatch.setattr(dequantization, "dequantize", spy)
         convergence_report(corr, a, b)
         expected = [2 if m in complete else 3 for m in range(1, 7)]
-        assert [calls.count(m) for m in range(1, 7)] == expected
+        assert [sum(k for level, k in calls if level == m) for m in range(1, 7)] == expected
+        # below a complete level, the three come from one call
+        partial = [m for m in range(1, 7) if m not in complete]
+        assert [level for level, _ in calls if level in partial] == partial
 
     def test_partial_data_reports_the_levels_it_holds(self, commuting212, rng):
         # a level's factors and generators do not depend on how deep the build
@@ -738,6 +780,10 @@ class TestConvergenceReport:
     @example("commuting", ((3, 3), (3, 3)), (200.0, 200.0), True, 0)
     @example("complete", ((3, 3), (3, 3)), (200.0, 200.0), True, 0)
     @example("complete", ((3, 3), (3, 3)), (308.0, 0.0), False, 0)
+    # Psi_1(A) is finite, but its state gap's sum overflows
+    @example("commuting", ((3, 3), (3, 3)), (308.0, -1.0), False, 3)
+    # Psi_2(A) is finite, but its norm is not
+    @example("commuting", ((3, 3), (3, 3)), (307.4824446142162, -59.02148197525264), False, 368)
     def test_rows_are_finite_or_refused(self, family, shapes, exponents, disjoint, seed):
         # observables of any shape, of entries up to 1e308 or down to the
         # subnormals, on a d = 3 family whose levels stay below d^2 = 9 or
