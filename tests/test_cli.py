@@ -904,14 +904,25 @@ class TestPeakMemory:
         "command, bound",
         # measured: dequantize 11.29 MB while the identity chain factors, a
         # conjugate copy of G_8 and the level data were kept, 9.54 MB without;
-        # converge 10.59 MB and 8.14 MB, then 6.345 MB with one correlation
-        # level kept, bounded 2.4 % above: its level-8 peak, which a stacked
-        # level-8 dequantization would raise by about 1 MB
-        [("dequantize", 10.4e6), ("converge", 6.5e6)],
+        # converge 10.59 MB and 8.14 MB
+        [("dequantize", 10.4e6), ("converge", 9.4e6)],
     )
     def test_dense_level_8(self, tmp_path, command, bound):
-        argv = self.argv(tmp_path, command)
-        assert main(argv) == 0  # warm: the peak below is the command's own
+        peak = self.peak(self.argv(tmp_path, command))
+        assert peak < bound, peak
+
+    def test_converge_keeps_one_level_sized_operator(self, tmp_path):
+        # measured 6.345 MB with one correlation level kept, bounded 2.4 %
+        # above: the level-8 peak, which a stacked level-8 dequantization
+        # would raise by about 1 MB
+        peak = self.peak(self.argv(tmp_path, "converge"))
+        assert peak < 6.5e6, peak
+
+    @staticmethod
+    def peak(argv):
+        """The tracemalloc peak of a second ``main(argv)``, above what the
+        first, warming run left allocated."""
+        assert main(argv) == 0
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -920,7 +931,7 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < bound, peak
+        return peak
 
     @staticmethod
     def argv(tmp_path, command):
