@@ -34,7 +34,14 @@ change to their level decisions shows as a change of exactly their lines:
 Each is run through ``validate``, ``dims``, ``subproduct-check`` (to at most
 ``m = 6``), ``dequantize`` at the top level, ``converge``, ``dilate`` and
 ``complementary``, with two seeded Hermitian observables, at the default
-tolerances and again with ``--tol-rank 1e-3``: 196 runs.
+tolerances and again with ``--tol-rank 1e-3``: 196 runs.  Then each document
+gets one ``queries`` line at the default tolerances (:func:`query_digests`),
+for the library calls no command makes: its stdout digest is that of the
+bytes of the ``truncated_fock`` blocks to the top level,
+``multiplicativity_residual`` from level 1 to the top, ``covariant_symbol``
+at the top level and ``normal_ordering_residual`` at degree ``min(4, top)``,
+with seeded Hermitian arguments; a refusal is ``exit=1`` with the digest of
+its message: 14 more lines.
 
 ``tests/report_digests.txt`` holds the output of a run of the whole corpus
 with ``OPENBLAS_NUM_THREADS=1``, after a header of ``#`` lines that names the
@@ -57,8 +64,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from krausfock import KrausSet, commuting_generic, random_unital
-from krausfock.cli import channel_to_document, main, matrix_to_json
+from krausfock import (
+    KrausSet,
+    build_subproduct,
+    commuting_generic,
+    covariant_symbol,
+    minimal_kraus,
+    multiplicativity_residual,
+    normal_ordering_residual,
+    random_unital,
+    truncated_fock,
+)
+from krausfock.cli import channel_from_document, channel_to_document, main, matrix_to_json
 
 INSTANCES = (1, 3, 7)
 FLAG_SETS = ((), ("--tol-rank", "1e-3"))
@@ -143,13 +160,24 @@ def header() -> list[str]:
     ]
 
 
-def _observable(rng: np.random.Generator, dim: int) -> dict:
+def corpus(instances=INSTANCES) -> list[tuple[int, str, dict, int]]:
+    """``(seed, name, document, top level)`` for every document, in a fixed
+    order: the documents of each instance, then the near-degenerate ones."""
+    entries = [(seed, *entry) for seed in instances for entry in documents(seed)]
+    return entries + [(0, *entry) for entry in near_degenerate_documents()]
+
+
+def _hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return {"matrix": matrix_to_json((x + x.conj().T) / 2.0)}
+    return (x + x.conj().T) / 2.0
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def _observable(rng: np.random.Generator, dim: int) -> dict:
+    return {"matrix": matrix_to_json(_hermitian(rng, dim))}
+
+
+def _digest(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()[:16]
 
 
 def _run(argv: list[str], tmp: str) -> tuple[int, str, str]:
@@ -162,11 +190,9 @@ def _run(argv: list[str], tmp: str) -> tuple[int, str, str]:
 def digests(instances=INSTANCES, flag_sets=FLAG_SETS) -> list[Run]:
     """One :class:`Run` for every document, command and flag set, in a fixed order:
     the documents of each instance, then the near-degenerate ones."""
-    corpus = [(seed, *entry) for seed in instances for entry in documents(seed)]
-    corpus += [(0, *entry) for entry in near_degenerate_documents()]
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
-        for seed, name, doc, top in corpus:
+        for seed, name, doc, top in corpus(instances):
             path = Path(tmp, f"{name}.json")
             path.write_text(json.dumps(doc))
             dim = doc["dim"] if "dim" in doc else doc["catalog"]["d"]
@@ -194,7 +220,43 @@ def digests(instances=INSTANCES, flag_sets=FLAG_SETS) -> list[Run]:
     return runs
 
 
+def _query_bytes(kraus: KrausSet, top: int, rng: np.random.Generator) -> bytes:
+    """The bytes of the values of the four library queries on ``kraus`` to ``top``."""
+    system = build_subproduct(kraus, top)
+    a, b = (_hermitian(rng, kraus.size) for _ in range(2))
+    x = _hermitian(rng, system.dims[top])
+    fock = truncated_fock(system, top)
+    last = kraus.size - 1
+    blocks = fock.left_blocks + fock.right_blocks
+    values = [block for level in blocks for block in level]
+    values += [
+        multiplicativity_residual(system, a, b, 1, top),
+        covariant_symbol(kraus, system, top, x),
+        normal_ordering_residual(kraus, system, (0, last), (last, 0), min(4, top)),
+    ]
+    return b"".join(np.asarray(value).tobytes() for value in values)
+
+
+def query_digests(instances=INSTANCES) -> list[Run]:
+    """One ``queries`` :class:`Run` a document of the corpus, in its order.
+
+    The family is the minimal one the commands read from the document, at
+    its own tolerances; the arguments are drawn from a generator seeded by
+    the instance and the dimension.
+    """
+    runs = []
+    for seed, name, doc, top in corpus(instances):
+        kraus = minimal_kraus(channel_from_document(json.loads(json.dumps(doc)))[0])
+        code, out, err = 0, b"", ""
+        try:
+            out = _query_bytes(kraus, top, np.random.default_rng([seed, kraus.dim, 1]))
+        except ValueError as exc:
+            code, err = 1, str(exc)
+        runs.append(Run(name, "queries", f"top {top}", code, _digest(out), _digest(err)))
+    return runs
+
+
 if __name__ == "__main__":
     print("\n".join(header()))
-    for run in digests():
+    for run in digests() + query_digests():
         print(run)
