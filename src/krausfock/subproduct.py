@@ -48,9 +48,11 @@ are full up to ``m ≈ 2 log_n d``.  Each shortcut reads the record in
 square without being the identity.
 
 Shifts: the truncated Fock space of levels ``0..top`` is held as its
-blocks, ``d_{m+1} x d_m`` for each letter and level; a left block is an
-overlap of a sweep, a right block a slice of ``C_{m+1}``, and no function
-assembles the ``sum d_m``-square shift matrices.
+blocks, ``d_{m+1} x d_m`` for each letter and level; a right block is a
+slice of ``C_{m+1}``, and the left blocks of every letter are the overlaps
+of one sweep whose left bond is the letter, stacked ``(n, d_{m+1}, d_m)``
+a level.  No function assembles the ``sum d_m``-square shift matrices.
+Inductive maps carry a stack of operators through one sweep of the chain.
 """
 
 from __future__ import annotations
@@ -196,16 +198,20 @@ def _full(factors) -> bool:
 
 
 def _lift(x: np.ndarray, n: int) -> np.ndarray:
-    """``x ⊗ 1_n``, written by an interleave: ``out[(i, a), (j, b)] = x[i, j] δ_ab``."""
-    out = np.zeros((x.shape[0], n, x.shape[1], n), dtype=complex)
+    """``x ⊗ 1_n`` of each matrix of a stack ``(..., r, c)``, written by an
+    interleave: ``out[..., (i, a), (j, b)] = x[..., i, j] δ_ab``."""
+    *stack, r, c = x.shape
+    out = np.zeros((*stack, r, n, c, n), dtype=complex)
     for a in range(n):
-        out[:, a, :, a] = x
-    return out.reshape(x.shape[0] * n, -1)
+        out[..., a, :, a] = x
+    return out.reshape(*stack, r * n, c * n)
 
 
 def _transfer(bra: np.ndarray, x: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """``sum_k bra[:, k, :]† x ket[:, k, :]`` over sites of shape ``(D n, D')``."""
-    return bra.conj().T @ (x @ ket.reshape(x.shape[1], -1)).reshape(-1, ket.shape[1])
+    """``sum_k bra[:, k, :]† x ket[:, k, :]`` over sites of shape ``(D n, D')``,
+    for each matrix of a stack ``x`` of shape ``(..., r, c)``."""
+    y = x @ ket.reshape(x.shape[-1], -1)
+    return bra.conj().T @ y.reshape(*x.shape[:-2], -1, ket.shape[1])
 
 
 def _complement_sweep(bra, kets, left: int, n: int, gram: bool = True):
@@ -290,21 +296,28 @@ def _check_shift(system: SubproductSystem, k: int, m: int) -> None:
     system._check_level(m, m + 1)
 
 
-def _left_shifts(system: SubproductSystem, k: int, top: int) -> list[np.ndarray]:
-    """Left-shift blocks ``B_{i+1}† (e_k ⊗ B_i)``, ``i < top``: the overlaps of
-    one sweep of the ket sites ``e_k, C_1, C_2, ...``; no solve is needed."""
-    _check_shift(system, k, top - 1)
-    letter = np.eye(system.n, 1, -k, dtype=complex)
-    kets = [letter] + system.factors[1:top]
-    return [e for e, _ in _complement_sweep(system.factors[1:], kets, 1, system.n, gram=False)]
+def _left_shifts(system: SubproductSystem, top: int) -> list[np.ndarray]:
+    """Every letter's left-shift blocks ``B_{i+1}† (e_k ⊗ B_i)``, stacked
+    ``(n, d_{i+1}, d_i)`` over ``k`` for each ``i < top``.
+
+    They are the overlaps of one sweep whose left bond is the letter: the
+    first ket site is ``sum_k e_k ⊗ e_k``, then come ``C_1, C_2, ...``; no
+    solve is needed.  The levels are the caller's to check.
+    """
+    n = system.n
+    kets = [np.eye(n, dtype=complex).reshape(n * n, 1), *system.factors[1:top]][:top]
+    sweep = _complement_sweep(system.factors[1:], kets, n, n, gram=False)
+    return [e.reshape(n, -1, e.shape[1]) for e, _ in sweep]
 
 
 def shift_left(system: SubproductSystem, k: int, m: int) -> np.ndarray:
     """Block ``(d_{m+1}, d_m)`` of the left shift ``psi -> p_{m+1}(e_k ⊗ psi)``.
 
-    Prepends letter ``k``; always a contraction.
+    Prepends letter ``k``; always a contraction.  Its slice of the one sweep
+    of :func:`_left_shifts` that gives every letter's blocks.
     """
-    return _left_shifts(system, k, m + 1)[m]
+    _check_shift(system, k, m)
+    return _left_shifts(system, m + 1)[m][k]
 
 
 def shift_right(system: SubproductSystem, k: int, m: int) -> np.ndarray:
@@ -322,14 +335,16 @@ def shift_right(system: SubproductSystem, k: int, m: int) -> np.ndarray:
     return block
 
 
-def _check_inductive(system: SubproductSystem, m: int, l: int, *ops) -> list[np.ndarray]:
-    """The level-``m`` operators ``ops`` as matrices, after checking each
-    shape and ``m <= l <= max_level``."""
-    mats = [as_matrix(x) for x in ops]
+def _check_inductive(
+    system: SubproductSystem, m: int, l: int, *ops, stacked: bool = False
+) -> list[np.ndarray]:
+    """The level-``m`` operators ``ops`` as matrices, or stacks of them if
+    ``stacked``, after checking each shape and ``m <= l <= max_level``."""
+    mats = [as_matrix(x, stacked) for x in ops]
     system._check_level(m)
     dim = system.dims[m]
     for x in mats:
-        if x.shape != (dim, dim):
+        if x.shape[-2:] != (dim, dim):
             raise ValueError(f"operator must be {dim}-square at level {m}, got {x.shape}")
     if not m <= l <= system.max_level:
         raise ValueError(f"need m <= l <= max_level, got m={m}, l={l}")
@@ -343,8 +358,13 @@ def inductive_map(system: SubproductSystem, a, m: int, l: int) -> np.ndarray:
     the chain, which is ``x ⊗ 1_n`` at a full level (``C`` the identity),
     written without a matmul.  Unital and positive, and the composition rule
     ``iota(r,l) ∘ iota(m,r) = iota(m,l)`` holds by construction.
+
+    ``a`` is one ``d_m``-square operator, or a stack ``(..., d_m, d_m)`` of
+    them, which one sweep of the chain carries to ``(..., d_l, d_l)``; each
+    matrix is formed by the same products, so it equals the one of its
+    operator alone.
     """
-    (x,) = _check_inductive(system, m, l, a)
+    (x,) = _check_inductive(system, m, l, a, stacked=True)
     for c in system.factors[m + 1 : l + 1]:
         x = _lift(x, system.n) if c is None else _transfer(c, x, c)
     return x
@@ -353,15 +373,16 @@ def inductive_map(system: SubproductSystem, a, m: int, l: int) -> np.ndarray:
 def multiplicativity_residual(system: SubproductSystem, a, b, m: int, l: int) -> float:
     """Norm of ``iota(ab) - iota(a) iota(b)`` between levels ``m`` and ``l``.
 
-    Exactly ``0.0`` when levels ``m+1..l`` are full: every step is then
-    ``x -> x ⊗ 1_n``, a homomorphism, and nothing is formed.
+    ``a`` and ``b`` are matrices; ``ab``, ``a`` and ``b`` are carried up by
+    one sweep of the chain, as one stack.  Exactly ``0.0`` when levels
+    ``m+1..l`` are full: every step is then ``x -> x ⊗ 1_n``, a
+    homomorphism, and nothing is formed.
     """
     a, b = _check_inductive(system, m, l, a, b)
     if _full(system.factors[m + 1 : l + 1]):
         return 0.0
-    joint = inductive_map(system, a @ b, m, l)
-    separate = inductive_map(system, a, m, l) @ inductive_map(system, b, m, l)
-    return operator_norm(joint - separate)
+    joint, ia, ib = inductive_map(system, np.stack([a @ b, a, b]), m, l)
+    return operator_norm(joint - ia @ ib)
 
 
 def presentation_residual(
@@ -394,11 +415,11 @@ class TruncatedFock:
 
 
 def truncated_fock(system: SubproductSystem, top: int | None = None) -> TruncatedFock:
-    """The shift blocks of the levels ``0..top``: one sweep a letter for the left ones."""
+    """The shift blocks of the levels ``0..top``: the left ones of every letter
+    from one sweep, the right ones slices of the chain factors."""
     top = system.max_level if top is None else top
     system._check_level(top)
     dims = tuple(system.dims[: top + 1])
-    sweeps = [_left_shifts(system, k, top) for k in range(system.n)] if top else []
-    left = [[blocks[m] for blocks in sweeps] for m in range(top)]
+    left = [list(blocks) for blocks in _left_shifts(system, top)]
     right = [[shift_right(system, k, m) for k in range(system.n)] for m in range(top)]
     return TruncatedFock(dims=dims, left_blocks=left, right_blocks=right)

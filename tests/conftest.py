@@ -1,6 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from krausfock import (
     commuting_generic,
@@ -14,6 +15,11 @@ from krausfock import (
 )
 from krausfock.linalg import _range_unless_full
 from krausfock.subproduct import _transfer
+
+# every run draws the same examples, and none is replayed from a local
+# example database; a test's own @settings keep their example counts
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 def random_complex(rng, rows, cols):

@@ -478,6 +478,28 @@ class TestShifts:
             assert np.allclose(vec[:, 0], expected, atol=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "family", ["projective", "commuting", "random", "sequential", "sequential-3e-5"]
+    )
+    def test_letter_sum_is_the_one_step_nesting_defect(self, catalog_quartet, family):
+        # the level-(m+1) blocks of one sweep over every letter give
+        # sum_k L_k L_k† = B_{m+1}† (1 ⊗ p_m) B_{m+1}, so 1 minus it is Y† Y
+        # for Y = (1 ⊗ (1 - p_m)) B_{m+1}, whose norm is the split (1, m)
+        # residual; on the 3e-5 family, where the nesting law fails, both
+        # sides read about 0.62, 0.26, 0.14 and 0.09 at m = 2..5
+        if family == "sequential-3e-5":
+            k = sequential_projective(3, 3e-5, seed=0)
+        else:
+            k = catalog_quartet[family]
+        s = build_subproduct(k, 6)
+        stacks = krausfock.subproduct._left_shifts(s, 6)
+        assert [x.shape for x in stacks] == [(k.size, s.dims[i + 1], s.dims[i]) for i in range(6)]
+        for m in range(1, 6):
+            blocks = stacks[m]
+            gram = np.sum(blocks @ blocks.conj().transpose(0, 2, 1), axis=0)
+            defect = nesting_residuals(s, 1, m)[m]
+            assert abs(operator_norm(np.eye(s.dims[m + 1]) - gram) - defect**2) <= 1e-13, m
+
     def test_rejects_letters_out_of_range(self, commuting212):
         s = build_subproduct(commuting212, 3)
         for m in range(3):
@@ -561,6 +583,49 @@ class TestInductiveMap:
                 assert abs(got - multiplicativity_oracle(s, a, b, m, l)) <= 1e-12, (m, l)
                 if all(full_levels(s.dims, s.n)[m:l]):
                     assert got == 0.0, (m, l)
+
+    @pytest.mark.parametrize(
+        "kraus, top",
+        [
+            (commuting_generic(2, 12, seed=3), 12),
+            *[(random_unital(2, 4, seed=seed), 6) for seed in range(8)],
+            (sequential_projective(4, 0.05), 6),
+        ],
+        ids=["commuting212", *[f"random24-s{seed}" for seed in range(8)], "sequential4"],
+    )
+    def test_a_stack_is_its_members_alone(self, kraus, top, rng):
+        # random24 is full to level 4 and not beyond: the stack's matrices
+        # are those of the single calls, bit for bit, across both kinds of
+        # step, and the residual is that of three single sweeps
+        s = build_subproduct(kraus, top)
+        for m in range(top + 1):
+            a, b = (random_complex(rng, s.dims[m], s.dims[m]) for _ in range(2))
+            ops = np.stack([a @ b, a, b])
+            for l in range(m, top + 1):
+                stacked = inductive_map(s, ops, m, l)
+                assert stacked.shape == (3, s.dims[l], s.dims[l])
+                alone = [inductive_map(s, x, m, l) for x in ops]
+                for got, expected in zip(stacked, alone):
+                    assert np.array_equal(got, expected), (m, l)
+                if not all(full_levels(s.dims, s.n)[m:l]):
+                    residual = operator_norm(alone[0] - alone[1] @ alone[2])
+                    assert multiplicativity_residual(s, a, b, m, l) == residual, (m, l)
+
+    def test_a_stack_keeps_the_refusals(self, commuting212):
+        s = build_subproduct(commuting212, 4)
+        for bad in (np.zeros((3, 3, 3)), np.zeros((3, 2, 3)), np.zeros((2, 1, 3, 2))):
+            with pytest.raises(ValueError) as shape:
+                inductive_map(s, bad, 1, 4)
+            assert str(shape.value) == f"operator must be 2-square at level 1, got {bad.shape}"
+        with pytest.raises(ValueError) as vector:
+            inductive_map(s, np.zeros(4), 1, 4)
+        assert str(vector.value) == "expected a matrix, got an array of ndim 1"
+        # the residual still takes one matrix a side
+        eye, stack = np.eye(2), np.stack([np.eye(2)] * 3)
+        for a, b in [(stack, eye), (eye, stack)]:
+            with pytest.raises(ValueError) as ndim:
+                multiplicativity_residual(s, a, b, 1, 4)
+            assert str(ndim.value) == "expected a matrix, got an array of ndim 3"
 
     def test_full_chain_forms_no_product(self, random216, rng, monkeypatch):
         s = build_subproduct(random216, 8)
