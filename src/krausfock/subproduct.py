@@ -313,8 +313,8 @@ def _left_shifts(system: SubproductSystem, top: int) -> list[np.ndarray]:
 def shift_left(system: SubproductSystem, k: int, m: int) -> np.ndarray:
     """Block ``(d_{m+1}, d_m)`` of the left shift ``psi -> p_{m+1}(e_k ⊗ psi)``.
 
-    Prepends letter ``k``; always a contraction.  Its slice of the one sweep
-    of :func:`_left_shifts` that gives every letter's blocks.
+    Prepends letter ``k``; always a contraction.  A slice of the stack that
+    one sweep of :func:`_left_shifts` gives for every letter.
     """
     _check_shift(system, k, m)
     return _left_shifts(system, m + 1)[m][k]

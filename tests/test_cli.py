@@ -416,14 +416,16 @@ class TestReportDigests:
 
     def test_checked_in_digests_match(self):
         # the thread count must be set before numpy loads, so the corpus runs
-        # in a subprocess: instance 3 and the near-degenerate documents
+        # in a subprocess: instance 3 and the near-degenerate documents, each
+        # through the commands and then the library queries
         tests = Path(__file__).resolve().parent
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         paths = [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")]
         env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
         probe = (
             "import report_digests as r; "
-            "print(*r.header(), *r.digests(instances=(3,)), sep='\\n')"
+            "print(*r.header(), *r.digests(instances=(3,)), *r.query_digests(instances=(3,)), "
+            "sep='\\n')"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
@@ -439,30 +441,13 @@ class TestReportDigests:
         )
         by_run = {line.split(" exit=")[0]: line for line in recorded}
         runs = got[len(head) :]
-        assert len(runs) == 6 * 7 * 2
+        assert len(runs) == 6 * 7 * 2 + 6
         differ = [
             f"recorded: {by_run.get(line.split(' exit=')[0])}\n     got: {line}"
             for line in runs
             if by_run.get(line.split(" exit=")[0]) != line
         ]
         assert not differ, "\n".join(differ)
-
-    def test_checked_in_query_digests_match(self):
-        # the library queries no command makes, on the same documents, in a
-        # subprocess at one BLAS thread as above
-        tests = Path(__file__).resolve().parent
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        paths = [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")]
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
-        probe = "import report_digests as r; print(*r.query_digests(instances=(3,)), sep='\\n')"
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert result.returncode == 0, result.stderr
-        runs = result.stdout.splitlines()
-        assert len(runs) == 6 and all(" queries [top " in line for line in runs)
-        recorded = set((tests / "report_digests.txt").read_text().splitlines())
-        assert [line for line in runs if line not in recorded] == []
 
 
 class TestDilate:

@@ -477,7 +477,6 @@ class TestShifts:
             expected = chain_basis(s, 3).conj().T[:, index]
             assert np.allclose(vec[:, 0], expected, atol=1e-12)
 
-
     @pytest.mark.parametrize(
         "family", ["projective", "commuting", "random", "sequential", "sequential-3e-5"]
     )
