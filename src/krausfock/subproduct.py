@@ -58,6 +58,7 @@ Inductive maps carry a stack of operators through one sweep of the chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -110,12 +111,13 @@ class SubproductSystem:
     def max_level(self) -> int:
         return len(self.factors) - 1
 
-    @property
+    @cached_property
     def dims(self) -> list[int]:
-        """Level dimensions ``d_0..d_max_level``, read off the factors."""
-        dims = [1]
+        """Level dimensions ``d_0..d_max_level``, read off the factors at the
+        first read and kept: the factors are frozen."""
+        dims, n = [1], self.n
         for c in self.factors[1:]:
-            dims.append(self.n * dims[-1] if c is None else c.shape[1])
+            dims.append(n * dims[-1] if c is None else c.shape[1])
         return dims
 
     def _check_level(self, *levels: int) -> None:

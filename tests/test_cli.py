@@ -18,6 +18,7 @@ import krausfock.channel
 import krausfock.cli
 import krausfock.dequantization as dequantization
 import krausfock.dilation
+import krausfock.linalg
 from krausfock.catalog import CatalogSpec, build_catalog
 from krausfock.channel import minimal_kraus
 from krausfock.dilation import compressed_action, unitary_dilation
@@ -483,6 +484,22 @@ class TestDilate:
         monkeypatch.setattr(krausfock.cli, "_largest_norm", every_probe)
         assert skipped == run(capsys, *argv)
         assert skipped[0] == 0
+
+    def test_the_gram_screen_norms_few_probes(self, tmp_path, capsys, monkeypatch):
+        # the probe gaps are rounding, at Frobenius norms about 1.8 times their
+        # operator norms: that screen alone hands 212 of the 256 probes of
+        # this instance to LAPACK, the Gram screen after it 26
+        normed = []
+        norm = krausfock.linalg.operator_norm
+
+        def spy(stack):
+            normed.append(len(stack))
+            return norm(stack)
+
+        monkeypatch.setattr(krausfock.linalg, "operator_norm", spy)
+        path = make_catalog_doc(tmp_path, family="random_unital", n=2, d=16, seed=7)
+        code, _, _ = run(capsys, "dilate", path, "--max-m", "1")
+        assert code == 0 and 0 < sum(normed) <= 64
 
     @pytest.mark.parametrize("largest", [(0, 0), (2, 0), (1, 2), (2, 2)])
     def test_probe_maximum_is_the_one_of_every_probe_normed_densely(

@@ -578,11 +578,13 @@ def probe_rows(draw):
     """Rows of probe stacks ``(rows, k, r, c)`` and a floor to start from.
 
     Each probe is a random matrix, or a rank-one one, whose operator norm is
-    its Frobenius norm in exact arithmetic, scaled by its own power of two
-    from 2^-1074 to 2^1000, or all zero.  The floor is 0, or the float just
-    above the computed Frobenius norm of the probe whose computed operator
-    norm exceeds it the most: a rule with no margin for rounding skips that
-    probe when its operator norm is above the floor.
+    both its Frobenius norm and its Gram bound ``||X†X||_F^(1/2)`` in exact
+    arithmetic, scaled by its own power of two from 2^-1074 to 2^1000, so
+    that the squares of the one and the fourth powers of the other both
+    underflow and overflow, or all zero.  The floor is 0, or the float just
+    above one of the two bounds, computed, of the probe whose computed
+    operator norm exceeds that bound the most: a screen with no margin for
+    rounding skips that probe when its operator norm is above the floor.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (draw(st.integers(1, 4)), draw(st.integers(1, 6)))
@@ -600,13 +602,17 @@ def probe_rows(draw):
     probes = scaled.view(complex)
     probes[rng.random(shape) < 0.3] = 0.0
     floor = 0.0
-    if draw(st.booleans()):
-        with np.errstate(over="ignore"):
+    bound = draw(st.sampled_from([None, "frobenius", "gram"]))
+    if bound is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
             f = np.linalg.norm(probes, axis=(-2, -1))
+            if bound == "gram":
+                f = np.sqrt(np.linalg.norm(probes.conj().swapaxes(-2, -1) @ probes, axis=(-2, -1)))
         norms = np.linalg.norm(probes, 2, axis=(-2, -1))
         with np.errstate(divide="ignore", invalid="ignore"):
             excess = np.where((f > 0) & (f < np.inf), norms / f, 0.0)
-        floor = float(np.nextafter(f.flat[np.argmax(excess)], np.inf))
+        if excess.any():
+            floor = float(np.nextafter(f.flat[np.argmax(excess)], np.inf))
     return probes, floor
 
 
@@ -624,10 +630,38 @@ class TestLargestNorm:
         assert g == full
 
     def test_a_probe_below_the_floor_is_not_normed(self, lapack_inputs):
-        row = np.stack([np.eye(3), np.eye(3) * 1e-3, np.zeros((3, 3)), np.eye(3) * 2.0])
+        # 0.3 I_3 passes the Frobenius screen (0.52) and fails the Gram one (0.39)
+        eye = np.eye(3)
+        row = np.stack([eye, eye * 1e-3, np.zeros((3, 3)), eye * 2.0, eye * 0.3])
         assert _largest_norm(row, 0.5) == 2.0 and lapack_inputs == [(2, 3, 3)]
         # the floor stands when nothing can exceed it; an underflowing f is kept
         assert _largest_norm(row[1:3], 0.5) == 0.5 and lapack_inputs == [(2, 3, 3)]
         tiny = np.full((1, 2, 2), 2.0**-600)
         assert _largest_norm(tiny, 2.0**-600) == 2.0**-599
-        assert lapack_inputs == [(2, 3, 3), (1, 2, 2)]
+        # a lone survivor of the Frobenius screen is normed, not screened again
+        assert _largest_norm(row[[4, 1]], 0.5) == 0.5
+        assert lapack_inputs == [(2, 3, 3), (1, 2, 2), (1, 3, 3)]
+
+    def test_underflow_and_overflow_keep_the_probe(self, lapack_inputs):
+        # 2^-300 I_2: the fourth powers in the Gram bound underflow to 0, so
+        # only the absolute term keeps the probe that sets the maximum
+        small = np.stack([np.eye(2), np.eye(2)]) * 2.0**-300
+        assert _largest_norm(small, 2.0**-301) == 2.0**-300
+        # the Gram product overflows, and inf - inf gives NaN: both are normed
+        huge = np.array([[1.0, 1.0], [1.0, -1.0]]) * 2.0**1000
+        expected = np.linalg.norm(huge, 2)
+        assert _largest_norm(np.stack([huge, huge / 2]), 1.0) == expected
+        assert lapack_inputs == [(2, 2, 2), (2, 2, 2)]
+
+    def test_the_gram_margin_covers_rounding(self, rng):
+        # a rank-one probe's norm is its Gram bound in exact arithmetic; at a
+        # floor one float above the computed bound, a screen without the
+        # factor 1 + 2^-20 skips the probes whose computed norm exceeds it
+        rank_one = random_complex(rng, 800, 1).reshape(200, 4, 1)
+        probes = rank_one @ random_complex(rng, 200, 4).reshape(200, 1, 4)
+        g = np.sqrt(np.linalg.norm(probes.conj().swapaxes(-2, -1) @ probes, axis=(-2, -1)))
+        floors = np.nextafter(g, np.inf)
+        norms = np.linalg.norm(probes, 2, axis=(-2, -1))
+        assert (norms > floors).any()
+        for probe, floor, norm in zip(probes, floors, norms):
+            assert _largest_norm(np.stack([probe, probe]), floor) == max(floor, norm)

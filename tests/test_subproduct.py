@@ -66,6 +66,7 @@ class TestBuild:
     def test_commuting_ladder(self, commuting212):
         s = build_subproduct(commuting212, 7)
         assert s.dims == [1, 2, 3, 4, 5, 6, 7, 8]
+        assert s.dims is s.dims  # read off the factors once
 
     def test_free_ladder_and_exact_identity_basis(self, random216):
         s = build_subproduct(random216, 5)
