@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import Tolerances, _range_unless_full, as_matrix, operator_norm
+from .linalg import Tolerances, _range_unless_full, _square, operator_norm
 
 __all__ = [
     "KrausSet",
@@ -125,9 +125,7 @@ def check_state(kraus: KrausSet, rho) -> np.ndarray:
     float range to ``inf`` silently; above the subnormal range every value
     equals the one formed on ``rho`` itself.
     """
-    rho = as_matrix(rho)
-    if rho.shape != (kraus.dim, kraus.dim):
-        raise ValueError(f"state must be {kraus.dim}x{kraus.dim}, got {rho.shape}")
+    rho = _square(rho, kraus.dim, "state")
     tol = kraus.tol
     half = rho / 2.0
     gap = 2.0 * operator_norm(half - half.conj().T)
@@ -144,9 +142,7 @@ def check_state(kraus: KrausSet, rho) -> np.ndarray:
 
 def apply_heisenberg(kraus: KrausSet, a) -> np.ndarray:
     """Evaluate ``sum_k K_k† a K_k`` for one ``d``-square ``a`` or a stack ``(..., d, d)``."""
-    a = as_matrix(a, stacked=True)
-    if a.shape[-2:] != (kraus.dim, kraus.dim):
-        raise ValueError(f"observable must be {kraus.dim}x{kraus.dim}, got {a.shape}")
+    a = _square(a, kraus.dim, stacked=True)
     ops = kraus.ops
     return (ops.conj().transpose(0, 2, 1) @ a[..., None, :, :] @ ops).sum(axis=-3)
 

@@ -50,8 +50,8 @@ from .linalg import (
     _largest_part,
     _range_unless_full,
     _rank,
+    _square,
     _triangular_inverse,
-    as_matrix,
     operator_norm,
 )
 from .subproduct import SubproductSystem, power_sweep
@@ -154,15 +154,6 @@ class CorrelationData:
             self._cache = None
             self._cache = (m, correlation_matrix(self.system.kraus, self.system, self.state, m))
         return self._cache[1]
-
-
-def _square(a, d: int, what: str = "observable", stacked: bool = False) -> np.ndarray:
-    """``a`` as a matrix, or a stack of them if ``stacked``, refused unless
-    ``d``-square; ``what`` names it."""
-    a = as_matrix(a, stacked)
-    if a.shape[-2:] != (d, d):
-        raise ValueError(f"{what} must be {d}x{d}, got {a.shape}")
-    return a
 
 
 def _root_rows(system: SubproductSystem, state: StateSpec, m: int) -> np.ndarray:

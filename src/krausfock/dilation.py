@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import KrausSet, check_state, require_unital_minimal
-from .linalg import as_matrix, partial_trace_left
-from .subproduct import SubproductSystem
+from .linalg import _square, as_matrix, partial_trace_left
+from .subproduct import SubproductSystem, _check_inductive
 
 __all__ = [
     "stinespring_isometry",
@@ -89,10 +89,10 @@ def compressed_action(v, a) -> np.ndarray:
     ``V_m``, or the ``e_0`` columns ``W[:, ::n]`` of a unitary dilation.
     """
     v = as_matrix(v)
-    a = as_matrix(a, stacked=True)
     rows, c = v.shape
-    if a.shape[-2:] != (c, c) or rows % c:
-        raise ValueError(f"shapes {a.shape} and {v.shape} do not fit an isometry on C^{c}")
+    a = _square(a, c, stacked=True)
+    if rows % c:
+        raise ValueError(f"an isometry on C^{c} needs a multiple of {c} rows, got {v.shape}")
     lifted = (a @ v.reshape(c, -1)).reshape(*a.shape[:-2], rows, c)
     return v.conj().T @ lifted
 
@@ -141,10 +141,8 @@ def covariant_symbol(kraus: KrausSet, system: SubproductSystem, m: int, x) -> np
     ``sum_{u,v} x[u,v] G_u† G_v``; equals ``V_m† (1 ⊗ x) V_m``.  Completely
     positive and unital.
     """
-    x = as_matrix(x)
+    (x,) = _check_inductive(system, m, m, x)
     gens = system.generators(m)
     dm, d = gens.shape[0], kraus.dim
-    if x.shape != (dm, dm):
-        raise ValueError(f"operator must be {dm}-square at level {m}, got {x.shape}")
     stacked = gens.reshape(dm * d, d)
     return stacked.conj().T @ (x @ gens.reshape(dm, d * d)).reshape(dm * d, d)

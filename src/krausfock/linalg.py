@@ -78,6 +78,17 @@ def as_matrix(x, stacked: bool = False) -> np.ndarray:
     return a
 
 
+def _square(a, d: int, what: str = "observable", stacked: bool = False) -> np.ndarray:
+    """``a`` as a matrix, or a stack of them if ``stacked``, refused unless
+    ``d``-square; ``what`` names it.  The one refusal of a system- or
+    letter-space argument that is not square: every function that takes an
+    operator on ``C^d`` or on the letter space ``C^n`` reads it here."""
+    a = as_matrix(a, stacked)
+    if a.shape[-2:] != (d, d):
+        raise ValueError(f"{what} must be {d}x{d}, got {a.shape}")
+    return a
+
+
 def _rank(s: np.ndarray, tol: Tolerances) -> int:
     """The rank rule: descending singular values above ``rank_rel_tol * s[0]``."""
     if s.size == 0 or s[0] == 0.0:
@@ -233,19 +244,9 @@ def _triangular_inverse(r: np.ndarray) -> np.ndarray:
     return t
 
 
-def _check_product_shape(a: np.ndarray, dim_left: int, dim_right: int) -> None:
-    expected = dim_left * dim_right
-    if a.shape != (expected, expected):
-        raise ValueError(
-            f"expected a {expected}x{expected} matrix on a {dim_left}x{dim_right} "
-            f"tensor product, got shape {a.shape}"
-        )
-
-
 def partial_trace_left(m, dim_left: int, dim_right: int) -> np.ndarray:
     """Trace out the left tensor factor of an operator on ``H_left ⊗ H_right``."""
-    a = as_matrix(m)
-    _check_product_shape(a, dim_left, dim_right)
+    a = _square(m, dim_left * dim_right, f"an operator on C^{dim_left} ⊗ C^{dim_right}")
     t = a.reshape(dim_left, dim_right, dim_left, dim_right)
     return np.einsum("kikj->ij", t)
 

@@ -63,7 +63,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import KrausSet, require_unital_minimal
-from .linalg import _range_unless_full, as_matrix, operator_norm, orthonormal_range
+from .linalg import _range_unless_full, _square, as_matrix, operator_norm, orthonormal_range
 
 __all__ = [
     "SubproductSystem",
@@ -276,9 +276,9 @@ def power_sweep(
     Each site is formed when the sweep reaches it, as ``1_D ⊗ q`` at a full
     level of ``ket``.
     """
-    q = as_matrix(q)
-    if q.shape != (ket.n, ket.n) or bra.n != ket.n:
-        raise ValueError(f"need an {ket.n}-square letter matrix for systems of equal n")
+    q = _square(q, ket.n, "letter matrix")
+    if bra.n != ket.n:
+        raise ValueError(f"need systems of equal n, got {bra.n} and {ket.n}")
     bra._check_level(m)
     ket._check_level(m)
 
@@ -396,7 +396,7 @@ def presentation_residual(
     ``u``, which rotates the level subspace by ``U``; the distance, the larger
     one-sided sine of the largest principal angle, is zero up to rounding.
     """
-    u = as_matrix(u)
+    u = _square(u, original.n, "unitary")
     left = power_sweep(mixed, original, u.T, m)[m][1]
     right = power_sweep(original, mixed, u.conj(), m)[m][1]
     return max(left, right)

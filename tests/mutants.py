@@ -84,6 +84,32 @@ MUTANTS = [
     ),
     Mutant(
         "src/krausfock/linalg.py",
+        "if a.shape[-2:] != (d, d):",
+        "if a.shape[-1] != d:",
+        "_square: a tall system- or letter-space operator (d + 1, d) is let through",
+    ),
+    Mutant(
+        "src/krausfock/linalg.py",
+        "a = as_matrix(a, stacked)",
+        "a = np.asarray(a, dtype=complex)",
+        "_square: a system- or letter-space operator with a NaN or infinite entry "
+        "is let through",
+    ),
+    Mutant(
+        "src/krausfock/subproduct.py",
+        "if x.shape[-2:] != (dim, dim):",
+        "if x.shape[-1] != dim:",
+        "_check_inductive: a tall level operator (d_m + 1, d_m) is let through",
+    ),
+    Mutant(
+        "src/krausfock/cli.py",
+        '"min_eigenvalue": float(eigs[0]),',
+        '"min_eigenvalue": max(float(eigs[0]), 0.0),',
+        "complementary: min_eigenvalue clipped at 0 hides a bath eigenvalue that "
+        "rounds below 0",
+    ),
+    Mutant(
+        "src/krausfock/linalg.py",
         "return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))",
         "return int(np.count_nonzero(s >= tol.rank_rel_tol * s[0]))",
         "_rank: >= for > differs only on a singular value exactly at tau s[0], "

@@ -21,7 +21,7 @@ import krausfock.dilation
 import krausfock.linalg
 from krausfock.catalog import CatalogSpec, build_catalog
 from krausfock.channel import minimal_kraus
-from krausfock.dilation import compressed_action, unitary_dilation
+from krausfock.dilation import compressed_action, complementary_state, unitary_dilation
 from krausfock.subproduct import build_subproduct
 from krausfock.cli import (
     _emit_json,
@@ -556,6 +556,19 @@ class TestComplementary:
         assert payload["formula_agreement"] < 1e-10
         assert abs(payload["trace"] - 1.0) < 1e-10
         assert payload["min_eigenvalue"] > -1e-10
+
+    def test_min_eigenvalue_is_the_computed_one(self, tmp_path, capsys):
+        # a pure state leaves a bath state of rank 2 of 3, whose smallest
+        # eigenvalue rounds below 0; the report gives it as computed, not clipped
+        rho = np.diag([1.0, 0.0])
+        catalog = {"family": "random_unital", "n": 3, "d": 2, "seed": 5}
+        path = make_catalog_doc(tmp_path, state=rho, **catalog)
+        code, out, _ = run(capsys, "complementary", path)
+        assert code == 0
+        got = json.loads(out)["payload"]["min_eigenvalue"]
+        b = complementary_state(minimal_kraus(build_catalog(CatalogSpec(**catalog))), rho)
+        assert got == np.linalg.eigvalsh((b + b.conj().T) / 2.0)[0]
+        assert got < 0.0
 
 
 class TestDequantize:

@@ -1,5 +1,7 @@
-"""The package surface: one list of public names, the README example, and two
-checks of the source: docstring roles resolve and every import is used."""
+"""The package surface: one list of public names, the README example, two
+checks of the source (docstring roles resolve and every import is used), and
+the messages of the two readers that refuse an operator argument that is not
+square."""
 
 import ast
 import contextlib
@@ -257,3 +259,108 @@ def test_no_unused_imports():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+# random_unital(3, 2): d = 2 on the system, n = 3 letters, d_2 = 4 at level 2
+READERS_KRAUS = catalog.random_unital(3, 2, seed=1)
+READERS_SYSTEM = subproduct.build_subproduct(READERS_KRAUS, 2)
+READERS_CORR = dequantization.CorrelationData(
+    READERS_SYSTEM, dequantization.state_spec(READERS_KRAUS, np.eye(2) / 2)
+)
+
+
+# (entry point, call on the bad argument x, square size, exact message up to the shape)
+SQUARE_READERS = [
+    ("check_state", lambda x: channel.check_state(READERS_KRAUS, x), 2, "state must be 2x2"),
+    (
+        "CorrelationData",
+        lambda x: dequantization.CorrelationData(READERS_SYSTEM, dequantization.StateSpec(x)),
+        2,
+        "state must be 2x2",
+    ),
+    (
+        "apply_heisenberg",
+        lambda x: channel.apply_heisenberg(READERS_KRAUS, x),
+        2,
+        "observable must be 2x2",
+    ),
+    (
+        "dequantize",
+        lambda x: dequantization.dequantize(READERS_CORR, x, 1),
+        2,
+        "observable must be 2x2",
+    ),
+    (
+        "convergence_rows_a",
+        lambda x: dequantization.convergence_rows(READERS_CORR, x, np.eye(2)),
+        2,
+        "observable must be 2x2",
+    ),
+    (
+        "convergence_rows_b",
+        lambda x: dequantization.convergence_rows(READERS_CORR, np.eye(2), x),
+        2,
+        "observable must be 2x2",
+    ),
+    (
+        "compressed_action",
+        lambda x: dilation.compressed_action(dilation.stinespring_isometry(READERS_SYSTEM, 2), x),
+        2,
+        "observable must be 2x2",
+    ),
+    (
+        "partial_trace_left",
+        lambda x: linalg.partial_trace_left(x, 2, 3),
+        6,
+        "an operator on C^2 ⊗ C^3 must be 6x6",
+    ),
+    (
+        "power_sweep",
+        lambda x: subproduct.power_sweep(READERS_SYSTEM, READERS_SYSTEM, x, 2),
+        3,
+        "letter matrix must be 3x3",
+    ),
+    (
+        "presentation_residual",
+        lambda x: subproduct.presentation_residual(READERS_SYSTEM, READERS_SYSTEM, x, 2),
+        3,
+        "unitary must be 3x3",
+    ),
+    (
+        "inductive_map",
+        lambda x: subproduct.inductive_map(READERS_SYSTEM, x, 2, 2),
+        4,
+        "operator must be 4-square at level 2",
+    ),
+    (
+        "multiplicativity_residual_a",
+        lambda x: subproduct.multiplicativity_residual(READERS_SYSTEM, x, np.eye(4), 2, 2),
+        4,
+        "operator must be 4-square at level 2",
+    ),
+    (
+        "multiplicativity_residual_b",
+        lambda x: subproduct.multiplicativity_residual(READERS_SYSTEM, np.eye(4), x, 2, 2),
+        4,
+        "operator must be 4-square at level 2",
+    ),
+    (
+        "covariant_symbol",
+        lambda x: dilation.covariant_symbol(READERS_KRAUS, READERS_SYSTEM, 2, x),
+        4,
+        "operator must be 4-square at level 2",
+    ),
+]
+
+
+@pytest.mark.parametrize("tall", [True, False], ids=["tall", "wide"])
+@pytest.mark.parametrize(
+    "call, size, message", [r[1:] for r in SQUARE_READERS], ids=[r[0] for r in SQUARE_READERS]
+)
+def test_square_readers_refuse_tall_and_wide_arguments(call, size, message, tall):
+    # a system- or letter-space operator is read by linalg._square, a level
+    # operator by subproduct._check_inductive; each compares both sides
+    shape = (size + 1, size) if tall else (size, size + 1)
+    with pytest.raises(ValueError) as refused:
+        call(np.ones(shape))
+    assert str(refused.value) == f"{message}, got {shape}"
