@@ -179,5 +179,10 @@ def minimal_kraus(kraus: KrausSet) -> KrausSet:
     if q.shape[1] == 0:
         raise ValueError("all Kraus operators vanish")
     d = kraus.dim
-    reduced = (q.conj().T @ kraus.ops.reshape(kraus.size, d * d)).reshape(-1, d, d)
+    # the reduced family keeps the Frobenius norm of the stack, which may
+    # lie beyond float range though every entry given is finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        reduced = (q.conj().T @ kraus.ops.reshape(kraus.size, d * d)).reshape(-1, d, d)
+    if not np.isfinite(reduced).all():
+        raise ValueError("the Kraus operators overflow when reduced to an independent family")
     return KrausSet(reduced, tol=kraus.tol)

@@ -37,11 +37,12 @@ A subcommand accepts only the flags it reads.  Every channel command takes
 ``--tol-rank``, ``--tol-residual`` and ``--out``, which sends its JSON or CSV
 report to a file instead of stdout.  ``validate`` prints its report and
 takes ``--out`` only with ``--minimalize``, which writes the reduced channel
-there, by default over the input.  ``dims``,
-``subproduct-check``, ``dilate`` and ``converge`` build every level up to
-``--max-m``, ``dequantize`` up to ``--level``; a level keeps its chain
-factor, at most ``n d^4`` entries, and the generators and correlations of
-one level are kept besides, so cost is polynomial in the level.  Exit codes: 0
+there, by default over the input.  ``dims``, ``subproduct-check`` and
+``converge`` build every level up to ``--max-m``, ``dequantize`` up to
+``--level``; a level keeps its chain factor, at most ``n d^4`` entries, and
+the generators and correlations of one level are kept besides, so cost is
+polynomial in the level.  ``dilate`` reads each ``V_m`` off its level as the
+level is formed, up to ``--max-m``, and keeps no factor.  Exit codes: 0
 success, 1 validation or acceptance failure, 2 input error.  Exit 2 means
 the failure arose while input was read: ``load_document`` and
 ``channel_from_document`` raise :class:`InputError`, the latter also for
@@ -75,19 +76,19 @@ from .dequantization import (
     ConvergenceReport,
     CorrelationData,
     StateSpec,
+    _dequantize,
     convergence_rows,
-    dequantize,
     phi_symmetry_residual,
 )
 from .dilation import (
     _complementary_state,
     _complementary_state_via_dilation,
-    compressed_action,
-    stinespring_isometry,
+    _compressed_action,
+    _isometry,
     unitary_dilation,
 )
 from .linalg import Tolerances, _largest_norm, operator_norm
-from .subproduct import SubproductSystem, build_subproduct, nesting_residuals
+from .subproduct import SubproductSystem, _levels, build_subproduct, nesting_residuals
 
 
 class InputError(Exception):
@@ -383,33 +384,48 @@ def cmd_subproduct_check(args) -> int:
     return 0 if worst <= kraus.tol.residual_tol else 1
 
 
+def _unit_probe_gap(kraus: KrausSet, w: np.ndarray) -> float:
+    """The largest gap ``|V_1† (E_ab ⊗ 1) V_1 - Phi(E_ab)|`` over the ``d^2``
+    unit probes ``E_ab``, ``V_1`` the ``e_0`` columns of the unitary ``w``.
+
+    The probes are a stack of ``d`` for each row ``a``; a probe is normed
+    only while it can still exceed the largest gap found so far.  ``V_1†``
+    and ``V_1`` on ``d`` rows are formed once, and die with the call.
+    """
+    d = kraus.dim
+    probe_gap, row, v1 = 0.0, np.zeros((d, d, d), dtype=complex), w[:, :: kraus.size]
+    v1_adj, v1_wide = v1.conj().T, v1.reshape(d, -1)
+    for a in range(d):
+        row[:, a, :] = np.eye(d)
+        gaps = _compressed_action(v1_adj, v1_wide, row) - apply_heisenberg(kraus, row)
+        probe_gap = _largest_norm(gaps, probe_gap)
+        row[:, a, :] = 0.0
+    return probe_gap
+
+
 def cmd_dilate(args) -> int:
     digest, kraus, _ = _load_channel(args)
     d = kraus.dim
     w = unitary_dilation(kraus)
     eye = np.eye(d * kraus.size)
     unitarity = max(operator_norm(np.stack([w @ w.conj().T, w.conj().T @ w]) - eye).tolist())
-    # the d^2 unit probes E_ab, one stack of d for each row a; a probe is
-    # normed only while it can still exceed the largest gap found so far
-    probe_gap, row, v1 = 0.0, np.zeros((d, d, d)), w[:, :: kraus.size]
-    for a in range(d):
-        row[:, a, :] = np.eye(d)
-        gaps = compressed_action(v1, row) - apply_heisenberg(kraus, row)
-        probe_gap = _largest_norm(gaps, probe_gap)
-        row[:, a, :] = 0.0
-    system = build_subproduct(kraus, args.max_m)
+    probe_gap = _unit_probe_gap(kraus, w)
     # fixed, so no random numbers are drawn; Hermitian, with real and imaginary off-diagonals
     p = np.arange(1, d * d + 1).reshape(d, d) / (d * d)
     probe = p + p.T + 1j * (p - p.T)
-    # each level's isometry and compression residuals, normed in one call after the loop
-    residuals, power = np.empty((args.max_m, 2, d, d), dtype=complex), probe
-    for m in range(1, args.max_m + 1):
-        v = stinespring_isometry(system, m)
+    # each V_m is taken as its level is formed, and its isometry and
+    # compression residuals are normed together before the next level
+    norms, power = np.empty((args.max_m, 2)), probe
+    for m, _, gens in _levels(kraus, args.max_m):
+        v = _isometry(gens)
+        v_adj = v.conj().T
         power = apply_heisenberg(kraus, power)
-        residuals[m - 1] = v.conj().T @ v - np.eye(d), compressed_action(v, probe) - power
+        compression = _compressed_action(v_adj, v.reshape(d, -1), probe) - power
+        norms[m - 1] = operator_norm(np.stack([v_adj @ v - np.eye(d), compression]))
+        del v, v_adj, compression  # before the next level's candidates are formed
     levels = [
         {"m": m, "isometry_residual": iso, "compression_residual": comp}
-        for m, (iso, comp) in enumerate(operator_norm(residuals).tolist(), start=1)
+        for m, (iso, comp) in enumerate(norms.tolist(), start=1)
     ]
     payload = {
         "unitary": {"unitarity_residual": unitarity, "compression_residual": probe_gap},
@@ -447,8 +463,9 @@ def cmd_dequantize(args) -> int:
     corr = CorrelationData(build_subproduct(kraus, m), StateSpec(state))
     # the sweep reads the levels upward, so each is formed once and level m is kept
     symmetry = phi_symmetry_residual(corr)
-    psi = dequantize(corr, a, m)
-    unital = dequantize(corr, np.eye(kraus.dim), m)
+    # the observable was checked when it was read, and the identity needs no check
+    psi = _dequantize(corr, a, m)
+    unital = _dequantize(corr, np.eye(kraus.dim, dtype=complex), m)
     payload = {
         "level": m,
         "matrix": _matrix_arrays(psi),

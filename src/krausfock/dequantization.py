@@ -278,7 +278,11 @@ def dequantize(corr: CorrelationData, a, m: int) -> np.ndarray:
     observable whose pairings overflow is refused with a ``ValueError``:
     ``Psi_m`` of every observable is checked to be finite.
     """
-    a = _square(a, corr.system.kraus.dim, stacked=True)
+    return _dequantize(corr, _square(a, corr.system.kraus.dim, stacked=True), m)
+
+
+def _dequantize(corr: CorrelationData, a: np.ndarray, m: int) -> np.ndarray:
+    """:func:`dequantize` of an observable, or a stack, that is already checked."""
     level = corr.level(m)
     # a huge observable may overflow; the finiteness check below decides
     with np.errstate(all="ignore"):
@@ -393,9 +397,10 @@ def trend_verdict(seq, tol: float) -> str:
 def convergence_rows(corr: CorrelationData, a, b):
     """Rows ``(m, *diagnostics)`` of observables ``a, b`` for ``m = 1..system.max_level``.
 
-    The observables are checked at the call, each to be ``d``-square; a
-    product ``AB`` or commutator ``[A, B]`` that overflows is refused with a
-    ``ValueError``.  The rows are then formed upward as they are read, one
+    The observables are checked once, at the call, each to be ``d``-square,
+    and every level reads them without a check; a product ``AB`` or
+    commutator ``[A, B]`` that overflows is refused with a ``ValueError``.
+    The rows are then formed upward as they are read, one
     level at a time, with the four diagnostics in the order of
     ``ConvergenceReport.COLUMNS`` (see :func:`convergence_report`).  A
     singular level raises when its row is read, after the rows below it, and
@@ -433,13 +438,13 @@ def convergence_rows(corr: CorrelationData, a, b):
         if corr.system.dims[m] == complete:
             # a complete level: Psi_m is a similarity, so a homomorphism; pa is
             # not read again, so it is dropped before the commutator's level operator
-            pa = dequantize(corr, a, m)
+            pa = _dequantize(corr, a, m)
             norm_pa, gap = operator_norm(pa), state_gap(m, pa)
             del pa
-            commutator = operator_norm(dequantize(corr, comm, m))
+            commutator = operator_norm(_dequantize(corr, comm, m))
             values = abs(norm_pa - norm_a), 0.0, m * commutator, gap
         else:
-            psi = dequantize(corr, np.stack([a, b, ab]), m)
+            psi = _dequantize(corr, np.stack([a, b, ab]), m)
             pa, pb, pab = psi
             # pb and pab are overwritten by the commutator and the vn residual, so
             # that one norm call takes |pa| and both; the products may overflow,

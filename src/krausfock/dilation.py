@@ -93,8 +93,14 @@ def compressed_action(v, a) -> np.ndarray:
     a = _square(a, c, stacked=True)
     if rows % c:
         raise ValueError(f"an isometry on C^{c} needs a multiple of {c} rows, got {v.shape}")
-    lifted = (a @ v.reshape(c, -1)).reshape(*a.shape[:-2], rows, c)
-    return v.conj().T @ lifted
+    return _compressed_action(v.conj().T, v.reshape(c, -1), a)
+
+
+def _compressed_action(v_adj: np.ndarray, v_wide: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """:func:`compressed_action` of checked input, given ``V†`` and ``V``
+    reshaped to ``c`` rows, which a caller with many ``a`` forms once."""
+    c, rows = v_adj.shape
+    return v_adj @ (a @ v_wide).reshape(*a.shape[:-2], rows, c)
 
 
 def complementary_state(kraus: KrausSet, rho) -> np.ndarray:

@@ -17,20 +17,25 @@ of every level, so a system stores the factors, the family it was built
 from, whose frozen stack is ``G_1``, and the ``G_m`` of one level, the last
 one formed, and forms any other on demand by rerunning the build's step
 from it or from ``G_1``, so memory does not grow by a ``d_m x d x d``
-stack a level.  A reader that walks the levels upward pays one step a
-level.  Every level space belongs to that one family, so a reader
-of the levels reads the family from the system and is never given it
-again.  Level 1 is the decision of the unital-and-minimal guard: it is
-full, and ``G_1`` is the family's own frozen stack.  From level 2 on, as
-long as the previous level was full, the rank rule decides whether level
-``m`` is full too, by :func:`~krausfock.linalg._range_unless_full`.  The
-basis ``B_m = (B_{m-1} ⊗ 1_n) C_m``, a left-canonical matrix product state
-of bond dimension ``<= d^2`` with ``n^m`` rows, is formed only by the
-tests, as a dense oracle; the left half of the nesting law holds by
-construction.  Besides the build, every public function is a sweep or a
-slice over the chain factors.  A full level, ``d_m = n d_{m-1}``, is
-recorded once, as ``factors[m] is None``: its ``C_m`` is the identity, and
-no reader forms it.
+stack a level.  The build itself is one generator, :func:`_levels`, which
+yields each level's factor and generators as it forms them.
+:func:`build_subproduct` collects the factors.  A reader that needs each
+level once and nothing else of the system, as ``dilate`` does, reads the
+levels off the generator, and so forms each level once; a reader that
+walks a built system's levels upward pays one step a level more.  Every
+level space belongs to that one family, so a reader of the levels reads
+the family from the system and is never given it again.  Level 1 is the
+decision of the unital-and-minimal guard: it is full, and ``G_1`` is the
+family's own frozen stack.  From level 2 on, as long as the previous level
+was full, the rank rule decides whether level ``m`` is full too, by
+:func:`~krausfock.linalg._range_unless_full`.  The basis
+``B_m = (B_{m-1} ⊗ 1_n) C_m``, a left-canonical matrix product state of
+bond dimension ``<= d^2`` with ``n^m`` rows, is formed only by the tests,
+as a dense oracle; the left half of the nesting law holds by construction.
+Besides the build, every public function is a sweep or a slice over the
+chain factors.  A full level, ``d_m = n d_{m-1}``, is recorded once, as
+``factors[m] is None``: its ``C_m`` is the identity, and no reader forms
+it.
 
 Sweeps: ``1 - p_l`` is the orthogonal sum of the pieces
 ``(B_{j-1} (1 - C_j C_j†) B_{j-1}†) ⊗ 1``, ``j <= l``.  Nesting, shift,
@@ -155,31 +160,30 @@ def _compress(cand: np.ndarray, c: np.ndarray | None) -> np.ndarray:
     return cand if c is None else (c.conj().T @ cand.reshape(-1, d * d)).reshape(-1, d, d)
 
 
-def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
-    """Chain factors for ``m <= max_level`` of a unital, minimal set.
+def _levels(kraus: KrausSet, top: int):
+    """Yield ``(m, C_m, G_m)`` for ``m = 1..top`` of a unital, minimal set.
 
     Each level is formed from the one before by :func:`_candidates` and
     :func:`_compress`, the step :meth:`SubproductSystem.generators` reruns,
-    so only the previous level is held; the top level is kept in the result,
-    and so is ``kraus`` itself, the family every level belongs to.
-    A level with no direction left by the rank rule is refused: a unital
-    family has none, but a set that passes the guard only at a loose
+    so only the previous level is held.  ``C_m`` is ``None`` at a full level,
+    and both it and ``G_m`` are frozen.  The set is guarded at the first
+    step.  A level with no direction left by the rank rule is refused: a
+    unital family has none, but a set that passes the guard only at a loose
     ``residual_tol`` can, when its candidates underflow to zero.
     """
-    if max_level < 0:
-        raise ValueError("max_level must be nonnegative")
     require_unital_minimal(kraus)
     # the guard has found the K_k independent: level 1 is full, G_1 = K
-    factors = [np.ones((1, 1), dtype=complex), None][: max_level + 1]
-    gens = kraus.ops
-    for m in range(2, max_level + 1):
+    c, gens = None, kraus.ops
+    if top >= 1:
+        yield 1, c, gens
+    for m in range(2, top + 1):
         cand = _candidates(gens, kraus.ops)
         # For a unital family a level that is not full leaves no later level
         # full: a relation sum_k W_k K_k = 0 with W_k in level m-1 gives
         # sum_k (K_j W_k) K_k = 0 at level m+1, and the K_j W_k cannot all
         # vanish, since then W_k = sum_j K_j† K_j W_k = 0.  So only while the
         # previous level is full can this one be.
-        decide = _range_unless_full if factors[-1] is None else orthonormal_range
+        decide = _range_unless_full if c is None else orthonormal_range
         # the rows vec(H^T), a copy that dies with the call: their range is
         # the level subspace in the coordinates of level(m-1) ⊗ C^n
         c = decide(cand.transpose(0, 2, 1).reshape(len(cand), -1), kraus.tol)
@@ -187,10 +191,25 @@ def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
             if c.shape[1] == 0:
                 raise ValueError(f"level {m} is empty: the rank rule keeps no direction")
             c.flags.writeable = False
-        factors.append(c)
         gens = _compress(cand, c)
         del cand  # before the next level's candidates are formed
+        gens.flags.writeable = False
+        yield m, c, gens
+
+
+def build_subproduct(kraus: KrausSet, max_level: int) -> SubproductSystem:
+    """Chain factors for ``m <= max_level`` of a unital, minimal set.
+
+    The factors are those :func:`_levels` yields; the top level's generators
+    are kept in the result, and so is ``kraus`` itself, the family every
+    level belongs to.
+    """
+    if max_level < 0:
+        raise ValueError("max_level must be nonnegative")
+    factors, gens = [np.ones((1, 1), dtype=complex)], kraus.ops
     factors[0].flags.writeable = False
+    for _, c, gens in _levels(kraus, max_level):
+        factors.append(c)
     return SubproductSystem(factors, kraus, _cache=(max(max_level, 1), gens))
 
 

@@ -109,6 +109,35 @@ MUTANTS = [
         "rounds below 0",
     ),
     Mutant(
+        "src/krausfock/cli.py",
+        "norms[m - 1] = operator_norm(np.stack([v_adj @ v - np.eye(d), compression]))",
+        "norms[m % args.max_m] = operator_norm(np.stack([v_adj @ v - np.eye(d), compression]))",
+        "dilate: each level's residual pair written at index m, one level up, "
+        "the top level's at index 0",
+    ),
+    Mutant(
+        "src/krausfock/cli.py",
+        "power = apply_heisenberg(kraus, power)",
+        "power = apply_heisenberg(kraus, power) if m > 1 else power",
+        "dilate: level m's compression residual taken against Phi^(m-1)(P), "
+        "the previous level's power of the probe",
+    ),
+    Mutant(
+        "src/krausfock/cli.py",
+        "norms[m - 1] = operator_norm(np.stack([v_adj @ v - np.eye(d), compression]))",
+        "norms[m - 1] = operator_norm(np.stack([v.T @ v - np.eye(d), compression]))",
+        "dilate: the isometry residual taken as |V^T V - 1|, V where V† belongs",
+    ),
+    Mutant(
+        "src/krausfock/cli.py",
+        "unitarity = max(operator_norm(np.stack([w @ w.conj().T, w.conj().T @ w]) - eye).tolist())",
+        "unitarity = operator_norm(w @ w.conj().T - eye)",
+        "dilate: the unitarity residual from W W† alone; a square W = U P has "
+        "W W† - 1 = U (P^2 - 1) U† and W† W - 1 = P^2 - 1, the same singular "
+        "values, so the two norms differ by rounding only, which the report's "
+        "bytes show",
+    ),
+    Mutant(
         "src/krausfock/linalg.py",
         "return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))",
         "return int(np.count_nonzero(s >= tol.rank_rel_tol * s[0]))",

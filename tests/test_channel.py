@@ -262,6 +262,13 @@ class TestMinimalKraus:
         with pytest.raises(ValueError, match="all Kraus operators vanish"):
             minimal_kraus(KrausSet(np.zeros((2, 3, 3))))
 
+    def test_rejects_a_reduction_beyond_float_range(self):
+        # three dependent operators of entries 1e308 reduce to one of norm
+        # 2e308: refused by name, where the product used to warn of overflow
+        ops = np.array([-1e308, -1e308, -1e308 - 1e308j]).reshape(3, 1, 1)
+        with pytest.raises(ValueError, match="overflow when reduced to an independent family"):
+            minimal_kraus(KrausSet(ops))
+
     def test_idempotent(self, rng):
         base = random_unital(2, 3, seed=2)
         iso = np.linalg.qr(random_complex(rng, 3, 2))[0]

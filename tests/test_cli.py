@@ -19,9 +19,15 @@ import krausfock.cli
 import krausfock.dequantization as dequantization
 import krausfock.dilation
 import krausfock.linalg
+import krausfock.subproduct
 from krausfock.catalog import CatalogSpec, build_catalog
-from krausfock.channel import minimal_kraus
-from krausfock.dilation import compressed_action, complementary_state, unitary_dilation
+from krausfock.channel import apply_heisenberg, minimal_kraus
+from krausfock.dilation import (
+    compressed_action,
+    complementary_state,
+    stinespring_isometry,
+    unitary_dilation,
+)
 from krausfock.subproduct import build_subproduct
 from krausfock.cli import (
     _emit_json,
@@ -547,6 +553,69 @@ class TestDilate:
         assert code == 0 and calls == [(2, 16)]
 
 
+    def test_each_level_is_formed_once(self, tmp_path, capsys, monkeypatch):
+        # the V_m are read off the levels as they are formed: one candidate
+        # step a level past the first, with no second walk from level 1
+        steps = []
+        candidates = krausfock.subproduct._candidates
+
+        def spy(gens, ops):
+            steps.append(len(gens))
+            return candidates(gens, ops)
+
+        monkeypatch.setattr(krausfock.subproduct, "_candidates", spy)
+        path = make_catalog_doc(tmp_path, family="commuting_generic", n=2, d=12, seed=4)
+        code, _, _ = run(capsys, "dilate", path, "--max-m", "7")
+        assert code == 0 and steps == [2, 3, 4, 5, 6, 7]
+
+    @pytest.mark.parametrize(
+        "catalog, top",
+        [
+            ({"family": "commuting_generic", "n": 2, "d": 12, "seed": 4}, 12),
+            ({"family": "random_unital", "n": 2, "d": 16, "seed": 7}, 4),
+            ({"family": "sequential_projective", "d": 3, "seed": 0, "params": {"angle": 3e-5}}, 4),
+        ],
+    )
+    def test_report_is_the_one_of_the_public_route(self, tmp_path, capsys, catalog, top):
+        # every field formed by the public functions, each level's V_m from a
+        # built system, every matrix normed alone: the same bytes
+        path = make_catalog_doc(tmp_path, **catalog)
+        argv = ["dilate", path, "--max-m", str(top)]
+        code, out, _ = run(capsys, *argv)
+        kraus = minimal_kraus(build_catalog(CatalogSpec(**catalog)))
+        d, eye = kraus.dim, np.eye(kraus.dim)
+        w = unitary_dilation(kraus)
+        wwh, whw = w @ w.conj().T, w.conj().T @ w
+        unitarity = max(operator_norm(x - np.eye(len(w))) for x in (wwh, whw))
+        v1, gaps = w[:, :: kraus.size], []
+        for a in range(d):
+            row = np.zeros((d, d, d), dtype=complex)
+            row[:, a, :] = eye
+            gaps += list(compressed_action(v1, row) - apply_heisenberg(kraus, row))
+        p = np.arange(1, d * d + 1).reshape(d, d) / (d * d)
+        probe, power = p + p.T + 1j * (p - p.T), p + p.T + 1j * (p - p.T)
+        system, levels = build_subproduct(kraus, top), []
+        for m in range(1, top + 1):
+            v = stinespring_isometry(system, m)
+            power = apply_heisenberg(kraus, power)
+            levels.append(
+                {
+                    "m": m,
+                    "isometry_residual": operator_norm(v.conj().T @ v - eye),
+                    "compression_residual": operator_norm(compressed_action(v, probe) - power),
+                }
+            )
+        probe_gap = max(operator_norm(g) for g in gaps)
+        unitary = {"unitarity_residual": unitarity, "compression_residual": probe_gap}
+        digest = load_document(path)[1]
+        header = {"command": " ".join(["krausfock", *argv]), "input_digest": digest}
+        header["version"] = krausfock.__version__
+        report = {**header, "payload": {"unitary": unitary, "levels": levels}}
+        assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        ok = max(unitarity, probe_gap) <= kraus.tol.residual_tol
+        assert code == (0 if ok else 1)
+
+
 class TestComplementary:
     def test_agreement_and_trace(self, tmp_path, capsys):
         path = make_catalog_doc(tmp_path, family="random_unital", n=3, d=4, seed=6)
@@ -644,6 +713,29 @@ class TestDequantize:
         }[command]
         code, _, _ = run(capsys, command, chan, *flags)
         assert code == 0 and calls == [(3, 3)]
+
+    @pytest.mark.parametrize("command, checks", [("dequantize", 0), ("converge", 2)])
+    def test_each_observable_is_checked_once(self, tmp_path, capsys, monkeypatch, command, checks):
+        # dequantize reads its observable when it loads it, and converge's rows
+        # check theirs once at the call: no level scans an observable again.
+        # random_unital(2,3) is complete from level 4, so both kinds of row run
+        observables = []
+        square = dequantization._square
+
+        def spy(a, d, what="observable", stacked=False):
+            if what == "observable":
+                observables.append(np.shape(a))
+            return square(a, d, what, stacked)
+
+        monkeypatch.setattr(dequantization, "_square", spy)
+        chan = make_catalog_doc(tmp_path, family="random_unital", n=2, d=3, seed=1)
+        obs = make_observable(tmp_path, np.diag([1.0, -1.0, 0.5]))
+        flags = {
+            "dequantize": ["--observable", obs, "--level", "5"],
+            "converge": ["--observables", obs, obs, "--max-m", "5"],
+        }[command]
+        code, _, _ = run(capsys, command, chan, *flags)
+        assert code == 0 and observables == [(3, 3)] * checks
 
     def test_missing_observable_file(self, tmp_path, capsys):
         chan = make_catalog_doc(tmp_path, family="projective", d=3)

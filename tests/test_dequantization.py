@@ -742,13 +742,14 @@ class TestConvergenceReport:
         # counted by observables: a matrix is one, a stack (k, d, d) is k
         corr, a, b, complete = self.complete_instance(rng, 2, 4, 6)
         calls = []
-        real = dequantization.dequantize
+        real = dequantization._dequantize
 
         def spy(corr, x, m):
             calls.append((m, int(np.prod(np.shape(x)[:-2]))))
             return real(corr, x, m)
 
-        monkeypatch.setattr(dequantization, "dequantize", spy)
+        # each level reads the checked observables through the unchecked body
+        monkeypatch.setattr(dequantization, "_dequantize", spy)
         convergence_report(corr, a, b)
         expected = [2 if m in complete else 3 for m in range(1, 7)]
         assert [sum(k for level, k in calls if level == m) for m in range(1, 7)] == expected

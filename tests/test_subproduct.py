@@ -163,6 +163,48 @@ class TestBuild:
         assert max(c.shape[0] for c in s.factors if c is not None) <= 12 * 2
 
 
+class TestLevelSteps:
+    """``_levels`` is the build: every command that reads the levels as they
+    are formed reads the factors and generators a built system holds."""
+
+    @pytest.fixture(scope="class")
+    def families(self, catalog_quartet):
+        return {**catalog_quartet, "near-degenerate": sequential_projective(3, 3e-5, seed=0)}
+
+    @pytest.mark.parametrize("top", [0, 1, 6])
+    def test_yields_the_factors_and_generators_of_the_build(self, families, top):
+        for name, k in families.items():
+            s = build_subproduct(k, top)
+            steps = list(krausfock.subproduct._levels(k, top))
+            assert [m for m, _, _ in steps] == list(range(1, top + 1)), name
+            for m, c, gens in steps:
+                expected = s.factors[m]
+                assert (c is None) == (expected is None), (name, m)
+                assert c is None or (np.array_equal(c, expected) and not c.flags.writeable)
+                assert np.array_equal(gens, s.generators(m)), (name, m)
+                assert not gens.flags.writeable, (name, m)
+
+    def test_refuses_the_empty_level_where_the_build_does(self):
+        tol = Tolerances(rank_rel_tol=1e-15, residual_tol=1e300)
+        k = KrausSet(np.full((1, 1, 1), 1e-320), tol=tol)
+        with pytest.raises(ValueError) as built:
+            build_subproduct(k, 3)
+        steps, reached = krausfock.subproduct._levels(k, 3), []
+        with pytest.raises(ValueError) as streamed:
+            for m, _, _ in steps:
+                reached.append(m)
+        assert reached == [1]
+        assert str(streamed.value) == str(built.value) == (
+            "level 2 is empty: the rank rule keeps no direction"
+        )
+
+    def test_guards_the_set_before_the_first_level(self):
+        ops = np.stack([np.eye(2), np.eye(2)]) / np.sqrt(2.0)
+        for top in (2, 0):
+            with pytest.raises(ValueError, match="minimal"):
+                next(krausfock.subproduct._levels(KrausSet(ops), top))
+
+
 class TestImplicitIdentity:
     """A full level stores ``None`` for its identity chain factor; every reader
     matches the dense oracle, which forms that identity explicitly."""
